@@ -20,7 +20,6 @@ from .disorder import (
     RostSpec,
     empirical_covariance,
     random_gram_rost,
-    sample_explicit_cavity,
     sample_process,
     sample_rost_fields,
     sample_tensor,

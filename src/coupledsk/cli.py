@@ -3,7 +3,7 @@
 Reports are flat CSV plus a JSON manifest; the manifest embeds the resolved
 config and root seed, and its timestamp is the single line that may differ
 between identical reruns.  Exit codes: 0 all asserted checks pass, 1 a check
-failed, 2 config or resource error.
+failed, 2 config or resource error (see main for the errors mapped to 2).
 """
 
 from __future__ import annotations
@@ -34,29 +34,31 @@ from .disorder import (
 from .free_energy import (
     WHT_CAP,
     Estimate,
+    NumericalError,
     build_explicit_rost,
     cavity_logz_by_count,
     estimate_F,
-    estimate_F_window,
     estimate_G,
     estimate_G_MN,
-    explicit_terms_replica,
+    explicit_terms,
+    overlap_logz_replicas,
     partition_by_overlap,
+    window_estimate,
     _constrained_pairs,
     _cached_explicit_sampler,
 )
 from .interpolation import (
-    VerdictConfig,
-    first_sum_bound,
-    lemma3_phi_prime_gibbs,
+    require_convex,
     run_lemma2_curve,
     run_lemma3_curve,
-    verdict_suite,
+    structure_bound_check,
+    superadditivity_check,
+    window_constant_check,
     window_gap_profile,
-    _weighted_slope,
 )
 from .mixture import (
     MixtureSpec,
+    NonConvexMixtureError,
     check_convexity,
     check_positivity,
     mixture_functions,
@@ -217,75 +219,49 @@ def cmd_free_energy(cfg: ExperimentConfig) -> int:
     resolved_rows = []
     for n in cfg.n_list:
         c = nearest_admissible(n, cfg.u)
+        log_z = overlap_logz_replicas(cfg.mixture, n, cfg.n_rep, cfg.seed, cfg.sampler,
+                                      cfg.threads)
         for eps in cfg.eps_grid:
-            win = OverlapConstraint(n=n, k=c.k, eps=eps)
-            est = (
-                estimate_F(cfg.mixture, n, win, cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
-                if eps == 0.0
-                else estimate_F_window(cfg.mixture, n, win, cfg.n_rep, cfg.seed,
-                                       cfg.sampler, cfg.threads)
-            )
+            est = window_estimate(log_z, OverlapConstraint(n=n, k=c.k, eps=eps), cfg.seed)
             rows.append(_estimate_row(est, n, c.k, eps))
         # count-resolved dump for the first replica's table
-        table = get_sampler(cfg.mixture, n, cfg.sampler).sample(replica_seed(cfg.seed, 0))
-        part = partition_by_overlap(table, cfg.mixture.h1, cfg.mixture.h2)
-        for d in range(n + 1):
-            resolved_rows.append([n, d, f"{part.log_z[d]:.17g}"])
+        resolved_rows.extend([n, d, f"{v:.17g}"] for d, v in enumerate(log_z[0]))
     _write_csv(cfg.out / "free_energy.csv", ESTIMATE_FIELDS, rows)
     _write_csv(cfg.out / "overlap_resolved.csv", ["n", "d", "log_z"], resolved_rows)
     _write_manifest(cfg.out, "free-energy", cfg, {"rows": len(rows)}, True)
     return 0
 
 
+def _write_check(cfg: ExperimentConfig, command: str, csv_name: str, rows: list,
+                 check: dict) -> int:
+    _write_csv(cfg.out / csv_name, ESTIMATE_FIELDS, rows)
+    _write_manifest(cfg.out, command, cfg, check, check["pass"])
+    return 0 if check["pass"] else 1
+
+
 def cmd_lemma1(cfg: ExperimentConfig) -> int:
     rows = []
-    fits = {}
+    profiles = {}
     for n in cfg.n_list:
         k = nearest_admissible(n, cfg.u).k
-        prof = window_gap_profile(
+        prof = profiles[n] = window_gap_profile(
             cfg.mixture, n, k, cfg.eps_grid, cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads
         )
-        fits[n] = prof
         for eps, gm, gs in zip(prof["eps"], prof["gap_mean"], prof["gap_stderr"]):
             rows.append(["window_gap", n, k, f"{eps:.17g}", cfg.n_rep, cfg.seed,
                          f"{gm:.17g}", f"{gs:.17g}"])
-    ns = np.array(cfg.n_list, dtype=np.float64)
-    lhat = np.array([fits[n]["fitted_constant"] for n in cfg.n_list])
-    lse = np.array([fits[n]["fitted_constant_stderr"] for n in cfg.n_list])
-    if len(cfg.n_list) >= 3:  # a two-point slope has no residual freedom
-        slope, slope_se = _weighted_slope(ns, lhat, lse)
-        tstat = slope / slope_se if slope_se > 0 else 0.0
-        trend_ok = tstat < 2.0
-    else:
-        tstat = 0.0
-        trend_ok = True
-    min_gap = min(fits[n]["min_gap"] for n in cfg.n_list)
-    ok = bool(min_gap >= -1e-12 and trend_ok)
-    _write_csv(cfg.out / "lemma1.csv", ESTIMATE_FIELDS, rows)
-    _write_manifest(cfg.out, "lemma1", cfg, {
-        "check": "window-constant",
-        "fitted_constant": lhat.tolist(),
-        "slope_tstat": float(tstat),
-        "trend_assessed": len(cfg.n_list) >= 3,
-        "min_gap": min_gap,
-    }, ok)
-    return 0 if ok else 1
+    return _write_check(cfg, "lemma1", "lemma1.csv", rows,
+                        window_constant_check(cfg.n_list, profiles))
 
 
 def cmd_superadd(cfg: ExperimentConfig) -> int:
-    vcfg = VerdictConfig(
-        spec=cfg.mixture, u=cfg.u, n_list=cfg.n_list, eps_grid=cfg.eps_grid,
-        n_rep=cfg.n_rep, seed=cfg.seed, sampler=cfg.sampler, threads=cfg.threads,
-    )
-    report = verdict_suite(vcfg)
-    sup = next(c for c in report["checks"] if c["check"] == "superadditivity")
+    sup = superadditivity_check(cfg.mixture, cfg.u, cfg.n_list, cfg.n_rep, cfg.seed,
+                                cfg.sampler, cfg.threads)
     rows = [
         ["normalized_deficit", str(sz), "", "", cfg.n_rep, cfg.seed, f"{v:.17g}", ""]
         for sz, v in zip(sup["sizes"], sup["normalized_deficits"])
     ]
-    _write_csv(cfg.out / "superadd.csv", ESTIMATE_FIELDS, rows)
-    _write_manifest(cfg.out, "superadd", cfg, sup, bool(sup["pass"]))
-    return 0 if sup["pass"] else 1
+    return _write_check(cfg, "superadd", "superadd.csv", rows, sup)
 
 
 def cmd_rost_eval(cfg: ExperimentConfig) -> int:
@@ -306,34 +282,19 @@ def cmd_rost_eval(cfg: ExperimentConfig) -> int:
 
 
 def cmd_lemma3(cfg: ExperimentConfig) -> int:
+    require_convex(cfg.mixture, "the structure upper bound")
     rost = cfg.load_rost()
     n = cfg.n_list[0]
     c = nearest_admissible(n, cfg.u)
     f_est = estimate_F(cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
     g_est = estimate_G(rost, cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.threads)
-    bound = first_sum_bound(rost, mixture_functions(cfg.mixture), c.u)
-    margin = 4.0 * float(np.hypot(f_est.stderr, g_est.diff.stderr))
-    upper_ok = f_est.mean <= g_est.diff.mean + bound + margin
-    sign_ok = True
-    worst = -np.inf
-    for t in cfg.t_grid:
-        der = lemma3_phi_prime_gibbs(rost, cfg.mixture, n, c, t, cfg.n_rep,
-                                     cfg.seed, cfg.threads)
-        sig = der.second_line.mean / der.second_line.stderr if der.second_line.stderr else 0.0
-        worst = max(worst, sig)
-        sign_ok = sign_ok and sig <= 3.0
-    ok = bool(upper_ok and sign_ok)
+    check = structure_bound_check(rost, cfg.mixture, c, f_est, g_est, cfg.t_grid,
+                                  cfg.n_rep, cfg.seed, cfg.threads)
     rows = [
         _estimate_row(f_est, n, c.k, 0.0),
         _estimate_row(g_est.diff, n, c.k, 0.0),
     ]
-    _write_csv(cfg.out / "lemma3.csv", ESTIMATE_FIELDS, rows)
-    _write_manifest(cfg.out, "lemma3", cfg, {
-        "check": "structure-upper-bound",
-        "f": f_est.mean, "g": g_est.diff.mean, "computable_bound": bound,
-        "margin": margin, "second_line_worst_sigmas": float(worst),
-    }, ok)
-    return 0 if ok else 1
+    return _write_check(cfg, "lemma3", "lemma3.csv", rows, check)
 
 
 def cmd_explicit_rost(cfg: ExperimentConfig) -> int:
@@ -350,16 +311,14 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> int:
         psd_ok = True
     except RostInvalidError:
         psd_ok = False
-    g_lim = estimate_G_MN(cfg.mixture, cfg.m, n, u_m, derived.constraint,
-                          cfg.n_rep, cfg.seed, "limit", cfg.threads)
-    g_fin = estimate_G_MN(cfg.mixture, cfg.m, n, u_m, derived.constraint,
-                          cfg.n_rep, cfg.seed, "finite", cfg.threads)
+    g_lim, g_fin = estimate_G_MN(cfg.mixture, cfg.m, n, u_m, derived.constraint,
+                                 cfg.n_rep, cfg.seed, cfg.threads)
     worst_dual = 0.0
+    sampler = _cached_explicit_sampler(cfg.mixture, cfg.m, n)
+    r1, r2 = _constrained_pairs(cfg.m, u_m.d)
     for rep in range(min(cfg.n_rep, 5)):
-        seed = replica_seed(cfg.seed, rep)
-        t = explicit_terms_replica(cfg.mixture, cfg.m, n, u_m, derived.constraint, "limit", seed)
-        draw = _cached_explicit_sampler(cfg.mixture, cfg.m, n).sample(seed)
-        r1, r2 = _constrained_pairs(cfg.m, u_m.d)
+        draw = sampler.sample(replica_seed(cfg.seed, rep))
+        t = explicit_terms(draw, cfg.mixture, u_m, derived.constraint, "limit")
         bt1, bt2 = brute_explicit_terms(draw, r1, r2, cfg.mixture, derived.constraint, "limit")
         worst_dual = max(worst_dual, abs(t.term1 + t.log_norm - bt1),
                          abs(t.term2 + t.log_norm - bt2))
@@ -380,11 +339,14 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> int:
 
 
 def cmd_interp(cfg: ExperimentConfig) -> int:
+    require_convex(cfg.mixture, "the interpolation derivative decompositions")
+    n = cfg.n_list[0]
+    if cfg.m is not None and cfg.m + n > WHT_CAP:
+        raise ConfigError(f"size splitting needs m + n <= {WHT_CAP}, got {cfg.m} + {n}")
     results = {}
     ok = True
     rows = []
     if cfg.m is not None:
-        n = cfg.n_list[0]
         run = run_lemma2_curve(cfg.mixture, cfg.m, n, cfg.u, cfg.t_grid,
                                cfg.n_rep, cfg.seed, cfg.threads)
         results["size_splitting"] = run.verdicts
@@ -393,7 +355,6 @@ def cmd_interp(cfg: ExperimentConfig) -> int:
             rows.append(["size-splitting", f"{t:.17g}", f"{p.mean:.17g}", f"{p.stderr:.17g}",
                          f"{dfd.mean:.17g}", f"{dgb.mean:.17g}"])
     rost = cfg.load_rost()
-    n = cfg.n_list[0]
     c = nearest_admissible(n, cfg.u)
     run3 = run_lemma3_curve(rost, cfg.mixture, n, c, cfg.t_grid, cfg.n_rep,
                             cfg.seed, cfg.threads)
@@ -491,7 +452,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig.load(args.config, args)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, ResourceError, RostInvalidError, FileNotFoundError) as exc:
+    except (ConfigError, ResourceError, RostInvalidError, FileNotFoundError,
+            NonConvexMixtureError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,10 +18,8 @@ user-specified random overlap structures.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
-from pathlib import Path
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -96,41 +94,6 @@ class HamiltonianTable:
             raise ValueError(f"values must have shape (2, {2**self.n})")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("Hamiltonian table contains non-finite entries")
-
-    def copy_values(self, ell: int) -> np.ndarray:
-        return self.values[ell - 1]
-
-
-_TABLE_MAGIC = b"CSK1"
-_PROVENANCE_CODES = {"tensor": 0, "process": 1}
-
-
-def save_table(table: HamiltonianTable, path: str | Path) -> None:
-    """Binary dump: fixed header then little-endian float64 payload.
-
-    Payload is configuration-index major, copy 1 block then copy 2.
-    """
-    header = struct.pack(
-        "<4sIIIq",
-        _TABLE_MAGIC,
-        table.n,
-        table.p_max,
-        _PROVENANCE_CODES[table.provenance],
-        table.seed,
-    )
-    payload = table.values.astype("<f8").tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def load_table(path: str | Path) -> HamiltonianTable:
-    raw = Path(path).read_bytes()
-    magic, n, p_max, prov, seed = struct.unpack_from("<4sIIIq", raw)
-    if magic != _TABLE_MAGIC:
-        raise ValueError("not a Hamiltonian table dump")
-    values = np.frombuffer(raw[struct.calcsize("<4sIIIq"):], dtype="<f8").copy()
-    values = values.reshape(2, 2**n)
-    provenance = {v: k for k, v in _PROVENANCE_CODES.items()}[prov]
-    return HamiltonianTable(n=n, values=values, provenance=provenance, seed=seed, p_max=p_max)
 
 
 def _contract_all_configs(tensor: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -284,7 +247,7 @@ class RostSpec:
     q11: np.ndarray
     q12: np.ndarray
     q22: np.ndarray
-    weights: FixedWeights | DirichletWeights
+    weights: FixedWeights | DirichletWeights | None  # None: no weight law of its own
     delta: float
     u: float
 
@@ -366,7 +329,6 @@ class CavityFieldSample:
 
     z: np.ndarray
     y: np.ndarray
-    exact_cov: bool
 
 
 class RostFieldSampler:
@@ -400,7 +362,7 @@ class RostFieldSampler:
         m = self.m
         z = (self.factor_z @ rng.standard_normal((2 * m, n))).T.reshape(n, 2, m)
         y = (self.factor_y @ rng.standard_normal(2 * m)).reshape(2, m)
-        return CavityFieldSample(z=z, y=y, exact_cov=True)
+        return CavityFieldSample(z=z, y=y)
 
 
 def sample_rost_fields(
@@ -462,8 +424,10 @@ class ExplicitDraw:
                         z_finite the big-system normalization;
     y / y_finite      : compensator fields from fresh tensors, (2, 2**M);
                         y carries the exact theta covariance;
+    tensors[p-1]      : the big coupling tensor of order p, over (M+n)^p;
     full[l-1, sigma]  : the whole (M+n)-spin Hamiltonian from the same
-                        tensors, for decomposition and inequality checks.
+                        tensors, for decomposition and inequality checks;
+                        contracted on first access.
     """
 
     m: int
@@ -473,7 +437,25 @@ class ExplicitDraw:
     z_finite: np.ndarray
     y: np.ndarray
     y_finite: np.ndarray
-    full: np.ndarray
+    spec: MixtureSpec
+    tensors: tuple[np.ndarray, ...]
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        big = self.m + self.n
+        s_full = spin_matrix(big)
+        full = np.zeros((2, 2**big))
+        a = {1: self.spec.a1, 2: self.spec.a2}
+        for p, g in enumerate(self.tensors, start=1):
+            if a[1][p - 1] == 0.0 and a[2][p - 1] == 0.0:
+                continue
+            full_contr = _contract_all_configs(g, s_full)
+            scale_big = big ** (0.5 - 0.5 * p)
+            for ell in (1, 2):
+                ap = a[ell][p - 1]
+                if ap != 0.0:
+                    full[ell - 1] += ap * scale_big * full_contr
+        return full
 
 
 class ExplicitSystemSampler:
@@ -493,7 +475,6 @@ class ExplicitSystemSampler:
         self.m = m
         self.n = n
         self.s_base = spin_matrix(m)
-        self.s_full = spin_matrix(m + n)
 
     def _aggregate_new_coordinate(self, g: np.ndarray, p: int) -> np.ndarray:
         """Sum of the p tensor slices with one index fixed at a new coordinate.
@@ -513,23 +494,23 @@ class ExplicitSystemSampler:
         rng = _rng(seed)
         spec, m, n = self.spec, self.m, self.n
         big = m + n
-        c_base, c_full = 2**m, 2**big
+        c_base = 2**m
         trunc = np.zeros((2, c_base))
-        full = np.zeros((2, c_full))
         z = np.zeros((n, 2, c_base))
         z_fin = np.zeros((n, 2, c_base))
         y = np.zeros((2, c_base))
         y_fin = np.zeros((2, c_base))
         a = {1: spec.a1, 2: spec.a2}
+        tensors = []
         for p in range(1, spec.p_max + 1):
             g = rng.standard_normal((big,) * p)
+            tensors.append(g)
             g_new = rng.standard_normal((m,) * p)  # fresh tensors, compensators only
             if a[1][p - 1] == 0.0 and a[2][p - 1] == 0.0:
                 continue
             base_contr = _contract_all_configs(
                 np.asarray(g[(slice(0, m),) * p]), self.s_base
             )
-            full_contr = _contract_all_configs(g, self.s_full)
             agg = self._aggregate_new_coordinate(g, p)
             if p == 1:
                 site_contr = np.repeat(agg[:, None], c_base, axis=1)
@@ -551,44 +532,14 @@ class ExplicitSystemSampler:
                 if ap == 0.0:
                     continue
                 trunc[ell - 1] += ap * scale_big * base_contr
-                full[ell - 1] += ap * scale_big * full_contr
                 z[:, ell - 1, :] += ap * scale_base * site_contr
                 z_fin[:, ell - 1, :] += ap * scale_big * site_contr
                 y[ell - 1] += ap * y_coef * comp_contr
                 y_fin[ell - 1] += ap * y_fin_coef * comp_contr
         return ExplicitDraw(
-            m=m, n=n, trunc=trunc, z=z, z_finite=z_fin, y=y, y_finite=y_fin, full=full
+            m=m, n=n, trunc=trunc, z=z, z_finite=z_fin, y=y, y_finite=y_fin,
+            spec=spec, tensors=tuple(tensors),
         )
-
-
-class ExplicitCavityFields:
-    """Field view of one explicit draw, evaluable at any base-pair element.
-
-    An element alpha is a pair (rho1, rho2) of base masks; copy l of the z
-    and y fields is read off at rho_l.
-    """
-
-    def __init__(self, draw: ExplicitDraw, exact_cov: bool):
-        self.draw = draw
-        self.exact_cov = exact_cov
-        self._z = draw.z if exact_cov else draw.z_finite
-        self._y = draw.y if exact_cov else draw.y_finite
-
-    def at_pairs(self, rho1: np.ndarray, rho2: np.ndarray) -> CavityFieldSample:
-        z = np.stack((self._z[:, 0, rho1], self._z[:, 1, rho2]), axis=1)
-        y = np.stack((self._y[0, rho1], self._y[1, rho2]), axis=0)
-        return CavityFieldSample(z=z, y=y, exact_cov=self.exact_cov)
-
-
-def sample_explicit_cavity(
-    spec: MixtureSpec, m: int, n: int, seed, variant: str = "limit"
-) -> ExplicitCavityFields:
-    """Sample the explicit cavity fields; variant 'limit' carries the exact
-    xi'/theta covariances, variant 'finite' the big-system normalization."""
-    if variant not in ("limit", "finite"):
-        raise ValueError(f"variant must be 'limit' or 'finite', got {variant!r}")
-    draw = ExplicitSystemSampler(spec, m, n).sample(seed)
-    return ExplicitCavityFields(draw, exact_cov=(variant == "limit"))
 
 
 def finite_z_covariance(spec: MixtureSpec, m: int, n: int, ell: int, ellp: int, r: float) -> float:

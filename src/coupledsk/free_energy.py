@@ -17,13 +17,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .bits import bucket_by_popcount, magnetizations, popcounts, spin_matrix, xor_correlation
+from .bits import bucket_by_popcount, magnetizations, popcounts, xor_correlation
 from .configurations import OverlapConstraint
 from .disorder import (
+    ExplicitDraw,
     ExplicitSystemSampler,
     HamiltonianTable,
     ResourceError,
     RostFieldSampler,
+    RostInvalidError,
     RostSpec,
     get_sampler,
 )
@@ -32,6 +34,7 @@ from .parallel import pmap, replica_seed, rng_for, summarize
 
 WHT_CAP = 12
 EXPLICIT_PAIR_CAP = 2048
+EXPLICIT_VARIANTS = ("limit", "finite")
 
 
 class NumericalError(RuntimeError):
@@ -123,19 +126,46 @@ def partition_by_overlap(
 # ---------------------------------------------------------------------------
 
 
-def window_logz_replica(
-    spec: MixtureSpec, n: int, c: OverlapConstraint, sampler: str, seed
-) -> float:
-    """(1/n) log of the windowed partition sum for one disorder replica."""
-    table = get_sampler(spec, n, sampler).sample(seed)
-    part = partition_by_overlap(table, spec.h1, spec.h2)
-    return part.log_window(c) / n
+def _logz_worker(args) -> np.ndarray:
+    spec, n, sampler, root, rep = args
+    table = get_sampler(spec, n, sampler).sample(replica_seed(root, rep))
+    return partition_by_overlap(table, spec.h1, spec.h2).log_z
 
 
-def _window_worker(args) -> float:
-    spec, n, k, eps, sampler, root, rep = args
-    c = OverlapConstraint(n=n, k=k, eps=eps)
-    return window_logz_replica(spec, n, c, sampler, replica_seed(root, rep))
+def overlap_logz_replicas(
+    spec: MixtureSpec,
+    n: int,
+    n_rep: int,
+    seed: int,
+    sampler: str = "tensor",
+    threads: int = 1,
+) -> np.ndarray:
+    """log Z(d) of every disorder replica, shape (n_rep, n+1).
+
+    Row r comes from the table drawn from replica_seed(seed, r); every exact
+    and windowed constraint at this n reads these rows, so each table is
+    drawn and transformed once.
+    """
+    # built here, before pmap forks, so every worker inherits one factorization
+    get_sampler(spec, n, sampler)
+    return np.array(
+        pmap(_logz_worker, [(spec, n, sampler, seed, rep) for rep in range(n_rep)], threads)
+    )
+
+
+def window_values(log_z: np.ndarray, c: OverlapConstraint) -> np.ndarray:
+    """(1/n) log of the window-constrained pair sum for each row of log Z(d)."""
+    d_lo, d_hi = c.window_disagreement_range()
+    return logsumexp(log_z[:, d_lo:d_hi + 1], axis=1) / c.n
+
+
+def window_estimate(log_z: np.ndarray, c: OverlapConstraint, seed: int) -> Estimate:
+    """Across-replica estimate of the constrained free energy from log Z(d) rows."""
+    label = (
+        f"F(n={c.n},k={c.k})" if c.eps == 0.0
+        else f"F_window(n={c.n},k={c.k},eps={c.eps:g})"
+    )
+    return _estimate(window_values(log_z, c), seed, label)
 
 
 def estimate_F_window(
@@ -148,12 +178,7 @@ def estimate_F_window(
     threads: int = 1,
 ) -> Estimate:
     """Disorder average of (1/n) log of the window-constrained partition sum."""
-    vals = pmap(
-        _window_worker,
-        [(spec, n, c.k, c.eps, sampler, seed, rep) for rep in range(n_rep)],
-        threads,
-    )
-    return _estimate(vals, seed, label=f"F_window(n={n},k={c.k},eps={c.eps:g})")
+    return window_estimate(overlap_logz_replicas(spec, n, n_rep, seed, sampler, threads), c, seed)
 
 
 def estimate_F(
@@ -168,11 +193,7 @@ def estimate_F(
     """Disorder average of (1/n) log of the exactly-constrained partition sum."""
     if c.eps != 0.0:
         raise ValueError("estimate_F requires an exact constraint; use estimate_F_window")
-    est = estimate_F_window(spec, n, c, n_rep, seed, sampler, threads)
-    return Estimate(
-        mean=est.mean, stderr=est.stderr, n_rep=est.n_rep, seed=est.seed,
-        label=f"F(n={n},k={c.k})",
-    )
+    return estimate_F_window(spec, n, c, n_rep, seed, sampler, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +303,10 @@ def estimate_G(
     """Monte Carlo over (weights, fields) of the structure functional."""
     if c.eps != 0.0:
         raise ValueError("the structure functional uses an exact constraint")
+    if rost.weights is None:
+        raise RostInvalidError(
+            "structure has no weight law; evaluate explicit structures with estimate_G_MN"
+        )
     field_sampler = RostFieldSampler(rost, mixture_functions(spec))
     out = pmap(
         _g_worker,
@@ -315,69 +340,17 @@ def _constrained_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r1, r2
 
 
-@dataclass(eq=False)
-class ExplicitWeights:
-    """Base-system weights: exp of the truncated big Hamiltonian plus fields,
-    normalized over the constrained pair set.  Fresh tensors per draw."""
-
-    spec: MixtureSpec
-    m: int
-    n: int
-    k: int
-
-    def sample(self, rng: np.random.Generator, m_count: int) -> np.ndarray:
-        log_w = explicit_log_weights(
-            self.spec, self.m, self.n, self.k, rng
-        )
-        if log_w.size != m_count:
-            raise ValueError("pair-set size mismatch")
-        return np.exp(log_w - logsumexp(log_w))
-
-    def to_dict(self) -> dict:
-        return {"kind": "explicit", "m": self.m, "n": self.n, "k": self.k}
-
-
-def explicit_log_weights(
-    spec: MixtureSpec, m: int, n: int, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Unnormalized log weights over the constrained base-pair set.
-
-    Drawn from base-coordinate tensors with the big-system normalization,
-    which matches the law of the truncated big Hamiltonian.
-    """
-    s = spin_matrix(m)
-    big = m + n
-    trunc = np.zeros((2, 1 << m))
-    for p in range(1, spec.p_max + 1):
-        g = rng.standard_normal((m,) * p)
-        contr = None
-        scale = big ** (0.5 - 0.5 * p)
-        for ell in (1, 2):
-            ap = spec.coeffs(ell)[p - 1]
-            if ap == 0.0:
-                continue
-            if contr is None:
-                v = np.tensordot(s, g, axes=(1, 0))
-                for _ in range(p - 1):
-                    v = np.einsum("ci...,ci->c...", v, s)
-                contr = v
-            trunc[ell - 1] += ap * scale * contr
-    r1, r2 = _constrained_pairs(m, (m - k) // 2)
-    mag = magnetizations(m)
-    return (
-        trunc[0, r1] + trunc[1, r2] + spec.h1 * mag[r1] + spec.h2 * mag[r2]
-    )
-
-
 def build_explicit_rost(
     spec: MixtureSpec, m: int, u_m: OverlapConstraint, n: int, u: float
 ) -> RostSpec:
     """The structure whose elements are constrained base pairs.
 
-    q-matrices are pairwise overlaps of the base configurations, weights come
-    from the truncated big Hamiltonian, and delta = |u_m - u| exactly.  The
-    q-matrices are Gram-type by construction, so the field covariances are
-    PSD for any admissible mixture.
+    q-matrices are pairwise overlaps of the base configurations and
+    delta = |u_m - u| exactly.  The q-matrices are Gram-type by construction,
+    so the field covariances are PSD for any admissible mixture.  There is no
+    weight law: an element's weight is the truncated big Hamiltonian of the
+    same draw as its fields, so the functional is evaluated by estimate_G_MN
+    and estimate_G refuses the structure.
     """
     if u_m.n != m:
         raise ValueError("constraint size must equal the base size")
@@ -397,7 +370,7 @@ def build_explicit_rost(
         q11=q_of(r1, r1),
         q12=q_of(r1, r2),
         q22=q_of(r2, r2),
-        weights=ExplicitWeights(spec=spec, m=m, n=n, k=u_m.k),
+        weights=None,
         delta=abs(u_m.u - u),
         u=u,
     )
@@ -417,25 +390,23 @@ def _cached_explicit_sampler(spec: MixtureSpec, m: int, n: int) -> ExplicitSyste
     return ExplicitSystemSampler(spec, m, n)
 
 
-def explicit_terms_replica(
+def explicit_terms(
+    draw: ExplicitDraw,
     spec: MixtureSpec,
-    m: int,
-    n: int,
     u_m: OverlapConstraint,
     u_prime: OverlapConstraint,
     variant: str,
-    seed,
 ) -> ExplicitTerms:
     """Both terms of the explicit-structure functional for one disorder draw.
 
     variant 'limit' uses the exact-covariance cavity fields, 'finite' the
     big-system-normalized ones from the same tensors.
     """
-    if u_prime.n != n:
+    if u_prime.n != draw.n:
         raise ValueError("increment constraint size must equal n")
-    draw = _cached_explicit_sampler(spec, m, n).sample(seed)
-    r1, r2 = _constrained_pairs(m, u_m.d)
-    mag = magnetizations(m)
+    n = draw.n
+    r1, r2 = _constrained_pairs(draw.m, u_m.d)
+    mag = magnetizations(draw.m)
     log_w = (
         draw.trunc[0, r1] + draw.trunc[1, r2]
         + spec.h1 * mag[r1] + spec.h2 * mag[r2]
@@ -452,10 +423,26 @@ def explicit_terms_replica(
     return ExplicitTerms(term1=term1, term2=term2, log_norm=log_norm / n)
 
 
-def _gmn_worker(args) -> tuple[float, float]:
-    spec, m, n, u_m, u_prime, variant, root, rep = args
-    t = explicit_terms_replica(spec, m, n, u_m, u_prime, variant, replica_seed(root, rep))
-    return t.term1, t.term2
+def explicit_terms_replica(
+    spec: MixtureSpec,
+    m: int,
+    n: int,
+    u_m: OverlapConstraint,
+    u_prime: OverlapConstraint,
+    variant: str,
+    seed,
+) -> ExplicitTerms:
+    """explicit_terms of the draw from seed."""
+    return explicit_terms(
+        _cached_explicit_sampler(spec, m, n).sample(seed), spec, u_m, u_prime, variant
+    )
+
+
+def _gmn_worker(args) -> list[tuple[float, float]]:
+    spec, m, n, u_m, u_prime, root, rep = args
+    draw = _cached_explicit_sampler(spec, m, n).sample(replica_seed(root, rep))
+    terms = [explicit_terms(draw, spec, u_m, u_prime, v) for v in EXPLICIT_VARIANTS]
+    return [(t.term1, t.term2) for t in terms]
 
 
 def estimate_G_MN(
@@ -466,23 +453,22 @@ def estimate_G_MN(
     u_prime: OverlapConstraint,
     n_rep: int,
     seed: int,
-    variant: str = "limit",
     threads: int = 1,
-) -> GEstimate:
-    """Monte Carlo average of the explicit-structure functional."""
-    if variant not in ("limit", "finite"):
-        raise ValueError(f"variant must be 'limit' or 'finite', got {variant!r}")
-    out = pmap(
+) -> tuple[GEstimate, GEstimate]:
+    """Monte Carlo averages of the explicit-structure functional, the 'limit'
+    and the 'finite' variant, both from one draw per replica."""
+    out = np.array(pmap(
         _gmn_worker,
-        [(spec, m, n, u_m, u_prime, variant, seed, rep) for rep in range(n_rep)],
+        [(spec, m, n, u_m, u_prime, seed, rep) for rep in range(n_rep)],
         threads,
-    )
-    t1 = np.array([v[0] for v in out])
-    t2 = np.array([v[1] for v in out])
-    return GEstimate(
-        diff=_estimate(t1 - t2, seed, f"G_MN(m={m},n={n},{variant})"),
-        term1=_estimate(t1, seed, "G_MN_term1"),
-        term2=_estimate(t2, seed, "G_MN_term2"),
+    ))  # (n_rep, variant, term)
+    return tuple(
+        GEstimate(
+            diff=_estimate(t1 - t2, seed, f"G_MN(m={m},n={n},{variant})"),
+            term1=_estimate(t1, seed, "G_MN_term1"),
+            term2=_estimate(t2, seed, "G_MN_term2"),
+        )
+        for variant, (t1, t2) in zip(EXPLICIT_VARIANTS, out.transpose(1, 2, 0))
     )
 
 

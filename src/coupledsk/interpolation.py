@@ -41,9 +41,12 @@ from .disorder import HamiltonianTable, RostFieldSampler, RostSpec, get_sampler
 from .free_energy import (
     WHT_CAP,
     Estimate,
+    GEstimate,
     _estimate,
     estimate_F,
     estimate_G,
+    overlap_logz_replicas,
+    window_values,
 )
 from .mixture import (
     MixtureFunctions,
@@ -55,7 +58,7 @@ from .mixture import (
 from .parallel import pmap, replica_seed, rng_for
 
 
-def _require_convex(spec: MixtureSpec, what: str) -> None:
+def require_convex(spec: MixtureSpec, what: str) -> None:
     rep = check_convexity(spec)
     if not rep.convex:
         raise NonConvexMixtureError(
@@ -238,7 +241,7 @@ def lemma2_phi_prime_gibbs(
     threads: int = 1,
 ) -> Lemma2Derivative:
     """Exact-Gibbs derivative of the size-splitting path at t."""
-    _require_convex(spec, "the size-splitting derivative decomposition")
+    require_convex(spec, "the size-splitting derivative decomposition")
     out = pmap(
         _lemma2_deriv_worker,
         [(spec, u_m, u_n, t, seed, rep) for rep in range(n_rep)],
@@ -501,7 +504,7 @@ def lemma3_phi_prime_gibbs(
     threads: int = 1,
 ) -> Lemma3Derivative:
     """Exact-Gibbs derivative of the structure-comparison path at t."""
-    _require_convex(spec, "the structure-comparison derivative decomposition")
+    require_convex(spec, "the structure-comparison derivative decomposition")
     field_sampler = RostFieldSampler(rost, mixture_functions(spec))
     out = pmap(
         _lemma3_deriv_worker,
@@ -669,47 +672,34 @@ class VerdictConfig:
     seed: int = 0
     sampler: str = "tensor"
     threads: int = 1
-    margin_sigmas: float = 3.0
     rost: RostSpec | None = None
     rost_n: int | None = None
     rost_t_grid: tuple[float, ...] = (0.25, 0.5, 0.75)
 
 
-def _window_profile_worker(args) -> np.ndarray:
-    spec, n, k, eps_grid, sampler, root, rep = args
-    from .free_energy import partition_by_overlap
-
-    table = get_sampler(spec, n, sampler).sample(replica_seed(root, rep))
-    part = partition_by_overlap(table, spec.h1, spec.h2)
-    return np.array(
-        [part.log_window(OverlapConstraint(n=n, k=k, eps=e)) / n for e in eps_grid]
-    )
+# F <= G + computable bound is asserted up to this many combined standard
+# errors of F and G
+STRUCTURE_MARGIN_SIGMAS = 4.0
 
 
-def window_gap_profile(
-    spec: MixtureSpec,
-    n: int,
-    k: int,
-    eps_grid,
-    n_rep: int,
-    seed: int,
-    sampler: str = "tensor",
-    threads: int = 1,
-) -> dict:
-    """Per-eps window gaps relative to the exact constraint, common tables.
+def _zero_based(eps_grid) -> tuple[float, ...]:
+    eps_grid = tuple(eps_grid)
+    if eps_grid[0] != 0.0:
+        raise ValueError("eps grid must start at 0 (the exact-constraint baseline)")
+    return eps_grid
+
+
+def window_gaps(log_z: np.ndarray, k: int, eps_grid) -> dict:
+    """Per-eps window gaps relative to the exact constraint, from the log Z(d)
+    rows of common tables.
 
     Returns means, stderrs, the per-replica minimum gap (must be >= 0), and
     the fitted window constant max over eps > 0 of gap / sqrt(eps).
     """
-    eps_grid = tuple(eps_grid)
-    if eps_grid[0] != 0.0:
-        raise ValueError("eps grid must start at 0 (the exact-constraint baseline)")
-    rows = np.array(
-        pmap(
-            _window_profile_worker,
-            [(spec, n, k, eps_grid, sampler, seed, rep) for rep in range(n_rep)],
-            threads,
-        )
+    eps_grid = _zero_based(eps_grid)
+    n_rep, n = log_z.shape[0], log_z.shape[1] - 1
+    rows = np.stack(
+        [window_values(log_z, OverlapConstraint(n=n, k=k, eps=e)) for e in eps_grid], axis=1
     )
     gaps = rows - rows[:, :1]
     means = gaps.mean(axis=0)
@@ -726,6 +716,21 @@ def window_gap_profile(
     }
 
 
+def window_gap_profile(
+    spec: MixtureSpec,
+    n: int,
+    k: int,
+    eps_grid,
+    n_rep: int,
+    seed: int,
+    sampler: str = "tensor",
+    threads: int = 1,
+) -> dict:
+    """window_gaps of n_rep freshly drawn tables at size n."""
+    eps_grid = _zero_based(eps_grid)
+    return window_gaps(overlap_logz_replicas(spec, n, n_rep, seed, sampler, threads), k, eps_grid)
+
+
 def _weighted_slope(x: np.ndarray, y: np.ndarray, se: np.ndarray) -> tuple[float, float]:
     """Weighted least-squares slope and its standard error."""
     w = 1.0 / np.maximum(se, 1e-15) ** 2
@@ -735,73 +740,62 @@ def _weighted_slope(x: np.ndarray, y: np.ndarray, se: np.ndarray) -> tuple[float
     return float(slope), float(np.sqrt(1.0 / sxx))
 
 
-def _seq_probe_worker(args) -> float:
-    spec, n, k0, k1, sampler, root, rep = args
-    from .free_energy import partition_by_overlap
-
-    table = get_sampler(spec, n, sampler).sample(replica_seed(root, rep))
-    part = partition_by_overlap(table, spec.h1, spec.h2)
-    return (part.log_value((n - k0) // 2) - part.log_value((n - k1) // 2)) / n
+def _trend_tstat(x, y: np.ndarray, se: np.ndarray) -> float:
+    """One-sided t statistic of the weighted slope of y against x."""
+    slope, slope_se = _weighted_slope(np.array(x, dtype=np.float64), y, se)
+    return slope / slope_se if slope_se > 0 else 0.0
 
 
-def verdict_suite(config: VerdictConfig) -> dict:
-    """Machine-readable verdicts for the window constant, restricted-range
-    superadditivity, the structure upper bound, and sequence independence.
+# Unknown proof constants are never asserted numerically: every check below
+# either uses a computable bound or fits a constant and monitors its trend
+# across sizes (one-sided t statistic of the weighted slope < 2).
 
-    Unknown proof constants are never asserted numerically: every verdict
-    either uses a computable bound or fits a constant and monitors its trend
-    across sizes (one-sided t statistic of the weighted slope < 2).
-    """
-    spec, u = config.spec, config.u
-    checks = []
 
-    fits = {}
-    for n in config.n_list:
-        k = nearest_admissible(n, u).k
-        fits[n] = window_gap_profile(
-            spec, n, k, config.eps_grid, config.n_rep, config.seed,
-            config.sampler, config.threads,
-        )
-    ns = np.array(config.n_list, dtype=np.float64)
-    lhat = np.array([fits[n]["fitted_constant"] for n in config.n_list])
-    lse = np.array([fits[n]["fitted_constant_stderr"] for n in config.n_list])
+def window_constant_check(n_list, profiles: dict[int, dict]) -> dict:
+    """Window values dominate point values, and the fitted window constant
+    does not grow with n.  profiles maps each n to its window_gaps result."""
+    lhat = np.array([profiles[n]["fitted_constant"] for n in n_list])
+    lse = np.array([profiles[n]["fitted_constant_stderr"] for n in n_list])
     # a two-point weighted slope has no residual freedom; only test the
     # growth trend when three or more sizes are available
-    if len(config.n_list) >= 3:
-        slope, slope_se = _weighted_slope(ns, lhat, lse)
-        tstat = slope / slope_se if slope_se > 0 else 0.0
-        trend_ok = tstat < 2.0
-    else:
-        tstat = 0.0
-        trend_ok = True
-    min_gap = min(fits[n]["min_gap"] for n in config.n_list)
-    checks.append(
-        {
-            "check": "window-constant",
-            "sizes": list(config.n_list),
-            "fitted_constant": float(lhat.max()),
-            "margin_sigmas": config.margin_sigmas,
-            "pass": bool(min_gap >= -1e-12 and trend_ok),
-            "slope_tstat": float(tstat),
-            "trend_assessed": len(config.n_list) >= 3,
-            "per_size_constant": lhat.tolist(),
-        }
-    )
+    assessed = len(n_list) >= 3
+    tstat = _trend_tstat(n_list, lhat, lse) if assessed else 0.0
+    min_gap = min(profiles[n]["min_gap"] for n in n_list)
+    return {
+        "check": "window-constant",
+        "sizes": list(n_list),
+        "fitted_constant": lhat.tolist(),
+        "slope_tstat": float(tstat),
+        "trend_assessed": assessed,
+        "min_gap": min_gap,
+        "pass": bool(min_gap >= -1e-12 and tstat < 2.0),
+    }
 
+
+def superadditivity_check(
+    spec: MixtureSpec,
+    u: float,
+    n_list,
+    n_rep: int,
+    seed: int,
+    sampler: str = "tensor",
+    threads: int = 1,
+) -> dict:
+    """Restricted-range superadditivity: the normalized deficit
+    -((m+n) F_{m+n} - m F_m - n F_n) / sqrt(m+n) does not grow with m+n."""
     f_cache: dict[int, Estimate] = {}
 
     def f_of(n: int) -> Estimate:
         if n not in f_cache:
             f_cache[n] = estimate_F(
-                spec, n, nearest_admissible(n, u), config.n_rep,
-                config.seed + 104729 * n, config.sampler, config.threads,
+                spec, n, nearest_admissible(n, u), n_rep, seed + 104729 * n, sampler, threads
             )
         return f_cache[n]
 
     pairs = [
         (m, n)
-        for m in config.n_list
-        for n in config.n_list
+        for m in n_list
+        for n in n_list
         if n / 2 <= m <= 2 * n and m + n <= WHT_CAP
     ]
     normalized = []
@@ -819,89 +813,104 @@ def verdict_suite(config: VerdictConfig) -> dict:
     normalized = np.array(normalized)
     norm_se = np.array(norm_se)
     fitted = float(np.clip(normalized, 0.0, None).max()) if pairs else 0.0
-    if len(set(sizes)) >= 3:
-        slope2, slope2_se = _weighted_slope(
-            np.array(sizes, dtype=np.float64), normalized, norm_se
-        )
-        tstat2 = slope2 / slope2_se if slope2_se > 0 else 0.0
-    else:
-        tstat2 = 0.0
+    tstat = _trend_tstat(sizes, normalized, norm_se) if len(set(sizes)) >= 3 else 0.0
     # shift constant large enough to absorb the fitted defect on the
     # restricted range; reported, never asserted
     gap_coeff = np.sqrt(1.0 / 3.0) + np.sqrt(2.0 / 3.0) - 1.0
-    checks.append(
-        {
-            "check": "superadditivity",
-            "sizes": [list(p) for p in pairs],
-            "fitted_constant": fitted,
-            "margin_sigmas": config.margin_sigmas,
-            "pass": bool(tstat2 < 2.0),
-            "slope_tstat": float(tstat2),
-            "normalized_deficits": normalized.tolist(),
-            "implied_shift_threshold": float(fitted / gap_coeff),
-        }
-    )
+    return {
+        "check": "superadditivity",
+        "sizes": [list(p) for p in pairs],
+        "fitted_constant": fitted,
+        "margin_sigmas": 3.0,
+        "pass": bool(tstat < 2.0),
+        "slope_tstat": float(tstat),
+        "normalized_deficits": normalized.tolist(),
+        "implied_shift_threshold": float(fitted / gap_coeff),
+    }
 
-    if config.rost is not None and config.rost_n is not None:
-        n = config.rost_n
-        c = nearest_admissible(n, u)
-        f_est = estimate_F(spec, n, c, config.n_rep, config.seed + 13, config.sampler,
-                           config.threads)
-        g_est = estimate_G(config.rost, spec, n, c, config.n_rep, config.seed + 17,
-                           config.threads)
-        bound = first_sum_bound(config.rost, mixture_functions(spec), c.u)
-        margin = config.margin_sigmas * float(np.hypot(f_est.stderr, g_est.diff.stderr))
-        ok = f_est.mean <= g_est.diff.mean + bound + margin
-        sign_ok = True
-        worst_sig = -np.inf
-        for t in config.rost_t_grid:
-            deriv = lemma3_phi_prime_gibbs(
-                config.rost, spec, n, c, t, config.n_rep, config.seed + 19,
-                config.threads,
-            )
-            sig = (
-                deriv.second_line.mean / deriv.second_line.stderr
-                if deriv.second_line.stderr > 0
-                else 0.0
-            )
-            worst_sig = max(worst_sig, sig)
-            sign_ok = sign_ok and sig <= 3.0
-        checks.append(
-            {
-                "check": "structure-upper-bound",
-                "sizes": [n, config.rost.m],
-                "fitted_constant": bound,
-                "margin_sigmas": config.margin_sigmas,
-                "pass": bool(ok and sign_ok),
-                "f_mean": f_est.mean,
-                "g_mean": g_est.diff.mean,
-                "second_line_worst_sigmas": float(worst_sig),
-            }
-        )
 
-    seq_pass = True
-    seq_ratios = []
-    for n in config.n_list:
+def structure_bound_check(
+    rost: RostSpec,
+    spec: MixtureSpec,
+    c: OverlapConstraint,
+    f_est: Estimate,
+    g_est: GEstimate,
+    t_grid,
+    n_rep: int,
+    seed: int,
+    threads: int = 1,
+) -> dict:
+    """F <= G + first_sum_bound within STRUCTURE_MARGIN_SIGMAS, and the
+    second line of the structure-comparison derivative at most 3 sigma above
+    zero at every t.  f_est and g_est are the F and G estimates at c."""
+    bound = first_sum_bound(rost, mixture_functions(spec), c.u)
+    margin = STRUCTURE_MARGIN_SIGMAS * float(np.hypot(f_est.stderr, g_est.diff.stderr))
+    worst = -np.inf
+    for t in t_grid:
+        line = lemma3_phi_prime_gibbs(rost, spec, c.n, c, t, n_rep, seed, threads).second_line
+        worst = max(worst, line.mean / line.stderr if line.stderr > 0 else 0.0)
+    return {
+        "check": "structure-upper-bound",
+        "sizes": [c.n, rost.m],
+        "f": f_est.mean,
+        "g": g_est.diff.mean,
+        "computable_bound": bound,
+        "margin": margin,
+        "margin_sigmas": STRUCTURE_MARGIN_SIGMAS,
+        "second_line_worst_sigmas": float(worst),
+        "pass": bool(f_est.mean <= g_est.diff.mean + bound + margin and worst <= 3.0),
+    }
+
+
+def sequence_check(n_list, log_z: dict[int, np.ndarray], profiles: dict[int, dict], u: float) -> dict:
+    """The exactly-constrained free energy moves between neighbouring
+    admissible overlaps by no more than the fitted window constant allows.
+    log_z and profiles map each n to its log Z(d) rows and window_gaps."""
+    ok = True
+    ratios = []
+    for n in n_list:
         k0 = nearest_admissible(n, u).k
         k1 = k0 + 2 if k0 + 2 <= n else k0 - 2
-        vals = pmap(
-            _seq_probe_worker,
-            [(spec, n, k0, k1, config.sampler, config.seed, rep) for rep in range(config.n_rep)],
-            config.threads,
-        )
+        vals = (log_z[n][:, (n - k0) // 2] - log_z[n][:, (n - k1) // 2]) / n
         diff_mean, diff_se = float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-        lhat_n = fits[n]["fitted_constant"]
-        bound = lhat_n * np.sqrt(abs(k1 - k0) / n) + 3.0 * diff_se
-        seq_ratios.append(abs(diff_mean) / bound if bound > 0 else 0.0)
-        seq_pass = seq_pass and abs(diff_mean) <= bound
-    checks.append(
-        {
-            "check": "sequence-independence",
-            "sizes": list(config.n_list),
-            "fitted_constant": float(max(seq_ratios)) if seq_ratios else 0.0,
-            "margin_sigmas": 3.0,
-            "pass": bool(seq_pass),
-        }
-    )
+        bound = profiles[n]["fitted_constant"] * np.sqrt(abs(k1 - k0) / n) + 3.0 * diff_se
+        ratios.append(abs(diff_mean) / bound if bound > 0 else 0.0)
+        ok = ok and abs(diff_mean) <= bound
+    return {
+        "check": "sequence-independence",
+        "sizes": list(n_list),
+        "fitted_constant": float(max(ratios)) if ratios else 0.0,
+        "margin_sigmas": 3.0,
+        "pass": bool(ok),
+    }
 
+
+def verdict_suite(config: VerdictConfig) -> dict:
+    """Machine-readable verdicts for the window constant, restricted-range
+    superadditivity, the structure upper bound (when a structure is given),
+    and sequence independence.  The window-constant and sequence checks read
+    one table pass per size."""
+    spec, u = config.spec, config.u
+    log_z, profiles = {}, {}
+    for n in config.n_list:
+        log_z[n] = overlap_logz_replicas(
+            spec, n, config.n_rep, config.seed, config.sampler, config.threads
+        )
+        profiles[n] = window_gaps(log_z[n], nearest_admissible(n, u).k, config.eps_grid)
+    checks = [
+        window_constant_check(config.n_list, profiles),
+        superadditivity_check(
+            spec, u, config.n_list, config.n_rep, config.seed, config.sampler, config.threads
+        ),
+    ]
+    if config.rost is not None and config.rost_n is not None:
+        c = nearest_admissible(config.rost_n, u)
+        f_est = estimate_F(spec, c.n, c, config.n_rep, config.seed, config.sampler,
+                           config.threads)
+        g_est = estimate_G(config.rost, spec, c.n, c, config.n_rep, config.seed, config.threads)
+        checks.append(structure_bound_check(
+            config.rost, spec, c, f_est, g_est, config.rost_t_grid, config.n_rep,
+            config.seed, config.threads,
+        ))
+    checks.append(sequence_check(config.n_list, log_z, profiles, u))
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from coupledsk import cli
 from coupledsk.cli import main
 from coupledsk.disorder import random_gram_rost
+from coupledsk.free_energy import NumericalError
+from coupledsk.mixture import ConvexityWarning
 
 
 def run_cli(*args) -> int:
@@ -55,6 +58,49 @@ class TestConfigErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rost_file": str(tmp_path / "ghost.json")}))
         assert run_cli("rost-eval", "--config", str(path)) == 2
+
+
+MONTE_CARLO = ("overlap_logz_replicas", "estimate_F", "estimate_G", "structure_bound_check",
+               "run_lemma2_curve", "run_lemma3_curve")
+
+
+@pytest.fixture
+def no_monte_carlo(monkeypatch):
+    """Replace every estimator the CLI calls; the returned list records calls."""
+    calls = []
+    for name in MONTE_CARLO:
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    return calls
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize("command", ["lemma3", "interp"])
+    def test_nonconvex_mixture_exits_2_before_monte_carlo(self, command, tmp_path,
+                                                          no_monte_carlo):
+        path = tmp_path / "nonconvex.json"
+        path.write_text(json.dumps({
+            "mixture": {"a1": [1.0, 0.0, -1.0], "a2": [1.0, 0.0, -1.0]},
+            "n": 4, "m": 3, "n_rep": 10, "rost": {"m": 3, "delta": 0.05},
+        }))
+        with pytest.warns(ConvexityWarning):
+            code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert no_monte_carlo == []
+
+    def test_interp_split_cap_exits_2(self, tmp_path, no_monte_carlo):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 8, "m": 6, "n_rep": 10}))
+        assert run_cli("interp", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert no_monte_carlo == []
+
+    def test_numerical_error_exits_2(self, tmp_path, monkeypatch):
+        def lost(*args, **kwargs):
+            raise NumericalError("a disagreement class summed to a non-positive value")
+
+        monkeypatch.setattr(cli, "overlap_logz_replicas", lost)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "n_rep": 10}))
+        assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
 
 
 class TestFreeEnergyCommand:

@@ -17,13 +17,10 @@ from coupledsk.disorder import (
     empirical_covariance,
     finite_y_covariance,
     finite_z_covariance,
-    load_table,
     random_gram_rost,
-    sample_explicit_cavity,
     sample_process,
     sample_rost_fields,
     sample_tensor,
-    save_table,
 )
 from coupledsk.mixture import MixtureSpec, mixture_functions
 
@@ -108,17 +105,6 @@ class TestEmpiricalCovariance:
             zero_mixture, 3, 50, [CovarianceProbe(0, 0, 1, 1)], seed=0
         )
         assert rep.max_sigmas == 0.0
-
-
-class TestTableDump:
-    def test_round_trip(self, pure_p2, tmp_path):
-        t = sample_tensor(pure_p2, 4, 77)
-        path = tmp_path / "table.bin"
-        save_table(t, path)
-        back = load_table(path)
-        assert back.n == t.n and back.p_max == t.p_max
-        assert back.provenance == "tensor"
-        assert np.array_equal(back.values, t.values)
 
 
 class TestRostSpec:
@@ -297,15 +283,6 @@ class TestExplicitCavity:
             for m in (4, 8, 16)
         ]
         assert gaps_y[0] > gaps_y[1] > gaps_y[2]
-
-    def test_variant_selector(self, pure_p2):
-        fields = sample_explicit_cavity(pure_p2, 4, 2, 5, variant="limit")
-        assert fields.exact_cov
-        sample = fields.at_pairs(np.array([0, 1]), np.array([2, 3]))
-        assert sample.z.shape == (2, 2, 2)
-        assert sample.y.shape == (2, 2)
-        with pytest.raises(ValueError, match="variant"):
-            sample_explicit_cavity(pure_p2, 4, 2, 5, variant="bogus")
 
     def test_size_cap(self, pure_p2):
         with pytest.raises(ResourceError, match="capped"):

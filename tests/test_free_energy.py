@@ -14,6 +14,7 @@ from coupledsk.disorder import (
     ExplicitSystemSampler,
     FixedWeights,
     RostFieldSampler,
+    RostInvalidError,
     RostSpec,
     random_gram_rost,
     sample_tensor,
@@ -29,8 +30,9 @@ from coupledsk.free_energy import (
     explicit_terms_replica,
     g_terms_replica,
     inner_cavity_sum,
+    overlap_logz_replicas,
     partition_by_overlap,
-    window_logz_replica,
+    window_values,
     zero_disorder_log_pair_count,
     _constrained_pairs,
 )
@@ -165,7 +167,7 @@ class TestEstimateF:
     def test_aligned_reduction_per_replica(self, mixed_even):
         n, seed = 5, 17
         c = OverlapConstraint(n, n)
-        val = window_logz_replica(mixed_even, n, c, "tensor", replica_seed(seed, 0))
+        val = window_values(overlap_logz_replicas(mixed_even, n, 1, seed), c)[0]
         table = sample_tensor(mixed_even, n, replica_seed(seed, 0))
         mag = magnetizations(n)
         direct = logsumexp(
@@ -182,6 +184,27 @@ class TestEstimateF:
             estimate_F(pure_p2, 4, OverlapConstraint(4, 0), 1, seed=0)
 
 
+class TestOverlapLogzReplicas:
+    def test_rows_are_per_replica_partitions(self, mixed_even):
+        n, seed = 5, 13
+        rows = overlap_logz_replicas(mixed_even, n, 4, seed)
+        assert rows.shape == (4, n + 1)
+        for rep in range(4):
+            table = sample_tensor(mixed_even, n, replica_seed(seed, rep))
+            part = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
+            np.testing.assert_array_equal(rows[rep], part.log_z)
+
+    def test_window_values_match_partition_windows(self, mixed_even):
+        n, seed = 6, 14
+        rows = overlap_logz_replicas(mixed_even, n, 3, seed)
+        for eps in (0.0, 0.25, 1.0):
+            c = OverlapConstraint(n, 2, eps=eps)
+            for rep in range(3):
+                table = sample_tensor(mixed_even, n, replica_seed(seed, rep))
+                part = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
+                assert window_values(rows, c)[rep] == part.log_window(c) / n
+
+
 class TestEstimateFWindow:
     def test_zero_width_equals_exact(self, pure_p2):
         c0 = OverlapConstraint(6, 0)
@@ -193,7 +216,7 @@ class TestEstimateFWindow:
     def test_full_window_is_decoupled_total(self, mixed_even):
         n, seed = 5, 11
         c = OverlapConstraint(n, 1, eps=2.0)
-        val = window_logz_replica(mixed_even, n, c, "tensor", replica_seed(seed, 0))
+        val = window_values(overlap_logz_replicas(mixed_even, n, 1, seed), c)[0]
         table = sample_tensor(mixed_even, n, replica_seed(seed, 0))
         part = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
         assert val == pytest.approx(part.log_total() / n, rel=1e-12)
@@ -203,7 +226,7 @@ class TestEstimateFWindow:
         prev = None
         for eps in (0.0, 0.25, 0.5, 1.0, 2.0):
             c = OverlapConstraint(n, 0, eps=eps)
-            val = window_logz_replica(pure_p2, n, c, "tensor", replica_seed(seed, 0))
+            val = window_values(overlap_logz_replicas(pure_p2, n, 1, seed), c)[0]
             if prev is not None:
                 assert val >= prev - 1e-13
             prev = val
@@ -290,10 +313,31 @@ class TestExplicitStructure:
         rost = build_explicit_rost(pure_p2, 4, u_m, 4, 0.0)
         RostFieldSampler(rost, mixture_functions(pure_p2))  # PSD or it raises
 
+    def test_estimate_G_refuses_weightless_structure(self, pure_p2):
+        u_m = nearest_admissible(4, 0.0)
+        rost = build_explicit_rost(pure_p2, 4, u_m, 4, 0.0)
+        assert rost.weights is None
+        with pytest.raises(RostInvalidError, match="weight law"):
+            estimate_G(rost, pure_p2, 4, OverlapConstraint(4, 0), 2, seed=0)
+
+    def test_both_variants_from_one_draw(self, mixed_even):
+        m = n = 3
+        u_m = nearest_admissible(m, 0.0)
+        u_p = nearest_admissible(n, 0.0)
+        g_lim, g_fin = estimate_G_MN(mixed_even, m, n, u_m, u_p, 4, seed=8)
+        for g, variant in ((g_lim, "limit"), (g_fin, "finite")):
+            terms = [
+                explicit_terms_replica(mixed_even, m, n, u_m, u_p, variant, replica_seed(8, rep))
+                for rep in range(4)
+            ]
+            assert g.term1.mean == np.mean([t.term1 for t in terms])
+            assert g.term2.mean == np.mean([t.term2 for t in terms])
+            assert g.diff.label == f"G_MN(m={m},n={n},{variant})"
+
     def test_zero_mixture_value(self, zero_mixture):
         u_m = nearest_admissible(4, 0.0)
         u_p = OverlapConstraint(4, 0)
-        g = estimate_G_MN(zero_mixture, 4, 4, u_m, u_p, 3, seed=2)
+        g, _ = estimate_G_MN(zero_mixture, 4, 4, u_m, u_p, 3, seed=2)
         assert g.diff.mean == pytest.approx(zero_disorder_log_pair_count(4, 2), abs=1e-13)
         assert g.diff.stderr == 0.0
 
@@ -369,6 +413,13 @@ class TestParallelism:
         c = OverlapConstraint(6, 0)
         serial = estimate_F(pure_p2, 6, c, 30, seed=5, threads=1)
         pooled = estimate_F(pure_p2, 6, c, 30, seed=5, threads=2)
+        assert serial.mean == pooled.mean
+        assert serial.stderr == pooled.stderr
+
+    def test_threaded_process_route_matches_serial(self, pure_p2):
+        c = OverlapConstraint(6, 0)
+        serial = estimate_F(pure_p2, 6, c, 30, seed=5, sampler="process", threads=1)
+        pooled = estimate_F(pure_p2, 6, c, 30, seed=5, sampler="process", threads=2)
         assert serial.mean == pooled.mean
         assert serial.stderr == pooled.stderr
 

@@ -15,8 +15,9 @@ from coupledsk.disorder import (
     RostSpec,
     random_gram_rost,
 )
-from coupledsk.free_energy import g_terms_replica, partition_by_overlap
+from coupledsk.free_energy import Estimate, GEstimate, g_terms_replica, partition_by_overlap
 from coupledsk.interpolation import (
+    STRUCTURE_MARGIN_SIGMAS,
     VerdictConfig,
     first_sum_bound,
     lemma2_derivative_replica,
@@ -31,7 +32,10 @@ from coupledsk.interpolation import (
     lemma3_state,
     run_lemma2_curve,
     run_lemma3_curve,
+    structure_bound_check,
+    superadditivity_check,
     verdict_suite,
+    window_constant_check,
     window_gap_profile,
     _split_energies,
     _split_tables,
@@ -316,3 +320,28 @@ class TestVerdictSuite:
         )
         report = verdict_suite(cfg)
         assert report["pass"], report
+
+    def test_suite_composes_the_check_functions(self, pure_p2):
+        eps_grid = (0.0, 0.5, 1.0)
+        cfg = VerdictConfig(spec=pure_p2, u=0.0, n_list=(4, 6), eps_grid=eps_grid,
+                            n_rep=20, seed=4)
+        checks = verdict_suite(cfg)["checks"]
+        profiles = {n: window_gap_profile(pure_p2, n, 0, eps_grid, 20, seed=4) for n in (4, 6)}
+        assert checks[0] == window_constant_check((4, 6), profiles)
+        assert checks[1] == superadditivity_check(pure_p2, 0.0, (4, 6), 20, seed=4)
+
+    def test_structure_margin_is_four_sigma(self, pure_p2):
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(11))
+        c = OverlapConstraint(4, 0)
+        bound = first_sum_bound(rost, mixture_functions(pure_p2), c.u)
+
+        def check(f_mean):
+            f_est = Estimate(mean=f_mean, stderr=0.03, n_rep=10, seed=0)
+            g = Estimate(mean=1.0, stderr=0.04, n_rep=10, seed=0)
+            return structure_bound_check(rost, pure_p2, c, f_est, GEstimate(g, g, g), (),
+                                         10, seed=0)
+
+        assert STRUCTURE_MARGIN_SIGMAS == 4.0
+        assert check(1.0)["margin"] == pytest.approx(4.0 * 0.05, rel=1e-15)
+        assert check(1.0 + bound + 0.19)["pass"]
+        assert not check(1.0 + bound + 0.21)["pass"]
