@@ -41,12 +41,6 @@ from .interpolation import (
     Lemma2Derivative,
     Lemma3Derivative,
     VerdictConfig,
-    lemma2_phi,
-    lemma2_phi_prime_fd,
-    lemma2_phi_prime_gibbs,
-    lemma3_phi,
-    lemma3_phi_prime_fd,
-    lemma3_phi_prime_gibbs,
     run_lemma2_curve,
     run_lemma3_curve,
     verdict_suite,

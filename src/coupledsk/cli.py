@@ -135,6 +135,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.eps_grid and self.eps_grid[0] != 0.0:
             raise ConfigError("eps_grid must start at 0")
+        # the comparison also rejects NaN and infinities
+        if not self.t_grid or not all(
+            isinstance(t, (int, float)) and 0.0 <= t <= 1.0 for t in self.t_grid
+        ):
+            raise ConfigError(f"t_grid must be a nonempty list of t in [0, 1], "
+                              f"got {list(self.t_grid)}")
         if self.rost_file is not None and not Path(self.rost_file).exists():
             raise ConfigError(f"structure file {self.rost_file} does not exist")
 

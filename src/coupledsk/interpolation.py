@@ -58,6 +58,17 @@ from .mixture import (
 from .parallel import pmap, replica_seed, rng_for
 
 
+# step of the common-random-number finite difference of phi
+FD_STEP = 0.05
+
+
+def _unit_points(ts) -> tuple[float, ...]:
+    ts = tuple(ts)
+    if not all(0.0 <= t <= 1.0 for t in ts):
+        raise ValueError(f"interpolation points must lie in [0, 1], got {ts}")
+    return ts
+
+
 def require_convex(spec: MixtureSpec, what: str) -> None:
     rep = check_convexity(spec)
     if not rep.convex:
@@ -132,32 +143,6 @@ def lemma2_phi_replica(
     return (np.log(z) + s1 + s2) / (m + n)
 
 
-def _lemma2_phi_worker(args) -> float:
-    spec, u_m, u_n, t, root, rep = args
-    tables = _split_tables(spec, u_m.n, u_n.n, root, rep)
-    return lemma2_phi_replica(spec, u_m, u_n, t, tables)
-
-
-def lemma2_phi(
-    spec: MixtureSpec,
-    u_m: OverlapConstraint,
-    u_n: OverlapConstraint,
-    t: float,
-    n_rep: int,
-    seed: int,
-    threads: int = 1,
-) -> Estimate:
-    """Monte Carlo estimate of the size-splitting path value at t."""
-    if u_m.n + u_n.n > WHT_CAP:
-        raise ValueError(f"pinned-block route capped at M + N = {WHT_CAP}")
-    vals = pmap(
-        _lemma2_phi_worker,
-        [(spec, u_m, u_n, t, seed, rep) for rep in range(n_rep)],
-        threads,
-    )
-    return _estimate(vals, seed, f"phi_split(m={u_m.n},n={u_n.n},t={t:g})")
-
-
 @dataclass(frozen=True)
 class Lemma2Derivative:
     """Decomposed derivative of the size-splitting path.
@@ -216,78 +201,69 @@ def lemma2_derivative_replica(
         + 2.0 * float((p12 * bracket(1, 2)).sum())
     )
 
+    return _split_constrained_term(funcs, u_m, u_n), convexity
+
+
+def _split_constrained_term(
+    funcs: MixtureFunctions, u_m: OverlapConstraint, u_n: OverlapConstraint
+) -> float:
+    """(M+N) xi12(u') - M xi12(u_M) - N xi12(u_N); it involves no disorder."""
+    m, n = u_m.n, u_n.n
+    big = m + n
     u_split = (m * u_m.u + n * u_n.u) / big
     constrained = (
         big * funcs.xi(1, 2, u_split)
         - m * funcs.xi(1, 2, u_m.u)
         - n * funcs.xi(1, 2, u_n.u)
     )
-    return float(constrained), convexity
+    return float(constrained)
 
 
-def _lemma2_deriv_worker(args) -> tuple[float, float]:
-    spec, u_m, u_n, t, root, rep = args
+def _lemma2_worker(args) -> tuple[list[float], list[float]]:
+    spec, u_m, u_n, phi_ts, deriv_ts, root, rep = args
     tables = _split_tables(spec, u_m.n, u_n.n, root, rep)
-    return lemma2_derivative_replica(spec, u_m, u_n, t, tables)
+    phi = [lemma2_phi_replica(spec, u_m, u_n, t, tables) for t in phi_ts]
+    conv = [lemma2_derivative_replica(spec, u_m, u_n, t, tables)[1] for t in deriv_ts]
+    return phi, conv
 
 
-def lemma2_phi_prime_gibbs(
+def _lemma2_pass(
     spec: MixtureSpec,
     u_m: OverlapConstraint,
     u_n: OverlapConstraint,
-    t: float,
+    phi_ts,
+    deriv_ts,
     n_rep: int,
     seed: int,
     threads: int = 1,
-) -> Lemma2Derivative:
-    """Exact-Gibbs derivative of the size-splitting path at t."""
-    require_convex(spec, "the size-splitting derivative decomposition")
+) -> tuple[np.ndarray, list[Lemma2Derivative]]:
+    """One pass over the replicas of the size-splitting path: each replica's
+    tables are drawn once and evaluated at every t.  Returns the path values,
+    shape (n_rep, len(phi_ts)), and the exact-Gibbs derivative at each of
+    deriv_ts."""
+    if u_m.n + u_n.n > WHT_CAP:
+        raise ValueError(f"pinned-block route capped at M + N = {WHT_CAP}")
+    phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
+    if deriv_ts:
+        require_convex(spec, "the size-splitting derivative decomposition")
     out = pmap(
-        _lemma2_deriv_worker,
-        [(spec, u_m, u_n, t, seed, rep) for rep in range(n_rep)],
+        _lemma2_worker,
+        [(spec, u_m, u_n, phi_ts, deriv_ts, seed, rep) for rep in range(n_rep)],
         threads,
     )
-    constrained = out[0][0]
-    conv = np.array([v[1] for v in out])
+    phi = np.array([o[0] for o in out]).reshape(n_rep, len(phi_ts))
+    conv = np.array([o[1] for o in out]).reshape(n_rep, len(deriv_ts))
+    constrained = _split_constrained_term(mixture_functions(spec), u_m, u_n)
     big = u_m.n + u_n.n
-    total = (constrained - conv) / big
-    return Lemma2Derivative(
-        phi_prime=_estimate(total, seed, f"dphi_split(t={t:g})"),
-        constrained_term=constrained,
-        convexity_term=_estimate(conv, seed, "convexity_term"),
-    )
-
-
-def _lemma2_fd_worker(args) -> float:
-    spec, u_m, u_n, t_lo, t_hi, root, rep = args
-    tables = _split_tables(spec, u_m.n, u_n.n, root, rep)
-    lo = lemma2_phi_replica(spec, u_m, u_n, t_lo, tables)
-    hi = lemma2_phi_replica(spec, u_m, u_n, t_hi, tables)
-    return (hi - lo) / (t_hi - t_lo)
-
-
-def lemma2_phi_prime_fd(
-    spec: MixtureSpec,
-    u_m: OverlapConstraint,
-    u_n: OverlapConstraint,
-    t: float,
-    n_rep: int,
-    seed: int,
-    dt: float = 0.05,
-    threads: int = 1,
-) -> Estimate:
-    """Common-random-number finite difference of the path value.
-
-    Central away from the endpoints; one-sided at t = 0 and t = 1 where the
-    sqrt factors have infinite slope.
-    """
-    t_lo, t_hi = max(0.0, t - dt), min(1.0, t + dt)
-    vals = pmap(
-        _lemma2_fd_worker,
-        [(spec, u_m, u_n, t_lo, t_hi, seed, rep) for rep in range(n_rep)],
-        threads,
-    )
-    return _estimate(vals, seed, f"dphi_split_fd(t={t:g})")
+    derivs = [
+        Lemma2Derivative(
+            phi_prime=_estimate((constrained - conv[:, j]) / big, seed, f"dphi_split(t={t:g})"),
+            constrained_term=constrained,
+            convexity_term=_estimate(conv[:, j], seed, "convexity_term"),
+        )
+        for j, t in enumerate(deriv_ts)
+    ]
+    return phi, derivs
 
 
 # ---------------------------------------------------------------------------
@@ -369,32 +345,6 @@ def lemma3_phi_replica(
 ) -> float:
     log_z = _lemma3_element_logz(state, spec, n, c, t)
     return float(logsumexp(log_z, b=state.w)) / n
-
-
-def _lemma3_phi_worker(args) -> float:
-    rost, field_sampler, spec, n, c, t, root, rep = args
-    state = lemma3_state(rost, field_sampler, spec, n, root, rep)
-    return lemma3_phi_replica(state, spec, n, c, t)
-
-
-def lemma3_phi(
-    rost: RostSpec,
-    spec: MixtureSpec,
-    n: int,
-    c: OverlapConstraint,
-    t: float,
-    n_rep: int,
-    seed: int,
-    threads: int = 1,
-) -> Estimate:
-    """Monte Carlo estimate of the structure-comparison path value at t."""
-    field_sampler = RostFieldSampler(rost, mixture_functions(spec))
-    vals = pmap(
-        _lemma3_phi_worker,
-        [(rost, field_sampler, spec, n, c, t, seed, rep) for rep in range(n_rep)],
-        threads,
-    )
-    return _estimate(vals, seed, f"phi_rost(n={n},t={t:g})")
 
 
 @dataclass(frozen=True)
@@ -487,71 +437,54 @@ def lemma3_derivative_replica(
     return first, second_line
 
 
-def _lemma3_deriv_worker(args) -> tuple[float, float]:
-    rost, field_sampler, spec, n, c, t, root, rep = args
+def _lemma3_worker(args) -> tuple[list[float], list[tuple[float, float]]]:
+    rost, field_sampler, spec, n, c, phi_ts, deriv_ts, root, rep = args
     state = lemma3_state(rost, field_sampler, spec, n, root, rep)
-    return lemma3_derivative_replica(state, rost, spec, n, c, t)
+    phi = [lemma3_phi_replica(state, spec, n, c, t) for t in phi_ts]
+    der = [lemma3_derivative_replica(state, rost, spec, n, c, t) for t in deriv_ts]
+    return phi, der
 
 
-def lemma3_phi_prime_gibbs(
+def _lemma3_pass(
     rost: RostSpec,
     spec: MixtureSpec,
     n: int,
     c: OverlapConstraint,
-    t: float,
+    phi_ts,
+    deriv_ts,
     n_rep: int,
     seed: int,
     threads: int = 1,
-) -> Lemma3Derivative:
-    """Exact-Gibbs derivative of the structure-comparison path at t."""
-    require_convex(spec, "the structure-comparison derivative decomposition")
-    field_sampler = RostFieldSampler(rost, mixture_functions(spec))
+) -> tuple[np.ndarray, list[Lemma3Derivative]]:
+    """One pass over the replicas of the structure-comparison path: each
+    replica's state is built once and evaluated at every t.  Returns the path
+    values, shape (n_rep, len(phi_ts)), and the exact-Gibbs derivative at
+    each of deriv_ts."""
+    phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
+    if deriv_ts:
+        require_convex(spec, "the structure-comparison derivative decomposition")
+    funcs = mixture_functions(spec)
+    field_sampler = RostFieldSampler(rost, funcs)
     out = pmap(
-        _lemma3_deriv_worker,
-        [(rost, field_sampler, spec, n, c, t, seed, rep) for rep in range(n_rep)],
+        _lemma3_worker,
+        [(rost, field_sampler, spec, n, c, phi_ts, deriv_ts, seed, rep) for rep in range(n_rep)],
         threads,
     )
-    first = np.array([v[0] for v in out])
-    second = np.array([v[1] for v in out])
-    bound = first_sum_bound(rost, mixture_functions(spec), c.u)
-    if np.any(np.abs(first) > bound + 1e-9):
+    phi = np.array([o[0] for o in out]).reshape(n_rep, len(phi_ts))
+    der = np.array([o[1] for o in out]).reshape(n_rep, len(deriv_ts), 2)
+    bound = first_sum_bound(rost, funcs, c.u)
+    if np.any(np.abs(der[..., 0]) > bound + 1e-9):
         raise RuntimeError("element average escaped its computable bound")
-    return Lemma3Derivative(
-        phi_prime=_estimate(first + second, seed, f"dphi_rost(t={t:g})"),
-        first_sum=_estimate(first, seed, "first_sum"),
-        second_line=_estimate(second, seed, "second_line"),
-        first_sum_bound=bound,
-    )
-
-
-def _lemma3_fd_worker(args) -> float:
-    rost, field_sampler, spec, n, c, t_lo, t_hi, root, rep = args
-    state = lemma3_state(rost, field_sampler, spec, n, root, rep)
-    lo = lemma3_phi_replica(state, spec, n, c, t_lo)
-    hi = lemma3_phi_replica(state, spec, n, c, t_hi)
-    return (hi - lo) / (t_hi - t_lo)
-
-
-def lemma3_phi_prime_fd(
-    rost: RostSpec,
-    spec: MixtureSpec,
-    n: int,
-    c: OverlapConstraint,
-    t: float,
-    n_rep: int,
-    seed: int,
-    dt: float = 0.05,
-    threads: int = 1,
-) -> Estimate:
-    """Common-random-number finite difference; one-sided at the endpoints."""
-    t_lo, t_hi = max(0.0, t - dt), min(1.0, t + dt)
-    field_sampler = RostFieldSampler(rost, mixture_functions(spec))
-    vals = pmap(
-        _lemma3_fd_worker,
-        [(rost, field_sampler, spec, n, c, t_lo, t_hi, seed, rep) for rep in range(n_rep)],
-        threads,
-    )
-    return _estimate(vals, seed, f"dphi_rost_fd(t={t:g})")
+    derivs = [
+        Lemma3Derivative(
+            phi_prime=_estimate(first + second, seed, f"dphi_rost(t={t:g})"),
+            first_sum=_estimate(first, seed, "first_sum"),
+            second_line=_estimate(second, seed, "second_line"),
+            first_sum_bound=bound,
+        )
+        for t, first, second in zip(deriv_ts, der[:, :, 0].T, der[:, :, 1].T)
+    ]
+    return phi, derivs
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +499,36 @@ class InterpolationRun:
     t_grid: tuple[float, ...]
     phi: list[Estimate]
     dphi_fd: list[Estimate]
-    dphi_gibbs: list[Estimate]
+    gibbs: list  # the Lemma2Derivative or Lemma3Derivative at each t
     verdicts: dict = field(default_factory=dict)
+
+    @property
+    def dphi_gibbs(self) -> list[Estimate]:
+        return [g.phi_prime for g in self.gibbs]
+
+
+def _phi_points(t_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(t_grid, the curve's phi points): the grid, then the finite-difference
+    ends of each t.  The difference is central away from the endpoints and
+    one-sided at t = 0 and t = 1, where the sqrt factors have infinite slope."""
+    t_grid = tuple(t_grid)
+    ends = tuple(x for t in t_grid for x in (max(0.0, t - FD_STEP), min(1.0, t + FD_STEP)))
+    return t_grid, t_grid + ends
+
+
+def _path_estimates(
+    phi: np.ndarray, phi_ts: tuple[float, ...], seed: int, phi_label: str, fd_label: str
+) -> tuple[list[Estimate], list[Estimate]]:
+    """Path values and common-random-number finite differences at each grid
+    t, from per-replica phi columns laid out by _phi_points."""
+    k = len(phi_ts) // 3
+    values, slopes = [], []
+    for j, t in enumerate(phi_ts[:k]):
+        lo, hi = k + 2 * j, k + 2 * j + 1
+        values.append(_estimate(phi[:, j], seed, phi_label.format(t)))
+        slope = (phi[:, hi] - phi[:, lo]) / (phi_ts[hi] - phi_ts[lo])
+        slopes.append(_estimate(slope, seed, fd_label.format(t)))
+    return values, slopes
 
 
 def run_lemma2_curve(
@@ -582,11 +543,10 @@ def run_lemma2_curve(
 ) -> InterpolationRun:
     u_m = nearest_admissible(m, u)
     u_n = nearest_admissible(n, u)
-    phi = [lemma2_phi(spec, u_m, u_n, t, n_rep, seed, threads) for t in t_grid]
-    fd = [lemma2_phi_prime_fd(spec, u_m, u_n, t, n_rep, seed, threads=threads) for t in t_grid]
-    gibbs = [
-        lemma2_phi_prime_gibbs(spec, u_m, u_n, t, n_rep, seed, threads) for t in t_grid
-    ]
+    t_grid, phi_ts = _phi_points(t_grid)
+    phi, gibbs = _lemma2_pass(spec, u_m, u_n, phi_ts, t_grid, n_rep, seed, threads)
+    values, fd = _path_estimates(phi, phi_ts, seed, f"phi_split(m={m},n={n},t={{:g}})",
+                                 "dphi_split_fd(t={:g})")
     agree = _fd_gibbs_agreement(fd, [g.phi_prime for g in gibbs])
     verdicts = {
         "fd_gibbs_max_sigmas": agree,
@@ -598,10 +558,10 @@ def run_lemma2_curve(
     return InterpolationRun(
         kind="size-splitting",
         sizes={"m": m, "n": n, "u": u},
-        t_grid=tuple(t_grid),
-        phi=phi,
+        t_grid=t_grid,
+        phi=values,
         dphi_fd=fd,
-        dphi_gibbs=[g.phi_prime for g in gibbs],
+        gibbs=gibbs,
         verdicts=verdicts,
     )
 
@@ -616,15 +576,10 @@ def run_lemma3_curve(
     seed: int,
     threads: int = 1,
 ) -> InterpolationRun:
-    phi = [lemma3_phi(rost, spec, n, c, t, n_rep, seed, threads) for t in t_grid]
-    fd = [
-        lemma3_phi_prime_fd(rost, spec, n, c, t, n_rep, seed, threads=threads)
-        for t in t_grid
-    ]
-    gibbs = [
-        lemma3_phi_prime_gibbs(rost, spec, n, c, t, n_rep, seed, threads)
-        for t in t_grid
-    ]
+    t_grid, phi_ts = _phi_points(t_grid)
+    phi, gibbs = _lemma3_pass(rost, spec, n, c, phi_ts, t_grid, n_rep, seed, threads)
+    values, fd = _path_estimates(phi, phi_ts, seed, f"phi_rost(n={n},t={{:g}})",
+                                 "dphi_rost_fd(t={:g})")
     agree = _fd_gibbs_agreement(fd, [g.phi_prime for g in gibbs])
     verdicts = {
         "fd_gibbs_max_sigmas": agree,
@@ -637,10 +592,10 @@ def run_lemma3_curve(
     return InterpolationRun(
         kind="structure-comparison",
         sizes={"n": n, "m_elements": rost.m},
-        t_grid=tuple(t_grid),
-        phi=phi,
+        t_grid=t_grid,
+        phi=values,
         dphi_fd=fd,
-        dphi_gibbs=[g.phi_prime for g in gibbs],
+        gibbs=gibbs,
         verdicts=verdicts,
     )
 
@@ -845,9 +800,9 @@ def structure_bound_check(
     zero at every t.  f_est and g_est are the F and G estimates at c."""
     bound = first_sum_bound(rost, mixture_functions(spec), c.u)
     margin = STRUCTURE_MARGIN_SIGMAS * float(np.hypot(f_est.stderr, g_est.diff.stderr))
+    _, gibbs = _lemma3_pass(rost, spec, c.n, c, (), t_grid, n_rep, seed, threads)
     worst = -np.inf
-    for t in t_grid:
-        line = lemma3_phi_prime_gibbs(rost, spec, c.n, c, t, n_rep, seed, threads).second_line
+    for line in (g.second_line for g in gibbs):
         worst = max(worst, line.mean / line.stderr if line.stderr > 0 else 0.0)
     return {
         "check": "structure-upper-bound",

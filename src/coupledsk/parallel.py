@@ -22,7 +22,7 @@ def rng_for(root_seed: int, replica: int, stream: int = 0) -> np.random.Generato
     return np.random.Generator(np.random.PCG64(replica_seed(root_seed, replica, stream)))
 
 
-def pmap(fn: Callable, items: Sequence, threads: int = 1, chunksize: int | None = None) -> list:
+def pmap(fn: Callable, items: Sequence, threads: int = 1) -> list:
     """Map fn over items, optionally across a process pool.
 
     Results are returned in item order regardless of scheduling, so any
@@ -31,11 +31,9 @@ def pmap(fn: Callable, items: Sequence, threads: int = 1, chunksize: int | None 
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    if chunksize is None:
-        chunksize = max(1, len(items) // (4 * threads))
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
     with ctx.Pool(processes=threads) as pool:
-        return pool.map(fn, items, chunksize=chunksize)
+        return pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads)))
 
 
 def summarize(values: Iterable[float]) -> tuple[float, float]:

@@ -33,10 +33,9 @@ from coupledsk.free_energy import (
 )
 from coupledsk.interpolation import (
     first_sum_bound,
-    lemma2_phi_prime_fd,
-    lemma2_phi_prime_gibbs,
-    lemma3_phi_prime_gibbs,
+    run_lemma2_curve,
     window_gap_profile,
+    _lemma3_pass,
     _weighted_slope,
 )
 from coupledsk.mixture import MixtureSpec, check_positivity, mixture_functions
@@ -167,12 +166,9 @@ def test_criterion_07_window_constant(window_fits):
 def test_criterion_08_split_derivative():
     start = time.perf_counter()
     for m, n in ((4, 4), (6, 3)):
-        u_m = nearest_admissible(m, 0.0)
-        u_n = nearest_admissible(n, 0.0)
-        for t in (0.25, 0.5, 0.75):
-            g = lemma2_phi_prime_gibbs(PURE_P2, u_m, u_n, t, 1000, seed=80)
+        run = run_lemma2_curve(PURE_P2, m, n, 0.0, (0.25, 0.5, 0.75), 1000, seed=80)
+        for g, fd in zip(run.gibbs, run.dphi_fd):
             assert g.convexity_term.mean <= 3.0 * g.convexity_term.stderr
-            fd = lemma2_phi_prime_fd(PURE_P2, u_m, u_n, t, 1000, seed=80)
             sigma = math.hypot(g.phi_prime.stderr, fd.stderr)
             assert abs(g.phi_prime.mean - fd.mean) <= 3.0 * sigma
     report(8, "split-path derivative", time.perf_counter() - start, 600.0)
@@ -194,8 +190,9 @@ def test_criterion_09_structure_upper_bound():
         assert f_est.mean <= g_est.diff.mean + bound + margin, (
             trial, f_est.mean, g_est.diff.mean, bound, margin
         )
-        for t in (0.25, 0.5, 0.75):
-            der = lemma3_phi_prime_gibbs(rost, PURE_P2, n, c, t, 500, seed=990 + trial)
+        _, derivs = _lemma3_pass(rost, PURE_P2, n, c, (), (0.25, 0.5, 0.75), 500,
+                                 seed=990 + trial)
+        for der in derivs:
             assert der.second_line.mean <= 3.0 * der.second_line.stderr
     report(9, "structure upper bound", time.perf_counter() - start, 900.0)
 

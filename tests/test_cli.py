@@ -93,6 +93,16 @@ class TestPreconditions:
         assert run_cli("interp", "--config", str(path), "--out", str(tmp_path / "out")) == 2
         assert no_monte_carlo == []
 
+    @pytest.mark.parametrize("command", ["lemma3", "interp"])
+    @pytest.mark.parametrize("t_grid", [[1.5], [-0.2], [], ["0.5"]])
+    def test_bad_t_grid_exits_2_before_monte_carlo(self, command, t_grid, small_config,
+                                                   tmp_path, no_monte_carlo):
+        data = json.loads(small_config.read_text())
+        path = tmp_path / "bad_t.json"
+        path.write_text(json.dumps({**data, "t_grid": t_grid}))
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert no_monte_carlo == []
+
     def test_numerical_error_exits_2(self, tmp_path, monkeypatch):
         def lost(*args, **kwargs):
             raise NumericalError("a disagreement class summed to a non-positive value")

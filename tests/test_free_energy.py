@@ -36,6 +36,7 @@ from coupledsk.free_energy import (
     zero_disorder_log_pair_count,
     _constrained_pairs,
 )
+from coupledsk.interpolation import run_lemma2_curve, run_lemma3_curve
 from coupledsk.mixture import MixtureSpec, mixture_functions
 from coupledsk.parallel import replica_seed, rng_for
 from coupledsk.reference import brute_cavity_logz, brute_explicit_terms, brute_overlap_logz
@@ -429,3 +430,21 @@ class TestParallelism:
         serial = estimate_G(rost, pure_p2, 4, c, 20, seed=6, threads=1)
         pooled = estimate_G(rost, pure_p2, 4, c, 20, seed=6, threads=2)
         assert serial.diff.mean == pooled.diff.mean
+
+    @staticmethod
+    def _curve_numbers(run):
+        return [(e.mean, e.stderr) for e in run.phi + run.dphi_fd + run.dphi_gibbs]
+
+    def test_threaded_split_curve(self, pure_p2):
+        serial = run_lemma2_curve(pure_p2, 3, 3, 0.0, (0.25, 0.75), 12, seed=8, threads=1)
+        pooled = run_lemma2_curve(pure_p2, 3, 3, 0.0, (0.25, 0.75), 12, seed=8, threads=2)
+        assert self._curve_numbers(serial) == self._curve_numbers(pooled)
+        assert serial.verdicts == pooled.verdicts
+
+    def test_threaded_structure_curve(self, pure_p2):
+        c = OverlapConstraint(4, 0)
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(9))
+        serial = run_lemma3_curve(rost, pure_p2, 4, c, (0.25, 0.75), 12, seed=9, threads=1)
+        pooled = run_lemma3_curve(rost, pure_p2, 4, c, (0.25, 0.75), 12, seed=9, threads=2)
+        assert self._curve_numbers(serial) == self._curve_numbers(pooled)
+        assert serial.verdicts == pooled.verdicts

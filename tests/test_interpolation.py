@@ -8,26 +8,23 @@ from scipy.special import logsumexp
 
 from coupledsk.bits import magnetizations, popcounts, spin_matrix
 from coupledsk.configurations import OverlapConstraint, nearest_admissible
+from coupledsk import interpolation
 from coupledsk.disorder import (
     DirichletWeights,
     FixedWeights,
     RostFieldSampler,
     RostSpec,
+    TensorSampler,
     random_gram_rost,
 )
 from coupledsk.free_energy import Estimate, GEstimate, g_terms_replica, partition_by_overlap
 from coupledsk.interpolation import (
+    FD_STEP,
     STRUCTURE_MARGIN_SIGMAS,
     VerdictConfig,
     first_sum_bound,
     lemma2_derivative_replica,
-    lemma2_phi,
-    lemma2_phi_prime_fd,
-    lemma2_phi_prime_gibbs,
     lemma2_phi_replica,
-    lemma3_phi,
-    lemma3_phi_prime_fd,
-    lemma3_phi_prime_gibbs,
     lemma3_phi_replica,
     lemma3_state,
     run_lemma2_curve,
@@ -37,10 +34,13 @@ from coupledsk.interpolation import (
     verdict_suite,
     window_constant_check,
     window_gap_profile,
+    _lemma2_pass,
+    _lemma3_pass,
     _split_energies,
     _split_tables,
 )
 from coupledsk.mixture import MixtureSpec, NonConvexMixtureError, mixture_functions
+from coupledsk.parallel import summarize
 
 
 def _combined_sigmas(a, b):
@@ -55,10 +55,11 @@ class TestSplitPath:
         expected = (
             math.log(2**4 * math.comb(4, 2)) + math.log(2**3 * math.comb(3, 1))
         ) / 7
-        for t in (0.0, 0.3, 1.0):
-            est = lemma2_phi(zero_mixture, u_m, u_n, t, 3, seed=0)
-            assert est.mean == pytest.approx(expected, abs=1e-12)
-            assert est.stderr == 0.0
+        phi, _ = _lemma2_pass(zero_mixture, u_m, u_n, (0.0, 0.3, 1.0), (), 3, seed=0)
+        for column in phi.T:
+            mean, stderr = summarize(column)
+            assert mean == pytest.approx(expected, abs=1e-12)
+            assert stderr == 0.0
 
     def test_left_endpoint_is_size_weighted_mixture(self, mixed_even):
         m, n, seed = 4, 4, 40
@@ -142,34 +143,33 @@ class TestSplitPath:
         )
 
     def test_zero_disorder_derivative_vanishes(self, zero_mixture):
-        der = lemma2_phi_prime_gibbs(
-            zero_mixture, OverlapConstraint(3, 1), OverlapConstraint(3, 1), 0.5, 3, seed=1
+        _, (der,) = _lemma2_pass(
+            zero_mixture, OverlapConstraint(3, 1), OverlapConstraint(3, 1), (), (0.5,), 3, seed=1
         )
         assert der.phi_prime.mean == pytest.approx(0.0, abs=1e-12)
         assert der.constrained_term == 0.0
 
     def test_convexity_term_sign(self, pure_p2):
         u3 = nearest_admissible(3, 0.0)
-        der = lemma2_phi_prime_gibbs(pure_p2, u3, u3, 0.5, 500, seed=2)
+        _, (der,) = _lemma2_pass(pure_p2, u3, u3, (), (0.5,), 500, seed=2)
         assert der.convexity_term.mean <= 3 * der.convexity_term.stderr
 
     def test_gibbs_matches_finite_difference(self, pure_p2):
-        u4 = nearest_admissible(4, 0.0)
-        g = lemma2_phi_prime_gibbs(pure_p2, u4, u4, 0.5, 400, seed=3)
-        fd = lemma2_phi_prime_fd(pure_p2, u4, u4, 0.5, 400, seed=3)
-        assert _combined_sigmas(g.phi_prime, fd) <= 3.0
+        run = run_lemma2_curve(pure_p2, 4, 4, 0.0, (0.5,), 400, seed=3)
+        assert _combined_sigmas(run.dphi_gibbs[0], run.dphi_fd[0]) <= 3.0
 
     def test_refuses_nonconvex_mixture(self):
         with pytest.warns(Warning):
             spec = MixtureSpec(a1=(1.0, 0.0, -1.0), a2=(1.0, 0.0, -1.0))
         with pytest.raises(NonConvexMixtureError):
-            lemma2_phi_prime_gibbs(
-                spec, OverlapConstraint(3, 1), OverlapConstraint(3, 1), 0.5, 2, seed=0
+            _lemma2_pass(
+                spec, OverlapConstraint(3, 1), OverlapConstraint(3, 1), (), (0.5,), 2, seed=0
             )
 
     def test_size_cap(self, pure_p2):
         with pytest.raises(ValueError, match="capped"):
-            lemma2_phi(pure_p2, OverlapConstraint(8, 0), OverlapConstraint(8, 0), 0.5, 2, 0)
+            _lemma2_pass(pure_p2, OverlapConstraint(8, 0), OverlapConstraint(8, 0), (0.5,), (),
+                         2, 0)
 
 
 class TestStructurePath:
@@ -177,9 +177,9 @@ class TestStructurePath:
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(1))
         c = OverlapConstraint(4, 0)
         expected = math.log(2**4 * math.comb(4, 2)) / 4
-        for t in (0.0, 0.5, 1.0):
-            est = lemma3_phi(rost, zero_mixture, 4, c, t, 3, seed=0)
-            assert est.mean == pytest.approx(expected, abs=1e-12)
+        phi, _ = _lemma3_pass(rost, zero_mixture, 4, c, (0.0, 0.5, 1.0), (), 3, seed=0)
+        for column in phi.T:
+            assert summarize(column)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_left_endpoint_is_structure_term(self, pure_p2):
         rost = random_gram_rost(4, 0.0, 0.05, np.random.default_rng(2))
@@ -237,7 +237,7 @@ class TestStructurePath:
             weights=DirichletWeights(1.0), delta=0.0, u=0.0,
         )
         c = OverlapConstraint(4, 0)
-        der = lemma3_phi_prime_gibbs(rost, pure_p2, 4, c, 0.5, 50, seed=4)
+        _, (der,) = _lemma3_pass(rost, pure_p2, 4, c, (), (0.5,), 50, seed=4)
         assert der.first_sum.mean == 0.0
         assert der.first_sum_bound == 0.0
 
@@ -246,20 +246,19 @@ class TestStructurePath:
         c = OverlapConstraint(4, 0)
         for trial in range(5):
             rost = random_gram_rost(int(rng.integers(2, 6)), 0.0, 0.05, rng)
-            der = lemma3_phi_prime_gibbs(rost, pure_p2, 4, c, 0.5, 200, seed=60 + trial)
+            _, (der,) = _lemma3_pass(rost, pure_p2, 4, c, (), (0.5,), 200, seed=60 + trial)
             assert der.second_line.mean <= 3 * der.second_line.stderr
 
     def test_gibbs_matches_finite_difference(self, pure_p2):
         rost = random_gram_rost(5, 0.0, 0.05, np.random.default_rng(3))
         c = OverlapConstraint(4, 0)
-        g = lemma3_phi_prime_gibbs(rost, pure_p2, 4, c, 0.5, 600, seed=77)
-        fd = lemma3_phi_prime_fd(rost, pure_p2, 4, c, 0.5, 600, seed=77)
-        assert _combined_sigmas(g.phi_prime, fd) <= 3.0
+        run = run_lemma3_curve(rost, pure_p2, 4, c, (0.5,), 600, seed=77)
+        assert _combined_sigmas(run.dphi_gibbs[0], run.dphi_fd[0]) <= 3.0
 
     def test_first_sum_respects_computable_bound(self, mixed_even):
         rost = random_gram_rost(4, 0.2, 0.1, np.random.default_rng(8))
         c = nearest_admissible(4, 0.2)
-        der = lemma3_phi_prime_gibbs(rost, mixed_even, 4, c, 0.3, 100, seed=9)
+        _, (der,) = _lemma3_pass(rost, mixed_even, 4, c, (), (0.3,), 100, seed=9)
         assert abs(der.first_sum.mean) <= der.first_sum_bound + 1e-12
         assert der.first_sum_bound == first_sum_bound(
             rost, mixture_functions(mixed_even), c.u
@@ -279,6 +278,86 @@ class TestCurveRunners:
         run = run_lemma3_curve(rost, pure_p2, 4, c, (0.5,), 150, seed=6)
         assert run.verdicts["fd_gibbs_pass"]
         assert run.verdicts["second_line_nonpositive"]
+
+    def test_curves_read_the_replica_functions(self, pure_p2):
+        # each grid t's value and finite difference (one-sided at 0 and 1)
+        # equal the per-replica path values of the same tables or state
+        t_grid, n_rep, seed = (0.0, 0.5, 1.0), 4, 12
+        u_m, u_n = nearest_admissible(3, 0.0), nearest_admissible(2, 0.0)
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(12))
+        c = OverlapConstraint(4, 0)
+        fs = RostFieldSampler(rost, mixture_functions(pure_p2))
+        paths = {
+            "split": (run_lemma2_curve(pure_p2, 3, 2, 0.0, t_grid, n_rep, seed),
+                      lambda rep: _split_tables(pure_p2, 3, 2, seed, rep),
+                      lambda tables, t: lemma2_phi_replica(pure_p2, u_m, u_n, t, tables)),
+            "rost": (run_lemma3_curve(rost, pure_p2, 4, c, t_grid, n_rep, seed),
+                     lambda rep: lemma3_state(rost, fs, pure_p2, 4, seed, rep),
+                     lambda state, t: lemma3_phi_replica(state, pure_p2, 4, c, t)),
+        }
+        for run, draw, phi in paths.values():
+            inputs = [draw(rep) for rep in range(n_rep)]
+            for j, t in enumerate(t_grid):
+                t_lo, t_hi = max(0.0, t - FD_STEP), min(1.0, t + FD_STEP)
+                values = np.array([phi(x, t) for x in inputs])
+                slopes = np.array([(phi(x, t_hi) - phi(x, t_lo)) / (t_hi - t_lo)
+                                   for x in inputs])
+                assert (run.phi[j].mean, run.phi[j].stderr) == summarize(values)
+                assert (run.dphi_fd[j].mean, run.dphi_fd[j].stderr) == summarize(slopes)
+
+    def test_rejects_t_outside_unit_interval(self, pure_p2):
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))
+        c = OverlapConstraint(4, 0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run_lemma2_curve(pure_p2, 3, 3, 0.0, (1.5,), 2, seed=0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run_lemma3_curve(rost, pure_p2, 4, c, (-0.2,), 2, seed=0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            _lemma3_pass(rost, pure_p2, 4, c, (), (float("nan"),), 2, seed=0)
+
+
+class TestOneStatePerReplica:
+    """Every t and every statistic of a curve reads one draw per replica."""
+
+    T_GRID = (0.25, 0.5, 0.75)
+    N_REP = 5
+
+    @pytest.fixture
+    def states(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lemma3_state(*args, **kwargs)
+
+        monkeypatch.setattr(interpolation, "lemma3_state", counted)
+        return calls
+
+    def test_split_curve_draws_three_tables_per_replica(self, pure_p2, monkeypatch):
+        draws = []
+        sample = TensorSampler.sample
+
+        def counted(self, seed):
+            draws.append(seed)
+            return sample(self, seed)
+
+        monkeypatch.setattr(TensorSampler, "sample", counted)
+        run_lemma2_curve(pure_p2, 3, 3, 0.0, self.T_GRID, self.N_REP, seed=1)
+        assert len(draws) == 3 * self.N_REP
+
+    def test_structure_curve_builds_one_state_per_replica(self, pure_p2, states):
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))
+        run_lemma3_curve(rost, pure_p2, 4, OverlapConstraint(4, 0), self.T_GRID, self.N_REP,
+                         seed=2)
+        assert len(states) == self.N_REP
+
+    def test_structure_bound_builds_one_state_per_replica(self, pure_p2, states):
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(11))
+        c = OverlapConstraint(4, 0)
+        g = Estimate(mean=1.0, stderr=0.04, n_rep=10, seed=0)
+        structure_bound_check(rost, pure_p2, c, g, GEstimate(g, g, g), self.T_GRID,
+                              self.N_REP, seed=3)
+        assert len(states) == self.N_REP
 
 
 class TestWindowProfile:
