@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -71,6 +72,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(value, name: str, integral: bool = False):
+    """value unchanged if it is a finite JSON number (integral if asked)."""
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and math.isfinite(value) and (not integral or float(value).is_integer()))
+    if not ok:
+        kind = "an integer" if integral else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _numbers(values, name: str, integral: bool = False) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return tuple(_number(v, f"{name} entry", integral) for v in values)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment parameters; all randomness stems from seed."""
@@ -104,15 +121,16 @@ class ExperimentConfig:
             n_list = [data.get("n", 6)]
         seed = overrides.seed if overrides.seed is not None else data.get("seed", 0)
         out = Path(overrides.out if overrides.out is not None else data.get("out", "reports"))
+        m = data.get("m")
         cfg = cls(
             mixture=MixtureSpec.from_json(mix),
-            n_list=tuple(int(v) for v in n_list),
-            m=data.get("m"),
-            u=float(data.get("u", 0.0)),
-            eps_grid=tuple(data.get("eps_grid", [0.0, 0.25, 0.5, 1.0])),
+            n_list=tuple(int(v) for v in _numbers(n_list, "n_list", integral=True)),
+            m=None if m is None else int(_number(m, "m", integral=True)),
+            u=float(_number(data.get("u", 0.0), "u")),
+            eps_grid=_numbers(data.get("eps_grid", [0.0, 0.25, 0.5, 1.0]), "eps_grid"),
             t_grid=tuple(data.get("t_grid", [0.25, 0.5, 0.75])),
-            n_rep=int(data.get("n_rep", 200)),
-            seed=int(seed),
+            n_rep=int(_number(data.get("n_rep", 200), "n_rep", integral=True)),
+            seed=int(_number(seed, "seed", integral=True)),
             sampler=data.get("sampler", "tensor"),
             threads=overrides.threads,
             out=out,
@@ -126,6 +144,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.n_rep < 2:
             raise ConfigError("n_rep must be >= 2 (standard errors need variance)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not -1.0 <= self.u <= 1.0:
+            raise ConfigError(f"u={self.u} outside [-1, 1]")
         for n in self.n_list:
             if not 1 <= n <= WHT_CAP:
                 raise ConfigError(f"n={n} outside [1, {WHT_CAP}]")
@@ -135,6 +157,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.eps_grid and self.eps_grid[0] != 0.0:
             raise ConfigError("eps_grid must start at 0")
+        if any(e < 0 for e in self.eps_grid):
+            raise ConfigError(f"eps_grid entries must be nonnegative, got {list(self.eps_grid)}")
         # the comparison also rejects NaN and infinities
         if not self.t_grid or not all(
             isinstance(t, (int, float)) and 0.0 <= t <= 1.0 for t in self.t_grid
@@ -403,11 +427,11 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     worst = 0.0
     for rep in range(3):
         table = get_sampler(spec, n, cfg.sampler).sample(replica_seed(cfg.seed, rep, stream=6))
-        part = partition_by_overlap(table, spec.h1, spec.h2)
+        log_z = partition_by_overlap(table, spec.h1, spec.h2)
         mag = magnetizations(n)
         brute = brute_overlap_logz(table.values[0] + spec.h1 * mag,
                                    table.values[1] + spec.h2 * mag)
-        worst = max(worst, float(np.max(np.abs(np.expm1(part.log_z - brute)))))
+        worst = max(worst, float(np.max(np.abs(np.expm1(log_z - brute)))))
     results["engine_oracle"] = {"max_rel_gap": worst, "pass": worst <= 1e-10}
     ok = ok and worst <= 1e-10
 

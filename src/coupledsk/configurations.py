@@ -1,4 +1,4 @@
-"""Spin-configuration combinatorics for the overlap-coupled pair system.
+"""Overlap constraints and derived overlap sequences for the pair system.
 
 Configurations are bitmasks (bit i set = spin i is -1).  A coupling target
 u_N = k/N is representable only when k and N share parity, since the overlap
@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .bits import CONFIG_CAP
-from .mixture import binary_entropy
-
 # Float slack when converting a real window half-width into disagreement
 # counts; covers 1/3-style widths that do not round-trip through floats.
 _WINDOW_SLACK = 1e-9
@@ -24,48 +21,6 @@ _WINDOW_SLACK = 1e-9
 
 class SearchExhaustedError(RuntimeError):
     """No recurring value found when scanning a derived overlap sequence."""
-
-
-@dataclass(frozen=True)
-class SpinConfig:
-    """One configuration of n spins, stored as a bitmask."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= CONFIG_CAP:
-            raise ValueError(f"n must be in [1, {CONFIG_CAP}], got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"mask {self.bits:#x} has bits above position {self.n - 1}")
-
-    def spin(self, i: int) -> int:
-        return -1 if (self.bits >> i) & 1 else 1
-
-    def spins(self) -> list[int]:
-        return [self.spin(i) for i in range(self.n)]
-
-    def render(self) -> str:
-        """Coordinate 0 first, '+' for +1 and '-' for -1."""
-        return "".join("-" if (self.bits >> i) & 1 else "+" for i in range(self.n))
-
-
-def _check_same_length(s1: SpinConfig, s2: SpinConfig) -> None:
-    if s1.n != s2.n:
-        raise ValueError(f"length mismatch: {s1.n} vs {s2.n}")
-
-
-def overlap(s1: SpinConfig, s2: SpinConfig) -> Fraction:
-    """Normalized inner product, exactly (n - 2d)/n for disagreement count d."""
-    _check_same_length(s1, s2)
-    d = (s1.bits ^ s2.bits).bit_count()
-    return Fraction(s1.n - 2 * d, s1.n)
-
-
-def hamming(s1: SpinConfig, s2: SpinConfig) -> Fraction:
-    """Normalized disagreement count d/n; overlap = 1 - 2*hamming identically."""
-    _check_same_length(s1, s2)
-    return Fraction((s1.bits ^ s2.bits).bit_count(), s1.n)
 
 
 @dataclass(frozen=True)
@@ -107,19 +62,12 @@ class OverlapConstraint:
     def u_fraction(self) -> Fraction:
         return Fraction(self.k, self.n)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "eps": self.eps}
-
     def window_disagreement_range(self) -> tuple[int, int]:
         """Inclusive [d_lo, d_hi] of disagreement counts inside the window."""
         half = self.n * self.eps / 2.0
         d_lo = max(0, math.ceil(self.d - half - _WINDOW_SLACK))
         d_hi = min(self.n, math.floor(self.d + half + _WINDOW_SLACK))
         return d_lo, d_hi
-
-    def contains(self, d: int) -> bool:
-        d_lo, d_hi = self.window_disagreement_range()
-        return d_lo <= d <= d_hi
 
 
 def nearest_admissible(n: int, u: float, eps: float = 0.0) -> OverlapConstraint:
@@ -137,88 +85,6 @@ def nearest_admissible(n: int, u: float, eps: float = 0.0) -> OverlapConstraint:
     c = OverlapConstraint(n=n, k=best[1], eps=eps)
     assert abs(c.u - u) <= 1.0 / n + 1e-12
     return c
-
-
-def pair_count(c: OverlapConstraint) -> int:
-    """Cardinality of {(s1, s2): overlap = k/n}, exactly 2**n * C(n, d)."""
-    return (1 << c.n) * math.comb(c.n, c.d)
-
-
-def window_pair_count(c: OverlapConstraint) -> int:
-    d_lo, d_hi = c.window_disagreement_range()
-    return (1 << c.n) * sum(math.comb(c.n, d) for d in range(d_lo, d_hi + 1))
-
-
-def project_pi(s1: SpinConfig, s2: SpinConfig, c: OverlapConstraint) -> SpinConfig:
-    """Move s2 to the exact-overlap set of s1 by flipping minimal-index bits.
-
-    Precondition: (s1, s2) lies inside the window of c.  Flips agreeing
-    coordinates when the disagreement count is too small, disagreeing ones
-    when it is too large, always lowest bit index first.  The result p
-    satisfies overlap(s1, p) = k/n exactly and hamming(s2, p) <= eps/2.
-    """
-    _check_same_length(s1, s2)
-    if s1.n != c.n:
-        raise ValueError(f"constraint is for n={c.n}, configs have n={s1.n}")
-    diff = s1.bits ^ s2.bits
-    d_cur = diff.bit_count()
-    if not c.contains(d_cur):
-        raise ValueError(
-            f"pair with disagreement {d_cur} is outside the window of {c.to_dict()}"
-        )
-    d_target = c.d
-    out = s2.bits
-    if d_cur < d_target:
-        eligible = ~diff  # agreeing coordinates
-        need = d_target - d_cur
-    else:
-        eligible = diff
-        need = d_cur - d_target
-    i = 0
-    while need > 0:
-        if (eligible >> i) & 1:
-            out ^= 1 << i
-            need -= 1
-        i += 1
-    return SpinConfig(n=s1.n, bits=out)
-
-
-@dataclass(frozen=True)
-class FiberReport:
-    count: int
-    bound: float
-    window_card: int
-
-
-def fiber_count(
-    s1: SpinConfig, s2_target: SpinConfig, c: OverlapConstraint, eps: float
-) -> FiberReport:
-    """Count window configurations that project onto s2_target, by enumeration.
-
-    Precondition: overlap(s1, s2_target) equals the constraint target.  The
-    count is checked against the large-deviation bound 2**n * exp(-n*I(1-eps));
-    a violation would be an implementation bug and raises RuntimeError.
-    """
-    _check_same_length(s1, s2_target)
-    if (s1.bits ^ s2_target.bits).bit_count() != c.d:
-        raise ValueError("s2_target does not satisfy the exact overlap constraint")
-    window = OverlapConstraint(n=c.n, k=c.k, eps=eps)
-    n = c.n
-    count = 0
-    card = 0
-    for bits in range(1 << n):
-        s = SpinConfig(n=n, bits=bits)
-        if not window.contains((s1.bits ^ bits).bit_count()):
-            continue
-        card += 1
-        if project_pi(s1, s, window).bits == s2_target.bits:
-            count += 1
-    bound = float(2**n * math.exp(-n * binary_entropy(1.0 - eps)))
-    if count > bound * (1 + 1e-12):
-        raise RuntimeError(
-            f"fiber count {count} exceeds the entropy bound {bound:.6g}"
-        )
-    return FiberReport(count=count, bound=bound, window_card=card)
 
 
 @dataclass(frozen=True)

@@ -186,16 +186,6 @@ def get_sampler(spec: MixtureSpec, n: int, kind: str):
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 
-def sample_tensor(spec: MixtureSpec, n: int, seed) -> HamiltonianTable:
-    """One tensor-route disorder sample; deterministic given the seed."""
-    return _cached_tensor_sampler(spec, n).sample(seed)
-
-
-def sample_process(spec: MixtureSpec, n: int, seed) -> HamiltonianTable:
-    """One process-route disorder sample; deterministic given the seed."""
-    return _cached_process_sampler(spec, n).sample(seed)
-
-
 # ---------------------------------------------------------------------------
 # Random overlap structures and their Gaussian fields
 # ---------------------------------------------------------------------------
@@ -365,13 +355,6 @@ class RostFieldSampler:
         return CavityFieldSample(z=z, y=y)
 
 
-def sample_rost_fields(
-    rost: RostSpec, funcs: MixtureFunctions, n: int, seed
-) -> CavityFieldSample:
-    """One draw of n i.i.d. site copies of the z-block plus one y-block."""
-    return RostFieldSampler(rost, funcs).sample(_rng(seed), n)
-
-
 def random_gram_rost(
     m: int,
     u: float,
@@ -515,10 +498,7 @@ class ExplicitSystemSampler:
             if p == 1:
                 site_contr = np.repeat(agg[:, None], c_base, axis=1)
             else:
-                v = np.tensordot(self.s_base, agg, axes=(1, 1))  # (c_base, n, M, ...)
-                for _ in range(p - 2):
-                    v = np.einsum("cni...,ci->cn...", v, self.s_base)
-                site_contr = v.reshape(c_base, n).T
+                site_contr = np.stack([_contract_all_configs(a_j, self.s_base) for a_j in agg])
             comp_contr = _contract_all_configs(g_new, self.s_base)
 
             scale_big = big ** (0.5 - 0.5 * p)
@@ -540,29 +520,6 @@ class ExplicitSystemSampler:
             m=m, n=n, trunc=trunc, z=z, z_finite=z_fin, y=y, y_finite=y_fin,
             spec=spec, tensors=tuple(tensors),
         )
-
-
-def finite_z_covariance(spec: MixtureSpec, m: int, n: int, ell: int, ellp: int, r: float) -> float:
-    """Exact covariance of the finite-size per-site fields at base overlap r."""
-    a1 = spec.coeffs(ell)
-    a2 = spec.coeffs(ellp)
-    tot = 0.0
-    for p in range(1, spec.p_max + 1):
-        tot += (m / (m + n)) ** (p - 1) * p * a1[p - 1] * a2[p - 1] * r ** (p - 1)
-    return tot
-
-
-def finite_y_covariance(spec: MixtureSpec, m: int, n: int, ell: int, ellp: int, r: float) -> float:
-    """Exact covariance of the finite-size compensator fields at base overlap r."""
-    a1 = spec.coeffs(ell)
-    a2 = spec.coeffs(ellp)
-    tot = 0.0
-    for p in range(1, spec.p_max + 1):
-        tot += (
-            (m ** (1.0 - p) - (m + n) ** (1.0 - p))
-            * a1[p - 1] * a2[p - 1] * (m * r) ** p / n
-        )
-    return tot
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ error path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,24 +65,6 @@ def _estimate(values, seed: int, label: str) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class OverlapResolvedPartition:
-    """log Z(d) for every disagreement count d; constraints are subset sums."""
-
-    n: int
-    log_z: np.ndarray  # shape (n+1,)
-
-    def log_value(self, d: int) -> float:
-        return float(self.log_z[d])
-
-    def log_window(self, c: OverlapConstraint) -> float:
-        d_lo, d_hi = c.window_disagreement_range()
-        return float(logsumexp(self.log_z[d_lo:d_hi + 1]))
-
-    def log_total(self) -> float:
-        return float(logsumexp(self.log_z))
-
-
 def overlap_resolved_logz(logw1: np.ndarray, logw2: np.ndarray) -> np.ndarray:
     """log of Z(d) = sum over pairs at disagreement d of exp(logw1 + logw2).
 
@@ -107,18 +88,15 @@ def overlap_resolved_logz(logw1: np.ndarray, logw2: np.ndarray) -> np.ndarray:
     return np.log(z) + s1 + s2
 
 
-def partition_by_overlap(
-    table: HamiltonianTable, h1: float, h2: float
-) -> OverlapResolvedPartition:
-    """Resolve the coupled partition function of one disorder sample by d."""
+def partition_by_overlap(table: HamiltonianTable, h1: float, h2: float) -> np.ndarray:
+    """log Z(d) of one disorder sample for every disagreement count d, shape
+    (n+1,); a constraint's value is the logsumexp over its d range."""
     if table.n > WHT_CAP:
         raise ResourceError(f"engine capped at n={WHT_CAP}, got {table.n}")
     mag = magnetizations(table.n)
     logw1 = table.values[0] + h1 * mag
     logw2 = table.values[1] + h2 * mag
-    return OverlapResolvedPartition(
-        n=table.n, log_z=overlap_resolved_logz(logw1, logw2)
-    )
+    return overlap_resolved_logz(logw1, logw2)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +107,7 @@ def partition_by_overlap(
 def _logz_worker(args) -> np.ndarray:
     spec, n, sampler, root, rep = args
     table = get_sampler(spec, n, sampler).sample(replica_seed(root, rep))
-    return partition_by_overlap(table, spec.h1, spec.h2).log_z
+    return partition_by_overlap(table, spec.h1, spec.h2)
 
 
 def overlap_logz_replicas(
@@ -168,19 +146,6 @@ def window_estimate(log_z: np.ndarray, c: OverlapConstraint, seed: int) -> Estim
     return _estimate(window_values(log_z, c), seed, label)
 
 
-def estimate_F_window(
-    spec: MixtureSpec,
-    n: int,
-    c: OverlapConstraint,
-    n_rep: int,
-    seed: int,
-    sampler: str = "tensor",
-    threads: int = 1,
-) -> Estimate:
-    """Disorder average of (1/n) log of the window-constrained partition sum."""
-    return window_estimate(overlap_logz_replicas(spec, n, n_rep, seed, sampler, threads), c, seed)
-
-
 def estimate_F(
     spec: MixtureSpec,
     n: int,
@@ -192,8 +157,9 @@ def estimate_F(
 ) -> Estimate:
     """Disorder average of (1/n) log of the exactly-constrained partition sum."""
     if c.eps != 0.0:
-        raise ValueError("estimate_F requires an exact constraint; use estimate_F_window")
-    return estimate_F_window(spec, n, c, n_rep, seed, sampler, threads)
+        raise ValueError("estimate_F requires an exact constraint; for a window use "
+                         "window_estimate(overlap_logz_replicas(...), c, seed)")
+    return window_estimate(overlap_logz_replicas(spec, n, n_rep, seed, sampler, threads), c, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +436,3 @@ def estimate_G_MN(
         )
         for variant, (t1, t2) in zip(EXPLICIT_VARIANTS, out.transpose(1, 2, 0))
     )
-
-
-def zero_disorder_log_pair_count(n: int, d: int) -> float:
-    """Closed form (1/n) log(2**n C(n, d)) the estimators must hit exactly
-    when every coefficient and field vanishes."""
-    return (n * math.log(2.0) + math.log(math.comb(n, d))) / n

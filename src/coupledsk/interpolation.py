@@ -44,7 +44,6 @@ from .free_energy import (
     GEstimate,
     _estimate,
     estimate_F,
-    estimate_G,
     overlap_logz_replicas,
     window_values,
 )
@@ -613,23 +612,8 @@ def _fd_gibbs_agreement(fd: list[Estimate], gibbs: list[Estimate]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Verdict suite
+# Verdicts
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerdictConfig:
-    spec: MixtureSpec
-    u: float
-    n_list: tuple[int, ...]
-    eps_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0)
-    n_rep: int = 500
-    seed: int = 0
-    sampler: str = "tensor"
-    threads: int = 1
-    rost: RostSpec | None = None
-    rost_n: int | None = None
-    rost_t_grid: tuple[float, ...] = (0.25, 0.5, 0.75)
 
 
 # F <= G + computable bound is asserted up to this many combined standard
@@ -798,6 +782,9 @@ def structure_bound_check(
     """F <= G + first_sum_bound within STRUCTURE_MARGIN_SIGMAS, and the
     second line of the structure-comparison derivative at most 3 sigma above
     zero at every t.  f_est and g_est are the F and G estimates at c."""
+    t_grid = tuple(t_grid)
+    if not t_grid:
+        raise ValueError("the structure bound needs at least one t in [0, 1]")
     bound = first_sum_bound(rost, mixture_functions(spec), c.u)
     margin = STRUCTURE_MARGIN_SIGMAS * float(np.hypot(f_est.stderr, g_est.diff.stderr))
     _, gibbs = _lemma3_pass(rost, spec, c.n, c, (), t_grid, n_rep, seed, threads)
@@ -838,34 +825,3 @@ def sequence_check(n_list, log_z: dict[int, np.ndarray], profiles: dict[int, dic
         "margin_sigmas": 3.0,
         "pass": bool(ok),
     }
-
-
-def verdict_suite(config: VerdictConfig) -> dict:
-    """Machine-readable verdicts for the window constant, restricted-range
-    superadditivity, the structure upper bound (when a structure is given),
-    and sequence independence.  The window-constant and sequence checks read
-    one table pass per size."""
-    spec, u = config.spec, config.u
-    log_z, profiles = {}, {}
-    for n in config.n_list:
-        log_z[n] = overlap_logz_replicas(
-            spec, n, config.n_rep, config.seed, config.sampler, config.threads
-        )
-        profiles[n] = window_gaps(log_z[n], nearest_admissible(n, u).k, config.eps_grid)
-    checks = [
-        window_constant_check(config.n_list, profiles),
-        superadditivity_check(
-            spec, u, config.n_list, config.n_rep, config.seed, config.sampler, config.threads
-        ),
-    ]
-    if config.rost is not None and config.rost_n is not None:
-        c = nearest_admissible(config.rost_n, u)
-        f_est = estimate_F(spec, c.n, c, config.n_rep, config.seed, config.sampler,
-                           config.threads)
-        g_est = estimate_G(config.rost, spec, c.n, c, config.n_rep, config.seed, config.threads)
-        checks.append(structure_bound_check(
-            config.rost, spec, c, f_est, g_est, config.rost_t_grid, config.n_rep,
-            config.seed, config.threads,
-        ))
-    checks.append(sequence_check(config.n_list, log_z, profiles, u))
-    return {"checks": checks, "pass": all(c["pass"] for c in checks)}

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 CONVEXITY_TOL = 1e-10
 CONVEXITY_GRID = 1001
@@ -148,34 +147,6 @@ class MixtureFunctions:
 @lru_cache(maxsize=64)
 def mixture_functions(spec: MixtureSpec) -> MixtureFunctions:
     return MixtureFunctions(spec)
-
-
-def eval_xi(spec: MixtureSpec, ell: int, ellp: int, x) -> float:
-    """xi_{l,l'}(x) = sum_p a_p^l a_p^l' x^p for |x| <= 1."""
-    return float(mixture_functions(spec).xi(ell, ellp, x))
-
-
-def eval_xi_prime(spec: MixtureSpec, ell: int, ellp: int, x) -> float:
-    """Term-by-term derivative of xi_{l,l'} at x."""
-    return float(mixture_functions(spec).xi_prime(ell, ellp, x))
-
-
-def eval_theta(spec: MixtureSpec, ell: int, ellp: int, x) -> float:
-    """theta_{l,l'}(x) = x * xi'(x) - xi(x)."""
-    return float(mixture_functions(spec).theta(ell, ellp, x))
-
-
-def binary_entropy(x) -> np.ndarray | float:
-    """I(x) = ((1+x)log(1+x) + (1-x)log(1-x)) / 2 on [0, 1].
-
-    The x = 1 endpoint is the limit log 2, with the 0*log 0 = 0 convention.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise DomainError("binary_entropy is defined on [0, 1]")
-    x = np.clip(x, 0.0, 1.0)
-    val = 0.5 * (xlogy(1.0 + x, 1.0 + x) + xlogy(1.0 - x, 1.0 - x))
-    return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)

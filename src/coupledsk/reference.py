@@ -1,11 +1,15 @@
 """Slow exact reference implementations used as cross-checks.
 
-These deliberately avoid the fast transforms and DP ladders of the
-production engines: each one is a direct sum over the full pair space, so
-the two routes share nothing but the inputs.
+The brute_* sums deliberately avoid the fast transforms and DP ladders of
+the production engines: each one is a direct sum over the full pair space,
+so the two routes share nothing but the inputs.  The closed forms at the end
+are the exact values that sampled fields and zero-disorder estimates must
+reproduce.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import logsumexp
@@ -80,3 +84,32 @@ def brute_explicit_terms(
         float(logsumexp(np.array(terms1))) / n,
         float(logsumexp(np.array(terms2))) / n,
     )
+
+
+def finite_z_covariance(spec: MixtureSpec, m: int, n: int, ell: int, ellp: int, r: float) -> float:
+    """Exact covariance of the finite-size per-site fields at base overlap r."""
+    a1 = spec.coeffs(ell)
+    a2 = spec.coeffs(ellp)
+    tot = 0.0
+    for p in range(1, spec.p_max + 1):
+        tot += (m / (m + n)) ** (p - 1) * p * a1[p - 1] * a2[p - 1] * r ** (p - 1)
+    return tot
+
+
+def finite_y_covariance(spec: MixtureSpec, m: int, n: int, ell: int, ellp: int, r: float) -> float:
+    """Exact covariance of the finite-size compensator fields at base overlap r."""
+    a1 = spec.coeffs(ell)
+    a2 = spec.coeffs(ellp)
+    tot = 0.0
+    for p in range(1, spec.p_max + 1):
+        tot += (
+            (m ** (1.0 - p) - (m + n) ** (1.0 - p))
+            * a1[p - 1] * a2[p - 1] * (m * r) ** p / n
+        )
+    return tot
+
+
+def zero_disorder_log_pair_count(n: int, d: int) -> float:
+    """Closed form (1/n) log(2**n C(n, d)) the estimators must hit exactly
+    when every coefficient and field vanishes."""
+    return (n * math.log(2.0) + math.log(math.comb(n, d))) / n

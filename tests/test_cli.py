@@ -103,6 +103,20 @@ class TestPreconditions:
         assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
         assert no_monte_carlo == []
 
+    @pytest.mark.parametrize("bad", [
+        {"n_rep": "many"}, {"n_rep": 2.5}, {"seed": "x"}, {"seed": -1}, {"u": "0"},
+        {"u": 1.5}, {"m": "three"}, {"m": [3]}, {"n_list": [4, "x"]}, {"n_list": 4},
+        {"n_list": [4.5]}, {"eps_grid": [0, 0.5, "x"]}, {"eps_grid": [0, None]},
+        {"eps_grid": [0, -0.5]}, {"eps_grid": 0.5},
+    ], ids=lambda bad: json.dumps(bad).replace(" ", ""))
+    def test_malformed_value_exits_2_before_monte_carlo(self, bad, small_config, tmp_path,
+                                                        no_monte_carlo):
+        data = json.loads(small_config.read_text())
+        path = tmp_path / "bad_value.json"
+        path.write_text(json.dumps({**data, **bad}))
+        assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert no_monte_carlo == []
+
     def test_numerical_error_exits_2(self, tmp_path, monkeypatch):
         def lost(*args, **kwargs):
             raise NumericalError("a disagreement class summed to a non-positive value")

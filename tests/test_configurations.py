@@ -1,64 +1,18 @@
-"""Configuration combinatorics: overlaps, projections, fibers, sequences."""
+"""Overlap constraints, admissible targets and derived overlap sequences."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledsk.bits import popcounts
 from coupledsk.configurations import (
     OverlapConstraint,
     SearchExhaustedError,
-    SpinConfig,
     admissible_sequence,
     construct_u_prime,
-    fiber_count,
-    hamming,
     nearest_admissible,
-    overlap,
-    pair_count,
-    project_pi,
-    window_pair_count,
 )
-
-
-class TestOverlapHamming:
-    def test_equal_and_opposite(self):
-        s = SpinConfig(4, 0b0110)
-        assert overlap(s, s) == 1
-        assert hamming(s, s) == 0
-        flipped = SpinConfig(4, s.bits ^ 0b1111)
-        assert overlap(s, flipped) == -1
-        assert hamming(s, flipped) == 1
-
-    def test_single_flip(self):
-        s1 = SpinConfig(4, 0b0000)
-        s2 = SpinConfig(4, 0b0100)
-        assert overlap(s1, s2) == Fraction(1, 2)
-        assert hamming(s1, s2) == Fraction(1, 4)
-
-    def test_identity_exhaustive(self):
-        # exact in rational arithmetic for every pair at small n
-        for n in (4, 6):
-            for b1 in range(1 << n):
-                s1 = SpinConfig(n, b1)
-                for b2 in range(1 << n):
-                    s2 = SpinConfig(n, b2)
-                    assert overlap(s1, s2) == 1 - 2 * hamming(s1, s2)
-        # and at n = 8 via the popcount identity r = (n - 2d)/n
-        n = 8
-        masks = np.arange(1 << n, dtype=np.int64)
-        d = popcounts(n)[masks[:, None] ^ masks[None, :]]
-        np.testing.assert_allclose((n - 2 * d) / n, 1.0 - 2.0 * (d / n), atol=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            overlap(SpinConfig(3, 0), SpinConfig(4, 0))
-
-    def test_render(self):
-        assert SpinConfig(4, 0b0001).render() == "-+++"
 
 
 class TestOverlapConstraint:
@@ -102,108 +56,6 @@ class TestNearestAdmissible:
         c = nearest_admissible(n, u)
         assert (c.k - n) % 2 == 0
         assert abs(c.u - u) <= 1.0 / n + 1e-12
-
-
-class TestPairCount:
-    def test_alignment(self):
-        assert pair_count(OverlapConstraint(4, 4)) == 16
-
-    @pytest.mark.parametrize(
-        "n,k,expected", [(2, 0, 8), (4, 2, 64)]
-    )
-    def test_enumeration_oracle(self, n, k, expected):
-        c = OverlapConstraint(n, k)
-        brute = sum(
-            1
-            for a in range(1 << n)
-            for b in range(1 << n)
-            if bin(a ^ b).count("1") == c.d
-        )
-        assert pair_count(c) == brute == expected
-
-    def test_all_admissible_small_sizes(self):
-        for n in range(1, 9):
-            pop = popcounts(n)
-            xor = np.arange(1 << n)[:, None] ^ np.arange(1 << n)[None, :]
-            for k in range(-n, n + 1, 2):
-                c = OverlapConstraint(n, k)
-                assert pair_count(c) == int(np.sum(pop[xor] == c.d))
-
-
-class TestProjectPi:
-    def test_exact_overlap_unchanged(self):
-        s1 = SpinConfig(4, 0b0101)
-        s2 = SpinConfig(4, 0b0110)  # d = 2, overlap 0
-        c = OverlapConstraint(4, 0, eps=0.5)
-        assert project_pi(s1, s2, c).bits == s2.bits
-
-    def test_documented_flip(self):
-        # one disagreement, target two: flip the lowest agreeing coordinate
-        s1 = SpinConfig(4, 0b0000)
-        s2 = SpinConfig(4, 0b0001)
-        c = OverlapConstraint(4, 0, eps=0.5)
-        out = project_pi(s1, s2, c)
-        assert out.bits == 0b0011
-        assert overlap(s1, out) == 0
-        assert hamming(s2, out) == Fraction(1, 4)
-
-    def test_outside_window_rejected(self):
-        s1 = SpinConfig(4, 0b0000)
-        s2 = SpinConfig(4, 0b1111)
-        with pytest.raises(ValueError, match="window"):
-            project_pi(s1, s2, OverlapConstraint(4, 4, eps=0.25))
-
-    @pytest.mark.parametrize("eps", [1 / 3, 2 / 3])
-    def test_exhaustive_postconditions(self, eps):
-        n = 6
-        c = OverlapConstraint(n, 0, eps=eps)
-        for b1 in range(1 << n):
-            s1 = SpinConfig(n, b1)
-            for b2 in range(1 << n):
-                s2 = SpinConfig(n, b2)
-                if not c.contains((b1 ^ b2).bit_count()):
-                    continue
-                p = project_pi(s1, s2, c)
-                assert overlap(s1, p) == c.u_fraction
-                assert hamming(s2, p) <= Fraction(eps).limit_denominator(3) / 2
-                # idempotence
-                assert project_pi(s1, p, c).bits == p.bits
-
-
-class TestFiberCount:
-    def test_zero_width_fiber_is_singleton(self):
-        s1 = SpinConfig(4, 0b0000)
-        s2 = SpinConfig(4, 0b0011)
-        rep = fiber_count(s1, s2, OverlapConstraint(4, 0), eps=0.0)
-        assert rep.count == 1
-
-    def test_entropy_bound_and_partition(self):
-        n = 6
-        c = OverlapConstraint(n, 0)
-        eps = 1 / 3
-        s1 = SpinConfig(n, 0b010110)
-        total = 0
-        window_card = None
-        for b2 in range(1 << n):
-            if (s1.bits ^ b2).bit_count() != c.d:
-                continue
-            rep = fiber_count(s1, SpinConfig(n, b2), c, eps)
-            assert rep.count <= rep.bound
-            total += rep.count
-            window_card = rep.window_card
-        # projection is total on the window: fibers partition it
-        assert total == window_card == window_pair_count(
-            OverlapConstraint(n, 0, eps=eps)
-        ) // (1 << n)
-
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_bound_across_widths(self, n):
-        c = nearest_admissible(n, 0.0)
-        s1 = SpinConfig(n, 0)
-        s2 = SpinConfig(n, (1 << c.d) - 1)
-        for eps in (0.0, 2 / n, 4 / n):
-            rep = fiber_count(s1, s2, c, eps)
-            assert rep.count <= rep.bound
 
 
 class TestConstructUPrime:

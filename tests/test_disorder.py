@@ -15,34 +15,31 @@ from coupledsk.disorder import (
     RostSpec,
     TensorSampler,
     empirical_covariance,
-    finite_y_covariance,
-    finite_z_covariance,
+    get_sampler,
     random_gram_rost,
-    sample_process,
-    sample_rost_fields,
-    sample_tensor,
 )
 from coupledsk.mixture import MixtureSpec, mixture_functions
+from coupledsk.reference import finite_y_covariance, finite_z_covariance
 
 
 class TestTensorSampler:
     def test_zero_mixture_gives_zero_tables(self, zero_mixture):
-        t = sample_tensor(zero_mixture, 4, 0)
+        t = get_sampler(zero_mixture, 4, "tensor").sample(0)
         assert np.all(t.values == 0.0)
 
     def test_shared_tensors_make_proportional_copies(self):
         spec = MixtureSpec(a1=(1.0,), a2=(2.0,))
-        t = sample_tensor(spec, 5, 3)
+        t = get_sampler(spec, 5, "tensor").sample(3)
         np.testing.assert_allclose(t.values[1], 2.0 * t.values[0], rtol=1e-15)
 
     def test_proportional_for_general_scaling(self):
         spec = MixtureSpec(a1=(0.0, 0.4, 0.2), a2=(0.0, 0.6, 0.3))
-        t = sample_tensor(spec, 4, 9)
+        t = get_sampler(spec, 4, "tensor").sample(9)
         np.testing.assert_allclose(t.values[1], 1.5 * t.values[0], rtol=1e-12)
 
     def test_deterministic(self, pure_p2):
-        a = sample_tensor(pure_p2, 6, 1234)
-        b = sample_tensor(pure_p2, 6, 1234)
+        a = get_sampler(pure_p2, 6, "tensor").sample(1234)
+        b = get_sampler(pure_p2, 6, "tensor").sample(1234)
         assert np.array_equal(a.values, b.values)
 
     def test_variance_matches_covariance_function(self, pure_p2):
@@ -65,18 +62,18 @@ class TestTensorSampler:
 
 class TestProcessSampler:
     def test_zero_mixture(self, zero_mixture):
-        t = sample_process(zero_mixture, 3, 0)
+        t = get_sampler(zero_mixture, 3, "process").sample(0)
         assert np.all(t.values == 0.0)
 
     def test_rank_one_antisymmetry(self):
         spec = MixtureSpec(a1=(1.0,), a2=(1.0,))
         for seed in range(5):
-            t = sample_process(spec, 1, seed)
+            t = get_sampler(spec, 1, "process").sample(seed)
             assert t.values[0, 0] == pytest.approx(-t.values[0, 1], abs=1e-12)
 
     def test_deterministic(self, pure_p2):
-        a = sample_process(pure_p2, 5, 42)
-        b = sample_process(pure_p2, 5, 42)
+        a = get_sampler(pure_p2, 5, "process").sample(42)
+        b = get_sampler(pure_p2, 5, "process").sample(42)
         assert np.array_equal(a.values, b.values)
 
     def test_covariance_probe(self, mixed_even):
@@ -169,7 +166,7 @@ class TestRostFields:
     def test_linear_mixture_has_zero_compensator(self):
         spec = MixtureSpec(a1=(0.8,), a2=(0.5,))
         rost = random_gram_rost(3, 0.1, 0.05, np.random.default_rng(1))
-        f = sample_rost_fields(rost, mixture_functions(spec), 2, 9)
+        f = RostFieldSampler(rost, mixture_functions(spec)).sample(np.random.default_rng(9), 2)
         assert np.all(f.y == 0.0)
 
     def test_field_cross_covariance(self, pure_p2):

@@ -16,15 +16,14 @@ from coupledsk.disorder import (
     RostFieldSampler,
     RostInvalidError,
     RostSpec,
+    get_sampler,
     random_gram_rost,
-    sample_tensor,
 )
 from coupledsk.free_energy import (
     Estimate,
     build_explicit_rost,
     cavity_logz_by_count,
     estimate_F,
-    estimate_F_window,
     estimate_G,
     estimate_G_MN,
     explicit_terms_replica,
@@ -32,58 +31,63 @@ from coupledsk.free_energy import (
     inner_cavity_sum,
     overlap_logz_replicas,
     partition_by_overlap,
+    window_estimate,
     window_values,
-    zero_disorder_log_pair_count,
     _constrained_pairs,
 )
 from coupledsk.interpolation import run_lemma2_curve, run_lemma3_curve
 from coupledsk.mixture import MixtureSpec, mixture_functions
 from coupledsk.parallel import replica_seed, rng_for
-from coupledsk.reference import brute_cavity_logz, brute_explicit_terms, brute_overlap_logz
+from coupledsk.reference import (
+    brute_cavity_logz,
+    brute_explicit_terms,
+    brute_overlap_logz,
+    zero_disorder_log_pair_count,
+)
 
 
 class TestPartitionByOverlap:
     def test_zero_disorder_counts(self, zero_mixture):
-        table = sample_tensor(zero_mixture, 6, 0)
-        part = partition_by_overlap(table, 0.0, 0.0)
+        table = get_sampler(zero_mixture, 6, "tensor").sample(0)
+        log_z = partition_by_overlap(table, 0.0, 0.0)
         for d in range(7):
             expected = math.log(2**6 * math.comb(6, d))
-            assert part.log_z[d] == pytest.approx(expected, abs=1e-12)
+            assert log_z[d] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_matches_brute_force(self, n, mixed_even):
         for rep in range(4):
-            table = sample_tensor(mixed_even, n, 100 + rep)
-            part = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
+            table = get_sampler(mixed_even, n, "tensor").sample(100 + rep)
+            log_z = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
             mag = magnetizations(n)
             brute = brute_overlap_logz(
                 table.values[0] + mixed_even.h1 * mag,
                 table.values[1] + mixed_even.h2 * mag,
             )
-            rel = np.abs(np.expm1(part.log_z - brute))
+            rel = np.abs(np.expm1(log_z - brute))
             assert rel.max() <= 1e-10
 
     def test_aligned_slice_reduces_to_single_loop(self, pure_p2):
         n = 5
-        table = sample_tensor(pure_p2, n, 7)
+        table = get_sampler(pure_p2, n, "tensor").sample(7)
         h1, h2 = 0.3, -0.2
-        part = partition_by_overlap(table, h1, h2)
+        log_z = partition_by_overlap(table, h1, h2)
         mag = magnetizations(n)
         direct = logsumexp(table.values[0] + table.values[1] + (h1 + h2) * mag)
-        assert part.log_value(0) == pytest.approx(float(direct), rel=1e-12)
+        assert log_z[0] == pytest.approx(float(direct), rel=1e-12)
 
     def test_total_equals_decoupled_product(self, mixed_even):
         n = 6
-        table = sample_tensor(mixed_even, n, 3)
-        part = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
+        table = get_sampler(mixed_even, n, "tensor").sample(3)
+        log_z = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
         mag = magnetizations(n)
         product = logsumexp(table.values[0] + mixed_even.h1 * mag) + logsumexp(
             table.values[1] + mixed_even.h2 * mag
         )
-        assert part.log_total() == pytest.approx(float(product), rel=1e-10)
+        assert logsumexp(log_z) == pytest.approx(float(product), rel=1e-10)
 
     def test_rejects_non_finite(self, pure_p2):
-        table = sample_tensor(pure_p2, 4, 0)
+        table = get_sampler(pure_p2, 4, "tensor").sample(0)
         bad = table.values.copy()
         bad[0, 3] = np.nan
         with pytest.raises(ValueError):
@@ -169,7 +173,7 @@ class TestEstimateF:
         n, seed = 5, 17
         c = OverlapConstraint(n, n)
         val = window_values(overlap_logz_replicas(mixed_even, n, 1, seed), c)[0]
-        table = sample_tensor(mixed_even, n, replica_seed(seed, 0))
+        table = get_sampler(mixed_even, n, "tensor").sample(replica_seed(seed, 0))
         mag = magnetizations(n)
         direct = logsumexp(
             table.values[0] + table.values[1] + (mixed_even.h1 + mixed_even.h2) * mag
@@ -191,9 +195,9 @@ class TestOverlapLogzReplicas:
         rows = overlap_logz_replicas(mixed_even, n, 4, seed)
         assert rows.shape == (4, n + 1)
         for rep in range(4):
-            table = sample_tensor(mixed_even, n, replica_seed(seed, rep))
-            part = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
-            np.testing.assert_array_equal(rows[rep], part.log_z)
+            table = get_sampler(mixed_even, n, "tensor").sample(replica_seed(seed, rep))
+            log_z = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
+            np.testing.assert_array_equal(rows[rep], log_z)
 
     def test_window_values_match_partition_windows(self, mixed_even):
         n, seed = 6, 14
@@ -201,9 +205,10 @@ class TestOverlapLogzReplicas:
         for eps in (0.0, 0.25, 1.0):
             c = OverlapConstraint(n, 2, eps=eps)
             for rep in range(3):
-                table = sample_tensor(mixed_even, n, replica_seed(seed, rep))
-                part = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
-                assert window_values(rows, c)[rep] == part.log_window(c) / n
+                table = get_sampler(mixed_even, n, "tensor").sample(replica_seed(seed, rep))
+                log_z = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
+                d_lo, d_hi = c.window_disagreement_range()
+                assert window_values(rows, c)[rep] == float(logsumexp(log_z[d_lo:d_hi + 1])) / n
 
 
 class TestEstimateFWindow:
@@ -211,16 +216,16 @@ class TestEstimateFWindow:
         c0 = OverlapConstraint(6, 0)
         cw = OverlapConstraint(6, 0, eps=0.0)
         a = estimate_F(pure_p2, 6, c0, 5, seed=3)
-        b = estimate_F_window(pure_p2, 6, cw, 5, seed=3)
+        b = window_estimate(overlap_logz_replicas(pure_p2, 6, 5, 3), cw, 3)
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_full_window_is_decoupled_total(self, mixed_even):
         n, seed = 5, 11
         c = OverlapConstraint(n, 1, eps=2.0)
         val = window_values(overlap_logz_replicas(mixed_even, n, 1, seed), c)[0]
-        table = sample_tensor(mixed_even, n, replica_seed(seed, 0))
-        part = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
-        assert val == pytest.approx(part.log_total() / n, rel=1e-12)
+        table = get_sampler(mixed_even, n, "tensor").sample(replica_seed(seed, 0))
+        log_z = partition_by_overlap(table, mixed_even.h1, mixed_even.h2)
+        assert val == pytest.approx(logsumexp(log_z) / n, rel=1e-12)
 
     def test_monotone_in_width_per_replica(self, pure_p2):
         n, seed = 6, 5

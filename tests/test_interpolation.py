@@ -17,11 +17,18 @@ from coupledsk.disorder import (
     TensorSampler,
     random_gram_rost,
 )
-from coupledsk.free_energy import Estimate, GEstimate, g_terms_replica, partition_by_overlap
+from coupledsk.free_energy import (
+    Estimate,
+    GEstimate,
+    estimate_F,
+    estimate_G,
+    g_terms_replica,
+    overlap_logz_replicas,
+    partition_by_overlap,
+)
 from coupledsk.interpolation import (
     FD_STEP,
     STRUCTURE_MARGIN_SIGMAS,
-    VerdictConfig,
     first_sum_bound,
     lemma2_derivative_replica,
     lemma2_phi_replica,
@@ -29,11 +36,12 @@ from coupledsk.interpolation import (
     lemma3_state,
     run_lemma2_curve,
     run_lemma3_curve,
+    sequence_check,
     structure_bound_check,
     superadditivity_check,
-    verdict_suite,
     window_constant_check,
     window_gap_profile,
+    window_gaps,
     _lemma2_pass,
     _lemma3_pass,
     _split_energies,
@@ -70,7 +78,7 @@ class TestSplitPath:
             phi0 = lemma2_phi_replica(mixed_even, u_m, u_n, 0.0, tables)
             pm = partition_by_overlap(tables[0], mixed_even.h1, mixed_even.h2)
             pn = partition_by_overlap(tables[1], mixed_even.h1, mixed_even.h2)
-            expected = (pm.log_value(u_m.d) + pn.log_value(u_n.d)) / (m + n)
+            expected = (pm[u_m.d] + pn[u_n.d]) / (m + n)
             assert phi0 == pytest.approx(expected, rel=1e-12)
 
     def test_right_endpoint_matches_direct_enumeration(self, mixed_even):
@@ -197,9 +205,9 @@ class TestStructurePath:
         fs = RostFieldSampler(rost, mixture_functions(pure_p2))
         state = lemma3_state(rost, fs, pure_p2, 4, 51, 0)
         phi1 = lemma3_phi_replica(state, pure_p2, 4, c, 1.0)
-        part = partition_by_overlap(state.table, pure_p2.h1, pure_p2.h2)
+        log_z = partition_by_overlap(state.table, pure_p2.h1, pure_p2.h2)
         y_term = logsumexp(np.sqrt(4) * (state.y[0] + state.y[1]), b=state.w)
-        assert phi1 == pytest.approx((part.log_value(c.d) + float(y_term)) / 4, rel=1e-12)
+        assert phi1 == pytest.approx((log_z[c.d] + float(y_term)) / 4, rel=1e-12)
 
     def test_single_element_reduction(self, pure_p2):
         u = 0.2
@@ -378,36 +386,39 @@ class TestWindowProfile:
             window_gap_profile(pure_p2, 6, 0, (0.5, 1.0), 5, seed=0)
 
 
+def _size_checks(spec, u, n_list, n_rep, seed, eps_grid=(0.0, 0.25, 0.5, 1.0)):
+    """The window-constant, superadditivity and sequence checks over n_list,
+    each size's log Z(d) rows drawn once."""
+    log_z, profiles = {}, {}
+    for n in n_list:
+        log_z[n] = overlap_logz_replicas(spec, n, n_rep, seed)
+        profiles[n] = window_gaps(log_z[n], nearest_admissible(n, u).k, eps_grid)
+    return [
+        window_constant_check(n_list, profiles),
+        superadditivity_check(spec, u, n_list, n_rep, seed),
+        sequence_check(n_list, log_z, profiles, u),
+    ]
+
+
 class TestVerdictSuite:
     def test_zero_disorder_all_pass(self, zero_mixture):
-        cfg = VerdictConfig(
-            spec=zero_mixture, u=0.0, n_list=(4, 6), n_rep=3, seed=0,
-            rost=random_gram_rost(3, 0.0, 0.05, np.random.default_rng(0)),
-            rost_n=4, rost_t_grid=(0.5,),
-        )
-        report = verdict_suite(cfg)
-        assert report["pass"], report
-        names = {c["check"] for c in report["checks"]}
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(0))
+        c = nearest_admissible(4, 0.0)
+        f_est = estimate_F(zero_mixture, 4, c, 3, 0)
+        g_est = estimate_G(rost, zero_mixture, 4, c, 3, 0)
+        checks = _size_checks(zero_mixture, 0.0, (4, 6), 3, 0) + [
+            structure_bound_check(rost, zero_mixture, c, f_est, g_est, (0.5,), 3, 0)
+        ]
+        assert all(ch["pass"] for ch in checks), checks
+        names = {ch["check"] for ch in checks}
         assert names == {
             "window-constant", "superadditivity", "structure-upper-bound",
             "sequence-independence",
         }
 
     def test_real_mixture_passes(self, pure_p2):
-        cfg = VerdictConfig(
-            spec=pure_p2, u=0.0, n_list=(4, 6), n_rep=150, seed=3,
-        )
-        report = verdict_suite(cfg)
-        assert report["pass"], report
-
-    def test_suite_composes_the_check_functions(self, pure_p2):
-        eps_grid = (0.0, 0.5, 1.0)
-        cfg = VerdictConfig(spec=pure_p2, u=0.0, n_list=(4, 6), eps_grid=eps_grid,
-                            n_rep=20, seed=4)
-        checks = verdict_suite(cfg)["checks"]
-        profiles = {n: window_gap_profile(pure_p2, n, 0, eps_grid, 20, seed=4) for n in (4, 6)}
-        assert checks[0] == window_constant_check((4, 6), profiles)
-        assert checks[1] == superadditivity_check(pure_p2, 0.0, (4, 6), 20, seed=4)
+        checks = _size_checks(pure_p2, 0.0, (4, 6), 150, 3)
+        assert all(ch["pass"] for ch in checks), checks
 
     def test_structure_margin_is_four_sigma(self, pure_p2):
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(11))
@@ -417,10 +428,17 @@ class TestVerdictSuite:
         def check(f_mean):
             f_est = Estimate(mean=f_mean, stderr=0.03, n_rep=10, seed=0)
             g = Estimate(mean=1.0, stderr=0.04, n_rep=10, seed=0)
-            return structure_bound_check(rost, pure_p2, c, f_est, GEstimate(g, g, g), (),
+            return structure_bound_check(rost, pure_p2, c, f_est, GEstimate(g, g, g), (0.5,),
                                          10, seed=0)
 
         assert STRUCTURE_MARGIN_SIGMAS == 4.0
         assert check(1.0)["margin"] == pytest.approx(4.0 * 0.05, rel=1e-15)
         assert check(1.0 + bound + 0.19)["pass"]
         assert not check(1.0 + bound + 0.21)["pass"]
+
+    def test_structure_bound_needs_a_t(self, pure_p2):
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(11))
+        g = Estimate(mean=1.0, stderr=0.04, n_rep=10, seed=0)
+        with pytest.raises(ValueError, match="at least one t"):
+            structure_bound_check(rost, pure_p2, OverlapConstraint(4, 0), g,
+                                  GEstimate(g, g, g), (), 10, seed=0)

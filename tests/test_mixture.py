@@ -1,7 +1,5 @@
 """Covariance-function evaluators and their structural checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +10,8 @@ from coupledsk.mixture import (
     DomainError,
     MixtureSpec,
     NonConvexMixtureError,
-    binary_entropy,
     check_convexity,
     check_positivity,
-    eval_theta,
-    eval_xi,
-    eval_xi_prime,
     mixture_functions,
 )
 
@@ -27,17 +21,17 @@ from conftest import random_even_spec
 class TestEvalXi:
     def test_pure_quadratic(self):
         spec = MixtureSpec(a1=(0.0, 1.0), a2=(0.0, 1.0))
-        assert eval_xi(spec, 1, 1, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert mixture_functions(spec).xi(1, 1, 0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_argument_has_no_constant_term(self):
         spec = MixtureSpec(a1=(0.3, 0.4, 0.1), a2=(0.2, 0.5))
         for pair in ((1, 1), (1, 2), (2, 2)):
-            assert eval_xi(spec, *pair, 0.0) == 0.0
+            assert mixture_functions(spec).xi(*pair, 0.0) == 0.0
 
     def test_coefficient_products_at_one(self):
         spec = MixtureSpec(a1=(0.0, 1.0, 0.5), a2=(0.0, 1.0, 0.0))
-        assert eval_xi(spec, 1, 1, 1.0) == pytest.approx(1.25, abs=1e-15)
-        assert eval_xi(spec, 1, 2, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert mixture_functions(spec).xi(1, 1, 1.0) == pytest.approx(1.25, abs=1e-15)
+        assert mixture_functions(spec).xi(1, 2, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_cross_symmetry(self):
         spec = MixtureSpec(a1=(0.0, 0.7, 0.0, 0.2), a2=(0.0, 0.3, 0.0, 0.6))
@@ -48,55 +42,33 @@ class TestEvalXi:
     def test_domain_error(self):
         spec = MixtureSpec(a1=(0.0, 1.0), a2=(0.0, 1.0))
         with pytest.raises(DomainError):
-            eval_xi(spec, 1, 1, 1.5)
+            mixture_functions(spec).xi(1, 1, 1.5)
 
 
 class TestEvalTheta:
     def test_pure_quadratic(self):
         spec = MixtureSpec(a1=(0.0, 1.0), a2=(0.0, 1.0))
         # theta(x) = x * 2x - x^2 = x^2
-        assert eval_theta(spec, 1, 1, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert mixture_functions(spec).theta(1, 1, 0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_zero(self):
         spec = MixtureSpec(a1=(0.2, 0.4, 0.0, 0.1), a2=(0.1, 0.3))
-        assert eval_theta(spec, 1, 2, 0.0) == 0.0
+        assert mixture_functions(spec).theta(1, 2, 0.0) == 0.0
 
     def test_pure_quartic_at_one(self):
         spec = MixtureSpec(a1=(0.0, 0.0, 0.0, 1.0), a2=(0.0, 0.0, 0.0, 1.0))
-        assert eval_theta(spec, 1, 1, 1.0) == pytest.approx(3.0, abs=1e-14)
+        assert mixture_functions(spec).theta(1, 1, 1.0) == pytest.approx(3.0, abs=1e-14)
 
     def test_identity_against_independent_evaluations(self):
         rng = np.random.default_rng(7)
         for trial in range(20):
             spec = random_even_spec(rng)
             x = rng.uniform(-1, 1)
+            f = mixture_functions(spec)
             for pair in ((1, 1), (1, 2), (2, 2)):
-                lhs = eval_theta(spec, *pair, x)
-                rhs = x * eval_xi_prime(spec, *pair, x) - eval_xi(spec, *pair, x)
+                lhs = f.theta(*pair, x)
+                rhs = x * f.xi_prime(*pair, x) - f.xi(*pair, x)
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
-
-
-class TestBinaryEntropy:
-    def test_endpoints(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == pytest.approx(math.log(2.0), abs=1e-15)
-
-    def test_midpoint_closed_form(self):
-        # frozen from 0.5*(1.5*log(1.5) + 0.5*log(0.5))
-        assert binary_entropy(0.5) == pytest.approx(0.13081203594113694, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            binary_entropy(-0.1)
-        with pytest.raises(DomainError):
-            binary_entropy(1.1)
-
-    def test_convex_and_increasing(self):
-        x = np.linspace(0.0, 1.0, 201)
-        y = binary_entropy(x)
-        assert np.all(np.diff(y) > 0)
-        d2 = y[:-2] - 2 * y[1:-1] + y[2:]
-        assert np.all(d2 >= -1e-15)
 
 
 class TestConvexity:
@@ -197,6 +169,7 @@ def test_theta_identity_property(coeffs, x):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvexityWarning)
         spec = MixtureSpec(a1=tuple(coeffs), a2=tuple(reversed(coeffs)))
-    lhs = eval_theta(spec, 1, 2, x)
-    rhs = x * eval_xi_prime(spec, 1, 2, x) - eval_xi(spec, 1, 2, x)
+    f = mixture_functions(spec)
+    lhs = f.theta(1, 2, x)
+    rhs = x * f.xi_prime(1, 2, x) - f.xi(1, 2, x)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
