@@ -22,7 +22,6 @@ from .free_energy import (
     estimate_F,
     estimate_G,
     estimate_G_MN,
-    inner_cavity_sum,
     partition_by_overlap,
 )
 from .interpolation import (

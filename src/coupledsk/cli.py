@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -88,6 +88,17 @@ def _numbers(values, name: str, integral: bool = False) -> tuple:
     return tuple(_number(v, f"{name} entry", integral) for v in values)
 
 
+def _mixture(mix) -> MixtureSpec:
+    if not isinstance(mix, dict) or not {"a1", "a2"} <= mix.keys():
+        raise ConfigError(f"mixture must be an object with lists a1 and a2, got {mix!r}")
+    return MixtureSpec(
+        a1=_numbers(mix["a1"], "mixture a1"),
+        a2=_numbers(mix["a2"], "mixture a2"),
+        h1=_number(mix.get("h1", 0.0), "mixture h1"),
+        h2=_number(mix.get("h2", 0.0), "mixture h2"),
+    )
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment parameters; all randomness stems from seed."""
@@ -105,7 +116,6 @@ class ExperimentConfig:
     out: Path
     rost_file: str | None
     rost_gen: dict | None
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, path: str | None, overrides: argparse.Namespace) -> "ExperimentConfig":
@@ -114,7 +124,12 @@ class ExperimentConfig:
             p = Path(path)
             if not p.exists():
                 raise ConfigError(f"config file {path} does not exist")
-            data = json.loads(p.read_text())
+            try:
+                data = json.loads(p.read_text())
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ConfigError(f"config file {path} must hold a JSON object")
         mix = data.get("mixture", {"a1": [0.0, 0.5], "a2": [0.0, 0.5], "h1": 0.0, "h2": 0.0})
         n_list = data.get("n_list")
         if n_list is None:
@@ -123,7 +138,7 @@ class ExperimentConfig:
         out = Path(overrides.out if overrides.out is not None else data.get("out", "reports"))
         m = data.get("m")
         cfg = cls(
-            mixture=MixtureSpec.from_json(mix),
+            mixture=_mixture(mix),
             n_list=tuple(int(v) for v in _numbers(n_list, "n_list", integral=True)),
             m=None if m is None else int(_number(m, "m", integral=True)),
             u=float(_number(data.get("u", 0.0), "u")),
@@ -136,7 +151,6 @@ class ExperimentConfig:
             out=out,
             rost_file=data.get("rost_file"),
             rost_gen=data.get("rost"),
-            raw=data,
         )
         cfg.validate()
         return cfg
@@ -167,6 +181,12 @@ class ExperimentConfig:
                               f"got {list(self.t_grid)}")
         if self.rost_file is not None and not Path(self.rost_file).exists():
             raise ConfigError(f"structure file {self.rost_file} does not exist")
+        if self.rost_gen is not None:
+            if not isinstance(self.rost_gen, dict):
+                raise ConfigError(f"rost must be an object, got {self.rost_gen!r}")
+            for key in ("m", "delta", "gamma"):
+                if key in self.rost_gen:
+                    _number(self.rost_gen[key], f"rost {key}", integral=key == "m")
 
     def resolved(self) -> dict:
         return {
@@ -270,6 +290,9 @@ def _write_check(cfg: ExperimentConfig, command: str, csv_name: str, rows: list,
 
 
 def cmd_lemma1(cfg: ExperimentConfig) -> int:
+    if not any(eps > 0.0 for eps in cfg.eps_grid):
+        raise ConfigError("lemma1 fits its window constant over eps > 0, "
+                          f"but eps_grid {list(cfg.eps_grid)} has no positive entry")
     rows = []
     profiles = {}
     for n in cfg.n_list:

@@ -54,11 +54,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_as_seed(seed)))
 
 
-def psd_factor(mat: np.ndarray, tol_scale: float = PSD_TOL_SCALE) -> np.ndarray:
+def psd_factor(mat: np.ndarray) -> np.ndarray:
     """Factor F with F @ F.T = mat for a symmetric PSD matrix.
 
     Tries Cholesky first; on failure falls back to an eigendecomposition with
-    small negative eigenvalues (within tol_scale * trace / dim) clipped to
+    small negative eigenvalues (within PSD_TOL_SCALE * trace / dim) clipped to
     zero, which keeps exact linear relations of rank-deficient covariances.
     """
     try:
@@ -66,7 +66,7 @@ def psd_factor(mat: np.ndarray, tol_scale: float = PSD_TOL_SCALE) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(mat)
-    floor = -tol_scale * max(np.trace(mat), 1.0) / mat.shape[0]
+    floor = -PSD_TOL_SCALE * max(np.trace(mat), 1.0) / mat.shape[0]
     if w.min() < floor:
         raise FactorizationError(
             f"covariance is indefinite: min eigenvalue {w.min():.3e} below {floor:.3e}"
@@ -85,9 +85,6 @@ class HamiltonianTable:
 
     n: int
     values: np.ndarray  # shape (2, 2**n); row l-1 holds copy l
-    provenance: str  # "tensor" | "process"
-    seed: int
-    p_max: int
 
     def __post_init__(self):
         if self.values.shape != (2, 2**self.n):
@@ -113,9 +110,12 @@ class TensorSampler:
         self.s = spin_matrix(n)
         need = sum(8 * n**p for p in range(1, spec.p_max + 1))
         if need > budget_bytes:
+            advice = (
+                "use the process sampler at this size" if n <= PROCESS_CAP
+                else f"the process sampler is capped at n={PROCESS_CAP}; lower n or p_max"
+            )
             raise ResourceError(
-                f"coupling tensors need {need} bytes > budget {budget_bytes}; "
-                f"use the process sampler at this size"
+                f"coupling tensors need {need} bytes > budget {budget_bytes}; {advice}"
             )
 
     def sample(self, seed) -> HamiltonianTable:
@@ -131,20 +131,15 @@ class TensorSampler:
             scale = n ** (0.5 - 0.5 * p)
             h[0] += a1 * scale * m
             h[1] += a2 * scale * m
-        ent = _as_seed(seed).entropy
-        return HamiltonianTable(
-            n=n, values=h, provenance="tensor",
-            seed=int(ent) if isinstance(ent, int) else 0, p_max=spec.p_max,
-        )
+        return HamiltonianTable(n=n, values=h)
 
 
 class ProcessSampler:
     """Joint-Gaussian route with a cached covariance factorization."""
 
-    def __init__(self, spec: MixtureSpec, n: int, cap: int = PROCESS_CAP):
-        if n > cap:
-            raise ResourceError(f"process sampler capped at n={cap}, got {n}")
-        self.spec = spec
+    def __init__(self, spec: MixtureSpec, n: int):
+        if n > PROCESS_CAP:
+            raise ResourceError(f"process sampler capped at n={PROCESS_CAP}, got {n}")
         self.n = n
         s = spin_matrix(n)
         r = (s @ s.T) / n
@@ -161,11 +156,7 @@ class ProcessSampler:
         rng = _rng(seed)
         c = 2**self.n
         vals = (self.factor @ rng.standard_normal(2 * c)).reshape(2, c)
-        ent = _as_seed(seed).entropy
-        return HamiltonianTable(
-            n=self.n, values=vals, provenance="process",
-            seed=int(ent) if isinstance(ent, int) else 0, p_max=self.spec.p_max,
-        )
+        return HamiltonianTable(n=self.n, values=vals)
 
 
 @lru_cache(maxsize=16)
@@ -451,9 +442,9 @@ class ExplicitSystemSampler:
     use fresh tensors confined to the base coordinates.
     """
 
-    def __init__(self, spec: MixtureSpec, m: int, n: int, cap: int = EXPLICIT_CAP):
-        if m + n > cap:
-            raise ResourceError(f"explicit route capped at M + n = {cap}, got {m + n}")
+    def __init__(self, spec: MixtureSpec, m: int, n: int):
+        if m + n > EXPLICIT_CAP:
+            raise ResourceError(f"explicit route capped at M + n = {EXPLICIT_CAP}, got {m + n}")
         self.spec = spec
         self.m = m
         self.n = n

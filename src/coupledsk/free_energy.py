@@ -199,15 +199,6 @@ def cavity_logz_by_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.log(coeffs) + shift[..., None]
 
 
-def inner_cavity_sum(a: np.ndarray, b: np.ndarray, c: OverlapConstraint) -> float:
-    """log of the field-only pair sum restricted to the exact constraint of c."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != (c.n,) or b.shape != (c.n,):
-        raise ValueError(f"field vectors must have length {c.n}")
-    return float(cavity_logz_by_count(a, b)[c.d])
-
-
 # ---------------------------------------------------------------------------
 # Structure functional: cavity term minus compensator term
 # ---------------------------------------------------------------------------
@@ -240,14 +231,11 @@ def g_terms_replica(
     """
     w = rost.weights.sample(rng_for(root, rep, stream=0), rost.m)
     fields = field_sampler.sample(rng_for(root, rep, stream=1), n)
-    log_b = np.array(
-        [
-            inner_cavity_sum(
-                fields.z[:, 0, al] + spec.h1, fields.z[:, 1, al] + spec.h2, c
-            )
-            for al in range(rost.m)
-        ]
-    )
+    # C-contiguous (m, n) rows: each element's ladder then sums its sites in
+    # the same order as a lone length-n vector would
+    a = np.ascontiguousarray(fields.z[:, 0, :].T) + spec.h1
+    b = np.ascontiguousarray(fields.z[:, 1, :].T) + spec.h2
+    log_b = cavity_logz_by_count(a, b)[:, c.d]
     term1 = float(logsumexp(log_b, b=w)) / n
     term2 = float(logsumexp(np.sqrt(n) * (fields.y[0] + fields.y[1]), b=w)) / n
     return term1, term2

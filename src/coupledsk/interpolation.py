@@ -48,6 +48,7 @@ from .free_energy import (
     window_values,
 )
 from .mixture import (
+    COPY_PAIRS,
     MixtureFunctions,
     MixtureSpec,
     NonConvexMixtureError,
@@ -75,6 +76,18 @@ def require_convex(spec: MixtureSpec, what: str) -> None:
             f"{what} is only a theorem for convex mixtures; pair {rep.worst_pair} "
             f"fails near x = {rep.worst_x:.4f}"
         )
+
+
+def _class_weights(g1: np.ndarray, g2: np.ndarray, ind: np.ndarray):
+    """(s1, s2, w1, w2, conv2) for rows of copy-1 and copy-2 log-weights and a
+    class indicator: the per-row max shifts, the shifted weights exp(g - s),
+    and copy 2's XOR correlation with the indicator.  A row's pair sum over
+    the class is exp(s1 + s2) times w1 . conv2."""
+    s1 = g1.max(axis=-1, keepdims=True)
+    s2 = g2.max(axis=-1, keepdims=True)
+    w1 = np.exp(g1 - s1)
+    w2 = np.exp(g2 - s2)
+    return s1[..., 0], s2[..., 0], w1, w2, xor_correlation(w2, ind)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +145,14 @@ def lemma2_phi_replica(
 ) -> float:
     """Path value for one disorder replica: (1/(M+N)) log of the pinned-block
     pair sum under the interpolated Hamiltonian."""
-    m, n = u_m.n, u_n.n
-    f1, f2 = _split_energies(spec, tables, t)
-    ind = _split_indicator(m, n, u_m.d, u_n.d)
-    s1, s2 = float(f1.max()), float(f2.max())
-    w1 = np.exp(f1 - s1)
-    w2 = np.exp(f2 - s2)
-    z = float(w1 @ xor_correlation(w2, ind))
-    return (np.log(z) + s1 + s2) / (m + n)
+    ind = _split_indicator(u_m.n, u_n.n, u_m.d, u_n.d)
+    s1, s2, w1, _, conv2 = _class_weights(*_split_energies(spec, tables, t), ind)
+    return _split_phi(s1, s2, w1, conv2, u_m.n + u_n.n)
+
+
+def _split_phi(s1, s2, w1: np.ndarray, conv2: np.ndarray, big: int) -> float:
+    """The path value from _class_weights of the pinned-block class."""
+    return float((np.log(float(w1 @ conv2)) + s1 + s2) / big)
 
 
 @dataclass(frozen=True)
@@ -164,18 +177,15 @@ def lemma2_derivative_replica(
     t: float,
     tables,
 ) -> tuple[float, float]:
-    """(constrained term, convexity term) for one replica, by exact
-    two-replica enumeration of the block-overlap law."""
+    """(path value, convexity term) for one replica, by exact two-replica
+    enumeration of the block-overlap law; the path value is
+    lemma2_phi_replica's, from the same weights."""
     m, n = u_m.n, u_n.n
     funcs = mixture_functions(spec)
-    f1, f2 = _split_energies(spec, tables, t)
     ind = _split_indicator(m, n, u_m.d, u_n.d)
-    w1 = np.exp(f1 - f1.max())
-    w2 = np.exp(f2 - f2.max())
-    conv2 = xor_correlation(w2, ind)
-    conv1 = xor_correlation(w1, ind)
+    s1, s2, w1, w2, conv2 = _class_weights(*_split_energies(spec, tables, t), ind)
     mu1 = w1 * conv2
-    mu2 = w2 * conv1
+    mu2 = w2 * xor_correlation(w1, ind)
     mu1 /= mu1.sum()
     mu2 /= mu2.sum()
 
@@ -200,7 +210,7 @@ def lemma2_derivative_replica(
         + 2.0 * float((p12 * bracket(1, 2)).sum())
     )
 
-    return _split_constrained_term(funcs, u_m, u_n), convexity
+    return _split_phi(s1, s2, w1, conv2, big), convexity
 
 
 def _split_constrained_term(
@@ -221,9 +231,10 @@ def _split_constrained_term(
 def _lemma2_worker(args) -> tuple[list[float], list[float]]:
     spec, u_m, u_n, phi_ts, deriv_ts, root, rep = args
     tables = _split_tables(spec, u_m.n, u_n.n, root, rep)
-    phi = [lemma2_phi_replica(spec, u_m, u_n, t, tables) for t in phi_ts]
-    conv = [lemma2_derivative_replica(spec, u_m, u_n, t, tables)[1] for t in deriv_ts]
-    return phi, conv
+    der = {t: lemma2_derivative_replica(spec, u_m, u_n, t, tables) for t in deriv_ts}
+    phi = [der[t][0] if t in der else lemma2_phi_replica(spec, u_m, u_n, t, tables)
+           for t in phi_ts]
+    return phi, [der[t][1] for t in deriv_ts]
 
 
 def _lemma2_pass(
@@ -237,9 +248,10 @@ def _lemma2_pass(
     threads: int = 1,
 ) -> tuple[np.ndarray, list[Lemma2Derivative]]:
     """One pass over the replicas of the size-splitting path: each replica's
-    tables are drawn once and evaluated at every t.  Returns the path values,
-    shape (n_rep, len(phi_ts)), and the exact-Gibbs derivative at each of
-    deriv_ts."""
+    tables are drawn once and evaluated at every t, once per t: a phi point
+    that is also a derivative point takes the derivative's path value.
+    Returns the path values, shape (n_rep, len(phi_ts)), and the exact-Gibbs
+    derivative at each of deriv_ts."""
     if u_m.n + u_n.n > WHT_CAP:
         raise ValueError(f"pinned-block route capped at M + N = {WHT_CAP}")
     phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
@@ -275,14 +287,6 @@ def _count_indicator(n: int, d: int) -> np.ndarray:
     ind = (popcounts(n) == d).astype(np.float64)
     ind.flags.writeable = False
     return ind
-
-
-@lru_cache(maxsize=None)
-def _popcount_onehot(n: int) -> np.ndarray:
-    out = np.zeros((1 << n, n + 1))
-    out[np.arange(1 << n), popcounts(n)] = 1.0
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(eq=False)
@@ -322,28 +326,20 @@ def _lemma3_element_tables(
     return g1, g2
 
 
-def _lemma3_element_logz(
-    state: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
-) -> np.ndarray:
-    """log of the constrained pair sum per structure element, plus that
-    element's compensator contribution, shape (m,)."""
-    g1, g2 = _lemma3_element_tables(state, spec, n, t)
-    ind = _count_indicator(n, c.d)
-    s1 = g1.max(axis=1, keepdims=True)
-    s2 = g2.max(axis=1, keepdims=True)
-    w1 = np.exp(g1 - s1)
-    w2 = np.exp(g2 - s2)
-    z = np.einsum("ac,ac->a", w1, xor_correlation(w2, ind))
-    log_pairs = np.log(z) + s1[:, 0] + s2[:, 0]
-    y_part = np.sqrt(t * n) * (state.y[0] + state.y[1])
-    return log_pairs + y_part
-
-
 def lemma3_phi_replica(
     state: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
 ) -> float:
-    log_z = _lemma3_element_logz(state, spec, n, c, t)
-    return float(logsumexp(log_z, b=state.w)) / n
+    ind = _count_indicator(n, c.d)
+    s1, s2, w1, _, conv2 = _class_weights(*_lemma3_element_tables(state, spec, n, t), ind)
+    return _lemma3_phi(state, n, t, s1, s2, w1, conv2)
+
+
+def _lemma3_phi(state: _Lemma3State, n: int, t: float, s1, s2, w1, conv2) -> float:
+    """(1/n) log of the weighted element sum of each element's constrained
+    pair sum times its compensator factor."""
+    log_pairs = np.log(np.einsum("ac,ac->a", w1, conv2)) + s1 + s2
+    y_part = np.sqrt(t * n) * (state.y[0] + state.y[1])
+    return float(logsumexp(log_pairs + y_part, b=state.w)) / n
 
 
 @dataclass(frozen=True)
@@ -362,15 +358,15 @@ class Lemma3Derivative:
     first_sum_bound: float
 
 
+def _first_sum_terms(rost: RostSpec, funcs: MixtureFunctions, u_n: float) -> np.ndarray:
+    """xi12(u_N) - u_N xi12'(q_aa) + theta12(q_aa) per structure element."""
+    qd = np.diag(rost.q12)
+    return funcs.xi(1, 2, u_n) - u_n * funcs.xi_prime(1, 2, qd) + funcs.theta(1, 2, qd)
+
+
 def first_sum_bound(rost: RostSpec, funcs: MixtureFunctions, u_n: float) -> float:
     """max over elements of |xi12(u_N) - u_N xi12'(q_aa) + theta12(q_aa)|."""
-    qd = np.diag(rost.q12)
-    vals = (
-        funcs.xi(1, 2, u_n)
-        - u_n * funcs.xi_prime(1, 2, qd)
-        + funcs.theta(1, 2, qd)
-    )
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(_first_sum_terms(rost, funcs, u_n))))
 
 
 def lemma3_derivative_replica(
@@ -380,68 +376,55 @@ def lemma3_derivative_replica(
     n: int,
     c: OverlapConstraint,
     t: float,
-) -> tuple[float, float]:
-    """(first sum, second line) for one replica by exact enumeration.
+) -> tuple[float, float, float]:
+    """(path value, first sum, second line) for one replica by exact
+    enumeration; the path value is lemma3_phi_replica's, from the same
+    weights.
 
     Element marginals and the conditional single-copy laws are exact; the
     two-replica overlap distribution per element pair comes from an XOR
     correlation of the conditional laws.
     """
     funcs = mixture_functions(spec)
-    m = rost.m
-    g1, g2 = _lemma3_element_tables(state, spec, n, t)
     ind = _count_indicator(n, c.d)
-    s1 = g1.max(axis=1, keepdims=True)
-    s2 = g2.max(axis=1, keepdims=True)
-    w1 = np.exp(g1 - s1)
-    w2 = np.exp(g2 - s2)
-    conv2 = xor_correlation(w2, ind)
-    conv1 = xor_correlation(w1, ind)
+    s1, s2, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(state, spec, n, t), ind)
+    phi = _lemma3_phi(state, n, t, s1, s2, w1, conv2)
     nu1 = w1 * conv2
-    nu2 = w2 * conv1
+    nu2 = w2 * xor_correlation(w1, ind)
     z = nu1.sum(axis=1)
     nu1 /= z[:, None]
     nu2 /= nu2.sum(axis=1)[:, None]
-    log_z = np.log(z) + s1[:, 0] + s2[:, 0]
+    log_z = np.log(z) + s1 + s2
     with np.errstate(divide="ignore"):
         log_p = np.log(state.w)
     log_p = log_p + log_z + np.sqrt(t * n) * (state.y[0] + state.y[1])
     p_alpha = np.exp(log_p - logsumexp(log_p))
+    first = float(p_alpha @ _first_sum_terms(rost, funcs, c.u))
 
-    u_n = c.u
-    diag_vals = (
-        funcs.xi(1, 2, u_n)
-        - u_n * funcs.xi_prime(1, 2, np.diag(rost.q12))
-        + funcs.theta(1, 2, np.diag(rost.q12))
-    )
-    first = float(p_alpha @ diag_vals)
-
-    onehot = _popcount_onehot(n)
+    # per-mask overlaps; the (2, 1) block is the transpose of the (1, 2) one,
+    # so that pair counts twice
     r_vals = 1.0 - 2.0 * np.arange(n + 1) / n
-    f1 = fwht(nu1, axis=1)
-    f2 = fwht(nu2, axis=1)
-    fcopy = {1: f1, 2: f2}
+    pop = popcounts(n)
+    r_mask = r_vals[pop]
+    fcopy = {1: fwht(nu1, axis=1), 2: fwht(nu2, axis=1)}
     total_b = 0.0
-    for ell in (1, 2):
-        for ellp in (1, 2):
-            q = rost.q(ell, ellp)
-            xi_r = funcs.xi(ell, ellp, r_vals)
-            corr = fwht(fcopy[ell][:, None, :] * fcopy[ellp][None, :, :], axis=2) / (1 << n)
-            pmf = corr @ onehot  # (m, m, n+1)
-            e_xi = pmf @ xi_r
-            e_r = pmf @ r_vals
-            vals = e_xi - e_r * funcs.xi_prime(ell, ellp, q) + funcs.theta(ell, ellp, q)
-            total_b += float(p_alpha @ vals @ p_alpha)
-    second_line = -0.5 * total_b
-    return first, second_line
+    for (ell, ellp), mult in zip(COPY_PAIRS, (1.0, 2.0, 1.0)):
+        q = rost.q(ell, ellp)
+        corr = fwht(fcopy[ell][:, None, :] * fcopy[ellp][None, :, :], axis=2) / (1 << n)
+        e_xi = corr @ funcs.xi(ell, ellp, r_vals)[pop]
+        e_r = corr @ r_mask
+        vals = e_xi - e_r * funcs.xi_prime(ell, ellp, q) + funcs.theta(ell, ellp, q)
+        total_b += mult * float(p_alpha @ vals @ p_alpha)
+    return phi, first, -0.5 * total_b
 
 
 def _lemma3_worker(args) -> tuple[list[float], list[tuple[float, float]]]:
     rost, field_sampler, spec, n, c, phi_ts, deriv_ts, root, rep = args
     state = lemma3_state(rost, field_sampler, spec, n, root, rep)
-    phi = [lemma3_phi_replica(state, spec, n, c, t) for t in phi_ts]
-    der = [lemma3_derivative_replica(state, rost, spec, n, c, t) for t in deriv_ts]
-    return phi, der
+    der = {t: lemma3_derivative_replica(state, rost, spec, n, c, t) for t in deriv_ts}
+    phi = [der[t][0] if t in der else lemma3_phi_replica(state, spec, n, c, t)
+           for t in phi_ts]
+    return phi, [der[t][1:] for t in deriv_ts]
 
 
 def _lemma3_pass(
@@ -456,9 +439,9 @@ def _lemma3_pass(
     threads: int = 1,
 ) -> tuple[np.ndarray, list[Lemma3Derivative]]:
     """One pass over the replicas of the structure-comparison path: each
-    replica's state is built once and evaluated at every t.  Returns the path
-    values, shape (n_rep, len(phi_ts)), and the exact-Gibbs derivative at
-    each of deriv_ts."""
+    replica's state is built once and evaluated at every t, once per t, as in
+    _lemma2_pass.  Returns the path values, shape (n_rep, len(phi_ts)), and
+    the exact-Gibbs derivative at each of deriv_ts."""
     phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
     if deriv_ts:
         require_convex(spec, "the structure-comparison derivative decomposition")
@@ -493,8 +476,6 @@ def _lemma3_pass(
 
 @dataclass(eq=False)
 class InterpolationRun:
-    kind: str
-    sizes: dict
     t_grid: tuple[float, ...]
     phi: list[Estimate]
     dphi_fd: list[Estimate]
@@ -555,8 +536,6 @@ def run_lemma2_curve(
         ),
     }
     return InterpolationRun(
-        kind="size-splitting",
-        sizes={"m": m, "n": n, "u": u},
         t_grid=t_grid,
         phi=values,
         dphi_fd=fd,
@@ -589,8 +568,6 @@ def run_lemma3_curve(
         "first_sum_bound": gibbs[0].first_sum_bound if gibbs else 0.0,
     }
     return InterpolationRun(
-        kind="structure-comparison",
-        sizes={"n": n, "m_elements": rost.m},
         t_grid=t_grid,
         phi=values,
         dphi_fd=fd,
@@ -801,27 +778,4 @@ def structure_bound_check(
         "margin_sigmas": STRUCTURE_MARGIN_SIGMAS,
         "second_line_worst_sigmas": float(worst),
         "pass": bool(f_est.mean <= g_est.diff.mean + bound + margin and worst <= 3.0),
-    }
-
-
-def sequence_check(n_list, log_z: dict[int, np.ndarray], profiles: dict[int, dict], u: float) -> dict:
-    """The exactly-constrained free energy moves between neighbouring
-    admissible overlaps by no more than the fitted window constant allows.
-    log_z and profiles map each n to its log Z(d) rows and window_gaps."""
-    ok = True
-    ratios = []
-    for n in n_list:
-        k0 = nearest_admissible(n, u).k
-        k1 = k0 + 2 if k0 + 2 <= n else k0 - 2
-        vals = (log_z[n][:, (n - k0) // 2] - log_z[n][:, (n - k1) // 2]) / n
-        diff_mean, diff_se = float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-        bound = profiles[n]["fitted_constant"] * np.sqrt(abs(k1 - k0) / n) + 3.0 * diff_se
-        ratios.append(abs(diff_mean) / bound if bound > 0 else 0.0)
-        ok = ok and abs(diff_mean) <= bound
-    return {
-        "check": "sequence-independence",
-        "sizes": list(n_list),
-        "fitted_constant": float(max(ratios)) if ratios else 0.0,
-        "margin_sigmas": 3.0,
-        "pass": bool(ok),
     }

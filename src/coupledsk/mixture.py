@@ -88,9 +88,6 @@ class MixtureSpec:
             return self.a2
         raise ValueError(f"copy index must be 1 or 2, got {ell}")
 
-    def field(self, ell: int) -> float:
-        return self.h1 if ell == 1 else self.h2
-
     def to_json(self) -> str:
         return json.dumps(
             {"a1": list(self.a1), "a2": list(self.a2), "h1": self.h1, "h2": self.h2}

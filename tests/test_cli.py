@@ -61,7 +61,7 @@ class TestConfigErrors:
 
 
 MONTE_CARLO = ("overlap_logz_replicas", "estimate_F", "estimate_G", "structure_bound_check",
-               "run_lemma2_curve", "run_lemma3_curve")
+               "run_lemma2_curve", "run_lemma3_curve", "window_gap_profile")
 
 
 @pytest.fixture
@@ -108,6 +108,8 @@ class TestPreconditions:
         {"u": 1.5}, {"m": "three"}, {"m": [3]}, {"n_list": [4, "x"]}, {"n_list": 4},
         {"n_list": [4.5]}, {"eps_grid": [0, 0.5, "x"]}, {"eps_grid": [0, None]},
         {"eps_grid": [0, -0.5]}, {"eps_grid": 0.5},
+        {"mixture": {"a1": [0, "x"], "a2": [0, 0.5]}}, {"mixture": {"a2": [0, 0.5]}},
+        {"rost": {"m": "four", "delta": 0.05}},
     ], ids=lambda bad: json.dumps(bad).replace(" ", ""))
     def test_malformed_value_exits_2_before_monte_carlo(self, bad, small_config, tmp_path,
                                                         no_monte_carlo):
@@ -116,6 +118,28 @@ class TestPreconditions:
         path.write_text(json.dumps({**data, **bad}))
         assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
         assert no_monte_carlo == []
+
+    def test_config_that_is_not_json_exits_2(self, tmp_path, no_monte_carlo):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert no_monte_carlo == []
+
+    @pytest.mark.parametrize("eps_grid", [[0.0], []])
+    def test_lemma1_without_positive_eps_exits_2_before_monte_carlo(
+            self, eps_grid, small_config, tmp_path, no_monte_carlo):
+        data = json.loads(small_config.read_text())
+        path = tmp_path / "eps.json"
+        path.write_text(json.dumps({**data, "eps_grid": eps_grid}))
+        assert run_cli("lemma1", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert no_monte_carlo == []
+
+    @pytest.mark.parametrize("eps_grid", [[0.0], []])
+    def test_free_energy_needs_no_positive_eps(self, eps_grid, small_config, tmp_path):
+        data = json.loads(small_config.read_text())
+        path = tmp_path / "eps.json"
+        path.write_text(json.dumps({**data, "eps_grid": eps_grid}))
+        assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 0
 
     def test_numerical_error_exits_2(self, tmp_path, monkeypatch):
         def lost(*args, **kwargs):

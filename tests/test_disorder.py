@@ -56,8 +56,13 @@ class TestTensorSampler:
         assert abs(second.mean() - target) <= 3 * se
 
     def test_budget_error_advises_process_route(self, pure_p2):
-        with pytest.raises(ResourceError, match="process"):
+        with pytest.raises(ResourceError, match="use the process sampler"):
             TensorSampler(pure_p2, 8, budget_bytes=64)
+        # above the process cap the advice names both limits instead
+        p7 = MixtureSpec(a1=(0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.1), a2=(0.0, 0.5))
+        with pytest.raises(ResourceError, match=r"312713952 bytes > budget 268435456; "
+                                                r"the process sampler is capped at n=10"):
+            TensorSampler(p7, 12)
 
 
 class TestProcessSampler:

@@ -32,11 +32,11 @@ from coupledsk.interpolation import (
     first_sum_bound,
     lemma2_derivative_replica,
     lemma2_phi_replica,
+    lemma3_derivative_replica,
     lemma3_phi_replica,
     lemma3_state,
     run_lemma2_curve,
     run_lemma3_curve,
-    sequence_check,
     structure_bound_check,
     superadditivity_check,
     window_constant_check,
@@ -44,6 +44,7 @@ from coupledsk.interpolation import (
     window_gaps,
     _lemma2_pass,
     _lemma3_pass,
+    _split_constrained_term,
     _split_energies,
     _split_tables,
 )
@@ -108,7 +109,8 @@ class TestSplitPath:
         u_n = nearest_admissible(n, 0.0)
         funcs = mixture_functions(pure_p2)
         tables = _split_tables(pure_p2, m, n, seed, 0)
-        constrained, convexity = lemma2_derivative_replica(pure_p2, u_m, u_n, t, tables)
+        _, convexity = lemma2_derivative_replica(pure_p2, u_m, u_n, t, tables)
+        constrained = _split_constrained_term(funcs, u_m, u_n)
 
         f1, f2 = _split_energies(pure_p2, tables, t)
         states = []
@@ -368,6 +370,58 @@ class TestOneStatePerReplica:
         assert len(states) == self.N_REP
 
 
+class TestOneEvaluationPerReplicaAndT:
+    """A curve evaluates each replica's exact-Gibbs derivative once per grid t
+    and takes that t's path value from it; phi alone runs only at the
+    finite-difference ends."""
+
+    T_GRID = (0.25, 0.5, 0.75)
+    N_REP = 4
+
+    def _count(self, monkeypatch, *names):
+        calls = {name: 0 for name in names}
+        for name in names:
+            fn = getattr(interpolation, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(interpolation, name, counted)
+        return calls
+
+    def test_split_curve(self, pure_p2, monkeypatch):
+        calls = self._count(monkeypatch, "lemma2_derivative_replica", "lemma2_phi_replica")
+        run_lemma2_curve(pure_p2, 3, 3, 0.0, self.T_GRID, self.N_REP, seed=1)
+        assert calls == {"lemma2_derivative_replica": 3 * self.N_REP,
+                         "lemma2_phi_replica": 6 * self.N_REP}
+
+    def test_structure_curve(self, pure_p2, monkeypatch):
+        calls = self._count(monkeypatch, "lemma3_derivative_replica", "lemma3_phi_replica")
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))
+        run_lemma3_curve(rost, pure_p2, 4, OverlapConstraint(4, 0), self.T_GRID, self.N_REP,
+                         seed=2)
+        assert calls == {"lemma3_derivative_replica": 3 * self.N_REP,
+                         "lemma3_phi_replica": 6 * self.N_REP}
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 1.0])
+    def test_derivative_path_value_is_phi(self, pure_p2, mixed_even, t):
+        u_m, u_n = nearest_admissible(3, 1 / 3), nearest_admissible(2, 0.0)
+        for spec in (pure_p2, mixed_even):
+            for rep in range(2):
+                tables = _split_tables(spec, 3, 2, 13, rep)
+                value, _ = lemma2_derivative_replica(spec, u_m, u_n, t, tables)
+                assert value == lemma2_phi_replica(spec, u_m, u_n, t, tables)
+        rost = random_gram_rost(3, 0.2, 0.05, np.random.default_rng(13))
+        c = nearest_admissible(4, 0.2)
+        for spec in (pure_p2, mixed_even):
+            fs = RostFieldSampler(rost, mixture_functions(spec))
+            for rep in range(2):
+                state = lemma3_state(rost, fs, spec, 4, 13, rep)
+                value, _, _ = lemma3_derivative_replica(state, rost, spec, 4, c, t)
+                assert value == lemma3_phi_replica(state, spec, 4, c, t)
+
+
 class TestWindowProfile:
     def test_zero_disorder_exact_gaps(self, zero_mixture):
         prof = window_gap_profile(zero_mixture, 6, 0, (0.0, 0.5, 1.0), 3, seed=0)
@@ -387,16 +441,15 @@ class TestWindowProfile:
 
 
 def _size_checks(spec, u, n_list, n_rep, seed, eps_grid=(0.0, 0.25, 0.5, 1.0)):
-    """The window-constant, superadditivity and sequence checks over n_list,
-    each size's log Z(d) rows drawn once."""
-    log_z, profiles = {}, {}
-    for n in n_list:
-        log_z[n] = overlap_logz_replicas(spec, n, n_rep, seed)
-        profiles[n] = window_gaps(log_z[n], nearest_admissible(n, u).k, eps_grid)
+    """The window-constant and superadditivity checks over n_list."""
+    profiles = {
+        n: window_gaps(overlap_logz_replicas(spec, n, n_rep, seed),
+                       nearest_admissible(n, u).k, eps_grid)
+        for n in n_list
+    }
     return [
         window_constant_check(n_list, profiles),
         superadditivity_check(spec, u, n_list, n_rep, seed),
-        sequence_check(n_list, log_z, profiles, u),
     ]
 
 
@@ -411,10 +464,7 @@ class TestVerdictSuite:
         ]
         assert all(ch["pass"] for ch in checks), checks
         names = {ch["check"] for ch in checks}
-        assert names == {
-            "window-constant", "superadditivity", "structure-upper-bound",
-            "sequence-independence",
-        }
+        assert names == {"window-constant", "superadditivity", "structure-upper-bound"}
 
     def test_real_mixture_passes(self, pure_p2):
         checks = _size_checks(pure_p2, 0.0, (4, 6), 150, 3)
