@@ -187,6 +187,8 @@ class ExperimentConfig:
             for key in ("m", "delta", "gamma"):
                 if key in self.rost_gen:
                     _number(self.rost_gen[key], f"rost {key}", integral=key == "m")
+            if self.rost_gen.get("m", 1) < 1:
+                raise ConfigError(f"rost m must be at least 1, got {self.rost_gen['m']}")
 
     def resolved(self) -> dict:
         return {
@@ -205,7 +207,7 @@ class ExperimentConfig:
 
     def load_rost(self) -> RostSpec:
         if self.rost_file is not None:
-            return RostSpec.from_dict(json.loads(Path(self.rost_file).read_text()))
+            return _structure_file(self.rost_file)
         gen = self.rost_gen or {"m": 4, "delta": 0.05}
         rng = np.random.Generator(np.random.PCG64(replica_seed(self.seed, 0, stream=9)))
         return random_gram_rost(
@@ -215,6 +217,18 @@ class ExperimentConfig:
             rng=rng,
             weights=DirichletWeights(float(gen.get("gamma", 1.0))),
         )
+
+
+def _structure_file(path: str) -> RostSpec:
+    """The structure a JSON file describes; a malformed file is a ConfigError."""
+    try:
+        return RostSpec.from_dict(json.loads(Path(path).read_text()))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"structure file {path} is not JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"structure file {path} lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # includes RostInvalidError
+        raise ConfigError(f"structure file {path} is invalid: {exc}") from exc
 
 
 ESTIMATE_FIELDS = ["label", "n", "k", "eps", "n_rep", "seed", "mean", "stderr"]
@@ -396,6 +410,7 @@ def cmd_interp(cfg: ExperimentConfig) -> int:
     n = cfg.n_list[0]
     if cfg.m is not None and cfg.m + n > WHT_CAP:
         raise ConfigError(f"size splitting needs m + n <= {WHT_CAP}, got {cfg.m} + {n}")
+    rost = cfg.load_rost()
     results = {}
     ok = True
     rows = []
@@ -407,7 +422,6 @@ def cmd_interp(cfg: ExperimentConfig) -> int:
         for t, p, dfd, dgb in zip(run.t_grid, run.phi, run.dphi_fd, run.dphi_gibbs):
             rows.append(["size-splitting", f"{t:.17g}", f"{p.mean:.17g}", f"{p.stderr:.17g}",
                          f"{dfd.mean:.17g}", f"{dgb.mean:.17g}"])
-    rost = cfg.load_rost()
     c = nearest_admissible(n, cfg.u)
     run3 = run_lemma3_curve(rost, cfg.mixture, n, c, cfg.t_grid, cfg.n_rep,
                             cfg.seed, cfg.threads)

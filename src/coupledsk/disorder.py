@@ -8,8 +8,12 @@ configurations and must agree statistically:
     copies share the tensors and differ only through their coefficients,
     which is what produces the cross covariance;
   * the process route treats the pair of tables as one joint Gaussian
-    vector whose covariance is n * xi_{l,l'}(overlap) and samples it through
-    a symmetric factorization.
+    vector whose covariance is n * xi_{l,l'}(overlap).  The overlap depends
+    only on popcount(s ^ s'), so the covariance is a convolution on the
+    group Z_2^n and the Walsh functions diagonalise it: each popcount class
+    k of Walsh frequencies carries one 2x2 copy block, and a draw scales
+    white noise by the factored blocks and applies one Walsh-Hadamard
+    transform.
 
 The module also samples the cavity fields of the explicit overlap structure
 (finite-size and exact-covariance variants) and q-matrix-driven fields for
@@ -23,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bits import popcounts, spin_matrix
+from .bits import fwht, popcounts, spin_matrix
 from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
 
 TENSOR_BUDGET_BYTES = 1 << 28
@@ -66,12 +70,21 @@ def psd_factor(mat: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(mat)
-    floor = -PSD_TOL_SCALE * max(np.trace(mat), 1.0) / mat.shape[0]
+    return v * _clipped_sqrt(w, np.trace(mat), mat.shape[0])
+
+
+def _clipped_sqrt(w: np.ndarray, trace: float, dim: int) -> np.ndarray:
+    """Square roots of a covariance's eigenvalues w, clipped at zero.
+
+    Eigenvalues below -PSD_TOL_SCALE * max(trace, 1) / dim raise
+    FactorizationError; those between that floor and zero count as rounding.
+    """
+    floor = -PSD_TOL_SCALE * max(trace, 1.0) / dim
     if w.min() < floor:
         raise FactorizationError(
             f"covariance is indefinite: min eigenvalue {w.min():.3e} below {floor:.3e}"
         )
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    return np.sqrt(np.clip(w, 0.0, None))
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +148,42 @@ class TensorSampler:
 
 
 class ProcessSampler:
-    """Joint-Gaussian route with a cached covariance factorization."""
+    """Joint-Gaussian route, factored exactly in the Walsh basis.
+
+    With f_{ll'}(x) = n * xi_{ll'}(1 - 2 popcount(x) / n), the covariance of
+    copies l, l' at (s, s') is f_{ll'}(s ^ s') = 2**-n sum_w fwht(f_{ll'})[w]
+    (-1)^popcount(w & s) (-1)^popcount(w & s').  fwht(f_{ll'})[w] depends only
+    on popcount(w), so the n+1 symmetric 2x2 blocks Lambda(k) are factored
+    once as Lambda(k) = L(k) L(k)^T; a draw scales the noise at frequency w
+    by L(popcount(w)) and transforms back with fwht / sqrt(2**n).  The
+    blocks' eigenvalues are those of the whole 2**(n+1)-square covariance.
+    """
 
     def __init__(self, spec: MixtureSpec, n: int):
         if n > PROCESS_CAP:
             raise ResourceError(f"process sampler capped at n={PROCESS_CAP}, got {n}")
         self.n = n
-        s = spin_matrix(n)
-        r = (s @ s.T) / n
         funcs = mixture_functions(spec)
-        c = 2**n
-        cov = np.empty((2 * c, 2 * c))
-        cov[:c, :c] = n * funcs.xi(1, 1, r)
-        cov[:c, c:] = n * funcs.xi(1, 2, r)
-        cov[c:, :c] = cov[:c, c:].T
-        cov[c:, c:] = n * funcs.xi(2, 2, r)
-        self.factor = psd_factor(cov)
+        r = 1.0 - 2.0 * np.arange(n + 1) / n
+        # f_11, f_12, f_22 over the disagreement counts, laid out over masks
+        f = np.stack([n * funcs.xi(1, 1, r), n * funcs.xi(1, 2, r), n * funcs.xi(2, 2, r)])
+        spectrum = fwht(f[:, popcounts(n)])[:, (1 << np.arange(n + 1)) - 1]
+        blocks = np.stack([spectrum[[0, 1]], spectrum[[1, 2]]]).transpose(2, 0, 1)
+        w, v = np.linalg.eigh(blocks)
+        root = _clipped_sqrt(w, 2**n * (f[0, 0] + f[2, 0]), 2 ** (n + 1))
+        # L(popcount(w)) for every frequency w, indexed (i, j, w)
+        self.factor = (v * root[:, None, :])[popcounts(n)].transpose(1, 2, 0)
 
     def sample(self, seed) -> HamiltonianTable:
         rng = _rng(seed)
         c = 2**self.n
-        vals = (self.factor @ rng.standard_normal(2 * c)).reshape(2, c)
-        return HamiltonianTable(n=self.n, values=vals)
+        noise = rng.standard_normal(2 * c).reshape(2, c)
+        return HamiltonianTable(n=self.n, values=self.transform(noise))
+
+    def transform(self, noise: np.ndarray) -> np.ndarray:
+        """The (2, 2**n) table for white noise of shape (2, 2**n)."""
+        scaled = np.einsum("ijw,jw->iw", self.factor, noise)
+        return fwht(scaled) / np.sqrt(2**self.n)
 
 
 @lru_cache(maxsize=16)
@@ -360,6 +387,8 @@ def random_gram_rost(
     with nonnegative even coefficient products, so the result always admits
     Gaussian fields.  Requires |u| + delta <= 1.
     """
+    if m < 1:
+        raise RostInvalidError(f"a structure needs at least one element, got m={m}")
     if abs(u) + delta > 1:
         raise RostInvalidError("need |u| + delta <= 1 for unit-vector construction")
     v1 = rng.standard_normal((m, dim))

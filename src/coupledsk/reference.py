@@ -2,9 +2,10 @@
 
 The brute_* sums deliberately avoid the fast transforms and DP ladders of
 the production engines: each one is a direct sum over the full pair space,
-so the two routes share nothing but the inputs.  The closed forms at the end
-are the exact values that sampled fields and zero-disorder estimates must
-reproduce.
+so the two routes share nothing but the inputs.  dense_process_covariance
+builds the process route's covariance entry by entry, without the Walsh
+basis the sampler factors it in.  The closed forms at the end are the exact
+values that sampled fields and zero-disorder estimates must reproduce.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.special import logsumexp
 from .bits import magnetizations, popcounts, spin_matrix
 from .configurations import OverlapConstraint
 from .disorder import ExplicitDraw
-from .mixture import MixtureSpec
+from .mixture import MixtureSpec, mixture_functions
 
 
 def brute_overlap_logz(logw1: np.ndarray, logw2: np.ndarray) -> np.ndarray:
@@ -84,6 +85,21 @@ def brute_explicit_terms(
         float(logsumexp(np.array(terms1))) / n,
         float(logsumexp(np.array(terms2))) / n,
     )
+
+
+def dense_process_covariance(spec: MixtureSpec, n: int) -> np.ndarray:
+    """The 2**(n+1)-square covariance n * xi_{l,l'}(s . s' / n) of both copies'
+    tables, copy-major, from the overlap of every configuration pair."""
+    s = spin_matrix(n)
+    r = (s @ s.T) / n
+    funcs = mixture_functions(spec)
+    c = 2**n
+    cov = np.empty((2 * c, 2 * c))
+    cov[:c, :c] = n * funcs.xi(1, 1, r)
+    cov[:c, c:] = n * funcs.xi(1, 2, r)
+    cov[c:, :c] = cov[:c, c:].T
+    cov[c:, c:] = n * funcs.xi(2, 2, r)
+    return cov
 
 
 def finite_z_covariance(spec: MixtureSpec, m: int, n: int, ell: int, ellp: int, r: float) -> float:

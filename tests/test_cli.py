@@ -109,7 +109,7 @@ class TestPreconditions:
         {"n_list": [4.5]}, {"eps_grid": [0, 0.5, "x"]}, {"eps_grid": [0, None]},
         {"eps_grid": [0, -0.5]}, {"eps_grid": 0.5},
         {"mixture": {"a1": [0, "x"], "a2": [0, 0.5]}}, {"mixture": {"a2": [0, 0.5]}},
-        {"rost": {"m": "four", "delta": 0.05}},
+        {"rost": {"m": "four", "delta": 0.05}}, {"rost": {"m": 0, "delta": 0.05}},
     ], ids=lambda bad: json.dumps(bad).replace(" ", ""))
     def test_malformed_value_exits_2_before_monte_carlo(self, bad, small_config, tmp_path,
                                                         no_monte_carlo):
@@ -123,6 +123,31 @@ class TestPreconditions:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert no_monte_carlo == []
+
+    @pytest.mark.parametrize("command", ["rost-eval", "lemma3", "interp"])
+    @pytest.mark.parametrize("structure", [
+        "{bad",
+        json.dumps({"q11": [[1.0]], "q12": [[0.0]], "q22": [[1.0]], "delta": 0.1, "u": 0.0}),
+        json.dumps({"weights": {"kind": "dirichlet"}, "delta": 0.1, "u": 0.0}),
+        json.dumps([1, 2]),
+        json.dumps({"q11": [[1.0]], "q12": [[0.0]], "q22": [[1.0]], "delta": 0.1, "u": 0.0,
+                    "weights": {"kind": "zipf"}}),
+        json.dumps({"q11": [[1.0]], "q12": [[0.0]], "q22": [[1.0]], "delta": 0.1, "u": 0.0,
+                    "weights": {"w": [1.0]}}),
+        json.dumps({"q11": [[1.0]], "q12": [[0.0]], "q22": [[1.0]], "delta": 0.1, "u": 0.0,
+                    "weights": {"kind": "fixed"}}),
+    ], ids=["not-json", "no-weights", "no-q-matrices", "not-an-object", "unknown-kind",
+            "no-kind", "fixed-without-w"])
+    def test_malformed_structure_file_exits_2_before_monte_carlo(
+            self, command, structure, small_config, tmp_path, no_monte_carlo, capsys):
+        rost_path = tmp_path / "rost.json"
+        rost_path.write_text(structure)
+        data = json.loads(small_config.read_text())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**data, "rost_file": str(rost_path)}))
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert "structure file" in capsys.readouterr().err
         assert no_monte_carlo == []
 
     @pytest.mark.parametrize("eps_grid", [[0.0], []])

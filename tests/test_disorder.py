@@ -1,14 +1,19 @@
 """Disorder samplers: covariance identities, determinism, field laws."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from coupledsk import disorder
 from coupledsk.bits import spin_matrix
 from coupledsk.disorder import (
     CovarianceProbe,
     DirichletWeights,
     ExplicitSystemSampler,
+    FactorizationError,
     FixedWeights,
+    ProcessSampler,
     ResourceError,
     RostFieldSampler,
     RostInvalidError,
@@ -19,7 +24,20 @@ from coupledsk.disorder import (
     random_gram_rost,
 )
 from coupledsk.mixture import MixtureSpec, mixture_functions
-from coupledsk.reference import finite_y_covariance, finite_z_covariance
+from coupledsk.reference import (
+    dense_process_covariance,
+    finite_y_covariance,
+    finite_z_covariance,
+)
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # odd orders: convexity not needed to sample
+    PROCESS_MIXTURES = {
+        "pure-p1": MixtureSpec(a1=(1.0,), a2=(0.7,)),
+        "pure-p2": MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.5)),
+        "mixed-p4": MixtureSpec(a1=(0.1, 0.6, 0.2, 0.2), a2=(0.2, 0.4, 0.1, 0.3)),
+        "odd-p3": MixtureSpec(a1=(0.3, 0.5, 0.4), a2=(0.2, 0.4, -0.3)),
+    }
 
 
 class TestTensorSampler:
@@ -81,6 +99,28 @@ class TestProcessSampler:
         b = get_sampler(pure_p2, 5, "process").sample(42)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("name", sorted(PROCESS_MIXTURES))
+    def test_linear_map_reproduces_dense_covariance(self, name):
+        spec = PROCESS_MIXTURES[name]
+        for n in range(1, 9):
+            sampler, c = ProcessSampler(spec, n), 2**n
+            # column j of the map is the table drawn from the j-th unit noise vector
+            f = np.stack([sampler.transform(e.reshape(2, c)).ravel() for e in np.eye(2 * c)],
+                         axis=1)
+            cov = dense_process_covariance(spec, n)
+            assert np.max(np.abs(f @ f.T - cov)) <= 1e-13 * np.max(np.abs(cov)), (name, n)
+
+    def test_block_below_floor_raises(self, pure_p2, monkeypatch):
+        class CrossHeavy:
+            """xi_12 = 2 xi_11 = 2 xi_22: every nonzero block is indefinite."""
+
+            def xi(self, ell, ellp, x):
+                return (1.0 if ell == ellp else 2.0) * np.asarray(x) ** 2
+
+        monkeypatch.setattr(disorder, "mixture_functions", lambda spec: CrossHeavy())
+        with pytest.raises(FactorizationError, match="indefinite"):
+            ProcessSampler(pure_p2, 4)
+
     def test_covariance_probe(self, mixed_even):
         rep = empirical_covariance(
             mixed_even, 5, 4000,
@@ -134,6 +174,11 @@ class TestRostSpec:
         back = RostSpec.from_dict(rost.to_dict())
         np.testing.assert_allclose(back.q12, rost.q12)
         assert back.delta == rost.delta
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_gram_structure_needs_an_element(self, m):
+        with pytest.raises(RostInvalidError, match="at least one element"):
+            random_gram_rost(m, 0.0, 0.05, np.random.default_rng(0))
 
     def test_indefinite_structure_rejected(self, pure_p2):
         # q requires copy-1 vectors anti-aligned yet both aligned to the same

@@ -1,6 +1,7 @@
 """Golden reports: every subcommand on a small fixed config against stored output.
 
-Each subcommand runs on the same config as ``test_cli.small_config``.  Every
+Each subcommand runs on the same config as ``test_cli.small_config``, and
+``free-energy`` runs once more on it with the process-route sampler.  Every
 CSV cell and every manifest ``results`` value is compared with the fixtures
 under ``tests/data/golden/<command>/``: integers and strings exactly, other
 numbers to a relative 1e-12.  The manifests of ``lemma1``, ``lemma3`` and
@@ -8,7 +9,8 @@ numbers to a relative 1e-12.  The manifests of ``lemma1``, ``lemma3`` and
 must be present and equal while extra keys are allowed.
 
 Regenerate the fixtures (only when a report change is intended) with
-``PYTHONPATH=src python tests/test_golden_reports.py``.
+``PYTHONPATH=src python tests/test_golden_reports.py [CASE ...]``; without a
+case name every fixture is rewritten.
 """
 
 import csv
@@ -33,14 +35,18 @@ CONFIG = {
     "seed": 7,
     "rost": {"m": 3, "delta": 0.05},
 }
+# fixture directory -> (subcommand, config)
+CASES = {command: (command, CONFIG) for command in COMMANDS}
+CASES["free-energy.process"] = ("free-energy", {**CONFIG, "sampler": "process"})
 CHECK_SHAPED = {"lemma1", "lemma3", "superadd"}
 REL = 1e-12
 
 
-def _run(command: str, tmp: Path) -> Path:
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps(CONFIG))
-    out = tmp / command
+def _run(case: str, tmp: Path) -> Path:
+    command, config = CASES[case]
+    cfg = tmp / f"{case}.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp / case
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     return out
 
@@ -81,25 +87,25 @@ def _csv(path: Path) -> list[list]:
         return [[_cell(c) for c in row] for row in csv.reader(fh)]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_reports_match_golden(command, tmp_path):
-    out = _run(command, tmp_path)
-    golden = GOLDEN / command
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reports_match_golden(case, tmp_path):
+    out = _run(case, tmp_path)
+    golden = GOLDEN / case
     csvs = sorted(p.name for p in golden.glob("*.csv"))
     assert csvs and csvs == sorted(p.name for p in out.glob("*.csv"))
     for name in csvs:
-        _same(_csv(golden / name), _csv(out / name), f"{command}/{name}")
+        _same(_csv(golden / name), _csv(out / name), f"{case}/{name}")
     manifest = json.loads((out / "manifest.json").read_text())
     stored = json.loads((golden / "results.json").read_text())
     assert manifest["pass"] is stored["pass"]
-    _same(stored["results"], manifest["results"], f"{command}/results",
-          extra_keys_ok=command in CHECK_SHAPED)
+    _same(stored["results"], manifest["results"], f"{case}/results",
+          extra_keys_ok=CASES[case][0] in CHECK_SHAPED)
 
 
-def _regenerate(tmp: Path) -> None:
-    for command in sorted(COMMANDS):
-        out = _run(command, tmp)
-        dest = GOLDEN / command
+def _regenerate(tmp: Path, cases: list[str]) -> None:
+    for case in cases:
+        out = _run(case, tmp)
+        dest = GOLDEN / case
         dest.mkdir(parents=True, exist_ok=True)
         for path in out.glob("*.csv"):
             (dest / path.name).write_bytes(path.read_bytes())
@@ -112,5 +118,5 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        _regenerate(Path(tmp))
+        _regenerate(Path(tmp), sys.argv[1:] or sorted(CASES))
     sys.exit(0)
