@@ -143,7 +143,7 @@ class ExperimentConfig:
             m=None if m is None else int(_number(m, "m", integral=True)),
             u=float(_number(data.get("u", 0.0), "u")),
             eps_grid=_numbers(data.get("eps_grid", [0.0, 0.25, 0.5, 1.0]), "eps_grid"),
-            t_grid=tuple(data.get("t_grid", [0.25, 0.5, 0.75])),
+            t_grid=_numbers(data.get("t_grid", [0.25, 0.5, 0.75]), "t_grid"),
             n_rep=int(_number(data.get("n_rep", 200), "n_rep", integral=True)),
             seed=int(_number(seed, "seed", integral=True)),
             sampler=data.get("sampler", "tensor"),
@@ -173,14 +173,14 @@ class ExperimentConfig:
             raise ConfigError("eps_grid must start at 0")
         if any(e < 0 for e in self.eps_grid):
             raise ConfigError(f"eps_grid entries must be nonnegative, got {list(self.eps_grid)}")
-        # the comparison also rejects NaN and infinities
-        if not self.t_grid or not all(
-            isinstance(t, (int, float)) and 0.0 <= t <= 1.0 for t in self.t_grid
-        ):
+        if not self.t_grid or not all(0.0 <= t <= 1.0 for t in self.t_grid):
             raise ConfigError(f"t_grid must be a nonempty list of t in [0, 1], "
                               f"got {list(self.t_grid)}")
-        if self.rost_file is not None and not Path(self.rost_file).exists():
-            raise ConfigError(f"structure file {self.rost_file} does not exist")
+        if self.rost_file is not None:
+            if not isinstance(self.rost_file, str):
+                raise ConfigError(f"rost_file must be a path string, got {self.rost_file!r}")
+            if not Path(self.rost_file).exists():
+                raise ConfigError(f"structure file {self.rost_file} does not exist")
         if self.rost_gen is not None:
             if not isinstance(self.rost_gen, dict):
                 raise ConfigError(f"rost must be an object, got {self.rost_gen!r}")

@@ -31,7 +31,6 @@ from .bits import fwht, popcounts, spin_matrix
 from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
 
 TENSOR_BUDGET_BYTES = 1 << 28
-PROCESS_CAP = 10
 EXPLICIT_CAP = 14  # M + n for the explicit-structure route
 PSD_TOL_SCALE = 1e-10
 
@@ -123,13 +122,8 @@ class TensorSampler:
         self.s = spin_matrix(n)
         need = sum(8 * n**p for p in range(1, spec.p_max + 1))
         if need > budget_bytes:
-            advice = (
-                "use the process sampler at this size" if n <= PROCESS_CAP
-                else f"the process sampler is capped at n={PROCESS_CAP}; lower n or p_max"
-            )
-            raise ResourceError(
-                f"coupling tensors need {need} bytes > budget {budget_bytes}; {advice}"
-            )
+            raise ResourceError(f"coupling tensors need {need} bytes > budget {budget_bytes}; "
+                                "use the process sampler at this size")
 
     def sample(self, seed) -> HamiltonianTable:
         rng = _rng(seed)
@@ -160,8 +154,6 @@ class ProcessSampler:
     """
 
     def __init__(self, spec: MixtureSpec, n: int):
-        if n > PROCESS_CAP:
-            raise ResourceError(f"process sampler capped at n={PROCESS_CAP}, got {n}")
         self.n = n
         funcs = mixture_functions(spec)
         r = 1.0 - 2.0 * np.arange(n + 1) / n
@@ -222,8 +214,6 @@ class FixedWeights:
         object.__setattr__(self, "w", tuple(arr / arr.sum()))
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        if len(self.w) != m:
-            raise RostInvalidError(f"fixed weights have length {len(self.w)}, need {m}")
         return np.asarray(self.w)
 
     def to_dict(self) -> dict:
@@ -276,6 +266,10 @@ class RostSpec:
         if np.any(np.abs(np.diag(self.q12) - self.u) > self.delta + 1e-12):
             raise RostInvalidError(
                 f"diagonal of q12 strays more than delta={self.delta} from u={self.u}"
+            )
+        if isinstance(self.weights, FixedWeights) and len(self.weights.w) != self.m:
+            raise RostInvalidError(
+                f"fixed weights have length {len(self.weights.w)}, need {self.m}"
             )
 
     @property

@@ -199,6 +199,15 @@ def cavity_logz_by_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.log(coeffs) + shift[..., None]
 
 
+def _ladder_class(ladder: np.ndarray, d: int) -> np.ndarray:
+    """Column d of cavity ladders.  Every class sum is positive, so a
+    non-finite entry is one lost to over- or underflow: NumericalError."""
+    col = ladder[..., d]
+    if not np.all(np.isfinite(col)):
+        raise NumericalError(f"the cavity ladder lost disagreement class d={d} to rounding")
+    return col
+
+
 # ---------------------------------------------------------------------------
 # Structure functional: cavity term minus compensator term
 # ---------------------------------------------------------------------------
@@ -235,7 +244,7 @@ def g_terms_replica(
     # the same order as a lone length-n vector would
     a = np.ascontiguousarray(fields.z[:, 0, :].T) + spec.h1
     b = np.ascontiguousarray(fields.z[:, 1, :].T) + spec.h2
-    log_b = cavity_logz_by_count(a, b)[:, c.d]
+    log_b = _ladder_class(cavity_logz_by_count(a, b), c.d)
     term1 = float(logsumexp(log_b, b=w)) / n
     term2 = float(logsumexp(np.sqrt(n) * (fields.y[0] + fields.y[1]), b=w)) / n
     return term1, term2
@@ -369,7 +378,7 @@ def explicit_terms(
     y = draw.y if variant == "limit" else draw.y_finite
     a = z[:, 0, r1].T + spec.h1  # (m_pairs, n)
     b = z[:, 1, r2].T + spec.h2
-    log_b = cavity_logz_by_count(a, b)[:, u_prime.d]
+    log_b = _ladder_class(cavity_logz_by_count(a, b), u_prime.d)
     log_norm = float(logsumexp(log_w))
     lw = log_w - log_norm
     term1 = float(logsumexp(lw + log_b)) / n

@@ -16,7 +16,8 @@ and its t-derivative computed two independent ways:
 Derivatives via Gibbs averages use Gaussian integration by parts identities
 evaluated by exact enumeration (XOR-transform bucketing of the two-replica
 overlap law), never thermal sampling; the cross-check is a common-random-
-number finite difference of phi itself.
+number finite difference of phi itself.  Each class indicator is held as its
+Walsh spectrum, and each weight array is transformed once.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .bits import (
-    bucket_by_split_popcount,
-    fwht,
-    magnetizations,
-    popcounts,
-    spin_matrix,
-    split_popcounts,
-    xor_correlation,
-)
+from .bits import bucket_by_split_popcount, fwht, magnetizations, popcounts, spin_matrix
 from .configurations import OverlapConstraint, nearest_admissible
 from .disorder import HamiltonianTable, RostFieldSampler, RostSpec, get_sampler
 from .free_energy import (
@@ -78,16 +71,47 @@ def require_convex(spec: MixtureSpec, what: str) -> None:
         )
 
 
-def _class_weights(g1: np.ndarray, g2: np.ndarray, ind: np.ndarray):
+@lru_cache(maxsize=None)
+def _count_spectrum(n: int, d: int) -> np.ndarray:
+    """Walsh spectrum of the indicator of the masks with popcount d."""
+    out = fwht((popcounts(n) == d).astype(np.float64))
+    out.flags.writeable = False
+    return out
+
+
+def _class_correlation(w: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """XOR correlation of the rows of w with the class of the given spectrum."""
+    return fwht(fwht(w) * spectrum) / w.shape[-1]
+
+
+def _class_weights(g1: np.ndarray, g2: np.ndarray, spectrum: np.ndarray):
     """(s1, s2, w1, w2, conv2) for rows of copy-1 and copy-2 log-weights and a
-    class indicator: the per-row max shifts, the shifted weights exp(g - s),
-    and copy 2's XOR correlation with the indicator.  A row's pair sum over
-    the class is exp(s1 + s2) times w1 . conv2."""
+    class spectrum: the per-row max shifts, the shifted weights exp(g - s),
+    and copy 2's XOR correlation with the class.  A row's pair sum over the
+    class is exp(s1 + s2) times w1 . conv2."""
     s1 = g1.max(axis=-1, keepdims=True)
     s2 = g2.max(axis=-1, keepdims=True)
     w1 = np.exp(g1 - s1)
     w2 = np.exp(g2 - s2)
-    return s1[..., 0], s2[..., 0], w1, w2, xor_correlation(w2, ind)
+    return s1[..., 0], s2[..., 0], w1, w2, _class_correlation(w2, spectrum)
+
+
+def _pair_laws(w1: np.ndarray, w2: np.ndarray, conv2: np.ndarray, spectrum: np.ndarray):
+    """(z, laws) from _class_weights' output for (rows, 2**n) weights: each
+    row's pair sum over the class, w1 . conv2, and the XOR laws of the two
+    copies' conditional laws on the class for each copy pair in COPY_PAIRS,
+    laws[(l, l')][a, b, x] = sum_s nu_l[a, s] nu_l'[b, s ^ x]."""
+    nu1 = w1 * conv2
+    nu2 = w2 * _class_correlation(w1, spectrum)
+    z = nu1.sum(axis=-1)
+    nu1 /= z[:, None]
+    nu2 /= nu2.sum(axis=-1)[:, None]
+    fcopy = {1: fwht(nu1), 2: fwht(nu2)}
+    laws = {
+        (ell, ellp): fwht(fcopy[ell][:, None, :] * fcopy[ellp][None, :, :]) / w1.shape[-1]
+        for ell, ellp in COPY_PAIRS
+    }
+    return z, laws
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +130,13 @@ def _split_index_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _split_indicator(m: int, n: int, d_m: int, d_n: int) -> np.ndarray:
-    lo, hi = split_popcounts(m, n)
-    ind = ((lo == d_m) & (hi == d_n)).astype(np.float64)
-    ind.flags.writeable = False
-    return ind
+def _split_spectrum(m: int, n: int, d_m: int, d_n: int) -> np.ndarray:
+    """Walsh spectrum of the pinned-block class (popcount d_m in the low m
+    bits, d_n in the high n bits); the indicator is a tensor product, so its
+    spectrum is the Kronecker product of the blocks' spectra."""
+    out = np.kron(_count_spectrum(n, d_n), _count_spectrum(m, d_m))
+    out.flags.writeable = False
+    return out
 
 
 def _split_tables(spec: MixtureSpec, m: int, n: int, root: int, rep: int):
@@ -145,8 +171,8 @@ def lemma2_phi_replica(
 ) -> float:
     """Path value for one disorder replica: (1/(M+N)) log of the pinned-block
     pair sum under the interpolated Hamiltonian."""
-    ind = _split_indicator(u_m.n, u_n.n, u_m.d, u_n.d)
-    s1, s2, w1, _, conv2 = _class_weights(*_split_energies(spec, tables, t), ind)
+    spectrum = _split_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
+    s1, s2, w1, _, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
     return _split_phi(s1, s2, w1, conv2, u_m.n + u_n.n)
 
 
@@ -182,12 +208,9 @@ def lemma2_derivative_replica(
     lemma2_phi_replica's, from the same weights."""
     m, n = u_m.n, u_n.n
     funcs = mixture_functions(spec)
-    ind = _split_indicator(m, n, u_m.d, u_n.d)
-    s1, s2, w1, w2, conv2 = _class_weights(*_split_energies(spec, tables, t), ind)
-    mu1 = w1 * conv2
-    mu2 = w2 * xor_correlation(w1, ind)
-    mu1 /= mu1.sum()
-    mu2 /= mu2.sum()
+    spectrum = _split_spectrum(m, n, u_m.d, u_n.d)
+    s1, s2, w1, w2, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
+    _, laws = _pair_laws(w1[None], w2[None], conv2[None], spectrum)
 
     r_rho = 1.0 - 2.0 * np.arange(m + 1) / m
     r_tau = 1.0 - 2.0 * np.arange(n + 1) / n
@@ -201,13 +224,11 @@ def lemma2_derivative_replica(
             - n * funcs.xi(ell, ellp, r_tau)[None, :]
         )
 
-    p11 = bucket_by_split_popcount(xor_correlation(mu1, mu1), m, n)
-    p22 = bucket_by_split_popcount(xor_correlation(mu2, mu2), m, n)
-    p12 = bucket_by_split_popcount(xor_correlation(mu1, mu2), m, n)
+    p = {pair: bucket_by_split_popcount(law[0, 0], m, n) for pair, law in laws.items()}
     convexity = 0.5 * (
-        float((p11 * bracket(1, 1)).sum())
-        + float((p22 * bracket(2, 2)).sum())
-        + 2.0 * float((p12 * bracket(1, 2)).sum())
+        float((p[1, 1] * bracket(1, 1)).sum())
+        + float((p[2, 2] * bracket(2, 2)).sum())
+        + 2.0 * float((p[1, 2] * bracket(1, 2)).sum())
     )
 
     return _split_phi(s1, s2, w1, conv2, big), convexity
@@ -282,13 +303,6 @@ def _lemma2_pass(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _count_indicator(n: int, d: int) -> np.ndarray:
-    ind = (popcounts(n) == d).astype(np.float64)
-    ind.flags.writeable = False
-    return ind
-
-
 @dataclass(eq=False)
 class _Lemma3State:
     """One replica's random inputs: weights, structure fields, and table."""
@@ -329,8 +343,8 @@ def _lemma3_element_tables(
 def lemma3_phi_replica(
     state: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
 ) -> float:
-    ind = _count_indicator(n, c.d)
-    s1, s2, w1, _, conv2 = _class_weights(*_lemma3_element_tables(state, spec, n, t), ind)
+    spectrum = _count_spectrum(n, c.d)
+    s1, s2, w1, _, conv2 = _class_weights(*_lemma3_element_tables(state, spec, n, t), spectrum)
     return _lemma3_phi(state, n, t, s1, s2, w1, conv2)
 
 
@@ -386,14 +400,10 @@ def lemma3_derivative_replica(
     correlation of the conditional laws.
     """
     funcs = mixture_functions(spec)
-    ind = _count_indicator(n, c.d)
-    s1, s2, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(state, spec, n, t), ind)
+    spectrum = _count_spectrum(n, c.d)
+    s1, s2, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(state, spec, n, t), spectrum)
     phi = _lemma3_phi(state, n, t, s1, s2, w1, conv2)
-    nu1 = w1 * conv2
-    nu2 = w2 * xor_correlation(w1, ind)
-    z = nu1.sum(axis=1)
-    nu1 /= z[:, None]
-    nu2 /= nu2.sum(axis=1)[:, None]
+    z, laws = _pair_laws(w1, w2, conv2, spectrum)
     log_z = np.log(z) + s1 + s2
     with np.errstate(divide="ignore"):
         log_p = np.log(state.w)
@@ -406,11 +416,10 @@ def lemma3_derivative_replica(
     r_vals = 1.0 - 2.0 * np.arange(n + 1) / n
     pop = popcounts(n)
     r_mask = r_vals[pop]
-    fcopy = {1: fwht(nu1, axis=1), 2: fwht(nu2, axis=1)}
     total_b = 0.0
     for (ell, ellp), mult in zip(COPY_PAIRS, (1.0, 2.0, 1.0)):
         q = rost.q(ell, ellp)
-        corr = fwht(fcopy[ell][:, None, :] * fcopy[ellp][None, :, :], axis=2) / (1 << n)
+        corr = laws[ell, ellp]
         e_xi = corr @ funcs.xi(ell, ellp, r_vals)[pop]
         e_r = corr @ r_mask
         vals = e_xi - e_r * funcs.xi_prime(ell, ellp, q) + funcs.theta(ell, ellp, q)
@@ -496,11 +505,13 @@ def _phi_points(t_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return t_grid, t_grid + ends
 
 
-def _path_estimates(
-    phi: np.ndarray, phi_ts: tuple[float, ...], seed: int, phi_label: str, fd_label: str
-) -> tuple[list[Estimate], list[Estimate]]:
-    """Path values and common-random-number finite differences at each grid
-    t, from per-replica phi columns laid out by _phi_points."""
+def _curve_run(
+    phi: np.ndarray, phi_ts: tuple[float, ...], gibbs: list, seed: int, phi_label: str,
+    fd_label: str, verdicts: dict,
+) -> InterpolationRun:
+    """The curve with path values and common-random-number finite
+    differences at each grid t, from per-replica phi columns laid out by
+    _phi_points; verdicts gains the finite-difference/Gibbs agreement."""
     k = len(phi_ts) // 3
     values, slopes = [], []
     for j, t in enumerate(phi_ts[:k]):
@@ -508,7 +519,9 @@ def _path_estimates(
         values.append(_estimate(phi[:, j], seed, phi_label.format(t)))
         slope = (phi[:, hi] - phi[:, lo]) / (phi_ts[hi] - phi_ts[lo])
         slopes.append(_estimate(slope, seed, fd_label.format(t)))
-    return values, slopes
+    agree = _fd_gibbs_agreement(slopes, [g.phi_prime for g in gibbs])
+    verdicts = {"fd_gibbs_max_sigmas": agree, "fd_gibbs_pass": agree <= 3.0, **verdicts}
+    return InterpolationRun(phi_ts[:k], values, slopes, gibbs, verdicts)
 
 
 def run_lemma2_curve(
@@ -525,23 +538,9 @@ def run_lemma2_curve(
     u_n = nearest_admissible(n, u)
     t_grid, phi_ts = _phi_points(t_grid)
     phi, gibbs = _lemma2_pass(spec, u_m, u_n, phi_ts, t_grid, n_rep, seed, threads)
-    values, fd = _path_estimates(phi, phi_ts, seed, f"phi_split(m={m},n={n},t={{:g}})",
-                                 "dphi_split_fd(t={:g})")
-    agree = _fd_gibbs_agreement(fd, [g.phi_prime for g in gibbs])
-    verdicts = {
-        "fd_gibbs_max_sigmas": agree,
-        "fd_gibbs_pass": agree <= 3.0,
-        "convexity_term_nonpositive": all(
-            g.convexity_term.mean <= 3.0 * g.convexity_term.stderr for g in gibbs
-        ),
-    }
-    return InterpolationRun(
-        t_grid=t_grid,
-        phi=values,
-        dphi_fd=fd,
-        gibbs=gibbs,
-        verdicts=verdicts,
-    )
+    nonpositive = all(g.convexity_term.mean <= 3.0 * g.convexity_term.stderr for g in gibbs)
+    return _curve_run(phi, phi_ts, gibbs, seed, f"phi_split(m={m},n={n},t={{:g}})",
+                      "dphi_split_fd(t={:g})", {"convexity_term_nonpositive": nonpositive})
 
 
 def run_lemma3_curve(
@@ -556,24 +555,11 @@ def run_lemma3_curve(
 ) -> InterpolationRun:
     t_grid, phi_ts = _phi_points(t_grid)
     phi, gibbs = _lemma3_pass(rost, spec, n, c, phi_ts, t_grid, n_rep, seed, threads)
-    values, fd = _path_estimates(phi, phi_ts, seed, f"phi_rost(n={n},t={{:g}})",
-                                 "dphi_rost_fd(t={:g})")
-    agree = _fd_gibbs_agreement(fd, [g.phi_prime for g in gibbs])
-    verdicts = {
-        "fd_gibbs_max_sigmas": agree,
-        "fd_gibbs_pass": agree <= 3.0,
-        "second_line_nonpositive": all(
-            g.second_line.mean <= 3.0 * g.second_line.stderr for g in gibbs
-        ),
-        "first_sum_bound": gibbs[0].first_sum_bound if gibbs else 0.0,
-    }
-    return InterpolationRun(
-        t_grid=t_grid,
-        phi=values,
-        dphi_fd=fd,
-        gibbs=gibbs,
-        verdicts=verdicts,
-    )
+    nonpositive = all(g.second_line.mean <= 3.0 * g.second_line.stderr for g in gibbs)
+    bound = gibbs[0].first_sum_bound if gibbs else 0.0
+    return _curve_run(phi, phi_ts, gibbs, seed, f"phi_rost(n={n},t={{:g}})",
+                      "dphi_rost_fd(t={:g})",
+                      {"second_line_nonpositive": nonpositive, "first_sum_bound": bound})
 
 
 def _fd_gibbs_agreement(fd: list[Estimate], gibbs: list[Estimate]) -> float:

@@ -1,4 +1,4 @@
-"""Every coupledsk name the benchmark harness in perfbench/ imports resolves."""
+"""Every coupledsk name the benchmark harness in perfbench/ imports or traces resolves."""
 
 import ast
 import importlib
@@ -43,3 +43,36 @@ def test_benchmark_import_resolves(where, module, name):
         found = hasattr(mod, name) or (
             hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None)
         assert found, f"perfbench/{where} imports {name} from {module}, which does not define it"
+
+
+def _traced() -> list[tuple[str, str]]:
+    """(layer, qualified name) for each entry of perfbench/tracer.py's TARGETS,
+    read from the source without importing the harness."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            targets = ast.literal_eval(node.value)
+            return [(layer, name) for layer, names in targets.items() for name in names]
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+# traced names whose code was deleted from coupledsk; they read 0 calls
+STALE_TARGETS = {("free_energy", "OverlapResolvedPartition.log_window"),
+                 ("interpolation", "verdict_suite")}
+TRACED = [t for t in _traced() if t not in STALE_TARGETS]
+
+
+def test_traced_targets_were_found():
+    assert ("bits", "fwht") in TRACED and ("interpolation", "lemma3_derivative_replica") in TRACED
+
+
+@pytest.mark.parametrize("layer,qualname", TRACED,
+                         ids=[f"{layer}.{name}" for layer, name in TRACED])
+def test_traced_target_resolves(layer, qualname):
+    obj = importlib.import_module(f"coupledsk.{layer}")
+    for part in qualname.split("."):
+        # the tracer names a method __init__ as "init"
+        part = "__init__" if part == "init" else part
+        assert hasattr(obj, part), f"perfbench/tracer.py traces {layer}.{qualname}, which is gone"
+        obj = getattr(obj, part)
+    assert callable(obj)

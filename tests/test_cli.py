@@ -94,7 +94,7 @@ class TestPreconditions:
         assert no_monte_carlo == []
 
     @pytest.mark.parametrize("command", ["lemma3", "interp"])
-    @pytest.mark.parametrize("t_grid", [[1.5], [-0.2], [], ["0.5"]])
+    @pytest.mark.parametrize("t_grid", [[1.5], [-0.2], [], ["0.5"], 0.5])
     def test_bad_t_grid_exits_2_before_monte_carlo(self, command, t_grid, small_config,
                                                    tmp_path, no_monte_carlo):
         data = json.loads(small_config.read_text())
@@ -110,6 +110,7 @@ class TestPreconditions:
         {"eps_grid": [0, -0.5]}, {"eps_grid": 0.5},
         {"mixture": {"a1": [0, "x"], "a2": [0, 0.5]}}, {"mixture": {"a2": [0, 0.5]}},
         {"rost": {"m": "four", "delta": 0.05}}, {"rost": {"m": 0, "delta": 0.05}},
+        {"rost_file": 5},
     ], ids=lambda bad: json.dumps(bad).replace(" ", ""))
     def test_malformed_value_exits_2_before_monte_carlo(self, bad, small_config, tmp_path,
                                                         no_monte_carlo):
@@ -137,8 +138,10 @@ class TestPreconditions:
                     "weights": {"w": [1.0]}}),
         json.dumps({"q11": [[1.0]], "q12": [[0.0]], "q22": [[1.0]], "delta": 0.1, "u": 0.0,
                     "weights": {"kind": "fixed"}}),
+        json.dumps({"q11": [[1.0]], "q12": [[0.0]], "q22": [[1.0]], "delta": 0.1, "u": 0.0,
+                    "weights": {"kind": "fixed", "w": [0.5, 0.5]}}),
     ], ids=["not-json", "no-weights", "no-q-matrices", "not-an-object", "unknown-kind",
-            "no-kind", "fixed-without-w"])
+            "no-kind", "fixed-without-w", "fixed-wrong-length"])
     def test_malformed_structure_file_exits_2_before_monte_carlo(
             self, command, structure, small_config, tmp_path, no_monte_carlo, capsys):
         rost_path = tmp_path / "rost.json"
@@ -174,6 +177,20 @@ class TestPreconditions:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 4, "n_rep": 10}))
         assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+
+    def test_lost_cavity_class_exits_2(self, tmp_path, capsys):
+        # fields this strong lose the extreme classes of the cavity ladder,
+        # which would otherwise be reported as a nan G
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mixture": {"a1": [0, 300], "a2": [0, 300]}, "n_list": [8], "n_rep": 4, "seed": 1,
+            "rost": {"m": 3, "delta": 0.05},
+        }))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli("rost-eval", "--config", str(path), "--out", str(out)) == 2
+        assert "cavity ladder lost" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestFreeEnergyCommand:

@@ -76,10 +76,10 @@ class TestTensorSampler:
     def test_budget_error_advises_process_route(self, pure_p2):
         with pytest.raises(ResourceError, match="use the process sampler"):
             TensorSampler(pure_p2, 8, budget_bytes=64)
-        # above the process cap the advice names both limits instead
+        # the process route takes every size the engine does, n = 12 included
         p7 = MixtureSpec(a1=(0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.1), a2=(0.0, 0.5))
         with pytest.raises(ResourceError, match=r"312713952 bytes > budget 268435456; "
-                                                r"the process sampler is capped at n=10"):
+                                                r"use the process sampler at this size"):
             TensorSampler(p7, 12)
 
 
@@ -126,6 +126,15 @@ class TestProcessSampler:
             mixed_even, 5, 4000,
             [CovarianceProbe(0, 0, 1, 1), CovarianceProbe(0, 31, 1, 2),
              CovarianceProbe(3, 12, 2, 2)],
+            seed=8, sampler="process",
+        )
+        assert rep.max_sigmas <= 4.0
+
+    def test_covariance_probe_at_engine_cap(self, mixed_even):
+        rep = empirical_covariance(
+            mixed_even, 12, 2000,
+            [CovarianceProbe(0, 0, 1, 1), CovarianceProbe(0, 4095, 1, 2),
+             CovarianceProbe(5, 1234, 2, 2), CovarianceProbe(77, 77, 1, 2)],
             seed=8, sampler="process",
         )
         assert rep.max_sigmas <= 4.0

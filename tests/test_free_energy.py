@@ -21,6 +21,7 @@ from coupledsk.disorder import (
 )
 from coupledsk.free_energy import (
     Estimate,
+    NumericalError,
     build_explicit_rost,
     cavity_logz_by_count,
     estimate_F,
@@ -354,6 +355,17 @@ class TestExplicitStructure:
             bt1, bt2 = brute_explicit_terms(draw, r1, r2, mixed_even, u_p, variant)
             assert t.term1 + t.log_norm == pytest.approx(bt1, abs=1e-10)
             assert t.term2 + t.log_norm == pytest.approx(bt2, abs=1e-10)
+
+    @pytest.mark.parametrize("variant", ["limit", "finite"])
+    def test_lost_cavity_class_raises(self, variant):
+        # fields of 400 per site push exp(-2(a + b)) below the smallest
+        # double, so every class but d = 0 of the ladder underflows to -inf
+        spec = MixtureSpec(a1=(0.0,), a2=(0.0,), h1=400.0, h2=400.0)
+        u_m = nearest_admissible(3, 0.0)
+        t = explicit_terms_replica(spec, 3, 4, u_m, OverlapConstraint(4, 4), variant, 1)
+        assert np.isfinite(t.term1)
+        with pytest.raises(NumericalError, match="lost disagreement class d=2"):
+            explicit_terms_replica(spec, 3, 4, u_m, OverlapConstraint(4, 0), variant, 1)
 
     def test_variant_gap_shrinks_with_base_size(self, pure_p2):
         # same draws for both variants, so the per-replica gap isolates the

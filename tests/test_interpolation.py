@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 from coupledsk.bits import magnetizations, popcounts, spin_matrix
 from coupledsk.configurations import OverlapConstraint, nearest_admissible
-from coupledsk import interpolation
+from coupledsk import bits, interpolation
 from coupledsk.disorder import (
     DirichletWeights,
     FixedWeights,
@@ -420,6 +420,50 @@ class TestOneEvaluationPerReplicaAndT:
                 state = lemma3_state(rost, fs, spec, 4, 13, rep)
                 value, _, _ = lemma3_derivative_replica(state, rost, spec, 4, c, t)
                 assert value == lemma3_phi_replica(state, spec, 4, c, t)
+
+
+class TestOneTransformPerArray:
+    """Each class indicator is held as its Walsh spectrum and each weight
+    array is transformed once."""
+
+    @pytest.fixture
+    def fwht_calls(self, monkeypatch):
+        calls = []
+        fwht = bits.fwht
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fwht(*args, **kwargs)
+
+        for module in (bits, interpolation):
+            monkeypatch.setattr(module, "fwht", counted)
+        return calls
+
+    def test_calls_per_replica_function(self, mixed_even, fwht_calls):
+        u3 = nearest_admissible(3, 1 / 3)
+        tables = _split_tables(mixed_even, 3, 3, 1, 0)
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(3))
+        fs = RostFieldSampler(rost, mixture_functions(mixed_even))
+        state = lemma3_state(rost, fs, mixed_even, 4, 1, 0)
+        c = OverlapConstraint(4, 0)
+        evaluations = {
+            "lemma2_phi_replica": lambda: lemma2_phi_replica(mixed_even, u3, u3, 0.5, tables),
+            "lemma2_derivative_replica":
+                lambda: lemma2_derivative_replica(mixed_even, u3, u3, 0.5, tables),
+            "lemma3_phi_replica": lambda: lemma3_phi_replica(state, mixed_even, 4, c, 0.5),
+            "lemma3_derivative_replica":
+                lambda: lemma3_derivative_replica(state, rost, mixed_even, 4, c, 0.5),
+        }
+        counts = {}
+        for name, evaluate in evaluations.items():
+            evaluate()  # the first call caches the class spectrum
+            before = len(fwht_calls)
+            evaluate()
+            counts[name] = len(fwht_calls) - before
+        # phi: copy 2's weights there and back; the derivative also copy 1's,
+        # each conditional law once, and one inverse per copy pair
+        assert counts == {"lemma2_phi_replica": 2, "lemma2_derivative_replica": 9,
+                          "lemma3_phi_replica": 2, "lemma3_derivative_replica": 9}
 
 
 class TestWindowProfile:
