@@ -48,20 +48,21 @@ def magnetizations(n: int) -> np.ndarray:
 def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along one power-of-two axis.
 
-    Self-inverse up to a factor of the axis length.  The butterfly order is
-    fixed, so results are bit-for-bit reproducible.
+    Self-inverse up to a factor of the axis length.  The butterfly runs in
+    place on one C-contiguous copy of the input, which is never written; its
+    order is fixed, so results are bit-for-bit reproducible.
     """
-    a = np.array(a, dtype=np.float64, copy=True)
-    a = np.moveaxis(a, axis, -1)
+    a = np.array(np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1), order="C")
     m = a.shape[-1]
     if m & (m - 1):
         raise ValueError(f"axis length must be a power of two, got {m}")
     h = 1
     while h < m:
         v = a.reshape(a.shape[:-1] + (m // (2 * h), 2, h))
-        lo = v[..., 0, :] + v[..., 1, :]
-        hi = v[..., 0, :] - v[..., 1, :]
-        a = np.stack((lo, hi), axis=-2).reshape(a.shape)
+        lo, hi = v[..., 0, :], v[..., 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
         h *= 2
     return np.moveaxis(a, -1, axis)
 

@@ -50,6 +50,7 @@ from .free_energy import (
 )
 from .interpolation import (
     require_convex,
+    require_tensor_route,
     run_lemma2_curve,
     run_lemma3_curve,
     structure_bound_check,
@@ -352,6 +353,7 @@ def cmd_lemma3(cfg: ExperimentConfig) -> int:
     require_convex(cfg.mixture, "the structure upper bound")
     rost = cfg.load_rost()
     n = cfg.n_list[0]
+    require_tensor_route(cfg.mixture, n)  # the structure path's tables, before F and G
     c = nearest_admissible(n, cfg.u)
     f_est = estimate_F(cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
     g_est = estimate_G(rost, cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.threads)

@@ -113,6 +113,11 @@ def _contract_all_configs(tensor: np.ndarray, s: np.ndarray) -> np.ndarray:
     return v
 
 
+def tensor_bytes(spec: MixtureSpec, n: int) -> int:
+    """Bytes of the coupling tensors one tensor-route draw at size n holds."""
+    return sum(8 * n**p for p in range(1, spec.p_max + 1))
+
+
 class TensorSampler:
     """Tensor-route sampler; one instance caches the config matrix for n."""
 
@@ -120,7 +125,7 @@ class TensorSampler:
         self.spec = spec
         self.n = n
         self.s = spin_matrix(n)
-        need = sum(8 * n**p for p in range(1, spec.p_max + 1))
+        need = tensor_bytes(spec, n)
         if need > budget_bytes:
             raise ResourceError(f"coupling tensors need {need} bytes > budget {budget_bytes}; "
                                 "use the process sampler at this size")

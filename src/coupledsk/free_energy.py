@@ -167,6 +167,9 @@ def estimate_F(
 # ---------------------------------------------------------------------------
 
 
+# a class lost to over- or underflow surfaces as a non-finite entry, which
+# _ladder_class reports; numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cavity_logz_by_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log of sum over pairs at each disagreement count of the factorized
     per-site weights exp(t1_i a_i + t2_i b_i).
@@ -195,8 +198,7 @@ def cavity_logz_by_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         top = upd.max(axis=-1)
         coeffs = upd / top[..., None]
         shift = shift + np.log(top)
-    with np.errstate(divide="ignore"):
-        return np.log(coeffs) + shift[..., None]
+    return np.log(coeffs) + shift[..., None]
 
 
 def _ladder_class(ladder: np.ndarray, d: int) -> np.ndarray:

@@ -14,10 +14,13 @@ and its t-derivative computed two independent ways:
     index set with the exactly-constrained pair set.
 
 Derivatives via Gibbs averages use Gaussian integration by parts identities
-evaluated by exact enumeration (XOR-transform bucketing of the two-replica
-overlap law), never thermal sampling; the cross-check is a common-random-
-number finite difference of phi itself.  Each class indicator is held as its
-Walsh spectrum, and each weight array is transformed once.
+evaluated by exact enumeration, never thermal sampling; the cross-check is a
+common-random-number finite difference of phi itself.  Each class indicator
+is held as its Walsh spectrum, and each weight array is transformed once.  A
+two-replica average of a function of the overlap is never taken over the
+copy-pair XOR law itself: by Parseval on Z_2^n it is the pairing of the two
+copies' conditional-law spectra with the function's spectrum, and a function
+of popcounts has its spectrum from the Krawtchouk table.
 """
 
 from __future__ import annotations
@@ -28,9 +31,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .bits import bucket_by_split_popcount, fwht, magnetizations, popcounts, spin_matrix
+from .bits import fwht, magnetizations, popcounts, spin_matrix, split_popcounts
 from .configurations import OverlapConstraint, nearest_admissible
-from .disorder import HamiltonianTable, RostFieldSampler, RostSpec, get_sampler
+from .disorder import (
+    TENSOR_BUDGET_BYTES,
+    HamiltonianTable,
+    ResourceError,
+    RostFieldSampler,
+    RostSpec,
+    get_sampler,
+    tensor_bytes,
+)
 from .free_energy import (
     WHT_CAP,
     Estimate,
@@ -71,6 +82,20 @@ def require_convex(spec: MixtureSpec, what: str) -> None:
         )
 
 
+def require_tensor_route(spec: MixtureSpec, *sizes: int) -> None:
+    """Build the tensor samplers of the given sizes.  The interpolation paths
+    draw their tables on the tensor route whatever sampler the rest of a run
+    uses, so a size over the tensor budget fails here, before Monte Carlo."""
+    for size in sizes:
+        need = tensor_bytes(spec, size)
+        if need > TENSOR_BUDGET_BYTES:
+            raise ResourceError(
+                f"the interpolation paths draw on the tensor route only; its coupling tensors "
+                f"at n = {size} need {need} bytes > budget {TENSOR_BUDGET_BYTES}"
+            )
+        get_sampler(spec, size, "tensor")
+
+
 @lru_cache(maxsize=None)
 def _count_spectrum(n: int, d: int) -> np.ndarray:
     """Walsh spectrum of the indicator of the masks with popcount d."""
@@ -96,22 +121,30 @@ def _class_weights(g1: np.ndarray, g2: np.ndarray, spectrum: np.ndarray):
     return s1[..., 0], s2[..., 0], w1, w2, _class_correlation(w2, spectrum)
 
 
-def _pair_laws(w1: np.ndarray, w2: np.ndarray, conv2: np.ndarray, spectrum: np.ndarray):
-    """(z, laws) from _class_weights' output for (rows, 2**n) weights: each
-    row's pair sum over the class, w1 . conv2, and the XOR laws of the two
-    copies' conditional laws on the class for each copy pair in COPY_PAIRS,
-    laws[(l, l')][a, b, x] = sum_s nu_l[a, s] nu_l'[b, s ^ x]."""
+def _copy_spectra(w1: np.ndarray, w2: np.ndarray, conv2: np.ndarray, spectrum: np.ndarray):
+    """(z, spectra) from _class_weights' output for rows of 2**n weights: each
+    row's pair sum over the class, w1 . conv2, and the Walsh spectra of the
+    two copies' conditional laws on the class, spectra[l] = fwht(nu_l).
+
+    The XOR law of copies l and l', sum_s nu_l[a, s] nu_l'[b, s ^ x], has
+    spectrum spectra[l][a] * spectra[l'][b]; by Parseval its sum against f(x)
+    is (spectra[l][a] * spectra[l'][b]) @ fwht(f) / 2**n, so no law is built."""
     nu1 = w1 * conv2
     nu2 = w2 * _class_correlation(w1, spectrum)
-    z = nu1.sum(axis=-1)
-    nu1 /= z[:, None]
-    nu2 /= nu2.sum(axis=-1)[:, None]
-    fcopy = {1: fwht(nu1), 2: fwht(nu2)}
-    laws = {
-        (ell, ellp): fwht(fcopy[ell][:, None, :] * fcopy[ellp][None, :, :]) / w1.shape[-1]
-        for ell, ellp in COPY_PAIRS
-    }
-    return z, laws
+    z = nu1.sum(axis=-1, keepdims=True)
+    nu1 /= z
+    nu2 /= nu2.sum(axis=-1, keepdims=True)
+    return z[..., 0], {1: fwht(nu1), 2: fwht(nu2)}
+
+
+@lru_cache(maxsize=None)
+def _krawtchouk(n: int) -> np.ndarray:
+    """K[d, j], the Walsh spectrum of the popcount-d class at any mask of
+    popcount j, so f(popcount) has the spectrum (f @ K)[popcounts(n)]."""
+    first = (1 << np.arange(n + 1)) - 1  # the least mask of each popcount
+    out = np.stack([_count_spectrum(n, d)[first] for d in range(n + 1)])
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +237,14 @@ def lemma2_derivative_replica(
     tables,
 ) -> tuple[float, float]:
     """(path value, convexity term) for one replica, by exact two-replica
-    enumeration of the block-overlap law; the path value is
-    lemma2_phi_replica's, from the same weights."""
+    enumeration: the block-overlap law's pairing with each convexity bracket
+    is taken in the Walsh domain.  The path value is lemma2_phi_replica's,
+    from the same weights."""
     m, n = u_m.n, u_n.n
     funcs = mixture_functions(spec)
     spectrum = _split_spectrum(m, n, u_m.d, u_n.d)
     s1, s2, w1, w2, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
-    _, laws = _pair_laws(w1[None], w2[None], conv2[None], spectrum)
+    _, spectra = _copy_spectra(w1, w2, conv2, spectrum)
 
     r_rho = 1.0 - 2.0 * np.arange(m + 1) / m
     r_tau = 1.0 - 2.0 * np.arange(n + 1) / n
@@ -224,12 +258,16 @@ def lemma2_derivative_replica(
             - n * funcs.xi(ell, ellp, r_tau)[None, :]
         )
 
-    p = {pair: bucket_by_split_popcount(law[0, 0], m, n) for pair, law in laws.items()}
-    convexity = 0.5 * (
-        float((p[1, 1] * bracket(1, 1)).sum())
-        + float((p[2, 2] * bracket(2, 2)).sum())
-        + 2.0 * float((p[1, 2] * bracket(1, 2)).sum())
-    )
+    # each bracket laid over the masks by their block popcounts, as a spectrum
+    # (the pinned-block spectra are Kronecker products); the (2, 1) law is
+    # the mirror of the (1, 2) one, so that pair counts twice
+    lo, hi = split_popcounts(m, n)
+    k_m, k_n = _krawtchouk(m), _krawtchouk(n)
+    total = 0.0
+    for (ell, ellp), mult in zip(COPY_PAIRS, (1.0, 2.0, 1.0)):
+        b_hat = (k_m.T @ bracket(ell, ellp) @ k_n)[lo, hi]
+        total += mult * float((spectra[ell] * spectra[ellp]) @ b_hat)
+    convexity = 0.5 * total / 2**big
 
     return _split_phi(s1, s2, w1, conv2, big), convexity
 
@@ -278,6 +316,7 @@ def _lemma2_pass(
     phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
     if deriv_ts:
         require_convex(spec, "the size-splitting derivative decomposition")
+    require_tensor_route(spec, u_m.n, u_n.n, u_m.n + u_n.n)
     out = pmap(
         _lemma2_worker,
         [(spec, u_m, u_n, phi_ts, deriv_ts, seed, rep) for rep in range(n_rep)],
@@ -395,15 +434,15 @@ def lemma3_derivative_replica(
     enumeration; the path value is lemma3_phi_replica's, from the same
     weights.
 
-    Element marginals and the conditional single-copy laws are exact; the
-    two-replica overlap distribution per element pair comes from an XOR
-    correlation of the conditional laws.
+    Element marginals and the conditional single-copy laws are exact; each
+    element pair's two-replica averages of the overlap are Walsh-domain
+    pairings of the two copies' conditional-law spectra.
     """
     funcs = mixture_functions(spec)
     spectrum = _count_spectrum(n, c.d)
     s1, s2, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(state, spec, n, t), spectrum)
     phi = _lemma3_phi(state, n, t, s1, s2, w1, conv2)
-    z, laws = _pair_laws(w1, w2, conv2, spectrum)
+    z, spectra = _copy_spectra(w1, w2, conv2, spectrum)
     log_z = np.log(z) + s1 + s2
     with np.errstate(divide="ignore"):
         log_p = np.log(state.w)
@@ -411,17 +450,17 @@ def lemma3_derivative_replica(
     p_alpha = np.exp(log_p - logsumexp(log_p))
     first = float(p_alpha @ _first_sum_terms(rost, funcs, c.u))
 
-    # per-mask overlaps; the (2, 1) block is the transpose of the (1, 2) one,
-    # so that pair counts twice
+    # the overlap and xi of it as spectra over XOR masks; the (2, 1) block is
+    # the transpose of the (1, 2) one, so that pair counts twice
     r_vals = 1.0 - 2.0 * np.arange(n + 1) / n
-    pop = popcounts(n)
-    r_mask = r_vals[pop]
+    k, pop = _krawtchouk(n), popcounts(n)
+    r_hat = (r_vals @ k)[pop]
     total_b = 0.0
     for (ell, ellp), mult in zip(COPY_PAIRS, (1.0, 2.0, 1.0)):
         q = rost.q(ell, ellp)
-        corr = laws[ell, ellp]
-        e_xi = corr @ funcs.xi(ell, ellp, r_vals)[pop]
-        e_r = corr @ r_mask
+        f_l, f_lp = spectra[ell], spectra[ellp]
+        e_xi = (f_l * (funcs.xi(ell, ellp, r_vals) @ k)[pop]) @ f_lp.T / 2**n
+        e_r = (f_l * r_hat) @ f_lp.T / 2**n
         vals = e_xi - e_r * funcs.xi_prime(ell, ellp, q) + funcs.theta(ell, ellp, q)
         total_b += mult * float(p_alpha @ vals @ p_alpha)
     return phi, first, -0.5 * total_b
@@ -454,6 +493,7 @@ def _lemma3_pass(
     phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
     if deriv_ts:
         require_convex(spec, "the structure-comparison derivative decomposition")
+    require_tensor_route(spec, n)
     funcs = mixture_functions(spec)
     field_sampler = RostFieldSampler(rost, funcs)
     out = pmap(

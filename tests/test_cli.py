@@ -2,11 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from coupledsk import cli
+from coupledsk import cli, interpolation
 from coupledsk.cli import main
 from coupledsk.disorder import random_gram_rost
 from coupledsk.free_energy import NumericalError
@@ -92,6 +93,27 @@ class TestPreconditions:
         path.write_text(json.dumps({"n": 8, "m": 6, "n_rep": 10}))
         assert run_cli("interp", "--config", str(path), "--out", str(tmp_path / "out")) == 2
         assert no_monte_carlo == []
+
+    @pytest.mark.parametrize("command, sizes", [("interp", {"n_list": [8], "m": 4}),
+                                                ("lemma3", {"n_list": [12]})])
+    def test_tensor_budget_exits_2_before_monte_carlo(self, command, sizes, tmp_path,
+                                                      monkeypatch, capsys):
+        # the interpolation paths draw on the tensor route whatever the
+        # sampler; a p = 7 term puts M + N = 12 (and N = 12) over its budget
+        calls = []
+        for module, name in ((cli, "estimate_F"), (cli, "estimate_G"),
+                             (interpolation, "_lemma2_worker"), (interpolation, "_lemma3_worker")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
+        path = tmp_path / "p7.json"
+        path.write_text(json.dumps({
+            "mixture": {"a1": [0, 0.5, 0, 0, 0, 0, 0.1], "a2": [0, 0.5]}, **sizes,
+            "sampler": "process", "t_grid": [0.5], "n_rep": 4, "rost": {"m": 3, "delta": 0.05},
+        }))
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "tensor route only" in err and "n = 12" in err
+        assert "process sampler" not in err
 
     @pytest.mark.parametrize("command", ["lemma3", "interp"])
     @pytest.mark.parametrize("t_grid", [[1.5], [-0.2], [], ["0.5"], 0.5])
@@ -187,9 +209,12 @@ class TestPreconditions:
             "rost": {"m": 3, "delta": 0.05},
         }))
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning above the error
             assert run_cli("rost-eval", "--config", str(path), "--out", str(out)) == 2
-        assert "cavity ladder lost" in capsys.readouterr().err
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "cavity ladder lost" in lines[0]
         assert not (out / "manifest.json").exists()
 
 

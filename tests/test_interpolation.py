@@ -240,6 +240,50 @@ class TestStructurePath:
         ) / 5
         assert phi == pytest.approx(direct, rel=1e-12)
 
+    def test_two_replica_machinery_against_brute_force(self, mixed_even):
+        n, t, seed = 4, 0.4, 43
+        rost = random_gram_rost(3, 0.5, 0.1, np.random.default_rng(43))
+        c = nearest_admissible(n, 0.5)
+        funcs = mixture_functions(mixed_even)
+        fs = RostFieldSampler(rost, funcs)
+        state = lemma3_state(rost, fs, mixed_even, n, seed, 0)
+        _, first, second = lemma3_derivative_replica(state, rost, mixed_even, n, c, t)
+
+        # every (element, sigma1, sigma2) with the pair's overlap pinned, and
+        # its Gibbs weight, straight from the interpolated Hamiltonian
+        s = spin_matrix(n)
+        rt, rs = math.sqrt(t), math.sqrt(1 - t)
+        pop = popcounts(n)
+        states, logw = [], []
+        for a in range(rost.m):
+            e1 = rt * state.table.values[0] + s @ (rs * state.z[:, 0, a] + mixed_even.h1)
+            e2 = rt * state.table.values[1] + s @ (rs * state.z[:, 1, a] + mixed_even.h2)
+            y_part = math.sqrt(t * n) * float(state.y[0, a] + state.y[1, a])
+            for x in range(1 << n):
+                for y in range(1 << n):
+                    if pop[x ^ y] == c.d:
+                        states.append((a, x, y))
+                        logw.append(math.log(state.w[a]) + e1[x] + e2[y] + y_part)
+        logw = np.array(logw)
+        p = np.exp(logw - logsumexp(logw))
+        alpha, sig1, sig2 = (np.array(col) for col in zip(*states))
+
+        qd = np.diag(rost.q12)
+        terms = funcs.xi(1, 2, c.u) - c.u * funcs.xi_prime(1, 2, qd) + funcs.theta(1, 2, qd)
+        assert first == pytest.approx(float(p @ terms[alpha]), rel=1e-10, abs=1e-10)
+
+        # two independent replicas; copy l of the first against copy l' of
+        # the second, for all four copy pairs
+        sig = {1: sig1, 2: sig2}
+        brute = 0.0
+        for ell, ellp in ((1, 1), (2, 2), (1, 2), (2, 1)):
+            r = 1.0 - 2.0 * pop[sig[ell][:, None] ^ sig[ellp][None, :]] / n
+            q = rost.q(ell, ellp)[alpha[:, None], alpha[None, :]]
+            vals = (funcs.xi(ell, ellp, r) - r * funcs.xi_prime(ell, ellp, q)
+                    + funcs.theta(ell, ellp, q))
+            brute += float(p @ vals @ p)
+        assert second == pytest.approx(-0.5 * brute, rel=1e-10, abs=1e-10)
+
     def test_first_sum_vanishes_for_pinned_diagonal(self, pure_p2):
         # q12 diagonal exactly equal to the constraint overlap (both zero)
         rost = RostSpec(
@@ -423,8 +467,8 @@ class TestOneEvaluationPerReplicaAndT:
 
 
 class TestOneTransformPerArray:
-    """Each class indicator is held as its Walsh spectrum and each weight
-    array is transformed once."""
+    """Each class indicator is held as its Walsh spectrum, each weight array
+    is transformed once, and no copy-pair law is transformed back."""
 
     @pytest.fixture
     def fwht_calls(self, monkeypatch):
@@ -438,6 +482,13 @@ class TestOneTransformPerArray:
         for module in (bits, interpolation):
             monkeypatch.setattr(module, "fwht", counted)
         return calls
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 12])
+    def test_krawtchouk_table_gives_popcount_spectra(self, n):
+        f = np.random.default_rng(n).standard_normal(n + 1)
+        pop = popcounts(n)
+        np.testing.assert_allclose((f @ interpolation._krawtchouk(n))[pop], bits.fwht(f[pop]),
+                                   rtol=0, atol=1e-12 * 2**n)
 
     def test_calls_per_replica_function(self, mixed_even, fwht_calls):
         u3 = nearest_admissible(3, 1 / 3)
@@ -460,10 +511,11 @@ class TestOneTransformPerArray:
             before = len(fwht_calls)
             evaluate()
             counts[name] = len(fwht_calls) - before
-        # phi: copy 2's weights there and back; the derivative also copy 1's,
-        # each conditional law once, and one inverse per copy pair
-        assert counts == {"lemma2_phi_replica": 2, "lemma2_derivative_replica": 9,
-                          "lemma3_phi_replica": 2, "lemma3_derivative_replica": 9}
+        # phi: copy 2's weights there and back; the derivative also copy 1's
+        # and each conditional law once, paired in the Walsh domain
+        assert counts == {"lemma2_phi_replica": 2, "lemma2_derivative_replica": 6,
+                          "lemma3_phi_replica": 2, "lemma3_derivative_replica": 6}
+        assert max(len(shape) for shape in fwht_calls) <= 2
 
 
 class TestWindowProfile:
