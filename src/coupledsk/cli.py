@@ -50,7 +50,6 @@ from .free_energy import (
 )
 from .interpolation import (
     require_convex,
-    require_tensor_route,
     run_lemma2_curve,
     run_lemma3_curve,
     structure_bound_check,
@@ -353,12 +352,11 @@ def cmd_lemma3(cfg: ExperimentConfig) -> int:
     require_convex(cfg.mixture, "the structure upper bound")
     rost = cfg.load_rost()
     n = cfg.n_list[0]
-    require_tensor_route(cfg.mixture, n)  # the structure path's tables, before F and G
     c = nearest_admissible(n, cfg.u)
     f_est = estimate_F(cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
     g_est = estimate_G(rost, cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.threads)
     check = structure_bound_check(rost, cfg.mixture, c, f_est, g_est, cfg.t_grid,
-                                  cfg.n_rep, cfg.seed, cfg.threads)
+                                  cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
     rows = [
         _estimate_row(f_est, n, c.k, 0.0),
         _estimate_row(g_est.diff, n, c.k, 0.0),
@@ -418,7 +416,7 @@ def cmd_interp(cfg: ExperimentConfig) -> int:
     rows = []
     if cfg.m is not None:
         run = run_lemma2_curve(cfg.mixture, cfg.m, n, cfg.u, cfg.t_grid,
-                               cfg.n_rep, cfg.seed, cfg.threads)
+                               cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
         results["size_splitting"] = run.verdicts
         ok = ok and run.verdicts["fd_gibbs_pass"] and run.verdicts["convexity_term_nonpositive"]
         for t, p, dfd, dgb in zip(run.t_grid, run.phi, run.dphi_fd, run.dphi_gibbs):
@@ -426,7 +424,7 @@ def cmd_interp(cfg: ExperimentConfig) -> int:
                          f"{dfd.mean:.17g}", f"{dgb.mean:.17g}"])
     c = nearest_admissible(n, cfg.u)
     run3 = run_lemma3_curve(rost, cfg.mixture, n, c, cfg.t_grid, cfg.n_rep,
-                            cfg.seed, cfg.threads)
+                            cfg.seed, cfg.sampler, cfg.threads)
     results["structure_comparison"] = run3.verdicts
     ok = ok and run3.verdicts["fd_gibbs_pass"] and run3.verdicts["second_line_nonpositive"]
     for t, p, dfd, dgb in zip(run3.t_grid, run3.phi, run3.dphi_fd, run3.dphi_gibbs):

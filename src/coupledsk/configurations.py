@@ -58,10 +58,6 @@ class OverlapConstraint:
     def u(self) -> float:
         return self.k / self.n
 
-    @property
-    def u_fraction(self) -> Fraction:
-        return Fraction(self.k, self.n)
-
     def window_disagreement_range(self) -> tuple[int, int]:
         """Inclusive [d_lo, d_hi] of disagreement counts inside the window."""
         half = self.n * self.eps / 2.0

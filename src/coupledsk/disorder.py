@@ -23,7 +23,7 @@ user-specified random overlap structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,22 +113,17 @@ def _contract_all_configs(tensor: np.ndarray, s: np.ndarray) -> np.ndarray:
     return v
 
 
-def tensor_bytes(spec: MixtureSpec, n: int) -> int:
-    """Bytes of the coupling tensors one tensor-route draw at size n holds."""
-    return sum(8 * n**p for p in range(1, spec.p_max + 1))
-
-
 class TensorSampler:
     """Tensor-route sampler; one instance caches the config matrix for n."""
 
-    def __init__(self, spec: MixtureSpec, n: int, budget_bytes: int = TENSOR_BUDGET_BYTES):
+    def __init__(self, spec: MixtureSpec, n: int):
         self.spec = spec
         self.n = n
         self.s = spin_matrix(n)
-        need = tensor_bytes(spec, n)
-        if need > budget_bytes:
-            raise ResourceError(f"coupling tensors need {need} bytes > budget {budget_bytes}; "
-                                "use the process sampler at this size")
+        need = sum(8 * n**p for p in range(1, spec.p_max + 1))
+        if need > TENSOR_BUDGET_BYTES:
+            raise ResourceError(f"coupling tensors need {need} bytes > budget "
+                                f"{TENSOR_BUDGET_BYTES}; use the process sampler at this size")
 
     def sample(self, seed) -> HamiltonianTable:
         rng = _rng(seed)
@@ -221,9 +216,6 @@ class FixedWeights:
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return np.asarray(self.w)
 
-    def to_dict(self) -> dict:
-        return {"kind": "fixed", "w": list(self.w)}
-
 
 @dataclass(frozen=True)
 class DirichletWeights:
@@ -233,9 +225,6 @@ class DirichletWeights:
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.dirichlet(np.full(m, self.gamma))
-
-    def to_dict(self) -> dict:
-        return {"kind": "dirichlet", "gamma": self.gamma}
 
 
 @dataclass(eq=False)
@@ -300,16 +289,6 @@ class RostSpec:
                     ell, ellp, self.q(ell, ellp)
                 )
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "q11": self.q11.tolist(),
-            "q12": self.q12.tolist(),
-            "q22": self.q22.tolist(),
-            "weights": self.weights.to_dict(),
-            "delta": self.delta,
-            "u": self.u,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RostSpec":
@@ -417,7 +396,7 @@ def random_gram_rost(
 @dataclass(eq=False)
 class ExplicitDraw:
     """One disorder draw of the explicit split system, tabulated over all
-    2**M base configurations (and all 2**(M+n) full ones).
+    2**M base configurations.
 
     trunc[l-1, rho]   : base-only part of the big Hamiltonian (index tuples
                         confined to the first M coordinates);
@@ -425,11 +404,7 @@ class ExplicitDraw:
                         z carries the exact xi' covariance normalization,
                         z_finite the big-system normalization;
     y / y_finite      : compensator fields from fresh tensors, (2, 2**M);
-                        y carries the exact theta covariance;
-    tensors[p-1]      : the big coupling tensor of order p, over (M+n)^p;
-    full[l-1, sigma]  : the whole (M+n)-spin Hamiltonian from the same
-                        tensors, for decomposition and inequality checks;
-                        contracted on first access.
+                        y carries the exact theta covariance.
     """
 
     m: int
@@ -439,25 +414,6 @@ class ExplicitDraw:
     z_finite: np.ndarray
     y: np.ndarray
     y_finite: np.ndarray
-    spec: MixtureSpec
-    tensors: tuple[np.ndarray, ...]
-
-    @cached_property
-    def full(self) -> np.ndarray:
-        big = self.m + self.n
-        s_full = spin_matrix(big)
-        full = np.zeros((2, 2**big))
-        a = {1: self.spec.a1, 2: self.spec.a2}
-        for p, g in enumerate(self.tensors, start=1):
-            if a[1][p - 1] == 0.0 and a[2][p - 1] == 0.0:
-                continue
-            full_contr = _contract_all_configs(g, s_full)
-            scale_big = big ** (0.5 - 0.5 * p)
-            for ell in (1, 2):
-                ap = a[ell][p - 1]
-                if ap != 0.0:
-                    full[ell - 1] += ap * scale_big * full_contr
-        return full
 
 
 class ExplicitSystemSampler:
@@ -503,10 +459,8 @@ class ExplicitSystemSampler:
         y = np.zeros((2, c_base))
         y_fin = np.zeros((2, c_base))
         a = {1: spec.a1, 2: spec.a2}
-        tensors = []
         for p in range(1, spec.p_max + 1):
             g = rng.standard_normal((big,) * p)
-            tensors.append(g)
             g_new = rng.standard_normal((m,) * p)  # fresh tensors, compensators only
             if a[1][p - 1] == 0.0 and a[2][p - 1] == 0.0:
                 continue
@@ -535,10 +489,7 @@ class ExplicitSystemSampler:
                 z_fin[:, ell - 1, :] += ap * scale_big * site_contr
                 y[ell - 1] += ap * y_coef * comp_contr
                 y_fin[ell - 1] += ap * y_fin_coef * comp_contr
-        return ExplicitDraw(
-            m=m, n=n, trunc=trunc, z=z, z_finite=z_fin, y=y, y_finite=y_fin,
-            spec=spec, tensors=tuple(tensors),
-        )
+        return ExplicitDraw(m=m, n=n, trunc=trunc, z=z, z_finite=z_fin, y=y, y_finite=y_fin)
 
 
 # ---------------------------------------------------------------------------

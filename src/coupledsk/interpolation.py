@@ -13,6 +13,10 @@ and its t-derivative computed two independent ways:
     fields of a random overlap structure, on the product of the structure's
     index set with the exactly-constrained pair set.
 
+Both paths draw their disorder tables on the route the caller's sampler
+names: the derivative identities use only the covariance n * xi_{l,l'}(R),
+which the tensor and process routes share.
+
 Derivatives via Gibbs averages use Gaussian integration by parts identities
 evaluated by exact enumeration, never thermal sampling; the cross-check is a
 common-random-number finite difference of phi itself.  Each class indicator
@@ -33,15 +37,7 @@ from scipy.special import logsumexp
 
 from .bits import fwht, magnetizations, popcounts, spin_matrix, split_popcounts
 from .configurations import OverlapConstraint, nearest_admissible
-from .disorder import (
-    TENSOR_BUDGET_BYTES,
-    HamiltonianTable,
-    ResourceError,
-    RostFieldSampler,
-    RostSpec,
-    get_sampler,
-    tensor_bytes,
-)
+from .disorder import HamiltonianTable, RostFieldSampler, RostSpec, get_sampler
 from .free_energy import (
     WHT_CAP,
     Estimate,
@@ -80,20 +76,6 @@ def require_convex(spec: MixtureSpec, what: str) -> None:
             f"{what} is only a theorem for convex mixtures; pair {rep.worst_pair} "
             f"fails near x = {rep.worst_x:.4f}"
         )
-
-
-def require_tensor_route(spec: MixtureSpec, *sizes: int) -> None:
-    """Build the tensor samplers of the given sizes.  The interpolation paths
-    draw their tables on the tensor route whatever sampler the rest of a run
-    uses, so a size over the tensor budget fails here, before Monte Carlo."""
-    for size in sizes:
-        need = tensor_bytes(spec, size)
-        if need > TENSOR_BUDGET_BYTES:
-            raise ResourceError(
-                f"the interpolation paths draw on the tensor route only; its coupling tensors "
-                f"at n = {size} need {need} bytes > budget {TENSOR_BUDGET_BYTES}"
-            )
-        get_sampler(spec, size, "tensor")
 
 
 @lru_cache(maxsize=None)
@@ -172,12 +154,12 @@ def _split_spectrum(m: int, n: int, d_m: int, d_n: int) -> np.ndarray:
     return out
 
 
-def _split_tables(spec: MixtureSpec, m: int, n: int, root: int, rep: int):
-    """Independent disorder tables for the M-, N-, and (M+N)-spin systems."""
-    sm = get_sampler(spec, m, "tensor").sample(replica_seed(root, rep, 0))
-    sn = get_sampler(spec, n, "tensor").sample(replica_seed(root, rep, 1))
-    sbig = get_sampler(spec, m + n, "tensor").sample(replica_seed(root, rep, 2))
-    return sm, sn, sbig
+def _split_tables(spec: MixtureSpec, m: int, n: int, root: int, rep: int,
+                  sampler: str = "tensor"):
+    """Independent disorder tables for the M-, N-, and (M+N)-spin systems,
+    on streams 0, 1 and 2."""
+    return tuple(get_sampler(spec, size, sampler).sample(replica_seed(root, rep, stream))
+                 for stream, size in enumerate((m, n, m + n)))
 
 
 def _split_energies(
@@ -288,8 +270,8 @@ def _split_constrained_term(
 
 
 def _lemma2_worker(args) -> tuple[list[float], list[float]]:
-    spec, u_m, u_n, phi_ts, deriv_ts, root, rep = args
-    tables = _split_tables(spec, u_m.n, u_n.n, root, rep)
+    spec, u_m, u_n, phi_ts, deriv_ts, root, rep, sampler = args
+    tables = _split_tables(spec, u_m.n, u_n.n, root, rep, sampler)
     der = {t: lemma2_derivative_replica(spec, u_m, u_n, t, tables) for t in deriv_ts}
     phi = [der[t][0] if t in der else lemma2_phi_replica(spec, u_m, u_n, t, tables)
            for t in phi_ts]
@@ -304,6 +286,7 @@ def _lemma2_pass(
     deriv_ts,
     n_rep: int,
     seed: int,
+    sampler: str = "tensor",
     threads: int = 1,
 ) -> tuple[np.ndarray, list[Lemma2Derivative]]:
     """One pass over the replicas of the size-splitting path: each replica's
@@ -316,10 +299,12 @@ def _lemma2_pass(
     phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
     if deriv_ts:
         require_convex(spec, "the size-splitting derivative decomposition")
-    require_tensor_route(spec, u_m.n, u_n.n, u_m.n + u_n.n)
+    # built here, before pmap forks: a size check fails before any replica
+    for size in (u_m.n, u_n.n, u_m.n + u_n.n):
+        get_sampler(spec, size, sampler)
     out = pmap(
         _lemma2_worker,
-        [(spec, u_m, u_n, phi_ts, deriv_ts, seed, rep) for rep in range(n_rep)],
+        [(spec, u_m, u_n, phi_ts, deriv_ts, seed, rep, sampler) for rep in range(n_rep)],
         threads,
     )
     phi = np.array([o[0] for o in out]).reshape(n_rep, len(phi_ts))
@@ -359,12 +344,13 @@ def lemma3_state(
     n: int,
     root: int,
     rep: int,
+    sampler: str = "tensor",
 ) -> _Lemma3State:
     """Weights on stream 0, fields on stream 1, disorder table on stream 2,
     matching the stream layout of the plain structure-functional estimator."""
     w = rost.weights.sample(rng_for(root, rep, stream=0), rost.m)
     fields = field_sampler.sample(rng_for(root, rep, stream=1), n)
-    table = get_sampler(spec, n, "tensor").sample(replica_seed(root, rep, 2))
+    table = get_sampler(spec, n, sampler).sample(replica_seed(root, rep, 2))
     return _Lemma3State(w=w, z=fields.z, y=fields.y, table=table)
 
 
@@ -467,8 +453,8 @@ def lemma3_derivative_replica(
 
 
 def _lemma3_worker(args) -> tuple[list[float], list[tuple[float, float]]]:
-    rost, field_sampler, spec, n, c, phi_ts, deriv_ts, root, rep = args
-    state = lemma3_state(rost, field_sampler, spec, n, root, rep)
+    rost, field_sampler, spec, n, c, phi_ts, deriv_ts, root, rep, sampler = args
+    state = lemma3_state(rost, field_sampler, spec, n, root, rep, sampler)
     der = {t: lemma3_derivative_replica(state, rost, spec, n, c, t) for t in deriv_ts}
     phi = [der[t][0] if t in der else lemma3_phi_replica(state, spec, n, c, t)
            for t in phi_ts]
@@ -484,6 +470,7 @@ def _lemma3_pass(
     deriv_ts,
     n_rep: int,
     seed: int,
+    sampler: str = "tensor",
     threads: int = 1,
 ) -> tuple[np.ndarray, list[Lemma3Derivative]]:
     """One pass over the replicas of the structure-comparison path: each
@@ -493,12 +480,13 @@ def _lemma3_pass(
     phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
     if deriv_ts:
         require_convex(spec, "the structure-comparison derivative decomposition")
-    require_tensor_route(spec, n)
+    get_sampler(spec, n, sampler)  # before pmap, as in _lemma2_pass
     funcs = mixture_functions(spec)
     field_sampler = RostFieldSampler(rost, funcs)
     out = pmap(
         _lemma3_worker,
-        [(rost, field_sampler, spec, n, c, phi_ts, deriv_ts, seed, rep) for rep in range(n_rep)],
+        [(rost, field_sampler, spec, n, c, phi_ts, deriv_ts, seed, rep, sampler)
+         for rep in range(n_rep)],
         threads,
     )
     phi = np.array([o[0] for o in out]).reshape(n_rep, len(phi_ts))
@@ -572,12 +560,13 @@ def run_lemma2_curve(
     t_grid,
     n_rep: int,
     seed: int,
+    sampler: str = "tensor",
     threads: int = 1,
 ) -> InterpolationRun:
     u_m = nearest_admissible(m, u)
     u_n = nearest_admissible(n, u)
     t_grid, phi_ts = _phi_points(t_grid)
-    phi, gibbs = _lemma2_pass(spec, u_m, u_n, phi_ts, t_grid, n_rep, seed, threads)
+    phi, gibbs = _lemma2_pass(spec, u_m, u_n, phi_ts, t_grid, n_rep, seed, sampler, threads)
     nonpositive = all(g.convexity_term.mean <= 3.0 * g.convexity_term.stderr for g in gibbs)
     return _curve_run(phi, phi_ts, gibbs, seed, f"phi_split(m={m},n={n},t={{:g}})",
                       "dphi_split_fd(t={:g})", {"convexity_term_nonpositive": nonpositive})
@@ -591,10 +580,11 @@ def run_lemma3_curve(
     t_grid,
     n_rep: int,
     seed: int,
+    sampler: str = "tensor",
     threads: int = 1,
 ) -> InterpolationRun:
     t_grid, phi_ts = _phi_points(t_grid)
-    phi, gibbs = _lemma3_pass(rost, spec, n, c, phi_ts, t_grid, n_rep, seed, threads)
+    phi, gibbs = _lemma3_pass(rost, spec, n, c, phi_ts, t_grid, n_rep, seed, sampler, threads)
     nonpositive = all(g.second_line.mean <= 3.0 * g.second_line.stderr for g in gibbs)
     bound = gibbs[0].first_sum_bound if gibbs else 0.0
     return _curve_run(phi, phi_ts, gibbs, seed, f"phi_rost(n={n},t={{:g}})",
@@ -780,6 +770,7 @@ def structure_bound_check(
     t_grid,
     n_rep: int,
     seed: int,
+    sampler: str = "tensor",
     threads: int = 1,
 ) -> dict:
     """F <= G + first_sum_bound within STRUCTURE_MARGIN_SIGMAS, and the
@@ -790,7 +781,7 @@ def structure_bound_check(
         raise ValueError("the structure bound needs at least one t in [0, 1]")
     bound = first_sum_bound(rost, mixture_functions(spec), c.u)
     margin = STRUCTURE_MARGIN_SIGMAS * float(np.hypot(f_est.stderr, g_est.diff.stderr))
-    _, gibbs = _lemma3_pass(rost, spec, c.n, c, (), t_grid, n_rep, seed, threads)
+    _, gibbs = _lemma3_pass(rost, spec, c.n, c, (), t_grid, n_rep, seed, sampler, threads)
     worst = -np.inf
     for line in (g.second_line for g in gibbs):
         worst = max(worst, line.mean / line.stderr if line.stderr > 0 else 0.0)

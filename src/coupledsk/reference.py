@@ -4,8 +4,10 @@ The brute_* sums deliberately avoid the fast transforms and DP ladders of
 the production engines: each one is a direct sum over the full pair space,
 so the two routes share nothing but the inputs.  dense_process_covariance
 builds the process route's covariance entry by entry, without the Walsh
-basis the sampler factors it in.  The closed forms at the end are the exact
-values that sampled fields and zero-disorder estimates must reproduce.
+basis the sampler factors it in.  explicit_full_table replays an
+explicit-split draw's tensors into the whole (M+n)-spin Hamiltonian that the
+split decomposes.  The closed forms at the end are the exact values that
+sampled fields and zero-disorder estimates must reproduce.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy.special import logsumexp
 
 from .bits import magnetizations, popcounts, spin_matrix
 from .configurations import OverlapConstraint
-from .disorder import ExplicitDraw
+from .disorder import ExplicitDraw, _contract_all_configs, _rng
 from .mixture import MixtureSpec, mixture_functions
 
 
@@ -100,6 +102,30 @@ def dense_process_covariance(spec: MixtureSpec, n: int) -> np.ndarray:
     cov[c:, :c] = cov[:c, c:].T
     cov[c:, c:] = n * funcs.xi(2, 2, r)
     return cov
+
+
+def explicit_full_table(spec: MixtureSpec, m: int, n: int, seed) -> np.ndarray:
+    """Both copies' whole (M+n)-spin Hamiltonians, shape (2, 2**(M+n)), from
+    the big coupling tensors of ExplicitSystemSampler(spec, m, n).sample(seed).
+
+    The draw order is replayed: per order p, the (M+n)^p tensor, then the
+    M^p compensator tensor, which the whole Hamiltonian does not use."""
+    rng = _rng(seed)
+    big = m + n
+    s_full = spin_matrix(big)
+    full = np.zeros((2, 2**big))
+    for p in range(1, spec.p_max + 1):
+        g = rng.standard_normal((big,) * p)
+        rng.standard_normal((m,) * p)
+        coeffs = (spec.a1[p - 1], spec.a2[p - 1])
+        if coeffs == (0.0, 0.0):
+            continue
+        full_contr = _contract_all_configs(g, s_full)
+        scale_big = big ** (0.5 - 0.5 * p)
+        for ell, ap in enumerate(coeffs):
+            if ap != 0.0:
+                full[ell] += ap * scale_big * full_contr
+    return full
 
 
 def finite_z_covariance(spec: MixtureSpec, m: int, n: int, ell: int, ellp: int, r: float) -> float:

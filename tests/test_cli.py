@@ -1,15 +1,15 @@
 """CLI behavior: configs, reports, exit codes, reproducibility."""
 
+import functools
 import json
 import math
 import warnings
 
-import numpy as np
 import pytest
 
-from coupledsk import cli, interpolation
+from coupledsk import cli, free_energy, interpolation
 from coupledsk.cli import main
-from coupledsk.disorder import random_gram_rost
+from coupledsk.disorder import get_sampler
 from coupledsk.free_energy import NumericalError
 from coupledsk.mixture import ConvexityWarning
 
@@ -34,6 +34,10 @@ def small_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+class WorkerReached(Exception):
+    """Raised by a patched replica worker: the run got past its preconditions."""
 
 
 class TestConfigErrors:
@@ -94,26 +98,46 @@ class TestPreconditions:
         assert run_cli("interp", "--config", str(path), "--out", str(tmp_path / "out")) == 2
         assert no_monte_carlo == []
 
-    @pytest.mark.parametrize("command, sizes", [("interp", {"n_list": [8], "m": 4}),
-                                                ("lemma3", {"n_list": [12]})])
-    def test_tensor_budget_exits_2_before_monte_carlo(self, command, sizes, tmp_path,
-                                                      monkeypatch, capsys):
-        # the interpolation paths draw on the tensor route whatever the
-        # sampler; a p = 7 term puts M + N = 12 (and N = 12) over its budget
-        calls = []
-        for module, name in ((cli, "estimate_F"), (cli, "estimate_G"),
-                             (interpolation, "_lemma2_worker"), (interpolation, "_lemma3_worker")):
-            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
-        path = tmp_path / "p7.json"
-        path.write_text(json.dumps({
-            "mixture": {"a1": [0, 0.5, 0, 0, 0, 0, 0.1], "a2": [0, 0.5]}, **sizes,
-            "sampler": "process", "t_grid": [0.5], "n_rep": 4, "rost": {"m": 3, "delta": 0.05},
-        }))
-        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
-        assert calls == []
+    @pytest.fixture(params=[("interp", {"n_list": [8], "m": 4}), ("lemma3", {"n_list": [12]})],
+                    ids=["interp", "lemma3"])
+    def p7_run(self, request, tmp_path, monkeypatch):
+        """(run, workers) for a p = 7 config whose sizes, M + N = 12 for
+        interp and N = 12 for lemma3, exceed the tensor route's budget: run
+        takes a sampler and returns the exit code; workers records every
+        replica worker reached, each of which stops the run."""
+        command, sizes = request.param
+        workers = []
+
+        def reached(*args, _name):
+            workers.append(_name)
+            raise WorkerReached(_name)
+
+        for module, name in ((free_energy, "_logz_worker"), (interpolation, "_lemma2_worker"),
+                             (interpolation, "_lemma3_worker")):
+            monkeypatch.setattr(module, name, functools.partial(reached, _name=name))
+
+        def run(sampler):
+            path = tmp_path / f"p7_{sampler}.json"
+            path.write_text(json.dumps({
+                "mixture": {"a1": [0, 0.5, 0, 0, 0, 0, 0.1], "a2": [0, 0.5]}, **sizes,
+                "sampler": sampler, "t_grid": [0.5], "n_rep": 4, "rost": {"m": 3, "delta": 0.05},
+            }))
+            return run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+
+        return run, workers
+
+    def test_tensor_budget_exits_2_before_monte_carlo(self, p7_run, capsys):
+        run, workers = p7_run
+        assert run("tensor") == 2
+        assert workers == []
         err = capsys.readouterr().err
-        assert "tensor route only" in err and "n = 12" in err
-        assert "process sampler" not in err
+        assert "312713952 bytes > budget 268435456; use the process sampler" in err
+
+    def test_process_route_takes_the_tensor_budget_sizes(self, p7_run):
+        run, workers = p7_run
+        with pytest.raises(WorkerReached):
+            run("process")
+        assert len(workers) == 1
 
     @pytest.mark.parametrize("command", ["lemma3", "interp"])
     @pytest.mark.parametrize("t_grid", [[1.5], [-0.2], [], ["0.5"], 0.5])
@@ -269,9 +293,12 @@ class TestDeterminism:
 
 class TestStructureCommands:
     def test_rost_eval_from_file(self, tmp_path):
-        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(4))
+        q = [[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 1.0]]
         rost_path = tmp_path / "rost.json"
-        rost_path.write_text(json.dumps(rost.to_dict()))
+        rost_path.write_text(json.dumps({
+            "q11": q, "q12": [[0.02, 0.0, 0.0], [0.0, -0.01, 0.0], [0.0, 0.0, 0.0]], "q22": q,
+            "weights": {"kind": "dirichlet", "gamma": 1.0}, "delta": 0.05, "u": 0.0,
+        }))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "mixture": {"a1": [0.0, 0.5], "a2": [0.0, 0.5]},
@@ -282,6 +309,26 @@ class TestStructureCommands:
         assert run_cli("rost-eval", "--config", str(cfg), "--out", str(out)) == 0
         lines = (out / "rost_eval.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + difference + both terms
+
+    @pytest.mark.parametrize("sampler", ["tensor", "process"])
+    def test_interpolation_commands_draw_on_the_configured_route(self, sampler, small_config,
+                                                                 tmp_path, monkeypatch):
+        drawn = []
+
+        def recorded(spec, n, kind):
+            drawn.append((n, kind))
+            return get_sampler(spec, n, kind)
+
+        for module in (free_energy, interpolation):
+            monkeypatch.setattr(module, "get_sampler", recorded)
+        path = tmp_path / "route.json"
+        path.write_text(json.dumps({**json.loads(small_config.read_text()), "sampler": sampler,
+                                    "n_rep": 4}))
+        for command in ("interp", "lemma3"):
+            run_cli(command, "--config", str(path), "--out", str(tmp_path / command))
+        # interp draws M = 3, N = 4 and M + N = 7 spins, lemma3 N = 4
+        assert {n for n, _ in drawn} == {3, 4, 7}
+        assert {kind for _, kind in drawn} == {sampler}
 
     def test_lemma3_pass(self, small_config, tmp_path):
         out = tmp_path / "out"

@@ -26,7 +26,6 @@ class TestOverlapConstraint:
         c = OverlapConstraint(6, 2)
         assert c.d == 2
         assert c.u == pytest.approx(1 / 3)
-        assert c.u_fraction == Fraction(1, 3)
 
     def test_window_range(self):
         c = OverlapConstraint(6, 0, eps=1 / 3)

@@ -26,6 +26,7 @@ from coupledsk.disorder import (
 from coupledsk.mixture import MixtureSpec, mixture_functions
 from coupledsk.reference import (
     dense_process_covariance,
+    explicit_full_table,
     finite_y_covariance,
     finite_z_covariance,
 )
@@ -73,9 +74,7 @@ class TestTensorSampler:
         se = second.std(ddof=1) / np.sqrt(reps)
         assert abs(second.mean() - target) <= 3 * se
 
-    def test_budget_error_advises_process_route(self, pure_p2):
-        with pytest.raises(ResourceError, match="use the process sampler"):
-            TensorSampler(pure_p2, 8, budget_bytes=64)
+    def test_budget_error_advises_process_route(self):
         # the process route takes every size the engine does, n = 12 included
         p7 = MixtureSpec(a1=(0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.1), a2=(0.0, 0.5))
         with pytest.raises(ResourceError, match=r"312713952 bytes > budget 268435456; "
@@ -178,11 +177,24 @@ class TestRostSpec:
             RostSpec(q11=bad, q12=np.zeros((2, 2)), q22=q,
                      weights=DirichletWeights(), delta=0.1, u=0.0)
 
-    def test_round_trip(self):
-        rost = random_gram_rost(3, 0.2, 0.05, np.random.default_rng(0))
-        back = RostSpec.from_dict(rost.to_dict())
-        np.testing.assert_allclose(back.q12, rost.q12)
-        assert back.delta == rost.delta
+    @pytest.mark.parametrize("weights, law", [
+        ({"kind": "fixed", "w": [1.0, 3.0]}, FixedWeights((0.25, 0.75))),
+        ({"kind": "dirichlet", "gamma": 0.5}, DirichletWeights(0.5)),
+        ({"kind": "dirichlet"}, DirichletWeights(1.0)),
+    ])
+    def test_from_dict(self, weights, law):
+        q = [[1.0, 0.3], [0.3, 1.0]]
+        rost = RostSpec.from_dict({"q11": q, "q12": [[0.2, 0.1], [0.1, 0.25]], "q22": q,
+                                   "weights": weights, "delta": 0.05, "u": 0.2})
+        assert np.array_equal(rost.q12, [[0.2, 0.1], [0.1, 0.25]])
+        assert rost.q11.dtype == np.float64 and np.array_equal(rost.q22, q)
+        assert (rost.delta, rost.u, rost.weights) == (0.05, 0.2, law)
+
+    def test_from_dict_rejects_unknown_weight_kind(self):
+        q = [[1.0]]
+        with pytest.raises(RostInvalidError, match="unknown weight kind"):
+            RostSpec.from_dict({"q11": q, "q12": q, "q22": q, "weights": {"kind": "uniform"},
+                                "delta": 0.0, "u": 1.0})
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_gram_structure_needs_an_element(self, m):
@@ -259,30 +271,33 @@ class TestRostFields:
 class TestExplicitCavity:
     def test_zero_mixture_all_zero(self, zero_mixture):
         draw = ExplicitSystemSampler(zero_mixture, 3, 2).sample(0)
-        for arr in (draw.trunc, draw.z, draw.z_finite, draw.y, draw.y_finite, draw.full):
+        full = explicit_full_table(zero_mixture, 3, 2, 0)
+        for arr in (draw.trunc, draw.z, draw.z_finite, draw.y, draw.y_finite, full):
             assert np.all(arr == 0.0)
 
     def test_linear_decomposition_is_exact(self):
         spec = MixtureSpec(a1=(0.7,), a2=(1.1,))
         m, n = 3, 2
         draw = ExplicitSystemSampler(spec, m, n).sample(42)
+        full = explicit_full_table(spec, m, n, 42)
         tau_spins = spin_matrix(n)
         for sigma in range(1 << (m + n)):
             rho, tau = sigma & ((1 << m) - 1), sigma >> m
             for ell in range(2):
                 recon = draw.trunc[ell, rho] + tau_spins[tau] @ draw.z_finite[:, ell, rho]
-                assert draw.full[ell, sigma] == pytest.approx(recon, abs=1e-12)
+                assert full[ell, sigma] == pytest.approx(recon, abs=1e-12)
 
     def test_quadratic_remainder_ignores_base_coordinates(self, pure_p2):
         m, n = 4, 2
         draw = ExplicitSystemSampler(pure_p2, m, n).sample(43)
+        full = explicit_full_table(pure_p2, m, n, 43)
         tau_spins = spin_matrix(n)
         for ell in range(2):
             res = np.empty((1 << m, 1 << n))
             for sigma in range(1 << (m + n)):
                 rho, tau = sigma & ((1 << m) - 1), sigma >> m
                 recon = draw.trunc[ell, rho] + tau_spins[tau] @ draw.z_finite[:, ell, rho]
-                res[rho, tau] = draw.full[ell, sigma] - recon
+                res[rho, tau] = full[ell, sigma] - recon
             np.testing.assert_allclose(res - res[0:1, :], 0.0, atol=1e-12)
 
     def test_limit_field_covariance(self, pure_p2):

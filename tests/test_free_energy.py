@@ -42,6 +42,7 @@ from coupledsk.reference import (
     brute_cavity_logz,
     brute_explicit_terms,
     brute_overlap_logz,
+    explicit_full_table,
     zero_disorder_log_pair_count,
 )
 
@@ -399,9 +400,11 @@ class TestExplicitStructure:
         mag = magnetizations(m + n)
         diffs = []
         for rep in range(400):
-            draw = sampler.sample(replica_seed(23, rep))
-            f1 = draw.full[0] + pure_p2.h1 * mag
-            f2 = draw.full[1] + pure_p2.h2 * mag
+            seed = replica_seed(23, rep)
+            draw = sampler.sample(seed)
+            full = explicit_full_table(pure_p2, m, n, seed)
+            f1 = full[0] + pure_p2.h1 * mag
+            f2 = full[1] + pure_p2.h2 * mag
             e = f1[:, None] + f2[None, :]
             masks = np.arange(1 << (m + n))
             pair_ok = sel[masks[:, None] ^ masks[None, :]]

@@ -1,7 +1,8 @@
 """Golden reports: every subcommand on a small fixed config against stored output.
 
 Each subcommand runs on the same config as ``test_cli.small_config``, and
-``free-energy`` runs once more on it with the process-route sampler.  Every
+``free-energy``, ``interp`` and ``lemma3`` run once more on it with the
+process-route sampler.  Every
 CSV cell and every manifest ``results`` value is compared with the fixtures
 under ``tests/data/golden/<command>/``: integers and strings exactly, other
 numbers to a relative 1e-12.  The manifests of ``lemma1``, ``lemma3`` and
@@ -37,7 +38,8 @@ CONFIG = {
 }
 # fixture directory -> (subcommand, config)
 CASES = {command: (command, CONFIG) for command in COMMANDS}
-CASES["free-energy.process"] = ("free-energy", {**CONFIG, "sampler": "process"})
+for command in ("free-energy", "interp", "lemma3"):
+    CASES[f"{command}.process"] = (command, {**CONFIG, "sampler": "process"})
 CHECK_SHAPED = {"lemma1", "lemma3", "superadd"}
 REL = 1e-12
 
