@@ -45,14 +45,14 @@ def magnetizations(n: int) -> np.ndarray:
     return out
 
 
-def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along one power-of-two axis.
+def fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last, power-of-two axis.
 
     Self-inverse up to a factor of the axis length.  The butterfly runs in
     place on one C-contiguous copy of the input, which is never written; its
     order is fixed, so results are bit-for-bit reproducible.
     """
-    a = np.array(np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1), order="C")
+    a = np.array(a, dtype=np.float64, order="C")
     m = a.shape[-1]
     if m & (m - 1):
         raise ValueError(f"axis length must be a power of two, got {m}")
@@ -64,7 +64,7 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
         lo += hi
         hi[...] = diff
         h *= 2
-    return np.moveaxis(a, -1, axis)
+    return a
 
 
 def xor_correlation(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

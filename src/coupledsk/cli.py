@@ -72,6 +72,21 @@ class ConfigError(ValueError):
     pass
 
 
+CONFIG_KEYS = frozenset({"mixture", "n_list", "n", "m", "u", "eps_grid", "t_grid", "n_rep",
+                         "seed", "sampler", "out", "rost_file", "rost"})
+MIXTURE_KEYS = frozenset({"a1", "a2", "h1", "h2"})
+ROST_GEN_KEYS = frozenset({"m", "delta", "gamma"})
+
+
+def _known_keys(obj: dict, known: frozenset, where: str) -> None:
+    """ConfigError naming every key of obj outside known: a misspelt key
+    would otherwise fall back to its default without a word."""
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                          f"expected some of {', '.join(sorted(known))}")
+
+
 def _number(value, name: str, integral: bool = False):
     """value unchanged if it is a finite JSON number (integral if asked)."""
     ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -91,6 +106,7 @@ def _numbers(values, name: str, integral: bool = False) -> tuple:
 def _mixture(mix) -> MixtureSpec:
     if not isinstance(mix, dict) or not {"a1", "a2"} <= mix.keys():
         raise ConfigError(f"mixture must be an object with lists a1 and a2, got {mix!r}")
+    _known_keys(mix, MIXTURE_KEYS, "mixture")
     return MixtureSpec(
         a1=_numbers(mix["a1"], "mixture a1"),
         a2=_numbers(mix["a2"], "mixture a2"),
@@ -130,6 +146,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
             if not isinstance(data, dict):
                 raise ConfigError(f"config file {path} must hold a JSON object")
+            _known_keys(data, CONFIG_KEYS, "config")
         mix = data.get("mixture", {"a1": [0.0, 0.5], "a2": [0.0, 0.5], "h1": 0.0, "h2": 0.0})
         n_list = data.get("n_list")
         if n_list is None:
@@ -184,9 +201,9 @@ class ExperimentConfig:
         if self.rost_gen is not None:
             if not isinstance(self.rost_gen, dict):
                 raise ConfigError(f"rost must be an object, got {self.rost_gen!r}")
-            for key in ("m", "delta", "gamma"):
-                if key in self.rost_gen:
-                    _number(self.rost_gen[key], f"rost {key}", integral=key == "m")
+            _known_keys(self.rost_gen, ROST_GEN_KEYS, "rost")
+            for key, value in self.rost_gen.items():
+                _number(value, f"rost {key}", integral=key == "m")
             if self.rost_gen.get("m", 1) < 1:
                 raise ConfigError(f"rost m must be at least 1, got {self.rost_gen['m']}")
 
@@ -278,7 +295,12 @@ def _write_manifest(out: Path, command: str, cfg: ExperimentConfig, results: dic
 # ---------------------------------------------------------------------------
 
 
-def cmd_free_energy(cfg: ExperimentConfig) -> int:
+# A subcommand returns its reports, {csv name: (header, rows)}, the manifest's
+# results and whether every asserted check passed; main writes them.
+Reports = tuple[dict[str, tuple[list[str], list[list]]], dict, bool]
+
+
+def cmd_free_energy(cfg: ExperimentConfig) -> Reports:
     rows = []
     resolved_rows = []
     for n in cfg.n_list:
@@ -290,20 +312,12 @@ def cmd_free_energy(cfg: ExperimentConfig) -> int:
             rows.append(_estimate_row(est, n, c.k, eps))
         # count-resolved dump for the first replica's table
         resolved_rows.extend([n, d, f"{v:.17g}"] for d, v in enumerate(log_z[0]))
-    _write_csv(cfg.out / "free_energy.csv", ESTIMATE_FIELDS, rows)
-    _write_csv(cfg.out / "overlap_resolved.csv", ["n", "d", "log_z"], resolved_rows)
-    _write_manifest(cfg.out, "free-energy", cfg, {"rows": len(rows)}, True)
-    return 0
+    return ({"free_energy.csv": (ESTIMATE_FIELDS, rows),
+             "overlap_resolved.csv": (["n", "d", "log_z"], resolved_rows)},
+            {"rows": len(rows)}, True)
 
 
-def _write_check(cfg: ExperimentConfig, command: str, csv_name: str, rows: list,
-                 check: dict) -> int:
-    _write_csv(cfg.out / csv_name, ESTIMATE_FIELDS, rows)
-    _write_manifest(cfg.out, command, cfg, check, check["pass"])
-    return 0 if check["pass"] else 1
-
-
-def cmd_lemma1(cfg: ExperimentConfig) -> int:
+def cmd_lemma1(cfg: ExperimentConfig) -> Reports:
     if not any(eps > 0.0 for eps in cfg.eps_grid):
         raise ConfigError("lemma1 fits its window constant over eps > 0, "
                           f"but eps_grid {list(cfg.eps_grid)} has no positive entry")
@@ -317,21 +331,21 @@ def cmd_lemma1(cfg: ExperimentConfig) -> int:
         for eps, gm, gs in zip(prof["eps"], prof["gap_mean"], prof["gap_stderr"]):
             rows.append(["window_gap", n, k, f"{eps:.17g}", cfg.n_rep, cfg.seed,
                          f"{gm:.17g}", f"{gs:.17g}"])
-    return _write_check(cfg, "lemma1", "lemma1.csv", rows,
-                        window_constant_check(cfg.n_list, profiles))
+    check = window_constant_check(cfg.n_list, profiles)
+    return {"lemma1.csv": (ESTIMATE_FIELDS, rows)}, check, check["pass"]
 
 
-def cmd_superadd(cfg: ExperimentConfig) -> int:
+def cmd_superadd(cfg: ExperimentConfig) -> Reports:
     sup = superadditivity_check(cfg.mixture, cfg.u, cfg.n_list, cfg.n_rep, cfg.seed,
                                 cfg.sampler, cfg.threads)
     rows = [
         ["normalized_deficit", str(sz), "", "", cfg.n_rep, cfg.seed, f"{v:.17g}", ""]
         for sz, v in zip(sup["sizes"], sup["normalized_deficits"])
     ]
-    return _write_check(cfg, "superadd", "superadd.csv", rows, sup)
+    return {"superadd.csv": (ESTIMATE_FIELDS, rows)}, sup, sup["pass"]
 
 
-def cmd_rost_eval(cfg: ExperimentConfig) -> int:
+def cmd_rost_eval(cfg: ExperimentConfig) -> Reports:
     rost = cfg.load_rost()
     n = cfg.n_list[0]
     c = nearest_admissible(n, cfg.u)
@@ -341,14 +355,11 @@ def cmd_rost_eval(cfg: ExperimentConfig) -> int:
         _estimate_row(g.term1, n, c.k, 0.0),
         _estimate_row(g.term2, n, c.k, 0.0),
     ]
-    _write_csv(cfg.out / "rost_eval.csv", ESTIMATE_FIELDS, rows)
-    _write_manifest(cfg.out, "rost-eval", cfg, {
-        "g": g.diff.mean, "stderr": g.diff.stderr, "elements": rost.m,
-    }, True)
-    return 0
+    return ({"rost_eval.csv": (ESTIMATE_FIELDS, rows)},
+            {"g": g.diff.mean, "stderr": g.diff.stderr, "elements": rost.m}, True)
 
 
-def cmd_lemma3(cfg: ExperimentConfig) -> int:
+def cmd_lemma3(cfg: ExperimentConfig) -> Reports:
     require_convex(cfg.mixture, "the structure upper bound")
     rost = cfg.load_rost()
     n = cfg.n_list[0]
@@ -361,10 +372,10 @@ def cmd_lemma3(cfg: ExperimentConfig) -> int:
         _estimate_row(f_est, n, c.k, 0.0),
         _estimate_row(g_est.diff, n, c.k, 0.0),
     ]
-    return _write_check(cfg, "lemma3", "lemma3.csv", rows, check)
+    return {"lemma3.csv": (ESTIMATE_FIELDS, rows)}, check, check["pass"]
 
 
-def cmd_explicit_rost(cfg: ExperimentConfig) -> int:
+def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
     if cfg.m is None:
         raise ConfigError("explicit-rost requires m (base size)")
     n = cfg.n_list[0]
@@ -394,18 +405,16 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> int:
         _estimate_row(g_lim.diff, n, derived.constraint.k, 0.0),
         _estimate_row(g_fin.diff, n, derived.constraint.k, 0.0),
     ]
-    _write_csv(cfg.out / "explicit_rost.csv", ESTIMATE_FIELDS, rows)
-    _write_manifest(cfg.out, "explicit-rost", cfg, {
+    return {"explicit_rost.csv": (ESTIMATE_FIELDS, rows)}, {
         "elements": rost.m, "delta": rost.delta, "diag_exact": diag_exact,
         "psd_ok": psd_ok, "dual_path_gap": worst_dual,
         "derived_overlap": {"k": derived.constraint.k,
                             "recurrence_head": list(derived.recurrence[:8])},
         "g_limit": g_lim.diff.mean, "g_finite": g_fin.diff.mean,
-    }, ok)
-    return 0 if ok else 1
+    }, ok
 
 
-def cmd_interp(cfg: ExperimentConfig) -> int:
+def cmd_interp(cfg: ExperimentConfig) -> Reports:
     require_convex(cfg.mixture, "the interpolation derivative decompositions")
     n = cfg.n_list[0]
     if cfg.m is not None and cfg.m + n > WHT_CAP:
@@ -430,12 +439,10 @@ def cmd_interp(cfg: ExperimentConfig) -> int:
     for t, p, dfd, dgb in zip(run3.t_grid, run3.phi, run3.dphi_fd, run3.dphi_gibbs):
         rows.append(["structure-comparison", f"{t:.17g}", f"{p.mean:.17g}",
                      f"{p.stderr:.17g}", f"{dfd.mean:.17g}", f"{dgb.mean:.17g}"])
-    _write_csv(cfg.out / "interp.csv", ["kind", "t", "mean", "stderr", "d_fd", "d_gibbs"], rows)
-    _write_manifest(cfg.out, "interp", cfg, results, bool(ok))
-    return 0 if ok else 1
+    return {"interp.csv": (["kind", "t", "mean", "stderr", "d_fd", "d_gibbs"], rows)}, results, ok
 
 
-def cmd_validate(cfg: ExperimentConfig) -> int:
+def cmd_validate(cfg: ExperimentConfig) -> Reports:
     spec = cfg.mixture
     results = {}
     conv = check_convexity(spec)
@@ -484,13 +491,8 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     results["cavity_oracle"] = {"max_gap": worst_dp, "pass": worst_dp <= 1e-10}
     ok = ok and worst_dp <= 1e-10
 
-    _write_csv(cfg.out / "validate.csv",
-               ["check", "value", "pass"],
-               [[k, json.dumps(_jsonable(v)),
-                 bool(v.get("pass", True)) if isinstance(v, dict) else True]
-                for k, v in results.items()])
-    _write_manifest(cfg.out, "validate", cfg, results, bool(ok))
-    return 0 if ok else 1
+    rows = [[k, json.dumps(_jsonable(v)), bool(v.get("pass", True))] for k, v in results.items()]
+    return {"validate.csv": (["check", "value", "pass"], rows)}, results, ok
 
 
 COMMANDS = {
@@ -518,7 +520,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config, args)
-        return COMMANDS[args.command](cfg)
+        reports, results, ok = COMMANDS[args.command](cfg)
+        for name, (header, rows) in reports.items():
+            _write_csv(cfg.out / name, header, rows)
+        _write_manifest(cfg.out, args.command, cfg, results, ok)
+        return 0 if ok else 1
     except (ConfigError, ResourceError, RostInvalidError, FileNotFoundError,
             NonConvexMixtureError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,7 +66,7 @@ class OverlapConstraint:
         return d_lo, d_hi
 
 
-def nearest_admissible(n: int, u: float, eps: float = 0.0) -> OverlapConstraint:
+def nearest_admissible(n: int, u: float) -> OverlapConstraint:
     """The parity-admissible k/n closest to u; guarantees |k/n - u| <= 1/n.
 
     Ties break toward smaller |k|, then positive k.
@@ -78,7 +78,7 @@ def nearest_admissible(n: int, u: float, eps: float = 0.0) -> OverlapConstraint:
         key = (abs(k - u * n), abs(k), 0 if k > 0 else 1)
         if best is None or key < best[0]:
             best = (key, k)
-    c = OverlapConstraint(n=n, k=best[1], eps=eps)
+    c = OverlapConstraint(n=n, k=best[1])
     assert abs(c.u - u) <= 1.0 / n + 1e-12
     return c
 

@@ -33,6 +33,7 @@ from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
 TENSOR_BUDGET_BYTES = 1 << 28
 EXPLICIT_CAP = 14  # M + n for the explicit-structure route
 PSD_TOL_SCALE = 1e-10
+GRAM_DIM = 8  # dimension of the unit vectors behind random_gram_rost
 
 
 class ResourceError(RuntimeError):
@@ -179,20 +180,11 @@ class ProcessSampler:
 
 
 @lru_cache(maxsize=16)
-def _cached_tensor_sampler(spec: MixtureSpec, n: int) -> TensorSampler:
-    return TensorSampler(spec, n)
-
-
-@lru_cache(maxsize=8)
-def _cached_process_sampler(spec: MixtureSpec, n: int) -> ProcessSampler:
-    return ProcessSampler(spec, n)
-
-
 def get_sampler(spec: MixtureSpec, n: int, kind: str):
     if kind == "tensor":
-        return _cached_tensor_sampler(spec, n)
+        return TensorSampler(spec, n)
     if kind == "process":
-        return _cached_process_sampler(spec, n)
+        return ProcessSampler(spec, n)
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 
@@ -356,7 +348,6 @@ def random_gram_rost(
     u: float,
     delta: float,
     rng: np.random.Generator,
-    dim: int = 8,
     weights: FixedWeights | DirichletWeights | None = None,
 ) -> RostSpec:
     """A random structure whose q-matrices are Gram matrices of unit vectors.
@@ -369,12 +360,12 @@ def random_gram_rost(
         raise RostInvalidError(f"a structure needs at least one element, got m={m}")
     if abs(u) + delta > 1:
         raise RostInvalidError("need |u| + delta <= 1 for unit-vector construction")
-    v1 = rng.standard_normal((m, dim))
+    v1 = rng.standard_normal((m, GRAM_DIM))
     v1 /= np.linalg.norm(v1, axis=1, keepdims=True)
     v2 = np.empty_like(v1)
     for a in range(m):
         c = u + rng.uniform(-delta, delta) * 0.9
-        w = rng.standard_normal(dim)
+        w = rng.standard_normal(GRAM_DIM)
         w -= (w @ v1[a]) * v1[a]
         w /= np.linalg.norm(w)
         v2[a] = c * v1[a] + np.sqrt(1.0 - c * c) * w

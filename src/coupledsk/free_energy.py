@@ -4,8 +4,8 @@ Everything here is exact in the spin sum (no thermal sampling): the engine
 resolves the two-copy partition function by disagreement count d through a
 Walsh-Hadamard XOR convolution in O(n 2**n), and Monte Carlo enters only
 through the outer average over Gaussian disorder.  All arithmetic is
-log-domain with per-table max shifts; overflow is treated as a bug, not an
-error path.
+log-domain, with per-table max shifts in the engine; a disagreement class
+lost to rounding or overflow raises NumericalError.
 """
 
 from __future__ import annotations
@@ -167,18 +167,20 @@ def estimate_F(
 # ---------------------------------------------------------------------------
 
 
-# a class lost to over- or underflow surfaces as a non-finite entry, which
-# _ladder_class reports; numpy's warnings would only repeat it
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+# fields too large for a double overflow in a + b; the lost class surfaces
+# as a non-finite entry, which _ladder_class reports; numpy's warnings would
+# only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def cavity_logz_by_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log of sum over pairs at each disagreement count of the factorized
     per-site weights exp(t1_i a_i + t2_i b_i).
 
     Site i contributes weight 2cosh(a_i + b_i) when the pair agrees there and
     2cosh(a_i - b_i) when it disagrees, so the count-resolved sums are the
-    coefficients of a product of linear polynomials.  The ladder is computed
-    with a running max renormalization, O(n^2) time, log-domain throughout.
-    Supports leading batch axes; returns shape (..., n+1).
+    coefficients of a product of linear polynomials.  The ladder adds one
+    site at a time with logaddexp, O(n^2) time, log-domain throughout, so no
+    class underflows however far it lies below the others.  Supports leading
+    batch axes; returns shape (..., n+1).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -187,26 +189,23 @@ def cavity_logz_by_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     log_agree = np.logaddexp(a + b, -(a + b))
     log_disagree = np.logaddexp(a - b, -(a - b))
-    ratios = np.exp(log_disagree - log_agree)
-    batch = a.shape[:-1]
-    coeffs = np.zeros(batch + (n + 1,))
-    coeffs[..., 0] = 1.0
-    shift = log_agree.sum(axis=-1)
+    out = np.full(a.shape[:-1] + (n + 1,), -np.inf)
+    out[..., 0] = 0.0
     for i in range(n):
-        upd = coeffs.copy()
-        upd[..., 1:] += ratios[..., i, None] * coeffs[..., :-1]
-        top = upd.max(axis=-1)
-        coeffs = upd / top[..., None]
-        shift = shift + np.log(top)
-    return np.log(coeffs) + shift[..., None]
+        la = log_agree[..., i]
+        out[..., 1:] = np.logaddexp(out[..., 1:] + la[..., None],
+                                    out[..., :-1] + log_disagree[..., i, None])
+        out[..., 0] += la
+    return out
 
 
 def _ladder_class(ladder: np.ndarray, d: int) -> np.ndarray:
-    """Column d of cavity ladders.  Every class sum is positive, so a
-    non-finite entry is one lost to over- or underflow: NumericalError."""
+    """Column d of cavity ladders.  Every class sum is positive and the
+    ladder is log-domain, so a non-finite entry comes from fields too large
+    for a double: NumericalError."""
     col = ladder[..., d]
     if not np.all(np.isfinite(col)):
-        raise NumericalError(f"the cavity ladder lost disagreement class d={d} to rounding")
+        raise NumericalError(f"the cavity ladder lost disagreement class d={d} to overflow")
     return col
 
 
@@ -242,10 +241,8 @@ def g_terms_replica(
     """
     w = rost.weights.sample(rng_for(root, rep, stream=0), rost.m)
     fields = field_sampler.sample(rng_for(root, rep, stream=1), n)
-    # C-contiguous (m, n) rows: each element's ladder then sums its sites in
-    # the same order as a lone length-n vector would
-    a = np.ascontiguousarray(fields.z[:, 0, :].T) + spec.h1
-    b = np.ascontiguousarray(fields.z[:, 1, :].T) + spec.h2
+    a = fields.z[:, 0, :].T + spec.h1
+    b = fields.z[:, 1, :].T + spec.h2
     log_b = _ladder_class(cavity_logz_by_count(a, b), c.d)
     term1 = float(logsumexp(log_b, b=w)) / n
     term2 = float(logsumexp(np.sqrt(n) * (fields.y[0] + fields.y[1]), b=w)) / n

@@ -155,9 +155,7 @@ class ConvexityReport:
     structural: bool
 
 
-def check_convexity(
-    spec: MixtureSpec, grid_size: int = CONVEXITY_GRID, tol: float = CONVEXITY_TOL
-) -> ConvexityReport:
+def check_convexity(spec: MixtureSpec) -> ConvexityReport:
     """Scan discrete second differences of all three xi functions on a grid.
 
     Also reports whether the structural sufficient condition holds: all odd-p
@@ -174,7 +172,7 @@ def check_convexity(
         and np.all(a1[even] * a2[even] >= 0.0)
     )
 
-    x = np.linspace(-1.0, 1.0, grid_size)
+    x = np.linspace(-1.0, 1.0, CONVEXITY_GRID)
     funcs = MixtureFunctions(spec)
     worst = np.inf
     worst_pair = COPY_PAIRS[0]
@@ -188,7 +186,7 @@ def check_convexity(
             worst_pair = pair
             worst_x = float(x[i + 1])
     return ConvexityReport(
-        convex=worst >= -tol,
+        convex=worst >= -CONVEXITY_TOL,
         worst_second_difference=worst,
         worst_pair=worst_pair,
         worst_x=worst_x,

@@ -7,11 +7,10 @@ from scipy.linalg import hadamard
 from coupledsk.bits import fwht
 
 
-def stacked_fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
+def stacked_fwht(a: np.ndarray) -> np.ndarray:
     """The butterfly that builds each stage's output with np.stack: the same
     additions in the same order as fwht, in a new array per stage."""
     a = np.array(a, dtype=np.float64, copy=True)
-    a = np.moveaxis(a, axis, -1)
     m = a.shape[-1]
     h = 1
     while h < m:
@@ -20,7 +19,7 @@ def stacked_fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
         hi = v[..., 0, :] - v[..., 1, :]
         a = np.stack((lo, hi), axis=-2).reshape(a.shape)
         h *= 2
-    return np.moveaxis(a, -1, axis)
+    return a
 
 
 # the shapes the interpolation paths, the WHT engine and the process route use
@@ -59,17 +58,6 @@ def test_writable_input_is_not_written():
     kept = x.copy()
     fwht(x)
     assert np.array_equal(x, kept)
-
-
-def test_axis_zero():
-    rng = np.random.default_rng(3)
-    x = rng.integers(-9, 10, size=(16, 3, 5)).astype(np.float64)
-    out = fwht(x, axis=0)
-    assert out.shape == x.shape
-    assert np.array_equal(out, np.einsum("wx,xij->wij", hadamard(16).astype(np.float64), x))
-    y = rng.standard_normal((32, 7))
-    assert np.array_equal(fwht(y, axis=0), stacked_fwht(y, axis=0))
-    assert np.array_equal(fwht(y, axis=0), fwht(y.T).T)
 
 
 def test_self_inverse_up_to_length():

@@ -225,12 +225,12 @@ class TestPreconditions:
         assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
 
     def test_lost_cavity_class_exits_2(self, tmp_path, capsys):
-        # fields this strong lose the extreme classes of the cavity ladder,
-        # which would otherwise be reported as a nan G
+        # fields too large for a double overflow the cavity ladder, which
+        # would otherwise be reported as a nan G
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "mixture": {"a1": [0, 300], "a2": [0, 300]}, "n_list": [8], "n_rep": 4, "seed": 1,
-            "rost": {"m": 3, "delta": 0.05},
+            "mixture": {"a1": [0, 0.5], "a2": [0, 0.5], "h1": 1e308, "h2": 1e308},
+            "n_list": [8], "n_rep": 4, "seed": 1, "rost": {"m": 3, "delta": 0.05},
         }))
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -240,6 +240,36 @@ class TestPreconditions:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "cavity ladder lost" in lines[0]
         assert not (out / "manifest.json").exists()
+
+    def test_strong_cavity_fields_give_a_finite_g(self, tmp_path, capsys):
+        # fields of several hundred per site put the ladder's classes
+        # thousands of nats apart; the log-domain ladder keeps them all
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mixture": {"a1": [0, 300], "a2": [0, 300]}, "n_list": [8], "n_rep": 4, "seed": 1,
+            "rost": {"m": 3, "delta": 0.05},
+        }))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("rost-eval", "--config", str(path), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert math.isfinite(results["g"]) and math.isfinite(results["stderr"])
+
+    @pytest.mark.parametrize("key, patch", [
+        ("n_reps", {"n_reps": 3}),
+        ("H1", {"mixture": {"a1": [0.0, 0.5], "a2": [0.0, 0.5], "H1": 0.3}}),
+        ("Delta", {"rost": {"m": 3, "Delta": 0.05}}),
+    ], ids=["top-level", "mixture", "rost"])
+    def test_unknown_key_exits_2_before_monte_carlo(self, key, patch, small_config, tmp_path,
+                                                    no_monte_carlo, capsys):
+        # a misspelt key would otherwise run on its default
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({**json.loads(small_config.read_text()), **patch}))
+        assert run_cli("lemma3", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert no_monte_carlo == []
 
 
 class TestFreeEnergyCommand:

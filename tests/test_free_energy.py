@@ -132,6 +132,29 @@ class TestCavityLadder:
         for i in range(7):
             np.testing.assert_allclose(batch[i], cavity_logz_by_count(a[i], b[i]))
 
+    @pytest.mark.parametrize("scale", [1.0, 50.0, 400.0])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_matches_brute_force_at_strong_fields(self, n, scale):
+        # at scale 400 the classes span thousands of nats, more than the
+        # range of a double, so no class may be formed outside the log domain
+        for seed in range(3):
+            rng = np.random.default_rng([n, int(scale), seed])
+            a = rng.standard_normal(n) * scale
+            b = rng.standard_normal(n) * scale
+            ladder = cavity_logz_by_count(a, b)
+            for d in range(n + 1):
+                assert ladder[d] == pytest.approx(brute_cavity_logz(a, b, d), rel=1e-12)
+
+    def test_batched_transposed_view_is_bit_equal(self):
+        # the (m, n) field rows of a structure are a transposed, non-contiguous
+        # view of the (n, 2, m) draw, as in g_terms_replica
+        z = np.random.default_rng(2).standard_normal((10, 2, 32)) * 3.0
+        a, b = z[:, 0, :].T, z[:, 1, :].T
+        assert not a.flags.c_contiguous
+        batch = cavity_logz_by_count(a, b)
+        for i in range(32):
+            assert np.array_equal(batch[i], cavity_logz_by_count(a[i].copy(), b[i].copy()))
+
     @settings(max_examples=25, deadline=None)
     @given(
         fields=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=8),
@@ -359,14 +382,21 @@ class TestExplicitStructure:
 
     @pytest.mark.parametrize("variant", ["limit", "finite"])
     def test_lost_cavity_class_raises(self, variant):
-        # fields of 400 per site push exp(-2(a + b)) below the smallest
-        # double, so every class but d = 0 of the ladder underflows to -inf
+        # fields of 400 per site put the ladder's classes thousands of nats
+        # apart; the log-domain ladder keeps every one of them
         spec = MixtureSpec(a1=(0.0,), a2=(0.0,), h1=400.0, h2=400.0)
         u_m = nearest_admissible(3, 0.0)
-        t = explicit_terms_replica(spec, 3, 4, u_m, OverlapConstraint(4, 4), variant, 1)
-        assert np.isfinite(t.term1)
+        u_p = OverlapConstraint(4, 0)
+        r1, r2 = _constrained_pairs(3, u_m.d)
+        t = explicit_terms_replica(spec, 3, 4, u_m, u_p, variant, 1)
+        draw = ExplicitSystemSampler(spec, 3, 4).sample(1)
+        bt1, bt2 = brute_explicit_terms(draw, r1, r2, spec, u_p, variant)
+        assert t.term1 + t.log_norm == pytest.approx(bt1, abs=1e-10)
+        assert t.term2 + t.log_norm == pytest.approx(bt2, abs=1e-10)
+        # fields too large for a double overflow in a + b: that class is lost
+        huge = MixtureSpec(a1=(0.0,), a2=(0.0,), h1=1e308, h2=1e308)
         with pytest.raises(NumericalError, match="lost disagreement class d=2"):
-            explicit_terms_replica(spec, 3, 4, u_m, OverlapConstraint(4, 0), variant, 1)
+            explicit_terms_replica(huge, 3, 4, u_m, u_p, variant, 1)
 
     def test_variant_gap_shrinks_with_base_size(self, pure_p2):
         # same draws for both variants, so the per-replica gap isolates the
