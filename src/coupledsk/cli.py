@@ -44,6 +44,7 @@ from .free_energy import (
     explicit_terms,
     overlap_logz_replicas,
     partition_by_overlap,
+    require_finite_fields,
     window_estimate,
     _constrained_pairs,
     _cached_explicit_sampler,
@@ -444,6 +445,8 @@ def cmd_interp(cfg: ExperimentConfig) -> Reports:
 
 def cmd_validate(cfg: ExperimentConfig) -> Reports:
     spec = cfg.mixture
+    n = min(cfg.n_list[0], 6)
+    require_finite_fields(n, spec.h1, spec.h2)
     results = {}
     conv = check_convexity(spec)
     results["convexity"] = {
@@ -457,7 +460,6 @@ def cmd_validate(cfg: ExperimentConfig) -> Reports:
         results["positivity"] = {"min": min(pos.minima.values()), "pass": pos.passed}
         ok = ok and pos.passed
 
-    n = min(cfg.n_list[0], 6)
     rng = np.random.Generator(np.random.PCG64(replica_seed(cfg.seed, 0, stream=5)))
     probes = []
     for _ in range(6):

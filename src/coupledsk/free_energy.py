@@ -10,11 +10,11 @@ lost to rounding or overflow raises NumericalError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bits import bucket_by_popcount, magnetizations, popcounts, xor_correlation
 from .configurations import OverlapConstraint
@@ -60,6 +60,34 @@ def _estimate(values, seed: int, label: str) -> Estimate:
     return Estimate(mean=mean, stderr=stderr, n_rep=len(values), seed=seed, label=label)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def logsumexp(a, axis=None, b=None):
+    """log of sum(b * exp(a)) over axis (every axis if None), for real a and
+    weights b >= 0.
+
+    Zero-weight entries are dropped, the maxima are summed apart and the
+    rest enters through log1p (Blanchard, Higham & Higham, IMA J. Numer.
+    Anal. 41, 2021); where that overflows, the direct sum is taken.  These
+    are scipy.special.logsumexp's operations in its order, so the two agree
+    bit for bit wherever a slice's weighted sum is positive.  Where it is 0,
+    this gives -inf (scipy gives nan if a zero weight meets exp(a) = inf).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    kept = a if b is None else np.where(b == 0, -np.inf, a)
+    a_max = np.max(kept, axis=axis, keepdims=True)
+    top = kept == a_max
+    m = np.sum(top if b is None else b * top, axis=axis, keepdims=True, dtype=np.float64)
+    e = np.exp(np.where(top, -np.inf, kept) - np.where(np.isfinite(a_max), a_max, 0.0))
+    s = np.sum(e if b is None else b * e, axis=axis, keepdims=True)
+    out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
+    lost = ~np.isfinite(out) & (out != -np.inf)
+    if np.any(lost):
+        e = np.exp(a) if b is None else b * np.exp(a)
+        out = np.where(lost, np.log(np.sum(e, axis=axis, keepdims=True)), out)
+    return np.squeeze(out, axis=axis)[()]
+
+
 # ---------------------------------------------------------------------------
 # Overlap-resolved partition function
 # ---------------------------------------------------------------------------
@@ -82,10 +110,26 @@ def overlap_resolved_logz(logw1: np.ndarray, logw2: np.ndarray) -> np.ndarray:
     s1 = float(logw1.max())
     s2 = float(logw2.max())
     c = xor_correlation(np.exp(logw1 - s1), np.exp(logw2 - s2))
-    z = bucket_by_popcount(c, n)
-    if np.any(z <= 0.0):
+    return np.log(positive_sums(bucket_by_popcount(c, n))) + s1 + s2
+
+
+def positive_sums(z):
+    """z unchanged if every class sum in it is positive, as it is by
+    construction; one lost to underflow or cancellation raises NumericalError."""
+    if not np.all(z > 0.0):
         raise NumericalError("a disagreement class summed to a non-positive value")
-    return np.log(z) + s1 + s2
+    return z
+
+
+def require_finite_fields(n: int, *fields: float) -> None:
+    """NumericalError unless each field's term h * magnetization in an n-spin
+    log-weight table, which spans 2 n |h|, fits a double; beyond that numpy
+    would overflow to inf and nan."""
+    for h in fields:
+        if not math.isfinite(2.0 * n * h):
+            raise NumericalError(
+                f"field {h:g} on {n} spins spreads the log-weights beyond a double"
+            )
 
 
 def partition_by_overlap(table: HamiltonianTable, h1: float, h2: float) -> np.ndarray:
@@ -93,6 +137,7 @@ def partition_by_overlap(table: HamiltonianTable, h1: float, h2: float) -> np.nd
     (n+1,); a constraint's value is the logsumexp over its d range."""
     if table.n > WHT_CAP:
         raise ResourceError(f"engine capped at n={WHT_CAP}, got {table.n}")
+    require_finite_fields(table.n, h1, h2)
     mag = magnetizations(table.n)
     logw1 = table.values[0] + h1 * mag
     logw2 = table.values[1] + h2 * mag
@@ -368,16 +413,17 @@ def explicit_terms(
         raise ValueError("increment constraint size must equal n")
     n = draw.n
     r1, r2 = _constrained_pairs(draw.m, u_m.d)
-    mag = magnetizations(draw.m)
-    log_w = (
-        draw.trunc[0, r1] + draw.trunc[1, r2]
-        + spec.h1 * mag[r1] + spec.h2 * mag[r2]
-    )
     z = draw.z if variant == "limit" else draw.z_finite
     y = draw.y if variant == "limit" else draw.y_finite
     a = z[:, 0, r1].T + spec.h1  # (m_pairs, n)
     b = z[:, 1, r2].T + spec.h2
     log_b = _ladder_class(cavity_logz_by_count(a, b), u_prime.d)
+    require_finite_fields(draw.m, spec.h1, spec.h2)
+    mag = magnetizations(draw.m)
+    log_w = (
+        draw.trunc[0, r1] + draw.trunc[1, r2]
+        + spec.h1 * mag[r1] + spec.h2 * mag[r2]
+    )
     log_norm = float(logsumexp(log_w))
     lw = log_w - log_norm
     term1 = float(logsumexp(lw + log_b)) / n

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bits import fwht, magnetizations, popcounts, spin_matrix, split_popcounts
 from .configurations import OverlapConstraint, nearest_admissible
@@ -44,7 +43,10 @@ from .free_energy import (
     GEstimate,
     _estimate,
     estimate_F,
+    logsumexp,
     overlap_logz_replicas,
+    positive_sums,
+    require_finite_fields,
     window_values,
 )
 from .mixture import (
@@ -113,7 +115,7 @@ def _copy_spectra(w1: np.ndarray, w2: np.ndarray, conv2: np.ndarray, spectrum: n
     is (spectra[l][a] * spectra[l'][b]) @ fwht(f) / 2**n, so no law is built."""
     nu1 = w1 * conv2
     nu2 = w2 * _class_correlation(w1, spectrum)
-    z = nu1.sum(axis=-1, keepdims=True)
+    z = positive_sums(nu1.sum(axis=-1, keepdims=True))
     nu1 /= z
     nu2 /= nu2.sum(axis=-1, keepdims=True)
     return z[..., 0], {1: fwht(nu1), 2: fwht(nu2)}
@@ -169,6 +171,7 @@ def _split_energies(
 ) -> tuple[np.ndarray, np.ndarray]:
     sm, sn, sbig = tables
     m, n = sm.n, sn.n
+    require_finite_fields(m + n, spec.h1, spec.h2)
     rho, tau = _split_index_maps(m, n)
     mag = magnetizations(m + n)
     rt, rs = np.sqrt(t), np.sqrt(1.0 - t)
@@ -193,7 +196,7 @@ def lemma2_phi_replica(
 
 def _split_phi(s1, s2, w1: np.ndarray, conv2: np.ndarray, big: int) -> float:
     """The path value from _class_weights of the pinned-block class."""
-    return float((np.log(float(w1 @ conv2)) + s1 + s2) / big)
+    return float((np.log(positive_sums(float(w1 @ conv2))) + s1 + s2) / big)
 
 
 @dataclass(frozen=True)
@@ -358,6 +361,7 @@ def _lemma3_element_tables(
     state: _Lemma3State, spec: MixtureSpec, n: int, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-element log-weight tables over configurations, shape (m, 2**n)."""
+    require_finite_fields(n, spec.h1, spec.h2)
     s = spin_matrix(n)
     rt, rs = np.sqrt(t), np.sqrt(1.0 - t)
     g1 = rt * state.table.values[0][None, :] + (s @ (rs * state.z[:, 0, :] + spec.h1)).T
@@ -376,7 +380,7 @@ def lemma3_phi_replica(
 def _lemma3_phi(state: _Lemma3State, n: int, t: float, s1, s2, w1, conv2) -> float:
     """(1/n) log of the weighted element sum of each element's constrained
     pair sum times its compensator factor."""
-    log_pairs = np.log(np.einsum("ac,ac->a", w1, conv2)) + s1 + s2
+    log_pairs = np.log(positive_sums(np.einsum("ac,ac->a", w1, conv2))) + s1 + s2
     y_part = np.sqrt(t * n) * (state.y[0] + state.y[1])
     return float(logsumexp(log_pairs + y_part, b=state.w)) / n
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bits import magnetizations, popcounts, spin_matrix
 from .configurations import OverlapConstraint
 from .disorder import ExplicitDraw, _contract_all_configs, _rng
+from .free_energy import logsumexp
 from .mixture import MixtureSpec, mixture_functions
 
 

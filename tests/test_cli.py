@@ -3,7 +3,11 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,17 @@ def small_config(tmp_path):
 
 class WorkerReached(Exception):
     """Raised by a patched replica worker: the run got past its preconditions."""
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only the tests' oracles; a CLI process must not pay for it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, coupledsk.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 class TestConfigErrors:
@@ -256,6 +271,30 @@ class TestPreconditions:
         assert capsys.readouterr().err == ""
         results = json.loads((out / "manifest.json").read_text())["results"]
         assert math.isfinite(results["g"]) and math.isfinite(results["stderr"])
+
+    @pytest.mark.parametrize("command, m, h", [
+        ("free-energy", 3, 1e308), ("lemma1", 3, 1e308), ("superadd", 3, 1e308),
+        ("lemma3", 3, 1e308), ("validate", 3, 1e308), ("explicit-rost", 3, 1e308),
+        ("interp", 3, 1e308), ("interp", None, 1e308),
+        # fields of 1e5 leave only the all-up configuration a nonzero weight,
+        # so the interpolation paths' class pair sums underflow to 0
+        ("interp", 3, 1e5), ("interp", None, 1e5),
+    ])
+    def test_fields_that_lose_precision_exit_2(self, command, m, h, tmp_path, capsys):
+        # one error line: no numpy warning above a traceback, no nan report
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mixture": {"a1": [0, 0.5], "a2": [0, 0.5], "h1": h, "h2": h},
+            "n": 6, "m": m, "n_rep": 4, "seed": 1, "t_grid": [0.5],
+            "rost": {"m": 3, "delta": 0.05},
+        }))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, patch", [
         ("n_reps", {"n_reps": 3}),

@@ -1,6 +1,7 @@
 """Constrained partition sums, cavity ladders, and structure functionals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from coupledsk.disorder import (
     get_sampler,
     random_gram_rost,
 )
+from coupledsk.free_energy import logsumexp as own_logsumexp
 from coupledsk.free_energy import (
     Estimate,
     NumericalError,
@@ -45,6 +47,50 @@ from coupledsk.reference import (
     explicit_full_table,
     zero_disorder_log_pair_count,
 )
+
+
+# log-weights drawn from a few values so that ties at the maximum are common
+LOG_VALUES = st.one_of(
+    st.sampled_from([-np.inf, -np.inf, -1.0, 0.0, -0.0, 2.5, 700.0]),
+    st.floats(-800.0, 800.0, allow_nan=False),
+)
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.0, 1e300, allow_nan=False))
+
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_scipy(self, data):
+        shape = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple))
+        size = math.prod(shape)
+        a = np.array(data.draw(st.lists(LOG_VALUES, min_size=size, max_size=size))
+                     ).reshape(shape)
+        b = data.draw(st.none() | st.lists(WEIGHTS, min_size=size, max_size=size))
+        b = None if b is None else np.array(b).reshape(shape)
+        axis = data.draw(st.none() | st.integers(-len(shape), len(shape) - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = own_logsumexp(a, axis=axis, b=b)
+        with np.errstate(over="ignore"):  # scipy warns where s/m overflows, then falls back
+            theirs = logsumexp(a, axis=axis, b=b)
+        assert type(ours) is type(theirs)
+        assert np.shape(ours) == np.shape(theirs)
+        # bit for bit, sign of zero included, wherever the slice's weighted
+        # sum is positive; where it is 0, -inf
+        positive = np.any((a > -np.inf) & (True if b is None else b > 0), axis=axis)
+        ours, theirs = np.asarray(ours), np.asarray(theirs)
+        assert np.array_equal(ours[positive].view(np.int64), theirs[positive].view(np.int64))
+        assert np.all(ours[~positive] == -np.inf)
+
+    def test_zero_weight_slice_is_minus_inf(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0], [-np.inf, -np.inf]])
+        b = np.array([[0.0, 0.0], [1.0, 0.5], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = own_logsumexp(a, axis=1, b=b)
+            assert own_logsumexp(a[0], b=b[0]) == -np.inf
+        assert out[0] == -np.inf and out[2] == -np.inf
+        assert out[1] == logsumexp(a[1], b=b[1])
 
 
 class TestPartitionByOverlap:
