@@ -48,23 +48,41 @@ def magnetizations(n: int) -> np.ndarray:
 def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last, power-of-two axis.
 
-    Self-inverse up to a factor of the axis length.  The butterfly runs in
-    place on one C-contiguous copy of the input, which is never written; its
-    order is fixed, so results are bit-for-bit reproducible.
+    Self-inverse up to a factor of the axis length.  The butterflies run in
+    place on private copies of the input, which is never written; their
+    order is fixed, so results are bit-for-bit reproducible, and each
+    element's arithmetic is the same whatever the leading axes hold.  With
+    2**k the least power of two whose square reaches rows * length, the
+    levels below 2**k run on a copy laid out (low k index bits, row, high
+    bits) and the rest in place, so every level's inner loop spans at least
+    min(2**k, rows * length / 2**k) elements.
     """
-    a = np.array(a, dtype=np.float64, order="C")
+    a = np.asarray(a, dtype=np.float64)
     m = a.shape[-1]
     if m & (m - 1):
         raise ValueError(f"axis length must be a power of two, got {m}")
-    h = 1
-    while h < m:
-        v = a.reshape(a.shape[:-1] + (m // (2 * h), 2, h))
+    rows = a.size // max(m, 1)
+    low = 1
+    while low < m and low * low < rows * m:
+        low *= 2
+    t = np.array(a.reshape(rows, m // low, low).transpose(2, 0, 1), order="C")
+    _butterflies(t.reshape(-1), 1, low, rows * (m // low))
+    out = np.array(t.transpose(1, 2, 0), order="C").reshape(a.shape)
+    _butterflies(out, low, m, 1)
+    return out
+
+
+def _butterflies(a: np.ndarray, h: int, stop: int, inner: int) -> None:
+    """The levels h, 2h, ... below stop of the transform along a C-contiguous
+    array's last axis, whose index is (level index) * inner + (inner index)."""
+    lead, size = a.shape[:-1], a.shape[-1]
+    while h < stop:
+        v = a.reshape(lead + (size // (2 * h * inner), 2, h * inner))
         lo, hi = v[..., 0, :], v[..., 1, :]
         diff = lo - hi
         lo += hi
         hi[...] = diff
         h *= 2
-    return a
 
 
 def xor_correlation(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -77,8 +95,13 @@ def xor_correlation(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
 
 
 def bucket_by_popcount(values: np.ndarray, n: int) -> np.ndarray:
-    """Sum a length-2**n vector into n+1 buckets keyed by mask popcount."""
-    return np.bincount(popcounts(n), weights=values, minlength=n + 1)
+    """Sum the length-2**n rows of values, shape (..., 2**n), into n+1
+    buckets each keyed by mask popcount; shape (..., n+1).  One bincount with
+    row offsets adds each row's entries in the same order as the row alone."""
+    rows = values.size >> n
+    keys = popcounts(n) + (n + 1) * np.arange(rows)[:, None]
+    flat = np.bincount(keys.ravel(), weights=values.ravel(), minlength=rows * (n + 1))
+    return flat.reshape(values.shape[:-1] + (n + 1,))
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,7 @@ from .free_energy import (
     estimate_F,
     estimate_G,
     estimate_G_MN,
-    explicit_terms,
+    explicit_terms_block,
     overlap_logz_replicas,
     partition_by_overlap,
     require_finite_fields,
@@ -65,7 +65,7 @@ from .mixture import (
     check_positivity,
     mixture_functions,
 )
-from .parallel import replica_seed
+from .parallel import replica_seed, stack_replicas
 from .reference import brute_cavity_logz, brute_explicit_terms, brute_overlap_logz
 
 
@@ -180,6 +180,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not -1.0 <= self.u <= 1.0:
             raise ConfigError(f"u={self.u} outside [-1, 1]")
+        if not self.n_list:
+            raise ConfigError("n_list must name at least one size")
         for n in self.n_list:
             if not 1 <= n <= WHT_CAP:
                 raise ConfigError(f"n={n} outside [1, {WHT_CAP}]")
@@ -395,12 +397,12 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
     worst_dual = 0.0
     sampler = _cached_explicit_sampler(cfg.mixture, cfg.m, n)
     r1, r2 = _constrained_pairs(cfg.m, u_m.d)
-    for rep in range(min(cfg.n_rep, 5)):
-        draw = sampler.sample(replica_seed(cfg.seed, rep))
-        t = explicit_terms(draw, cfg.mixture, u_m, derived.constraint, "limit")
+    draws = [sampler.sample(replica_seed(cfg.seed, rep)) for rep in range(min(cfg.n_rep, 5))]
+    terms = explicit_terms_block(stack_replicas(draws), cfg.mixture, u_m, derived.constraint,
+                                 "limit")
+    for draw, (term1, term2, log_norm) in zip(draws, terms):
         bt1, bt2 = brute_explicit_terms(draw, r1, r2, cfg.mixture, derived.constraint, "limit")
-        worst_dual = max(worst_dual, abs(t.term1 + t.log_norm - bt1),
-                         abs(t.term2 + t.log_norm - bt2))
+        worst_dual = max(worst_dual, abs(term1 + log_norm - bt1), abs(term2 + log_norm - bt2))
     ok = bool(diag_exact and psd_ok and worst_dual < 1e-10)
     rows = [
         _estimate_row(g_lim.diff, n, derived.constraint.k, 0.0),

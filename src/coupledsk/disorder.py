@@ -94,14 +94,15 @@ def _clipped_sqrt(w: np.ndarray, trace: float, dim: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class HamiltonianTable:
-    """One disorder sample: both copies' energies for every configuration."""
+    """One disorder sample: both copies' energies for every configuration.
+    A replica block stacks its samples' values on leading axes."""
 
     n: int
-    values: np.ndarray  # shape (2, 2**n); row l-1 holds copy l
+    values: np.ndarray  # shape (..., 2, 2**n); row l-1 holds copy l
 
     def __post_init__(self):
-        if self.values.shape != (2, 2**self.n):
-            raise ValueError(f"values must have shape (2, {2**self.n})")
+        if self.values.shape[-2:] != (2, 2**self.n):
+            raise ValueError(f"values must have shape (..., 2, {2**self.n})")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("Hamiltonian table contains non-finite entries")
 
@@ -272,14 +273,18 @@ class RostSpec:
         return self.q12.T
 
     def block_matrix(self, entry_fn) -> np.ndarray:
-        """Assemble the 2m x 2m matrix entry_fn(l, l', q) blockwise, copy-major."""
+        """Assemble the 2m x 2m matrix entry_fn(l, l', q) blockwise, copy-major.
+
+        entry_fn acts entrywise, so it is evaluated once per distinct overlap
+        of each block and spread by the inverse index."""
         m = self.m
         out = np.empty((2 * m, 2 * m))
         for ell in (1, 2):
             for ellp in (1, 2):
+                values, inverse = np.unique(self.q(ell, ellp), return_inverse=True)
                 out[(ell - 1) * m:ell * m, (ellp - 1) * m:ellp * m] = entry_fn(
-                    ell, ellp, self.q(ell, ellp)
-                )
+                    ell, ellp, values
+                )[inverse.reshape(m, m)]
         return out
 
     @classmethod

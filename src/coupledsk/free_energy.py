@@ -29,7 +29,7 @@ from .disorder import (
     get_sampler,
 )
 from .mixture import MixtureSpec, mixture_functions
-from .parallel import pmap, replica_seed, rng_for, summarize
+from .parallel import map_blocks, replica_seed, rng_for, stack_replicas, summarize
 
 WHT_CAP = 12
 EXPLICIT_PAIR_CAP = 2048
@@ -72,7 +72,10 @@ def logsumexp(a, axis=None, b=None):
     bit for bit wherever a slice's weighted sum is positive.  Where it is 0,
     this gives -inf (scipy gives nan if a zero weight meets exp(a) = inf).
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    # C order: a row's sums then run pairwise along it, as for the row alone,
+    # whatever layout the caller's block came in
+    a = np.atleast_1d(np.ascontiguousarray(a, dtype=np.float64))
+    b = None if b is None else np.ascontiguousarray(b)
     axis = tuple(range(a.ndim)) if axis is None else axis
     kept = a if b is None else np.where(b == 0, -np.inf, a)
     a_max = np.max(kept, axis=axis, keepdims=True)
@@ -98,17 +101,19 @@ def overlap_resolved_logz(logw1: np.ndarray, logw2: np.ndarray) -> np.ndarray:
 
     Computed as an XOR correlation of the two weight tables followed by a
     popcount bucketing; matches the direct quadratic double loop to rounding.
+    Tables run along the last axis, and leading axes hold a block of table
+    pairs, each shifted by its own maxima; returns shape (..., n+1).
     """
-    if logw1.shape != logw2.shape or logw1.ndim != 1:
-        raise ValueError("weight tables must be equal-length vectors")
-    size = logw1.size
+    if logw1.shape != logw2.shape or logw1.ndim == 0:
+        raise ValueError("weight tables must be equal-shape arrays of tables")
+    size = logw1.shape[-1]
     n = size.bit_length() - 1
     if 1 << n != size:
         raise ValueError("table length must be a power of two")
     if not (np.all(np.isfinite(logw1)) and np.all(np.isfinite(logw2))):
         raise ValueError("weight tables must be finite")
-    s1 = float(logw1.max())
-    s2 = float(logw2.max())
+    s1 = logw1.max(axis=-1, keepdims=True)
+    s2 = logw2.max(axis=-1, keepdims=True)
     c = xor_correlation(np.exp(logw1 - s1), np.exp(logw2 - s2))
     return np.log(positive_sums(bucket_by_popcount(c, n))) + s1 + s2
 
@@ -134,13 +139,14 @@ def require_finite_fields(n: int, *fields: float) -> None:
 
 def partition_by_overlap(table: HamiltonianTable, h1: float, h2: float) -> np.ndarray:
     """log Z(d) of one disorder sample for every disagreement count d, shape
-    (n+1,); a constraint's value is the logsumexp over its d range."""
+    (n+1,), or of each sample of a block, shape (..., n+1); a constraint's
+    value is the logsumexp over its d range."""
     if table.n > WHT_CAP:
         raise ResourceError(f"engine capped at n={WHT_CAP}, got {table.n}")
     require_finite_fields(table.n, h1, h2)
     mag = magnetizations(table.n)
-    logw1 = table.values[0] + h1 * mag
-    logw2 = table.values[1] + h2 * mag
+    logw1 = table.values[..., 0, :] + h1 * mag
+    logw2 = table.values[..., 1, :] + h2 * mag
     return overlap_resolved_logz(logw1, logw2)
 
 
@@ -149,10 +155,10 @@ def partition_by_overlap(table: HamiltonianTable, h1: float, h2: float) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _logz_worker(args) -> np.ndarray:
-    spec, n, sampler, root, rep = args
-    table = get_sampler(spec, n, sampler).sample(replica_seed(root, rep))
-    return partition_by_overlap(table, spec.h1, spec.h2)
+def _logz_worker(spec: MixtureSpec, n: int, sampler: str, root: int, block: range) -> np.ndarray:
+    draw = get_sampler(spec, n, sampler)
+    tables = stack_replicas([draw.sample(replica_seed(root, rep)) for rep in block])
+    return partition_by_overlap(tables, spec.h1, spec.h2)
 
 
 def overlap_logz_replicas(
@@ -171,9 +177,8 @@ def overlap_logz_replicas(
     """
     # built here, before pmap forks, so every worker inherits one factorization
     get_sampler(spec, n, sampler)
-    return np.array(
-        pmap(_logz_worker, [(spec, n, sampler, seed, rep) for rep in range(n_rep)], threads)
-    )
+    # a block's largest stacked array is its tables, 2 * 2**n doubles a replica
+    return map_blocks(_logz_worker, (spec, n, sampler, seed), n_rep, 2 << n, threads)
 
 
 def window_values(log_z: np.ndarray, c: OverlapConstraint) -> np.ndarray:
@@ -270,6 +275,33 @@ class GEstimate:
     term2: Estimate
 
 
+def g_terms_block(
+    rost: RostSpec,
+    field_sampler: RostFieldSampler,
+    spec: MixtureSpec,
+    n: int,
+    c: OverlapConstraint,
+    root: int,
+    block: range,
+) -> np.ndarray:
+    """Both structure-functional terms of each replica of a block, shape
+    (len(block), 2).
+
+    Weights use stream 0 and fields stream 1 of each replica's seed, so
+    swapping the weight law never changes the field draws.  One ladder call
+    covers every (replica, element).
+    """
+    w = np.stack([rost.weights.sample(rng_for(root, rep, stream=0), rost.m) for rep in block])
+    fields = stack_replicas([field_sampler.sample(rng_for(root, rep, stream=1), n)
+                             for rep in block])
+    a = fields.z[:, :, 0, :].swapaxes(-1, -2) + spec.h1  # (replica, element, site)
+    b = fields.z[:, :, 1, :].swapaxes(-1, -2) + spec.h2
+    log_b = _ladder_class(cavity_logz_by_count(a, b), c.d)
+    term1 = logsumexp(log_b, axis=-1, b=w) / n
+    term2 = logsumexp(np.sqrt(n) * (fields.y[:, 0] + fields.y[:, 1]), axis=-1, b=w) / n
+    return np.stack([term1, term2], axis=-1)
+
+
 def g_terms_replica(
     rost: RostSpec,
     field_sampler: RostFieldSampler,
@@ -279,23 +311,9 @@ def g_terms_replica(
     root: int,
     rep: int,
 ) -> tuple[float, float]:
-    """One replica of both structure-functional terms.
-
-    Weights use stream 0 and fields stream 1 of the replica's seed, so
-    swapping the weight law never changes the field draws.
-    """
-    w = rost.weights.sample(rng_for(root, rep, stream=0), rost.m)
-    fields = field_sampler.sample(rng_for(root, rep, stream=1), n)
-    a = fields.z[:, 0, :].T + spec.h1
-    b = fields.z[:, 1, :].T + spec.h2
-    log_b = _ladder_class(cavity_logz_by_count(a, b), c.d)
-    term1 = float(logsumexp(log_b, b=w)) / n
-    term2 = float(logsumexp(np.sqrt(n) * (fields.y[0] + fields.y[1]), b=w)) / n
-    return term1, term2
-
-
-def _g_worker(args) -> tuple[float, float]:
-    return g_terms_replica(*args)
+    """g_terms_block of the block holding replica rep alone."""
+    term1, term2 = g_terms_block(rost, field_sampler, spec, n, c, root, range(rep, rep + 1))[0]
+    return float(term1), float(term2)
 
 
 def estimate_G(
@@ -315,13 +333,9 @@ def estimate_G(
             "structure has no weight law; evaluate explicit structures with estimate_G_MN"
         )
     field_sampler = RostFieldSampler(rost, mixture_functions(spec))
-    out = pmap(
-        _g_worker,
-        [(rost, field_sampler, spec, n, c, seed, rep) for rep in range(n_rep)],
-        threads,
-    )
-    t1 = np.array([v[0] for v in out])
-    t2 = np.array([v[1] for v in out])
+    # a block's largest stacked array is its fields z, (n, 2, m) a replica
+    t1, t2 = map_blocks(g_terms_block, (rost, field_sampler, spec, n, c, seed), n_rep,
+                        2 * rost.m * n, threads).T
     return GEstimate(
         diff=_estimate(t1 - t2, seed, f"G(n={n},k={c.k})"),
         term1=_estimate(t1, seed, "G_term1"),
@@ -397,38 +411,39 @@ def _cached_explicit_sampler(spec: MixtureSpec, m: int, n: int) -> ExplicitSyste
     return ExplicitSystemSampler(spec, m, n)
 
 
-def explicit_terms(
-    draw: ExplicitDraw,
+def explicit_terms_block(
+    draws: ExplicitDraw,
     spec: MixtureSpec,
     u_m: OverlapConstraint,
     u_prime: OverlapConstraint,
     variant: str,
-) -> ExplicitTerms:
-    """Both terms of the explicit-structure functional for one disorder draw.
+) -> np.ndarray:
+    """The ExplicitTerms fields (term1, term2, log_norm) of each draw of a
+    block, shape (replicas, 3); one ladder call covers every (replica, pair).
 
     variant 'limit' uses the exact-covariance cavity fields, 'finite' the
     big-system-normalized ones from the same tensors.
     """
-    if u_prime.n != draw.n:
+    if u_prime.n != draws.n:
         raise ValueError("increment constraint size must equal n")
-    n = draw.n
-    r1, r2 = _constrained_pairs(draw.m, u_m.d)
-    z = draw.z if variant == "limit" else draw.z_finite
-    y = draw.y if variant == "limit" else draw.y_finite
-    a = z[:, 0, r1].T + spec.h1  # (m_pairs, n)
-    b = z[:, 1, r2].T + spec.h2
+    n = draws.n
+    r1, r2 = _constrained_pairs(draws.m, u_m.d)
+    z = draws.z if variant == "limit" else draws.z_finite
+    y = draws.y if variant == "limit" else draws.y_finite
+    a = z[:, :, 0, r1].swapaxes(-1, -2) + spec.h1  # (replica, pair, site)
+    b = z[:, :, 1, r2].swapaxes(-1, -2) + spec.h2
     log_b = _ladder_class(cavity_logz_by_count(a, b), u_prime.d)
-    require_finite_fields(draw.m, spec.h1, spec.h2)
-    mag = magnetizations(draw.m)
+    require_finite_fields(draws.m, spec.h1, spec.h2)
+    mag = magnetizations(draws.m)
     log_w = (
-        draw.trunc[0, r1] + draw.trunc[1, r2]
+        draws.trunc[:, 0, r1] + draws.trunc[:, 1, r2]
         + spec.h1 * mag[r1] + spec.h2 * mag[r2]
     )
-    log_norm = float(logsumexp(log_w))
-    lw = log_w - log_norm
-    term1 = float(logsumexp(lw + log_b)) / n
-    term2 = float(logsumexp(lw + np.sqrt(n) * (y[0, r1] + y[1, r2]))) / n
-    return ExplicitTerms(term1=term1, term2=term2, log_norm=log_norm / n)
+    log_norm = logsumexp(log_w, axis=-1)
+    lw = log_w - log_norm[:, None]
+    term1 = logsumexp(lw + log_b, axis=-1) / n
+    term2 = logsumexp(lw + np.sqrt(n) * (y[:, 0, r1] + y[:, 1, r2]), axis=-1) / n
+    return np.stack([term1, term2, log_norm / n], axis=-1)
 
 
 def explicit_terms_replica(
@@ -440,17 +455,18 @@ def explicit_terms_replica(
     variant: str,
     seed,
 ) -> ExplicitTerms:
-    """explicit_terms of the draw from seed."""
-    return explicit_terms(
-        _cached_explicit_sampler(spec, m, n).sample(seed), spec, u_m, u_prime, variant
-    )
+    """Both terms of the explicit-structure functional for the draw from
+    seed: explicit_terms_block of the block holding that draw alone."""
+    draws = stack_replicas([_cached_explicit_sampler(spec, m, n).sample(seed)])
+    return ExplicitTerms(*map(float, explicit_terms_block(draws, spec, u_m, u_prime, variant)[0]))
 
 
-def _gmn_worker(args) -> list[tuple[float, float]]:
-    spec, m, n, u_m, u_prime, root, rep = args
-    draw = _cached_explicit_sampler(spec, m, n).sample(replica_seed(root, rep))
-    terms = [explicit_terms(draw, spec, u_m, u_prime, v) for v in EXPLICIT_VARIANTS]
-    return [(t.term1, t.term2) for t in terms]
+def _gmn_worker(spec: MixtureSpec, m: int, n: int, u_m: OverlapConstraint,
+                u_prime: OverlapConstraint, root: int, block: range) -> np.ndarray:
+    sampler = _cached_explicit_sampler(spec, m, n)
+    draws = stack_replicas([sampler.sample(replica_seed(root, rep)) for rep in block])
+    return np.stack([explicit_terms_block(draws, spec, u_m, u_prime, v)[:, :2]
+                     for v in EXPLICIT_VARIANTS], axis=1)
 
 
 def estimate_G_MN(
@@ -465,11 +481,11 @@ def estimate_G_MN(
 ) -> tuple[GEstimate, GEstimate]:
     """Monte Carlo averages of the explicit-structure functional, the 'limit'
     and the 'finite' variant, both from one draw per replica."""
-    out = np.array(pmap(
-        _gmn_worker,
-        [(spec, m, n, u_m, u_prime, seed, rep) for rep in range(n_rep)],
-        threads,
-    ))  # (n_rep, variant, term)
+    # a block's largest stacked array is its ladders, (pairs, n+1) a replica,
+    # or its fields z, (n, 2, 2**m)
+    row = max(_constrained_pairs(m, u_m.d)[0].size * (n + 1), 2 * n << m)
+    out = map_blocks(_gmn_worker, (spec, m, n, u_m, u_prime, seed), n_rep, row,
+                     threads)  # (n_rep, variant, term)
     return tuple(
         GEstimate(
             diff=_estimate(t1 - t2, seed, f"G_MN(m={m},n={n},{variant})"),

@@ -57,7 +57,7 @@ from .mixture import (
     check_convexity,
     mixture_functions,
 )
-from .parallel import pmap, replica_seed, rng_for
+from .parallel import map_blocks, replica_seed, rng_for, stack_replicas
 
 
 # step of the common-random-number finite difference of phi
@@ -97,7 +97,8 @@ def _class_weights(g1: np.ndarray, g2: np.ndarray, spectrum: np.ndarray):
     """(s1, s2, w1, w2, conv2) for rows of copy-1 and copy-2 log-weights and a
     class spectrum: the per-row max shifts, the shifted weights exp(g - s),
     and copy 2's XOR correlation with the class.  A row's pair sum over the
-    class is exp(s1 + s2) times w1 . conv2."""
+    class is exp(s1 + s2) times w1 . conv2.  Shifts stay per row: one shared
+    across a block would push more of a row's classes below the doubles."""
     s1 = g1.max(axis=-1, keepdims=True)
     s2 = g2.max(axis=-1, keepdims=True)
     w1 = np.exp(g1 - s1)
@@ -119,6 +120,12 @@ def _copy_spectra(w1: np.ndarray, w2: np.ndarray, conv2: np.ndarray, spectrum: n
     nu1 /= z
     nu2 /= nu2.sum(axis=-1, keepdims=True)
     return z[..., 0], {1: fwht(nu1), 2: fwht(nu2)}
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis: one BLAS dot per row, as for the
+    row alone, so a row's bits never depend on its block."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @lru_cache(maxsize=None)
@@ -164,20 +171,44 @@ def _split_tables(spec: MixtureSpec, m: int, n: int, root: int, rep: int,
                  for stream, size in enumerate((m, n, m + n)))
 
 
+def _stack_split_tables(replicas) -> tuple[HamiltonianTable, ...]:
+    """The block of per-replica _split_tables: one stacked table per system."""
+    return tuple(stack_replicas(system) for system in zip(*replicas))
+
+
 def _split_energies(
     spec: MixtureSpec,
     tables: tuple[HamiltonianTable, HamiltonianTable, HamiltonianTable],
     t: float,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Both copies' interpolated log-weights over the (M+N)-spin masks, of one
+    replica's tables, or of each replica of a block of them."""
     sm, sn, sbig = tables
     m, n = sm.n, sn.n
     require_finite_fields(m + n, spec.h1, spec.h2)
     rho, tau = _split_index_maps(m, n)
     mag = magnetizations(m + n)
     rt, rs = np.sqrt(t), np.sqrt(1.0 - t)
-    f1 = rt * sbig.values[0] + rs * (sm.values[0][rho] + sn.values[0][tau]) + spec.h1 * mag
-    f2 = rt * sbig.values[1] + rs * (sm.values[1][rho] + sn.values[1][tau]) + spec.h2 * mag
+    f1, f2 = (
+        rt * sbig.values[..., ell, :]
+        + rs * (sm.values[..., ell, :][..., rho] + sn.values[..., ell, :][..., tau]) + h * mag
+        for ell, h in ((0, spec.h1), (1, spec.h2))
+    )
     return f1, f2
+
+
+def lemma2_phi_block(
+    spec: MixtureSpec,
+    u_m: OverlapConstraint,
+    u_n: OverlapConstraint,
+    t: float,
+    tables,
+) -> np.ndarray:
+    """Path value of each replica of a block of tables: (1/(M+N)) log of the
+    pinned-block pair sum under the interpolated Hamiltonian."""
+    spectrum = _split_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
+    s1, s2, w1, _, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
+    return _split_phi(s1, s2, w1, conv2, u_m.n + u_n.n)
 
 
 def lemma2_phi_replica(
@@ -187,16 +218,14 @@ def lemma2_phi_replica(
     t: float,
     tables,
 ) -> float:
-    """Path value for one disorder replica: (1/(M+N)) log of the pinned-block
-    pair sum under the interpolated Hamiltonian."""
-    spectrum = _split_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
-    s1, s2, w1, _, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
-    return _split_phi(s1, s2, w1, conv2, u_m.n + u_n.n)
+    """Path value for one disorder replica: lemma2_phi_block of the block
+    holding its tables alone."""
+    return float(lemma2_phi_block(spec, u_m, u_n, t, _stack_split_tables([tables]))[0])
 
 
-def _split_phi(s1, s2, w1: np.ndarray, conv2: np.ndarray, big: int) -> float:
-    """The path value from _class_weights of the pinned-block class."""
-    return float((np.log(positive_sums(float(w1 @ conv2))) + s1 + s2) / big)
+def _split_phi(s1, s2, w1: np.ndarray, conv2: np.ndarray, big: int) -> np.ndarray:
+    """The path values from _class_weights of the pinned-block class."""
+    return (np.log(positive_sums(_row_dot(w1, conv2))) + s1 + s2) / big
 
 
 @dataclass(frozen=True)
@@ -214,6 +243,50 @@ class Lemma2Derivative:
     convexity_term: Estimate
 
 
+def _bracket_spectra(spec: MixtureSpec, m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The spectrum of each copy pair's convexity bracket
+    (M+N) xi(R) - M xi(R_rho) - N xi(R_tau), laid over the masks by their
+    block popcounts (the pinned-block spectra are Kronecker products), in
+    COPY_PAIRS order; they involve no disorder, so a pass builds them once."""
+    funcs = mixture_functions(spec)
+    r_rho = 1.0 - 2.0 * np.arange(m + 1) / m
+    r_tau = 1.0 - 2.0 * np.arange(n + 1) / n
+    big = m + n
+    r_sig = (m * r_rho[:, None] + n * r_tau[None, :]) / big
+    lo, hi = split_popcounts(m, n)
+    k_m, k_n = _krawtchouk(m), _krawtchouk(n)
+    return tuple(
+        (k_m.T @ (big * funcs.xi(ell, ellp, r_sig)
+                  - m * funcs.xi(ell, ellp, r_rho)[:, None]
+                  - n * funcs.xi(ell, ellp, r_tau)[None, :]) @ k_n)[lo, hi]
+        for ell, ellp in COPY_PAIRS
+    )
+
+
+def lemma2_derivative_block(
+    spec: MixtureSpec,
+    u_m: OverlapConstraint,
+    u_n: OverlapConstraint,
+    t: float,
+    tables,
+    b_hats: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """(path value, convexity term) of each replica of a block of tables,
+    shape (replica, 2), by exact two-replica enumeration: the block-overlap
+    law's pairing with each convexity bracket (b_hats, from _bracket_spectra)
+    is taken in the Walsh domain.  The path values are lemma2_phi_block's,
+    from the same weights."""
+    big = u_m.n + u_n.n
+    spectrum = _split_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
+    s1, s2, w1, w2, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
+    _, spectra = _copy_spectra(w1, w2, conv2, spectrum)
+    # the (2, 1) law is the mirror of the (1, 2) one, so that pair counts twice
+    total = 0.0
+    for (ell, ellp), mult, b_hat in zip(COPY_PAIRS, (1.0, 2.0, 1.0), b_hats):
+        total = total + mult * _row_dot(spectra[ell] * spectra[ellp], b_hat)
+    return np.stack([_split_phi(s1, s2, w1, conv2, big), 0.5 * total / 2**big], axis=-1)
+
+
 def lemma2_derivative_replica(
     spec: MixtureSpec,
     u_m: OverlapConstraint,
@@ -221,40 +294,11 @@ def lemma2_derivative_replica(
     t: float,
     tables,
 ) -> tuple[float, float]:
-    """(path value, convexity term) for one replica, by exact two-replica
-    enumeration: the block-overlap law's pairing with each convexity bracket
-    is taken in the Walsh domain.  The path value is lemma2_phi_replica's,
-    from the same weights."""
-    m, n = u_m.n, u_n.n
-    funcs = mixture_functions(spec)
-    spectrum = _split_spectrum(m, n, u_m.d, u_n.d)
-    s1, s2, w1, w2, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
-    _, spectra = _copy_spectra(w1, w2, conv2, spectrum)
-
-    r_rho = 1.0 - 2.0 * np.arange(m + 1) / m
-    r_tau = 1.0 - 2.0 * np.arange(n + 1) / n
-    big = m + n
-    r_sig = (m * r_rho[:, None] + n * r_tau[None, :]) / big
-
-    def bracket(ell, ellp):
-        return (
-            big * funcs.xi(ell, ellp, r_sig)
-            - m * funcs.xi(ell, ellp, r_rho)[:, None]
-            - n * funcs.xi(ell, ellp, r_tau)[None, :]
-        )
-
-    # each bracket laid over the masks by their block popcounts, as a spectrum
-    # (the pinned-block spectra are Kronecker products); the (2, 1) law is
-    # the mirror of the (1, 2) one, so that pair counts twice
-    lo, hi = split_popcounts(m, n)
-    k_m, k_n = _krawtchouk(m), _krawtchouk(n)
-    total = 0.0
-    for (ell, ellp), mult in zip(COPY_PAIRS, (1.0, 2.0, 1.0)):
-        b_hat = (k_m.T @ bracket(ell, ellp) @ k_n)[lo, hi]
-        total += mult * float((spectra[ell] * spectra[ellp]) @ b_hat)
-    convexity = 0.5 * total / 2**big
-
-    return _split_phi(s1, s2, w1, conv2, big), convexity
+    """(path value, convexity term) for one replica: lemma2_derivative_block
+    of the block holding its tables alone."""
+    b_hats = _bracket_spectra(spec, u_m.n, u_n.n)
+    row = lemma2_derivative_block(spec, u_m, u_n, t, _stack_split_tables([tables]), b_hats)[0]
+    return float(row[0]), float(row[1])
 
 
 def _split_constrained_term(
@@ -272,13 +316,15 @@ def _split_constrained_term(
     return float(constrained)
 
 
-def _lemma2_worker(args) -> tuple[list[float], list[float]]:
-    spec, u_m, u_n, phi_ts, deriv_ts, root, rep, sampler = args
-    tables = _split_tables(spec, u_m.n, u_n.n, root, rep, sampler)
-    der = {t: lemma2_derivative_replica(spec, u_m, u_n, t, tables) for t in deriv_ts}
-    phi = [der[t][0] if t in der else lemma2_phi_replica(spec, u_m, u_n, t, tables)
+def _lemma2_worker(spec, u_m, u_n, phi_ts, deriv_ts, b_hats, sampler, root, block) -> np.ndarray:
+    """The columns phi(phi_ts), then the convexity term at deriv_ts, of one
+    replica block."""
+    tables = _stack_split_tables([_split_tables(spec, u_m.n, u_n.n, root, rep, sampler)
+                                  for rep in block])
+    der = {t: lemma2_derivative_block(spec, u_m, u_n, t, tables, b_hats) for t in deriv_ts}
+    phi = [der[t][:, 0] if t in der else lemma2_phi_block(spec, u_m, u_n, t, tables)
            for t in phi_ts]
-    return phi, [der[t][1] for t in deriv_ts]
+    return np.stack(phi + [der[t][:, 1] for t in deriv_ts], axis=-1)
 
 
 def _lemma2_pass(
@@ -305,15 +351,13 @@ def _lemma2_pass(
     # built here, before pmap forks: a size check fails before any replica
     for size in (u_m.n, u_n.n, u_m.n + u_n.n):
         get_sampler(spec, size, sampler)
-    out = pmap(
-        _lemma2_worker,
-        [(spec, u_m, u_n, phi_ts, deriv_ts, seed, rep, sampler) for rep in range(n_rep)],
-        threads,
-    )
-    phi = np.array([o[0] for o in out]).reshape(n_rep, len(phi_ts))
-    conv = np.array([o[1] for o in out]).reshape(n_rep, len(deriv_ts))
-    constrained = _split_constrained_term(mixture_functions(spec), u_m, u_n)
     big = u_m.n + u_n.n
+    # a block's largest stacked arrays are its (M+N)-spin tables, 2 * 2**(M+N)
+    # doubles a replica
+    args = (spec, u_m, u_n, phi_ts, deriv_ts, _bracket_spectra(spec, u_m.n, u_n.n), sampler, seed)
+    out = map_blocks(_lemma2_worker, args, n_rep, 2 << big, threads)
+    phi, conv = out[:, :len(phi_ts)], out[:, len(phi_ts):]
+    constrained = _split_constrained_term(mixture_functions(spec), u_m, u_n)
     derivs = [
         Lemma2Derivative(
             phi_prime=_estimate((constrained - conv[:, j]) / big, seed, f"dphi_split(t={t:g})"),
@@ -332,9 +376,10 @@ def _lemma2_pass(
 
 @dataclass(eq=False)
 class _Lemma3State:
-    """One replica's random inputs: weights, structure fields, and table."""
+    """One replica's random inputs: weights, structure fields, and table.  A
+    replica block stacks its replicas' states on a leading axis."""
 
-    w: np.ndarray
+    w: np.ndarray  # (m,)
     z: np.ndarray  # (n, 2, m)
     y: np.ndarray  # (2, m)
     table: HamiltonianTable
@@ -358,31 +403,44 @@ def lemma3_state(
 
 
 def _lemma3_element_tables(
-    state: _Lemma3State, spec: MixtureSpec, n: int, t: float
+    states: _Lemma3State, spec: MixtureSpec, n: int, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element log-weight tables over configurations, shape (m, 2**n)."""
+    """Per-element log-weight tables over configurations of a block of
+    states, shape (replica, m, 2**n)."""
     require_finite_fields(n, spec.h1, spec.h2)
     s = spin_matrix(n)
     rt, rs = np.sqrt(t), np.sqrt(1.0 - t)
-    g1 = rt * state.table.values[0][None, :] + (s @ (rs * state.z[:, 0, :] + spec.h1)).T
-    g2 = rt * state.table.values[1][None, :] + (s @ (rs * state.z[:, 1, :] + spec.h2)).T
+    g1, g2 = (
+        rt * states.table.values[:, ell, None, :]
+        + (s @ (rs * states.z[:, :, ell, :] + h)).swapaxes(-1, -2)
+        for ell, h in ((0, spec.h1), (1, spec.h2))
+    )
     return g1, g2
+
+
+def lemma3_phi_block(
+    states: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
+) -> np.ndarray:
+    """Path value of each replica of a block of states."""
+    spectrum = _count_spectrum(n, c.d)
+    s1, s2, w1, _, conv2 = _class_weights(*_lemma3_element_tables(states, spec, n, t), spectrum)
+    return _lemma3_phi(states, n, t, s1, s2, w1, conv2)
 
 
 def lemma3_phi_replica(
     state: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
 ) -> float:
-    spectrum = _count_spectrum(n, c.d)
-    s1, s2, w1, _, conv2 = _class_weights(*_lemma3_element_tables(state, spec, n, t), spectrum)
-    return _lemma3_phi(state, n, t, s1, s2, w1, conv2)
+    """Path value of one replica: lemma3_phi_block of the block holding its
+    state alone."""
+    return float(lemma3_phi_block(stack_replicas([state]), spec, n, c, t)[0])
 
 
-def _lemma3_phi(state: _Lemma3State, n: int, t: float, s1, s2, w1, conv2) -> float:
+def _lemma3_phi(states: _Lemma3State, n: int, t: float, s1, s2, w1, conv2) -> np.ndarray:
     """(1/n) log of the weighted element sum of each element's constrained
-    pair sum times its compensator factor."""
-    log_pairs = np.log(positive_sums(np.einsum("ac,ac->a", w1, conv2))) + s1 + s2
-    y_part = np.sqrt(t * n) * (state.y[0] + state.y[1])
-    return float(logsumexp(log_pairs + y_part, b=state.w)) / n
+    pair sum times its compensator factor, per replica."""
+    log_pairs = np.log(positive_sums(np.einsum("...c,...c->...", w1, conv2))) + s1 + s2
+    y_part = np.sqrt(t * n) * (states.y[:, 0] + states.y[:, 1])
+    return logsumexp(log_pairs + y_part, axis=-1, b=states.w) / n
 
 
 @dataclass(frozen=True)
@@ -412,6 +470,65 @@ def first_sum_bound(rost: RostSpec, funcs: MixtureFunctions, u_n: float) -> floa
     return float(np.max(np.abs(_first_sum_terms(rost, funcs, u_n))))
 
 
+def _lemma3_terms(rost: RostSpec, spec: MixtureSpec, n: int, c: OverlapConstraint):
+    """The disorder-free inputs of the structure-comparison derivative, which
+    a pass builds once: the first-sum terms per element, the overlap's
+    spectrum over XOR masks, and per copy pair (in COPY_PAIRS order) the
+    spectrum of xi of the overlap with xi'(q) and theta(q)."""
+    funcs = mixture_functions(spec)
+    r_vals = 1.0 - 2.0 * np.arange(n + 1) / n
+    k, pop = _krawtchouk(n), popcounts(n)
+    pairs = tuple(
+        ((funcs.xi(ell, ellp, r_vals) @ k)[pop], funcs.xi_prime(ell, ellp, rost.q(ell, ellp)),
+         funcs.theta(ell, ellp, rost.q(ell, ellp)))
+        for ell, ellp in COPY_PAIRS
+    )
+    return _first_sum_terms(rost, funcs, c.u), (r_vals @ k)[pop], pairs
+
+
+def lemma3_derivative_block(
+    states: _Lemma3State,
+    terms: tuple,
+    spec: MixtureSpec,
+    n: int,
+    c: OverlapConstraint,
+    t: float,
+) -> np.ndarray:
+    """(path value, first sum, second line) of each replica of a block of
+    states by exact enumeration, shape (replica, 3), with terms from
+    _lemma3_terms; the path values are lemma3_phi_block's, from the same
+    weights.
+
+    Element marginals and the conditional single-copy laws are exact; each
+    element pair's two-replica averages of the overlap are Walsh-domain
+    pairings of the two copies' conditional-law spectra.
+    """
+    spectrum = _count_spectrum(n, c.d)
+    s1, s2, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(states, spec, n, t), spectrum)
+    phi = _lemma3_phi(states, n, t, s1, s2, w1, conv2)
+    z, spectra = _copy_spectra(w1, w2, conv2, spectrum)
+    log_z = np.log(z) + s1 + s2
+    with np.errstate(divide="ignore"):
+        log_p = np.log(states.w)
+    log_p = log_p + log_z + np.sqrt(t * n) * (states.y[:, 0] + states.y[:, 1])
+    p_alpha = np.exp(log_p - logsumexp(log_p, axis=-1)[:, None])
+    first_terms, r_hat, pairs = terms
+    first = _row_dot(p_alpha, first_terms)
+
+    # the (2, 1) block is the transpose of the (1, 2) one, so that pair
+    # counts twice
+    p_row, p_col = p_alpha[:, None, :], p_alpha[:, :, None]
+    total_b = 0.0
+    for (ell, ellp), mult, (xi_hat, xi_prime_q, theta_q) in zip(
+            COPY_PAIRS, (1.0, 2.0, 1.0), pairs):
+        f_l, f_lp = spectra[ell], spectra[ellp].swapaxes(-1, -2)
+        e_xi = (f_l * xi_hat) @ f_lp / 2**n
+        e_r = (f_l * r_hat) @ f_lp / 2**n
+        vals = e_xi - e_r * xi_prime_q + theta_q
+        total_b = total_b + mult * (p_row @ vals @ p_col)[:, 0, 0]
+    return np.stack([phi, first, -0.5 * total_b], axis=-1)
+
+
 def lemma3_derivative_replica(
     state: _Lemma3State,
     rost: RostSpec,
@@ -420,49 +537,23 @@ def lemma3_derivative_replica(
     c: OverlapConstraint,
     t: float,
 ) -> tuple[float, float, float]:
-    """(path value, first sum, second line) for one replica by exact
-    enumeration; the path value is lemma3_phi_replica's, from the same
-    weights.
-
-    Element marginals and the conditional single-copy laws are exact; each
-    element pair's two-replica averages of the overlap are Walsh-domain
-    pairings of the two copies' conditional-law spectra.
-    """
-    funcs = mixture_functions(spec)
-    spectrum = _count_spectrum(n, c.d)
-    s1, s2, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(state, spec, n, t), spectrum)
-    phi = _lemma3_phi(state, n, t, s1, s2, w1, conv2)
-    z, spectra = _copy_spectra(w1, w2, conv2, spectrum)
-    log_z = np.log(z) + s1 + s2
-    with np.errstate(divide="ignore"):
-        log_p = np.log(state.w)
-    log_p = log_p + log_z + np.sqrt(t * n) * (state.y[0] + state.y[1])
-    p_alpha = np.exp(log_p - logsumexp(log_p))
-    first = float(p_alpha @ _first_sum_terms(rost, funcs, c.u))
-
-    # the overlap and xi of it as spectra over XOR masks; the (2, 1) block is
-    # the transpose of the (1, 2) one, so that pair counts twice
-    r_vals = 1.0 - 2.0 * np.arange(n + 1) / n
-    k, pop = _krawtchouk(n), popcounts(n)
-    r_hat = (r_vals @ k)[pop]
-    total_b = 0.0
-    for (ell, ellp), mult in zip(COPY_PAIRS, (1.0, 2.0, 1.0)):
-        q = rost.q(ell, ellp)
-        f_l, f_lp = spectra[ell], spectra[ellp]
-        e_xi = (f_l * (funcs.xi(ell, ellp, r_vals) @ k)[pop]) @ f_lp.T / 2**n
-        e_r = (f_l * r_hat) @ f_lp.T / 2**n
-        vals = e_xi - e_r * funcs.xi_prime(ell, ellp, q) + funcs.theta(ell, ellp, q)
-        total_b += mult * float(p_alpha @ vals @ p_alpha)
-    return phi, first, -0.5 * total_b
+    """(path value, first sum, second line) for one replica:
+    lemma3_derivative_block of the block holding its state alone."""
+    row = lemma3_derivative_block(stack_replicas([state]), _lemma3_terms(rost, spec, n, c),
+                                  spec, n, c, t)[0]
+    return tuple(float(v) for v in row)
 
 
-def _lemma3_worker(args) -> tuple[list[float], list[tuple[float, float]]]:
-    rost, field_sampler, spec, n, c, phi_ts, deriv_ts, root, rep, sampler = args
-    state = lemma3_state(rost, field_sampler, spec, n, root, rep, sampler)
-    der = {t: lemma3_derivative_replica(state, rost, spec, n, c, t) for t in deriv_ts}
-    phi = [der[t][0] if t in der else lemma3_phi_replica(state, spec, n, c, t)
+def _lemma3_worker(rost, field_sampler, spec, n, c, phi_ts, deriv_ts, terms, sampler, root,
+                   block) -> np.ndarray:
+    """The columns phi(phi_ts), then the first sum and the second line at
+    each of deriv_ts, of one replica block."""
+    states = stack_replicas([lemma3_state(rost, field_sampler, spec, n, root, rep, sampler)
+                             for rep in block])
+    der = {t: lemma3_derivative_block(states, terms, spec, n, c, t) for t in deriv_ts}
+    phi = [der[t][:, :1] if t in der else lemma3_phi_block(states, spec, n, c, t)[:, None]
            for t in phi_ts]
-    return phi, [der[t][1:] for t in deriv_ts]
+    return np.concatenate(phi + [der[t][:, 1:] for t in deriv_ts], axis=-1)
 
 
 def _lemma3_pass(
@@ -487,14 +578,13 @@ def _lemma3_pass(
     get_sampler(spec, n, sampler)  # before pmap, as in _lemma2_pass
     funcs = mixture_functions(spec)
     field_sampler = RostFieldSampler(rost, funcs)
-    out = pmap(
-        _lemma3_worker,
-        [(rost, field_sampler, spec, n, c, phi_ts, deriv_ts, seed, rep, sampler)
-         for rep in range(n_rep)],
-        threads,
-    )
-    phi = np.array([o[0] for o in out]).reshape(n_rep, len(phi_ts))
-    der = np.array([o[1] for o in out]).reshape(n_rep, len(deriv_ts), 2)
+    # a block's largest stacked arrays are its element tables, (m, 2**n) a
+    # replica, or its disorder tables, (2, 2**n)
+    args = (rost, field_sampler, spec, n, c, phi_ts, deriv_ts, _lemma3_terms(rost, spec, n, c),
+            sampler, seed)
+    out = map_blocks(_lemma3_worker, args, n_rep, max(rost.m, 2) << n, threads)
+    phi = out[:, :len(phi_ts)]
+    der = out[:, len(phi_ts):].reshape(n_rep, len(deriv_ts), 2)
     bound = first_sum_bound(rost, funcs, c.u)
     if np.any(np.abs(der[..., 0]) > bound + 1e-9):
         raise RuntimeError("element average escaped its computable bound")

@@ -4,14 +4,25 @@ One root seed drives everything.  Stream s of replica r uses
 SeedSequence(root, spawn_key=(r, s)), a stateless counter-based split, so
 any replica can be recomputed in isolation and results do not depend on
 worker scheduling.
+
+The unit of Monte Carlo work is a replica block: a contiguous range of
+replicas whose draws are made one replica at a time, from that replica's
+own seeds, and then stacked on a leading axis, so each kernel runs once per
+block.  Block lengths follow from BLOCK_DOUBLES and the size of a replica's
+row alone, never from the worker count, and every kernel reduces along its
+last axis only, so a row's bits never depend on the block it sits in.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+# most doubles any stacked array of one replica block may hold (512 KiB)
+BLOCK_DOUBLES = 1 << 16
 
 
 def replica_seed(root_seed: int, replica: int, stream: int = 0) -> np.random.SeedSequence:
@@ -22,18 +33,58 @@ def rng_for(root_seed: int, replica: int, stream: int = 0) -> np.random.Generato
     return np.random.Generator(np.random.PCG64(replica_seed(root_seed, replica, stream)))
 
 
+def replica_blocks(n_rep: int, row_doubles: int) -> list[range]:
+    """range(n_rep) cut into contiguous blocks whose stacked arrays, of at
+    most row_doubles doubles per replica, hold at most BLOCK_DOUBLES doubles
+    (one replica per block if a single row is larger)."""
+    size = max(1, BLOCK_DOUBLES // row_doubles)
+    return [range(lo, min(lo + size, n_rep)) for lo in range(0, n_rep, size)]
+
+
+def stack_replicas(items: Sequence):
+    """One block from per-replica draws of one dataclass: every array field
+    stacked on a new leading replica axis, dataclass fields stacked the same
+    way, and any other field (a size) taken from the first draw."""
+    first = items[0]
+
+    def stacked(values):
+        if isinstance(values[0], np.ndarray):
+            return np.stack(values)
+        if dataclasses.is_dataclass(values[0]):
+            return stack_replicas(values)
+        return values[0]
+
+    return type(first)(**{f.name: stacked([getattr(x, f.name) for x in items])
+                          for f in dataclasses.fields(first)})
+
+
 def pmap(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Map fn over items, optionally across a process pool.
+    """Map fn over items, across a process pool of at most one worker per item.
 
     Results are returned in item order regardless of scheduling, so any
     downstream reduction is order-independent by construction.
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-    with ctx.Pool(processes=threads) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads)))
+    with ctx.Pool(processes=workers) as pool:
+        return pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+
+
+def _apply(item):
+    fn, args = item
+    return fn(*args)
+
+
+def map_blocks(fn: Callable, args: tuple, n_rep: int, row_doubles: int,
+               threads: int = 1) -> np.ndarray:
+    """fn(*args, block) for each block of replica_blocks(n_rep, row_doubles),
+    one pmap item per block; the (len(block), ...) results joined in replica
+    order."""
+    blocks = replica_blocks(n_rep, row_doubles)
+    return np.concatenate(pmap(_apply, [(fn, (*args, block)) for block in blocks], threads))
 
 
 def summarize(values: Iterable[float]) -> tuple[float, float]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from coupledsk import cli, free_energy, interpolation
+from coupledsk import cli, free_energy, interpolation, parallel
 from coupledsk.cli import main
 from coupledsk.disorder import get_sampler
 from coupledsk.free_energy import NumericalError
@@ -179,6 +179,18 @@ class TestPreconditions:
         path = tmp_path / "bad_value.json"
         path.write_text(json.dumps({**data, **bad}))
         assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert no_monte_carlo == []
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_empty_n_list_exits_2_before_monte_carlo(self, command, small_config, tmp_path,
+                                                     no_monte_carlo, capsys):
+        path = tmp_path / "no_sizes.json"
+        path.write_text(json.dumps({**json.loads(small_config.read_text()), "n_list": []}))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "n_list" in lines[0]
+        assert not out.exists()
         assert no_monte_carlo == []
 
     def test_config_that_is_not_json_exits_2(self, tmp_path, no_monte_carlo):
@@ -351,6 +363,25 @@ class TestDeterminism:
                 l1 = [l for l in f1.read_text().splitlines() if "timestamp" not in l]
                 l2 = [l for l in f2.read_text().splitlines() if "timestamp" not in l]
                 assert l1 == l2
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_threads_change_no_report(self, command, small_config, tmp_path, monkeypatch):
+        # --threads changes wall time, never results.  The two-thread run
+        # also cuts replica blocks small, so every Monte Carlo pass spans
+        # several blocks and the pool forks two workers
+        outs = {}
+        for threads, block_doubles in ((1, parallel.BLOCK_DOUBLES), (2, 64)):
+            monkeypatch.setattr(parallel, "BLOCK_DOUBLES", block_doubles)
+            out = outs[threads] = tmp_path / f"threads{threads}"
+            assert run_cli(command, "--config", str(small_config), "--threads", str(threads),
+                           "--out", str(out)) == 0
+        files = sorted(p.name for p in outs[1].iterdir())
+        assert files == sorted(p.name for p in outs[2].iterdir())
+        for name in files:
+            one, two = ((outs[t] / name).read_bytes().splitlines() for t in (1, 2))
+            if name == "manifest.json":
+                one, two = ([l for l in lines if b'"timestamp":' not in l] for lines in (one, two))
+            assert one == two, name
 
     def test_seed_override_changes_results(self, small_config, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

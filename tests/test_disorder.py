@@ -201,6 +201,45 @@ class TestRostSpec:
         with pytest.raises(RostInvalidError, match="at least one element"):
             random_gram_rost(m, 0.0, 0.05, np.random.default_rng(0))
 
+    @staticmethod
+    def _dense_block_matrix(rost, entry_fn):
+        """Every entry of every block evaluated, as block_matrix did before it
+        evaluated each distinct overlap once."""
+        m = rost.m
+        out = np.empty((2 * m, 2 * m))
+        for ell in (1, 2):
+            for ellp in (1, 2):
+                out[(ell - 1) * m:ell * m, (ellp - 1) * m:ellp * m] = entry_fn(
+                    ell, ellp, rost.q(ell, ellp))
+        return out
+
+    @pytest.mark.parametrize("kind", ["gram", "explicit", "random"])
+    def test_block_matrix_matches_dense_evaluation(self, kind, mixed_even):
+        from coupledsk.configurations import nearest_admissible
+        from coupledsk.free_energy import build_explicit_rost
+
+        rng = np.random.default_rng(4)
+        spec = MixtureSpec(a1=(0.3, 0.6, 0.1, 0.2), a2=(0.2, 0.4, 0.25, 0.3), h1=0.1)
+        if kind == "gram":
+            rosts = [random_gram_rost(m, 0.1, 0.05, rng) for m in (1, 3, 17, 40)]
+        elif kind == "explicit":
+            rosts = [build_explicit_rost(spec, 5, nearest_admissible(5, 0.2), 6, 0.2),
+                     build_explicit_rost(spec, 4, nearest_admissible(4, 0.0), 6, 0.0)]
+        else:
+            rosts = []
+            for m in (2, 9, 30):
+                q11 = rng.uniform(-1, 1, (m, m))
+                q11 = (q11 + q11.T) / 2
+                np.fill_diagonal(q11, 1.0)
+                rosts.append(RostSpec(q11=q11, q12=rng.uniform(-1, 1, (m, m)), q22=q11.T.copy(),
+                                      weights=DirichletWeights(), delta=2.0, u=0.0))
+        for mixture in (spec, mixed_even):
+            funcs = mixture_functions(mixture)
+            for rost in rosts:
+                for entry_fn in (funcs.xi_prime, funcs.theta, funcs.xi):
+                    assert np.array_equal(rost.block_matrix(entry_fn),
+                                          self._dense_block_matrix(rost, entry_fn))
+
     def test_indefinite_structure_rejected(self, pure_p2):
         # q requires copy-1 vectors anti-aligned yet both aligned to the same
         # copy-2 vector: no Gaussian field family exists

@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 from coupledsk.bits import magnetizations, popcounts, spin_matrix
 from coupledsk.configurations import OverlapConstraint, nearest_admissible
-from coupledsk import bits, interpolation
+from coupledsk import bits, interpolation, parallel
 from coupledsk.disorder import (
     DirichletWeights,
     FixedWeights,
@@ -417,36 +417,53 @@ class TestOneStatePerReplica:
 class TestOneEvaluationPerReplicaAndT:
     """A curve evaluates each replica's exact-Gibbs derivative once per grid t
     and takes that t's path value from it; phi alone runs only at the
-    finite-difference ends."""
+    finite-difference ends.  The kernels run on replica blocks, so each call
+    counts the replica rows it evaluates."""
 
     T_GRID = (0.25, 0.5, 0.75)
     N_REP = 4
 
-    def _count(self, monkeypatch, *names):
+    def _count(self, monkeypatch, rows, *names):
+        """Rows evaluated per block kernel; rows(args) is a call's row count."""
         calls = {name: 0 for name in names}
         for name in names:
             fn = getattr(interpolation, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls[_name] += 1
+                calls[_name] += rows(args)
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(interpolation, name, counted)
         return calls
 
+    def _split_rows(self, spec, monkeypatch):
+        calls = self._count(monkeypatch, lambda args: len(args[4][0].values),
+                            "lemma2_derivative_block", "lemma2_phi_block")
+        run_lemma2_curve(spec, 3, 3, 0.0, self.T_GRID, self.N_REP, seed=1)
+        return calls
+
+    def _structure_rows(self, spec, monkeypatch):
+        calls = self._count(monkeypatch, lambda args: len(args[0].w),
+                            "lemma3_derivative_block", "lemma3_phi_block")
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))
+        run_lemma3_curve(rost, spec, 4, OverlapConstraint(4, 0), self.T_GRID, self.N_REP,
+                         seed=2)
+        return calls
+
     def test_split_curve(self, pure_p2, monkeypatch):
-        calls = self._count(monkeypatch, "lemma2_derivative_replica", "lemma2_phi_replica")
-        run_lemma2_curve(pure_p2, 3, 3, 0.0, self.T_GRID, self.N_REP, seed=1)
-        assert calls == {"lemma2_derivative_replica": 3 * self.N_REP,
-                         "lemma2_phi_replica": 6 * self.N_REP}
+        assert self._split_rows(pure_p2, monkeypatch) == {
+            "lemma2_derivative_block": 3 * self.N_REP, "lemma2_phi_block": 6 * self.N_REP}
 
     def test_structure_curve(self, pure_p2, monkeypatch):
-        calls = self._count(monkeypatch, "lemma3_derivative_replica", "lemma3_phi_replica")
-        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))
-        run_lemma3_curve(rost, pure_p2, 4, OverlapConstraint(4, 0), self.T_GRID, self.N_REP,
-                         seed=2)
-        assert calls == {"lemma3_derivative_replica": 3 * self.N_REP,
-                         "lemma3_phi_replica": 6 * self.N_REP}
+        assert self._structure_rows(pure_p2, monkeypatch) == {
+            "lemma3_derivative_block": 3 * self.N_REP, "lemma3_phi_block": 6 * self.N_REP}
+
+    def test_one_replica_blocks_count_the_same_rows(self, pure_p2, monkeypatch):
+        monkeypatch.setattr(parallel, "BLOCK_DOUBLES", 1)
+        assert self._split_rows(pure_p2, monkeypatch) == {
+            "lemma2_derivative_block": 3 * self.N_REP, "lemma2_phi_block": 6 * self.N_REP}
+        assert self._structure_rows(pure_p2, monkeypatch) == {
+            "lemma3_derivative_block": 3 * self.N_REP, "lemma3_phi_block": 6 * self.N_REP}
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 1.0])
     def test_derivative_path_value_is_phi(self, pure_p2, mixed_even, t):
@@ -515,7 +532,9 @@ class TestOneTransformPerArray:
         # and each conditional law once, paired in the Walsh domain
         assert counts == {"lemma2_phi_replica": 2, "lemma2_derivative_replica": 6,
                           "lemma3_phi_replica": 2, "lemma3_derivative_replica": 6}
-        assert max(len(shape) for shape in fwht_calls) <= 2
+        # a replica's rows are its structure elements (one on the split path);
+        # an element-pair axis would give rost.m ** 2 rows
+        assert max(math.prod(shape[:-1]) for shape in fwht_calls) <= rost.m
 
 
 class TestWindowProfile:
