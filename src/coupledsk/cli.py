@@ -25,7 +25,6 @@ from .disorder import (
     CovarianceProbe,
     DirichletWeights,
     ResourceError,
-    RostFieldSampler,
     RostInvalidError,
     RostSpec,
     empirical_covariance,
@@ -41,6 +40,7 @@ from .free_energy import (
     estimate_F,
     estimate_G,
     estimate_G_MN,
+    explicit_fields_psd,
     explicit_terms_block,
     overlap_logz_replicas,
     partition_by_overlap,
@@ -178,6 +178,8 @@ class ExperimentConfig:
             raise ConfigError("n_rep must be >= 2 (standard errors need variance)")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {self.threads}")
         if not -1.0 <= self.u <= 1.0:
             raise ConfigError(f"u={self.u} outside [-1, 1]")
         if not self.n_list:
@@ -298,6 +300,17 @@ def _write_manifest(out: Path, command: str, cfg: ExperimentConfig, results: dic
 # ---------------------------------------------------------------------------
 
 
+def _one_size(cfg: ExperimentConfig, command: str, cap: int | None = None) -> int:
+    """The one size a single-size command runs at: n_list[0], at most cap.
+    A note on stderr names it and the n_list sizes it leaves out."""
+    n = cfg.n_list[0] if cap is None else min(cfg.n_list[0], cap)
+    ignored = list(cfg.n_list[1:]) if n == cfg.n_list[0] else list(cfg.n_list)
+    if ignored:
+        print(f"note: {command} runs at n = {n} only; it ignores n_list size(s) "
+              f"{', '.join(map(str, ignored))}", file=sys.stderr)
+    return n
+
+
 # A subcommand returns its reports, {csv name: (header, rows)}, the manifest's
 # results and whether every asserted check passed; main writes them.
 Reports = tuple[dict[str, tuple[list[str], list[list]]], dict, bool]
@@ -350,7 +363,7 @@ def cmd_superadd(cfg: ExperimentConfig) -> Reports:
 
 def cmd_rost_eval(cfg: ExperimentConfig) -> Reports:
     rost = cfg.load_rost()
-    n = cfg.n_list[0]
+    n = _one_size(cfg, "rost-eval")
     c = nearest_admissible(n, cfg.u)
     g = estimate_G(rost, cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.threads)
     rows = [
@@ -365,7 +378,7 @@ def cmd_rost_eval(cfg: ExperimentConfig) -> Reports:
 def cmd_lemma3(cfg: ExperimentConfig) -> Reports:
     require_convex(cfg.mixture, "the structure upper bound")
     rost = cfg.load_rost()
-    n = cfg.n_list[0]
+    n = _one_size(cfg, "lemma3")
     c = nearest_admissible(n, cfg.u)
     f_est = estimate_F(cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
     g_est = estimate_G(rost, cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.threads)
@@ -381,17 +394,12 @@ def cmd_lemma3(cfg: ExperimentConfig) -> Reports:
 def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
     if cfg.m is None:
         raise ConfigError("explicit-rost requires m (base size)")
-    n = cfg.n_list[0]
+    n = _one_size(cfg, "explicit-rost")
     u_m = nearest_admissible(cfg.m, cfg.u)
     derived = construct_u_prime(n, admissible_sequence(cfg.u), m_max=max(40, 4 * n), u=cfg.u)
     rost = build_explicit_rost(cfg.mixture, cfg.m, u_m, n, cfg.u)
     diag_exact = bool(np.all(np.diag(rost.q12) == u_m.u))
-    funcs = mixture_functions(cfg.mixture)
-    try:
-        RostFieldSampler(rost, funcs)
-        psd_ok = True
-    except RostInvalidError:
-        psd_ok = False
+    psd_ok = explicit_fields_psd(mixture_functions(cfg.mixture), cfg.m, u_m)
     g_lim, g_fin = estimate_G_MN(cfg.mixture, cfg.m, n, u_m, derived.constraint,
                                  cfg.n_rep, cfg.seed, cfg.threads)
     worst_dual = 0.0
@@ -419,7 +427,7 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
 
 def cmd_interp(cfg: ExperimentConfig) -> Reports:
     require_convex(cfg.mixture, "the interpolation derivative decompositions")
-    n = cfg.n_list[0]
+    n = _one_size(cfg, "interp")
     if cfg.m is not None and cfg.m + n > WHT_CAP:
         raise ConfigError(f"size splitting needs m + n <= {WHT_CAP}, got {cfg.m} + {n}")
     rost = cfg.load_rost()
@@ -447,7 +455,7 @@ def cmd_interp(cfg: ExperimentConfig) -> Reports:
 
 def cmd_validate(cfg: ExperimentConfig) -> Reports:
     spec = cfg.mixture
-    n = min(cfg.n_list[0], 6)
+    n = _one_size(cfg, "validate", cap=6)
     require_finite_fields(n, spec.h1, spec.h2)
     results = {}
     conv = check_convexity(spec)

@@ -87,6 +87,23 @@ def _clipped_sqrt(w: np.ndarray, trace: float, dim: int) -> np.ndarray:
     return np.sqrt(np.clip(w, 0.0, None))
 
 
+def walsh_blocks(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Walsh blocks of a two-copy covariance on
+    Z_2^n whose (l, l') block at (s, s') is f_{ll'}(popcount(s ^ s')).
+
+    f has shape (3, n+1): f_11, f_12 and f_22 over the disagreement counts.
+    The Walsh transform of f_{ll'} laid out over masks depends only on the
+    popcount k of the frequency, so the matrix splits into n+1 symmetric
+    2x2 blocks Lambda(k); returns their eigenvalues (n+1, 2) and
+    eigenvectors (n+1, 2, 2).  These are the eigenvalues of the whole
+    2**(n+1)-square matrix, frequency class k holding C(n, k) copies.
+    """
+    n = f.shape[-1] - 1
+    spectrum = fwht(f[:, popcounts(n)])[:, (1 << np.arange(n + 1)) - 1]
+    blocks = np.stack([spectrum[[0, 1]], spectrum[[1, 2]]]).transpose(2, 0, 1)
+    return np.linalg.eigh(blocks)
+
+
 # ---------------------------------------------------------------------------
 # Whole-Hamiltonian tables
 # ---------------------------------------------------------------------------
@@ -149,21 +166,19 @@ class ProcessSampler:
     With f_{ll'}(x) = n * xi_{ll'}(1 - 2 popcount(x) / n), the covariance of
     copies l, l' at (s, s') is f_{ll'}(s ^ s') = 2**-n sum_w fwht(f_{ll'})[w]
     (-1)^popcount(w & s) (-1)^popcount(w & s').  fwht(f_{ll'})[w] depends only
-    on popcount(w), so the n+1 symmetric 2x2 blocks Lambda(k) are factored
-    once as Lambda(k) = L(k) L(k)^T; a draw scales the noise at frequency w
-    by L(popcount(w)) and transforms back with fwht / sqrt(2**n).  The
-    blocks' eigenvalues are those of the whole 2**(n+1)-square covariance.
+    on popcount(w), so the n+1 symmetric 2x2 blocks Lambda(k) of
+    walsh_blocks are factored once as Lambda(k) = L(k) L(k)^T; a draw scales
+    the noise at frequency w by L(popcount(w)) and transforms back with
+    fwht / sqrt(2**n).
     """
 
     def __init__(self, spec: MixtureSpec, n: int):
         self.n = n
         funcs = mixture_functions(spec)
         r = 1.0 - 2.0 * np.arange(n + 1) / n
-        # f_11, f_12, f_22 over the disagreement counts, laid out over masks
+        # f_11, f_12, f_22 over the disagreement counts
         f = np.stack([n * funcs.xi(1, 1, r), n * funcs.xi(1, 2, r), n * funcs.xi(2, 2, r)])
-        spectrum = fwht(f[:, popcounts(n)])[:, (1 << np.arange(n + 1)) - 1]
-        blocks = np.stack([spectrum[[0, 1]], spectrum[[1, 2]]]).transpose(2, 0, 1)
-        w, v = np.linalg.eigh(blocks)
+        w, v = walsh_blocks(f)
         root = _clipped_sqrt(w, 2**n * (f[0, 0] + f[2, 0]), 2 ** (n + 1))
         # L(popcount(w)) for every frequency w, indexed (i, j, w)
         self.factor = (v * root[:, None, :])[popcounts(n)].transpose(1, 2, 0)

@@ -21,14 +21,17 @@ from .configurations import OverlapConstraint
 from .disorder import (
     ExplicitDraw,
     ExplicitSystemSampler,
+    FactorizationError,
     HamiltonianTable,
     ResourceError,
     RostFieldSampler,
     RostInvalidError,
     RostSpec,
+    _clipped_sqrt,
     get_sampler,
+    walsh_blocks,
 )
-from .mixture import MixtureSpec, mixture_functions
+from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
 from .parallel import map_blocks, replica_seed, rng_for, stack_replicas, summarize
 
 WHT_CAP = 12
@@ -221,7 +224,7 @@ def estimate_F(
 # as a non-finite entry, which _ladder_class reports; numpy's warnings would
 # only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def cavity_logz_by_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cavity_logz_by_count(a: np.ndarray, b: np.ndarray, last: int | None = None) -> np.ndarray:
     """log of sum over pairs at each disagreement count of the factorized
     per-site weights exp(t1_i a_i + t2_i b_i).
 
@@ -230,16 +233,21 @@ def cavity_logz_by_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     coefficients of a product of linear polynomials.  The ladder adds one
     site at a time with logaddexp, O(n^2) time, log-domain throughout, so no
     class underflows however far it lies below the others.  Supports leading
-    batch axes; returns shape (..., n+1).
+    batch axes; returns shape (..., last+1), the counts 0..last (every count
+    up to n by default).  Count k reads only counts k and k-1, so a ladder
+    stopped at last gives the full ladder's columns bit for bit.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("field vectors must have matching shapes")
     n = a.shape[-1]
+    last = n if last is None else last
+    if not 0 <= last <= n:
+        raise ValueError(f"disagreement count {last} outside [0, {n}]")
     log_agree = np.logaddexp(a + b, -(a + b))
     log_disagree = np.logaddexp(a - b, -(a - b))
-    out = np.full(a.shape[:-1] + (n + 1,), -np.inf)
+    out = np.full(a.shape[:-1] + (last + 1,), -np.inf)
     out[..., 0] = 0.0
     for i in range(n):
         la = log_agree[..., i]
@@ -249,11 +257,12 @@ def cavity_logz_by_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ladder_class(ladder: np.ndarray, d: int) -> np.ndarray:
-    """Column d of cavity ladders.  Every class sum is positive and the
-    ladder is log-domain, so a non-finite entry comes from fields too large
-    for a double: NumericalError."""
-    col = ladder[..., d]
+def _ladder_class(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """Class d of the cavity ladders of fields a, b, from a ladder stopped
+    at d.  Every class sum is positive and the ladder is log-domain, so a
+    non-finite entry comes from fields too large for a double:
+    NumericalError."""
+    col = cavity_logz_by_count(a, b, d)[..., d]
     if not np.all(np.isfinite(col)):
         raise NumericalError(f"the cavity ladder lost disagreement class d={d} to overflow")
     return col
@@ -296,7 +305,7 @@ def g_terms_block(
                              for rep in block])
     a = fields.z[:, :, 0, :].swapaxes(-1, -2) + spec.h1  # (replica, element, site)
     b = fields.z[:, :, 1, :].swapaxes(-1, -2) + spec.h2
-    log_b = _ladder_class(cavity_logz_by_count(a, b), c.d)
+    log_b = _ladder_class(a, b, c.d)
     term1 = logsumexp(log_b, axis=-1, b=w) / n
     term2 = logsumexp(np.sqrt(n) * (fields.y[:, 0] + fields.y[:, 1]), axis=-1, b=w) / n
     return np.stack([term1, term2], axis=-1)
@@ -397,6 +406,31 @@ def build_explicit_rost(
     )
 
 
+def explicit_fields_psd(funcs: MixtureFunctions, m: int, u_m: OverlapConstraint) -> bool:
+    """Whether RostFieldSampler accepts the explicit structure
+    build_explicit_rost(spec, m, u_m, ...) with funcs = mixture_functions(spec),
+    from 2 (M+1) Walsh blocks instead of two factorisations of side 2 |pairs|.
+
+    An element's copy-l row of xi'(q) and theta(q) depends only on its base
+    mask r_l, and each mask occurs C(M, d) times per copy, so each field
+    covariance is P B P^T with P^T P = C(M, d) I, where B is the
+    2**(M+1)-square matrix over base masks.  Its nonzero eigenvalues are
+    C(M, d) times those of B's Walsh blocks, the rest are 0, and each is held
+    to the floor psd_factor holds the whole matrix's eigenvalues to.
+    """
+    mult = math.comb(m, u_m.d)
+    pairs = mult << m
+    q = (m - 2.0 * np.arange(m + 1)) / m  # as build_explicit_rost's q-matrices
+    for entry in (funcs.xi_prime, funcs.theta):
+        f = np.stack([entry(1, 1, q), entry(1, 2, q), entry(2, 2, q)])
+        w, _ = walsh_blocks(f)
+        try:
+            _clipped_sqrt(mult * w, pairs * (f[0, 0] + f[2, 0]), 2 * pairs)
+        except FactorizationError:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ExplicitTerms:
     """Per-replica pieces of the explicit-structure functional."""
@@ -432,7 +466,7 @@ def explicit_terms_block(
     y = draws.y if variant == "limit" else draws.y_finite
     a = z[:, :, 0, r1].swapaxes(-1, -2) + spec.h1  # (replica, pair, site)
     b = z[:, :, 1, r2].swapaxes(-1, -2) + spec.h2
-    log_b = _ladder_class(cavity_logz_by_count(a, b), u_prime.d)
+    log_b = _ladder_class(a, b, u_prime.d)
     require_finite_fields(draws.m, spec.h1, spec.h2)
     mag = magnetizations(draws.m)
     log_w = (

@@ -144,16 +144,6 @@ def _krawtchouk(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _split_index_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    masks = np.arange(1 << (m + n), dtype=np.int64)
-    rho = masks & ((1 << m) - 1)
-    tau = masks >> m
-    rho.flags.writeable = False
-    tau.flags.writeable = False
-    return rho, tau
-
-
-@lru_cache(maxsize=None)
 def _split_spectrum(m: int, n: int, d_m: int, d_n: int) -> np.ndarray:
     """Walsh spectrum of the pinned-block class (popcount d_m in the low m
     bits, d_n in the high n bits); the indicator is a tensor product, so its
@@ -182,16 +172,23 @@ def _split_energies(
     t: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both copies' interpolated log-weights over the (M+N)-spin masks, of one
-    replica's tables, or of each replica of a block of them."""
+    replica's tables, or of each replica of a block of them.
+
+    Mask tau << M | rho splits into the N-spin configuration tau and the
+    M-spin configuration rho, so the split sum sm[rho] + sn[tau] is the
+    outer sum of the two tables' rows, flattened tau-major."""
     sm, sn, sbig = tables
     m, n = sm.n, sn.n
     require_finite_fields(m + n, spec.h1, spec.h2)
-    rho, tau = _split_index_maps(m, n)
     mag = magnetizations(m + n)
     rt, rs = np.sqrt(t), np.sqrt(1.0 - t)
+
+    def split(ell: int) -> np.ndarray:
+        outer = sm.values[..., ell, None, :] + sn.values[..., ell, :, None]
+        return outer.reshape(outer.shape[:-2] + (-1,))
+
     f1, f2 = (
-        rt * sbig.values[..., ell, :]
-        + rs * (sm.values[..., ell, :][..., rho] + sn.values[..., ell, :][..., tau]) + h * mag
+        rt * sbig.values[..., ell, :] + rs * split(ell) + h * mag
         for ell, h in ((0, spec.h1), (1, spec.h2))
     )
     return f1, f2

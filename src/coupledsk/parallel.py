@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing as mp
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -58,14 +59,23 @@ def stack_replicas(items: Sequence):
                           for f in dataclasses.fields(first)})
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def pmap(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Map fn over items, across a process pool of at most one worker per item.
+    """Map fn over items, across a process pool of at most one worker per
+    item and per usable CPU.
 
     Results are returned in item order regardless of scheduling, so any
     downstream reduction is order-independent by construction.
     """
     items = list(items)
-    workers = min(threads, len(items))
+    workers = min(threads, len(items), usable_cpus())
     if workers <= 1:
         return [fn(x) for x in items]
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()

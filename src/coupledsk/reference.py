@@ -21,6 +21,7 @@ from .configurations import OverlapConstraint
 from .disorder import ExplicitDraw, _contract_all_configs, _rng
 from .free_energy import logsumexp
 from .mixture import MixtureSpec, mixture_functions
+from .parallel import BLOCK_DOUBLES
 
 
 def brute_overlap_logz(logw1: np.ndarray, logw2: np.ndarray) -> np.ndarray:
@@ -63,30 +64,34 @@ def brute_explicit_terms(
 ) -> tuple[float, float]:
     """Both explicit-functional terms with unnormalized weights and a flat
     enumeration over increment-spin pairs (no per-site ladder, no element
-    abstraction).  Returns (1/n)-scaled log sums."""
+    abstraction).  Returns (1/n)-scaled log sums.
+
+    The base pairs run in chunks whose energies, one per base pair and
+    increment pair at disagreement d, hold at most BLOCK_DOUBLES doubles;
+    each base pair's energies form one C-order row, so its log-sum is the
+    one it would have alone."""
     m, n = draw.m, draw.n
     mag_m = magnetizations(m)
     z = draw.z if variant == "limit" else draw.z_finite
     y = draw.y if variant == "limit" else draw.y_finite
     s = spin_matrix(n)
     pop = popcounts(n)
-    pair_ok = pop[np.arange(1 << n)[:, None] ^ np.arange(1 << n)[None, :]] == u_prime.d
-    terms1 = []
-    terms2 = []
-    for rho1, rho2 in zip(r1, r2):
-        log_w = (
-            draw.trunc[0, rho1] + draw.trunc[1, rho2]
-            + spec.h1 * mag_m[rho1] + spec.h2 * mag_m[rho2]
-        )
-        e1 = s @ (z[:, 0, rho1] + spec.h1)
-        e2 = s @ (z[:, 1, rho2] + spec.h2)
-        energies = e1[:, None] + e2[None, :]
-        terms1.append(log_w + logsumexp(energies[pair_ok]))
-        terms2.append(log_w + np.sqrt(n) * (y[0, rho1] + y[1, rho2]))
-    return (
-        float(logsumexp(np.array(terms1))) / n,
-        float(logsumexp(np.array(terms2))) / n,
+    # the increment pairs at disagreement d, in row-major order
+    i1, i2 = np.nonzero(pop[np.arange(1 << n)[:, None] ^ np.arange(1 << n)[None, :]]
+                        == u_prime.d)
+    log_w = (
+        draw.trunc[0, r1] + draw.trunc[1, r2]
+        + spec.h1 * mag_m[r1] + spec.h2 * mag_m[r2]
     )
+    size = max(1, BLOCK_DOUBLES // i1.size)
+    log_b = []
+    for lo in range(0, len(r1), size):
+        e1 = np.stack([s @ (z[:, 0, rho1] + spec.h1) for rho1 in r1[lo:lo + size]])
+        e2 = np.stack([s @ (z[:, 1, rho2] + spec.h2) for rho2 in r2[lo:lo + size]])
+        log_b.append(logsumexp(e1[:, i1] + e2[:, i2], axis=1))
+    terms1 = log_w + np.concatenate(log_b)
+    terms2 = log_w + np.sqrt(n) * (y[0, r1] + y[1, r2])
+    return float(logsumexp(terms1)) / n, float(logsumexp(terms2)) / n
 
 
 def dense_process_covariance(spec: MixtureSpec, n: int) -> np.ndarray:

@@ -3,6 +3,8 @@ mapped, and the invariance every block kernel keeps -- row r of a block is
 bit-for-bit the kernel on replica r alone, wherever the block boundaries
 fall."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,10 +90,30 @@ class TestPmap:
     def test_forks_at_most_one_worker_per_item(self, monkeypatch):
         ctx = _RecordingContext()
         monkeypatch.setattr(parallel.mp, "get_context", lambda *args: ctx)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
         assert pmap(abs, [-1, -2], threads=4) == [1, 2]
         assert pmap(abs, [-1, -2, -3], threads=2) == [1, 2, 3]
         assert pmap(abs, [-1], threads=4) == [1]  # one item runs in this process
         assert ctx.sizes == [2, 2]
+
+    def test_forks_at_most_one_worker_per_usable_cpu(self, monkeypatch):
+        # a huge --threads on many blocks asks the stand-in context, which
+        # starts no process, for one worker per usable CPU
+        ctx = _RecordingContext()
+        monkeypatch.setattr(parallel.mp, "get_context", lambda *args: ctx)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        items = list(range(-50, 0))
+        assert pmap(abs, items, threads=10**6) == [abs(x) for x in items]
+        assert ctx.sizes == [3]
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        assert pmap(abs, items, threads=10**6) == [abs(x) for x in items]
+        assert ctx.sizes == [3]  # one usable CPU: no pool at all
+
+    def test_usable_cpus_is_the_affinity_set(self):
+        cpus = parallel.usable_cpus()
+        assert 1 <= cpus <= (os.cpu_count() or cpus)
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == len(os.sched_getaffinity(0))
 
     def test_four_threads_on_two_blocks_match_one_thread(self, pure_p2, monkeypatch):
         # n = 6 tables hold 128 doubles a replica: two blocks of 4 replicas

@@ -193,6 +193,17 @@ class TestPreconditions:
         assert not out.exists()
         assert no_monte_carlo == []
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2_before_monte_carlo(self, threads, small_config, tmp_path,
+                                                         no_monte_carlo, capsys):
+        out = tmp_path / "out"
+        assert run_cli("free-energy", "--config", str(small_config), "--threads", threads,
+                       "--out", str(out)) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--threads" in lines[0]
+        assert not out.exists()
+        assert no_monte_carlo == []
+
     def test_config_that_is_not_json_exits_2(self, tmp_path, no_monte_carlo):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -442,6 +453,34 @@ class TestStructureCommands:
         res = json.loads((out / "manifest.json").read_text())["results"]
         assert res["diag_exact"] and res["psd_ok"]
         assert res["dual_path_gap"] < 1e-10
+
+
+class TestSingleSizeCommands:
+    @pytest.mark.parametrize("command, n_list, used, ignored", [
+        ("rost-eval", [4, 6], [4], "6"),
+        ("lemma3", [4, 6, 8], [4], "6, 8"),
+        ("explicit-rost", [4, 6], [4], "6"),
+        ("interp", [4, 6], [4], "6"),
+        ("validate", [4, 6], [4], "6"),
+        ("validate", [8], [6], "8"),
+    ])
+    def test_ignored_sizes_get_a_note(self, command, n_list, used, ignored, small_config,
+                                      tmp_path, capsys):
+        data = {**json.loads(small_config.read_text()), "n_rep": 10}
+        reports = []
+        for sizes in (n_list, used):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**data, "n_list": sizes}))
+            out = tmp_path / "-".join(map(str, sizes))
+            assert run_cli(command, "--config", str(path), "--out", str(out)) == 0
+            reports.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+            lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+            if sizes == used:
+                assert lines == []
+            else:
+                assert lines == [f"note: {command} runs at n = {used[0]} only; "
+                                 f"it ignores n_list size(s) {ignored}"]
+        assert reports[0] and reports[0] == reports[1]
 
 
 class TestValidateCommand:

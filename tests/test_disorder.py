@@ -1,5 +1,6 @@
 """Disorder samplers: covariance identities, determinism, field laws."""
 
+import math
 import warnings
 
 import numpy as np
@@ -108,6 +109,21 @@ class TestProcessSampler:
                          axis=1)
             cov = dense_process_covariance(spec, n)
             assert np.max(np.abs(f @ f.T - cov)) <= 1e-13 * np.max(np.abs(cov)), (name, n)
+
+    @pytest.mark.parametrize("name", sorted(PROCESS_MIXTURES))
+    def test_walsh_blocks_hold_the_dense_spectrum(self, name):
+        # class k of frequencies holds C(n, k) copies of block k's eigenvalues
+        funcs = mixture_functions(PROCESS_MIXTURES[name])
+        for n in (3, 5):
+            r = 1.0 - 2.0 * np.arange(n + 1) / n
+            f = np.stack([n * funcs.xi(1, 1, r), n * funcs.xi(1, 2, r), n * funcs.xi(2, 2, r)])
+            w, v = disorder.walsh_blocks(f)
+            assert w.shape == (n + 1, 2) and v.shape == (n + 1, 2, 2)
+            copies = [math.comb(n, k) for k in range(n + 1)]
+            cov = dense_process_covariance(PROCESS_MIXTURES[name], n)
+            dense = np.linalg.eigvalsh(cov)
+            walsh = np.sort(np.repeat(w, copies, axis=0).ravel())
+            assert np.max(np.abs(walsh - dense)) <= 1e-12 * np.max(np.abs(dense)), (name, n)
 
     def test_block_below_floor_raises(self, pure_p2, monkeypatch):
         class CrossHeavy:

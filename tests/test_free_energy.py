@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from coupledsk.bits import magnetizations, split_popcounts
+from coupledsk.bits import magnetizations, popcounts, spin_matrix, split_popcounts
 from coupledsk.configurations import OverlapConstraint, nearest_admissible
 from coupledsk.disorder import (
     ExplicitSystemSampler,
@@ -29,6 +29,7 @@ from coupledsk.free_energy import (
     estimate_F,
     estimate_G,
     estimate_G_MN,
+    explicit_fields_psd,
     explicit_terms_replica,
     g_terms_replica,
     overlap_logz_replicas,
@@ -201,6 +202,24 @@ class TestCavityLadder:
         for i in range(32):
             assert np.array_equal(batch[i], cavity_logz_by_count(a[i].copy(), b[i].copy()))
 
+    @pytest.mark.parametrize("scale", [1.0, 50.0, 400.0])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_ladder_stopped_at_a_class_is_bit_equal(self, n, scale):
+        rng = np.random.default_rng([n, int(scale)])
+        a = rng.standard_normal((5, n)) * scale
+        b = rng.standard_normal((5, n)) * scale
+        full = cavity_logz_by_count(a, b)
+        for d in range(n + 1):
+            stopped = cavity_logz_by_count(a, b, d)
+            assert stopped.shape == (5, d + 1)
+            assert np.array_equal(stopped, full[:, :d + 1])
+
+    def test_ladder_refuses_a_class_outside_the_counts(self):
+        with pytest.raises(ValueError, match="outside"):
+            cavity_logz_by_count(np.zeros(3), np.zeros(3), 4)
+        with pytest.raises(ValueError, match="outside"):
+            cavity_logz_by_count(np.zeros(3), np.zeros(3), -1)
+
     @settings(max_examples=25, deadline=None)
     @given(
         fields=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=8),
@@ -369,6 +388,28 @@ class TestEstimateG:
         )
 
 
+def _per_pair_explicit_terms(draw, r1, r2, spec, u_prime, variant):
+    """brute_explicit_terms replayed one base pair at a time: one logsumexp
+    over each pair's selected energies."""
+    n = draw.n
+    mag_m = magnetizations(draw.m)
+    z = draw.z if variant == "limit" else draw.z_finite
+    y = draw.y if variant == "limit" else draw.y_finite
+    s = spin_matrix(n)
+    pop = popcounts(n)
+    pair_ok = pop[np.arange(1 << n)[:, None] ^ np.arange(1 << n)[None, :]] == u_prime.d
+    terms1, terms2 = [], []
+    for rho1, rho2 in zip(r1, r2):
+        log_w = (draw.trunc[0, rho1] + draw.trunc[1, rho2]
+                 + spec.h1 * mag_m[rho1] + spec.h2 * mag_m[rho2])
+        e1 = s @ (z[:, 0, rho1] + spec.h1)
+        e2 = s @ (z[:, 1, rho2] + spec.h2)
+        terms1.append(log_w + own_logsumexp((e1[:, None] + e2[None, :])[pair_ok]))
+        terms2.append(log_w + np.sqrt(n) * (y[0, rho1] + y[1, rho2]))
+    return (float(own_logsumexp(np.array(terms1))) / n,
+            float(own_logsumexp(np.array(terms2))) / n)
+
+
 class TestExplicitStructure:
     def test_diagonals_and_delta(self, pure_p2):
         u_m = nearest_admissible(4, 0.3)
@@ -382,6 +423,49 @@ class TestExplicitStructure:
         u_m = nearest_admissible(4, 0.0)
         rost = build_explicit_rost(pure_p2, 4, u_m, 4, 0.0)
         RostFieldSampler(rost, mixture_functions(pure_p2))  # PSD or it raises
+
+    @pytest.mark.parametrize("spec, m, u", [
+        (MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.5)), 3, 0.0),
+        (MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.5)), 6, 0.0),
+        (MixtureSpec(a1=(0.0, 0.6, 0.0, 0.2), a2=(0.0, 0.4, 0.0, 0.3), h1=0.2), 5, 0.2),
+        (MixtureSpec(a1=(0.3, 0.5, 0.2), a2=(0.1, 0.4, 0.1)), 4, 0.5),
+        (MixtureSpec(a1=(0.3, 0.5, 0.2), a2=(0.1, 0.4, 0.1)), 4, 1.0),
+        (MixtureSpec(a1=(0.0,), a2=(0.0,)), 4, 0.0),
+    ], ids=["p2-m3", "p2-m6", "even-m5", "odd-m4", "odd-m4-d0", "zero-m4"])
+    def test_walsh_psd_verdict_is_the_field_samplers(self, spec, m, u):
+        u_m = nearest_admissible(m, u)
+        funcs = mixture_functions(spec)
+        try:
+            RostFieldSampler(build_explicit_rost(spec, m, u_m, 4, u), funcs)
+            dense = True
+        except RostInvalidError:
+            dense = False
+        assert explicit_fields_psd(funcs, m, u_m) == dense
+
+    @pytest.mark.parametrize("indefinite", ["xi_prime", "theta"])
+    def test_indefinite_entry_function_refused_by_both_routes(self, pure_p2, indefinite):
+        class CrossHeavy:
+            """One entry function's cross block is twice its diagonal ones,
+            so that block matrix is indefinite; the other stays PSD."""
+
+            def __init__(self, funcs):
+                self.funcs = funcs
+
+            def xi_prime(self, ell, ellp, x):
+                return self._entry("xi_prime", ell, ellp, x)
+
+            def theta(self, ell, ellp, x):
+                return self._entry("theta", ell, ellp, x)
+
+            def _entry(self, name, ell, ellp, x):
+                heavy = 2.0 if name == indefinite and ell != ellp else 1.0
+                return heavy * getattr(self.funcs, name)(1, 1, x)
+
+        funcs = CrossHeavy(mixture_functions(pure_p2))
+        u_m = nearest_admissible(4, 0.0)
+        with pytest.raises(RostInvalidError, match="not positive semidefinite"):
+            RostFieldSampler(build_explicit_rost(pure_p2, 4, u_m, 4, 0.0), funcs)
+        assert not explicit_fields_psd(funcs, 4, u_m)
 
     def test_estimate_G_refuses_weightless_structure(self, pure_p2):
         u_m = nearest_admissible(4, 0.0)
@@ -425,6 +509,18 @@ class TestExplicitStructure:
             bt1, bt2 = brute_explicit_terms(draw, r1, r2, mixed_even, u_p, variant)
             assert t.term1 + t.log_norm == pytest.approx(bt1, abs=1e-10)
             assert t.term2 + t.log_norm == pytest.approx(bt2, abs=1e-10)
+
+    @pytest.mark.parametrize("variant", ["limit", "finite"])
+    @pytest.mark.parametrize("m, n, u", [(3, 4, 0.0), (5, 6, 0.2)])
+    def test_chunked_oracle_is_the_per_pair_replay(self, mixed_even, variant, m, n, u):
+        # at (5, 6) the 320 base pairs span seven chunks, the last partial
+        u_m = nearest_admissible(m, u)
+        u_p = nearest_admissible(n, 0.0)
+        r1, r2 = _constrained_pairs(m, u_m.d)
+        for rep in range(2):
+            draw = ExplicitSystemSampler(mixed_even, m, n).sample(replica_seed(13, rep))
+            assert (brute_explicit_terms(draw, r1, r2, mixed_even, u_p, variant)
+                    == _per_pair_explicit_terms(draw, r1, r2, mixed_even, u_p, variant))
 
     @pytest.mark.parametrize("variant", ["limit", "finite"])
     def test_lost_cavity_class_raises(self, variant):

@@ -47,6 +47,7 @@ from coupledsk.interpolation import (
     _split_constrained_term,
     _split_energies,
     _split_tables,
+    _stack_split_tables,
 )
 from coupledsk.mixture import MixtureSpec, NonConvexMixtureError, mixture_functions
 from coupledsk.parallel import summarize
@@ -102,6 +103,22 @@ class TestSplitPath:
                     + mixed_even.h1 * mag[s1] + mixed_even.h2 * mag[s2]
                 )
         assert phi1 == pytest.approx(float(logsumexp(np.array(vals))) / (m + n), rel=1e-12)
+
+    def test_split_energies_equal_a_gather_replay(self, mixed_even):
+        # mask tau << M | rho gathers sm[rho] + sn[tau]; the outer sum must
+        # give the same bits, for one replica's tables and for a block
+        m, n, t = 3, 4, 0.3
+        masks = np.arange(1 << (m + n))
+        rho, tau = masks & ((1 << m) - 1), masks >> m
+        mag = magnetizations(m + n)
+        replicas = [_split_tables(mixed_even, m, n, 5, rep) for rep in range(3)]
+        for tables in (replicas[0], _stack_split_tables(replicas)):
+            sm, sn, sbig = tables
+            for ell, (f, h) in enumerate(zip(_split_energies(mixed_even, tables, t),
+                                             (mixed_even.h1, mixed_even.h2))):
+                gathered = sm.values[..., ell, :][..., rho] + sn.values[..., ell, :][..., tau]
+                replay = np.sqrt(t) * sbig.values[..., ell, :] + np.sqrt(1.0 - t) * gathered
+                assert np.array_equal(f, replay + h * mag)
 
     def test_two_replica_machinery_against_brute_force(self, pure_p2):
         m, n, t, seed = 3, 2, 0.4, 42
