@@ -35,18 +35,17 @@ from .free_energy import (
     WHT_CAP,
     Estimate,
     NumericalError,
-    build_explicit_rost,
     cavity_logz_by_count,
     estimate_F,
     estimate_G,
     estimate_G_MN,
     explicit_fields_psd,
+    explicit_pairs,
     explicit_terms_block,
     overlap_logz_replicas,
     partition_by_overlap,
     require_finite_fields,
     window_estimate,
-    _constrained_pairs,
     _cached_explicit_sampler,
 )
 from .interpolation import (
@@ -397,14 +396,16 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
     n = _one_size(cfg, "explicit-rost")
     u_m = nearest_admissible(cfg.m, cfg.u)
     derived = construct_u_prime(n, admissible_sequence(cfg.u), m_max=max(40, 4 * n), u=cfg.u)
-    rost = build_explicit_rost(cfg.mixture, cfg.m, u_m, n, cfg.u)
-    diag_exact = bool(np.all(np.diag(rost.q12) == u_m.u))
+    # the explicit structure's size, tolerance and q12 diagonal, read off its
+    # pairs: every pair disagrees in d places, so each diagonal overlap is
+    # build_explicit_rost's (m - 2d)/m
+    r1, r2 = explicit_pairs(cfg.m, u_m)
+    diag_exact = bool((cfg.m - 2.0 * u_m.d) / cfg.m == u_m.u)
     psd_ok = explicit_fields_psd(mixture_functions(cfg.mixture), cfg.m, u_m)
     g_lim, g_fin = estimate_G_MN(cfg.mixture, cfg.m, n, u_m, derived.constraint,
                                  cfg.n_rep, cfg.seed, cfg.threads)
     worst_dual = 0.0
     sampler = _cached_explicit_sampler(cfg.mixture, cfg.m, n)
-    r1, r2 = _constrained_pairs(cfg.m, u_m.d)
     draws = [sampler.sample(replica_seed(cfg.seed, rep)) for rep in range(min(cfg.n_rep, 5))]
     terms = explicit_terms_block(stack_replicas(draws), cfg.mixture, u_m, derived.constraint,
                                  "limit")
@@ -417,7 +418,7 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
         _estimate_row(g_fin.diff, n, derived.constraint.k, 0.0),
     ]
     return {"explicit_rost.csv": (ESTIMATE_FIELDS, rows)}, {
-        "elements": rost.m, "delta": rost.delta, "diag_exact": diag_exact,
+        "elements": r1.size, "delta": abs(u_m.u - cfg.u), "diag_exact": diag_exact,
         "psd_ok": psd_ok, "dual_path_gap": worst_dual,
         "derived_overlap": {"k": derived.constraint.k,
                             "recurrence_head": list(derived.recurrence[:8])},

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import parallel
 from .bits import fwht, popcounts, spin_matrix
 from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
 
@@ -124,12 +125,22 @@ class HamiltonianTable:
             raise ValueError("Hamiltonian table contains non-finite entries")
 
 
-def _contract_all_configs(tensor: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum over ordered index tuples of tensor * prod of spins, per config."""
-    v = np.tensordot(s, tensor, axes=(1, 0))
-    for _ in range(tensor.ndim - 1):
-        v = np.einsum("ci...,ci->c...", v, s)
-    return v
+def _contract_all_configs(tensors: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum over ordered index tuples of tensor * prod of spins, per config,
+    for each tensor of a block of shape (b, n, ..., n); returns (b, 2**n).
+
+    Row b is the contraction of tensors[b] alone, bit for bit.  The first
+    product, (sub-block, 2**n, n**(p-1)), is the largest array, so the block
+    is cut into sub-blocks of at most parallel.BLOCK_DOUBLES of it."""
+    b, n, p = tensors.shape[0], s.shape[1], tensors.ndim - 1
+    out = np.empty((b, s.shape[0]))
+    for sub in parallel.replica_blocks(b, s.shape[0] * n ** (p - 1)):
+        flat = tensors[sub.start:sub.stop].reshape(len(sub), n, -1)
+        v = np.matmul(s, flat).reshape((len(sub), s.shape[0]) + (n,) * (p - 1))
+        for _ in range(p - 1):
+            v = np.einsum("bci...,ci->bc...", v, s)
+        out[sub.start:sub.stop] = v
+    return out
 
 
 class TensorSampler:
@@ -145,18 +156,26 @@ class TensorSampler:
                                 f"{TENSOR_BUDGET_BYTES}; use the process sampler at this size")
 
     def sample(self, seed) -> HamiltonianTable:
-        rng = _rng(seed)
+        """The table drawn from seed: sample_block of that seed alone."""
+        return parallel.replica_row(self.sample_block([seed]), 0)
+
+    def sample_block(self, seeds) -> HamiltonianTable:
+        """The tables drawn from each seed, stacked: shape (len(seeds), 2, 2**n).
+
+        Each seed's generator draws its tensors in order of p, as when it is
+        drawn alone, and each order is contracted once for the whole block."""
+        rngs = [_rng(seed) for seed in seeds]
         n, spec = self.n, self.spec
-        h = np.zeros((2, 2**n))
+        h = np.zeros((len(rngs), 2, 2**n))
         for p in range(1, spec.p_max + 1):
             a1, a2 = spec.a1[p - 1], spec.a2[p - 1]
-            g = rng.standard_normal((n,) * p)
+            g = np.stack([rng.standard_normal((n,) * p) for rng in rngs])
             if a1 == 0.0 and a2 == 0.0:
                 continue
             m = _contract_all_configs(g, self.s)
             scale = n ** (0.5 - 0.5 * p)
-            h[0] += a1 * scale * m
-            h[1] += a2 * scale * m
+            h[:, 0] += a1 * scale * m
+            h[:, 1] += a2 * scale * m
         return HamiltonianTable(n=n, values=h)
 
 
@@ -184,14 +203,18 @@ class ProcessSampler:
         self.factor = (v * root[:, None, :])[popcounts(n)].transpose(1, 2, 0)
 
     def sample(self, seed) -> HamiltonianTable:
-        rng = _rng(seed)
+        """The table drawn from seed: sample_block of that seed alone."""
+        return parallel.replica_row(self.sample_block([seed]), 0)
+
+    def sample_block(self, seeds) -> HamiltonianTable:
+        """The tables drawn from each seed, stacked: shape (len(seeds), 2, 2**n)."""
         c = 2**self.n
-        noise = rng.standard_normal(2 * c).reshape(2, c)
+        noise = np.stack([_rng(seed).standard_normal(2 * c).reshape(2, c) for seed in seeds])
         return HamiltonianTable(n=self.n, values=self.transform(noise))
 
     def transform(self, noise: np.ndarray) -> np.ndarray:
-        """The (2, 2**n) table for white noise of shape (2, 2**n)."""
-        scaled = np.einsum("ijw,jw->iw", self.factor, noise)
+        """The tables for white noise of shape (..., 2, 2**n)."""
+        scaled = np.einsum("ijw,...jw->...iw", self.factor, noise)
         return fwht(scaled) / np.sqrt(2**self.n)
 
 
@@ -475,15 +498,13 @@ class ExplicitSystemSampler:
             g_new = rng.standard_normal((m,) * p)  # fresh tensors, compensators only
             if a[1][p - 1] == 0.0 and a[2][p - 1] == 0.0:
                 continue
-            base_contr = _contract_all_configs(
-                np.asarray(g[(slice(0, m),) * p]), self.s_base
-            )
+            base_contr = _contract_all_configs(g[(None,) + (slice(0, m),) * p], self.s_base)[0]
             agg = self._aggregate_new_coordinate(g, p)
             if p == 1:
                 site_contr = np.repeat(agg[:, None], c_base, axis=1)
-            else:
-                site_contr = np.stack([_contract_all_configs(a_j, self.s_base) for a_j in agg])
-            comp_contr = _contract_all_configs(g_new, self.s_base)
+            else:  # one contraction per site: the sites form the block
+                site_contr = _contract_all_configs(agg, self.s_base)
+            comp_contr = _contract_all_configs(g_new[None], self.s_base)[0]
 
             scale_big = big ** (0.5 - 0.5 * p)
             scale_base = m ** (0.5 - 0.5 * p)

@@ -159,8 +159,7 @@ def partition_by_overlap(table: HamiltonianTable, h1: float, h2: float) -> np.nd
 
 
 def _logz_worker(spec: MixtureSpec, n: int, sampler: str, root: int, block: range) -> np.ndarray:
-    draw = get_sampler(spec, n, sampler)
-    tables = stack_replicas([draw.sample(replica_seed(root, rep)) for rep in block])
+    tables = get_sampler(spec, n, sampler).sample_block([replica_seed(root, rep) for rep in block])
     return partition_by_overlap(tables, spec.h1, spec.h2)
 
 
@@ -178,7 +177,7 @@ def overlap_logz_replicas(
     and windowed constraint at this n reads these rows, so each table is
     drawn and transformed once.
     """
-    # built here, before pmap forks, so every worker inherits one factorization
+    # built here, before pmap, so the workers share one factorization
     get_sampler(spec, n, sampler)
     # a block's largest stacked array is its tables, 2 * 2**n doubles a replica
     return map_blocks(_logz_worker, (spec, n, sampler, seed), n_rep, 2 << n, threads)
@@ -370,6 +369,19 @@ def _constrained_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r1, r2
 
 
+def explicit_pairs(m: int, u_m: OverlapConstraint) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of the explicit structure: the base-mask pairs at u_m's
+    disagreement count, ResourceError beyond EXPLICIT_PAIR_CAP of them."""
+    if u_m.n != m:
+        raise ValueError("constraint size must equal the base size")
+    r1, r2 = _constrained_pairs(m, u_m.d)
+    if r1.size > EXPLICIT_PAIR_CAP:
+        raise ResourceError(
+            f"pair set has {r1.size} elements > cap {EXPLICIT_PAIR_CAP}; reduce the base size"
+        )
+    return r1, r2
+
+
 def build_explicit_rost(
     spec: MixtureSpec, m: int, u_m: OverlapConstraint, n: int, u: float
 ) -> RostSpec:
@@ -382,13 +394,7 @@ def build_explicit_rost(
     same draw as its fields, so the functional is evaluated by estimate_G_MN
     and estimate_G refuses the structure.
     """
-    if u_m.n != m:
-        raise ValueError("constraint size must equal the base size")
-    r1, r2 = _constrained_pairs(m, u_m.d)
-    if r1.size > EXPLICIT_PAIR_CAP:
-        raise ResourceError(
-            f"pair set has {r1.size} elements > cap {EXPLICIT_PAIR_CAP}; reduce the base size"
-        )
+    r1, r2 = explicit_pairs(m, u_m)
     pop = popcounts(m)
 
     def q_of(left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ from .mixture import (
     check_convexity,
     mixture_functions,
 )
-from .parallel import map_blocks, replica_seed, rng_for, stack_replicas
+from .parallel import map_blocks, replica_row, replica_seed, rng_for, stack_replicas
 
 
 # step of the common-random-number finite difference of phi
@@ -153,12 +153,20 @@ def _split_spectrum(m: int, n: int, d_m: int, d_n: int) -> np.ndarray:
     return out
 
 
+def _split_block(spec: MixtureSpec, m: int, n: int, root: int, block: range,
+                 sampler: str = "tensor") -> tuple[HamiltonianTable, ...]:
+    """Independent disorder tables for the M-, N-, and (M+N)-spin systems of
+    each replica of block, on streams 0, 1 and 2: one block draw per system."""
+    return tuple(get_sampler(spec, size, sampler).sample_block(
+        [replica_seed(root, rep, stream) for rep in block])
+        for stream, size in enumerate((m, n, m + n)))
+
+
 def _split_tables(spec: MixtureSpec, m: int, n: int, root: int, rep: int,
                   sampler: str = "tensor"):
-    """Independent disorder tables for the M-, N-, and (M+N)-spin systems,
-    on streams 0, 1 and 2."""
-    return tuple(get_sampler(spec, size, sampler).sample(replica_seed(root, rep, stream))
-                 for stream, size in enumerate((m, n, m + n)))
+    """The three tables of replica rep alone: its row of _split_block."""
+    return tuple(replica_row(system, 0)
+                 for system in _split_block(spec, m, n, root, range(rep, rep + 1), sampler))
 
 
 def _stack_split_tables(replicas) -> tuple[HamiltonianTable, ...]:
@@ -316,8 +324,7 @@ def _split_constrained_term(
 def _lemma2_worker(spec, u_m, u_n, phi_ts, deriv_ts, b_hats, sampler, root, block) -> np.ndarray:
     """The columns phi(phi_ts), then the convexity term at deriv_ts, of one
     replica block."""
-    tables = _stack_split_tables([_split_tables(spec, u_m.n, u_n.n, root, rep, sampler)
-                                  for rep in block])
+    tables = _split_block(spec, u_m.n, u_n.n, root, block, sampler)
     der = {t: lemma2_derivative_block(spec, u_m, u_n, t, tables, b_hats) for t in deriv_ts}
     phi = [der[t][:, 0] if t in der else lemma2_phi_block(spec, u_m, u_n, t, tables)
            for t in phi_ts]
@@ -345,7 +352,8 @@ def _lemma2_pass(
     phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
     if deriv_ts:
         require_convex(spec, "the size-splitting derivative decomposition")
-    # built here, before pmap forks: a size check fails before any replica
+    # built here, before pmap: a size check fails before any replica, and
+    # the workers share one sampler per size
     for size in (u_m.n, u_n.n, u_m.n + u_n.n):
         get_sampler(spec, size, sampler)
     big = u_m.n + u_n.n
@@ -382,6 +390,26 @@ class _Lemma3State:
     table: HamiltonianTable
 
 
+def lemma3_states(
+    rost: RostSpec,
+    field_sampler: RostFieldSampler,
+    spec: MixtureSpec,
+    n: int,
+    root: int,
+    block: range,
+    sampler: str = "tensor",
+) -> _Lemma3State:
+    """The stacked states of the replicas of block: weights on stream 0,
+    fields on stream 1, disorder tables on stream 2 (one block draw),
+    matching the stream layout of the plain structure-functional estimator."""
+    w = np.stack([rost.weights.sample(rng_for(root, rep, stream=0), rost.m) for rep in block])
+    fields = stack_replicas([field_sampler.sample(rng_for(root, rep, stream=1), n)
+                             for rep in block])
+    tables = get_sampler(spec, n, sampler).sample_block(
+        [replica_seed(root, rep, 2) for rep in block])
+    return _Lemma3State(w=w, z=fields.z, y=fields.y, table=tables)
+
+
 def lemma3_state(
     rost: RostSpec,
     field_sampler: RostFieldSampler,
@@ -391,12 +419,9 @@ def lemma3_state(
     rep: int,
     sampler: str = "tensor",
 ) -> _Lemma3State:
-    """Weights on stream 0, fields on stream 1, disorder table on stream 2,
-    matching the stream layout of the plain structure-functional estimator."""
-    w = rost.weights.sample(rng_for(root, rep, stream=0), rost.m)
-    fields = field_sampler.sample(rng_for(root, rep, stream=1), n)
-    table = get_sampler(spec, n, sampler).sample(replica_seed(root, rep, 2))
-    return _Lemma3State(w=w, z=fields.z, y=fields.y, table=table)
+    """The state of replica rep alone: its row of lemma3_states."""
+    return replica_row(lemma3_states(rost, field_sampler, spec, n, root, range(rep, rep + 1),
+                                     sampler), 0)
 
 
 def _lemma3_element_tables(
@@ -545,8 +570,7 @@ def _lemma3_worker(rost, field_sampler, spec, n, c, phi_ts, deriv_ts, terms, sam
                    block) -> np.ndarray:
     """The columns phi(phi_ts), then the first sum and the second line at
     each of deriv_ts, of one replica block."""
-    states = stack_replicas([lemma3_state(rost, field_sampler, spec, n, root, rep, sampler)
-                             for rep in block])
+    states = lemma3_states(rost, field_sampler, spec, n, root, block, sampler)
     der = {t: lemma3_derivative_block(states, terms, spec, n, c, t) for t in deriv_ts}
     phi = [der[t][:, :1] if t in der else lemma3_phi_block(states, spec, n, c, t)[:, None]
            for t in phi_ts]

@@ -16,7 +16,7 @@ last axis only, so a row's bits never depend on the block it sits in.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing as mp
+import functools
 import os
 from typing import Callable, Iterable, Sequence
 
@@ -59,6 +59,19 @@ def stack_replicas(items: Sequence):
                           for f in dataclasses.fields(first)})
 
 
+def replica_row(block, r: int):
+    """Replica r of a block made by stack_replicas, as it was drawn alone."""
+
+    def row(value):
+        if isinstance(value, np.ndarray):
+            return value[r]
+        if dataclasses.is_dataclass(value):
+            return replica_row(value, r)
+        return value
+
+    return type(block)(**{f.name: row(getattr(block, f.name)) for f in dataclasses.fields(block)})
+
+
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -68,24 +81,22 @@ def usable_cpus() -> int:
 
 
 def pmap(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Map fn over items, across a process pool of at most one worker per
-    item and per usable CPU.
+    """Map fn over items, on a thread pool of at most one worker per item and
+    per usable CPU; a single worker maps in the calling thread.
 
-    Results are returned in item order regardless of scheduling, so any
-    downstream reduction is order-independent by construction.
+    Each item is a replica block whose kernels spend their time in numpy,
+    which releases the interpreter lock.  Results are returned in item order
+    regardless of scheduling, so any downstream reduction is
+    order-independent by construction.
     """
     items = list(items)
     workers = min(threads, len(items), usable_cpus())
     if workers <= 1:
         return [fn(x) for x in items]
-    ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-    with ctx.Pool(processes=workers) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+    from concurrent.futures import ThreadPoolExecutor  # only runs that use a pool pay for it
 
-
-def _apply(item):
-    fn, args = item
-    return fn(*args)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def map_blocks(fn: Callable, args: tuple, n_rep: int, row_doubles: int,
@@ -94,7 +105,7 @@ def map_blocks(fn: Callable, args: tuple, n_rep: int, row_doubles: int,
     one pmap item per block; the (len(block), ...) results joined in replica
     order."""
     blocks = replica_blocks(n_rep, row_doubles)
-    return np.concatenate(pmap(_apply, [(fn, (*args, block)) for block in blocks], threads))
+    return np.concatenate(pmap(functools.partial(fn, *args), blocks, threads))
 
 
 def summarize(values: Iterable[float]) -> tuple[float, float]:

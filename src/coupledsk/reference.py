@@ -125,7 +125,7 @@ def explicit_full_table(spec: MixtureSpec, m: int, n: int, seed) -> np.ndarray:
         coeffs = (spec.a1[p - 1], spec.a2[p - 1])
         if coeffs == (0.0, 0.0):
             continue
-        full_contr = _contract_all_configs(g, s_full)
+        full_contr = _contract_all_configs(g[None], s_full)[0]
         scale_big = big ** (0.5 - 0.5 * p)
         for ell, ap in enumerate(coeffs):
             if ap != 0.0:

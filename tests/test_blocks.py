@@ -3,7 +3,9 @@ mapped, and the invariance every block kernel keeps -- row r of a block is
 bit-for-bit the kernel on replica r alone, wherever the block boundaries
 fall."""
 
+import concurrent.futures
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -11,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_even_spec
-from coupledsk import parallel
-from coupledsk.bits import bucket_by_popcount, fwht
+from coupledsk import free_energy, parallel
+from coupledsk.bits import bucket_by_popcount, fwht, spin_matrix
 from coupledsk.configurations import nearest_admissible
-from coupledsk.disorder import RostFieldSampler, get_sampler, random_gram_rost
+from coupledsk.disorder import RostFieldSampler, TensorSampler, get_sampler, random_gram_rost
 from coupledsk.free_energy import (
     _cached_explicit_sampler,
     cavity_logz_by_count,
+    estimate_G_MN,
     explicit_terms_block,
     g_terms_block,
     overlap_logz_replicas,
@@ -26,6 +29,7 @@ from coupledsk.free_energy import (
 from coupledsk.interpolation import (
     _bracket_spectra,
     _lemma3_terms,
+    _split_block,
     _split_tables,
     _stack_split_tables,
     lemma2_derivative_block,
@@ -33,9 +37,10 @@ from coupledsk.interpolation import (
     lemma3_derivative_block,
     lemma3_phi_block,
     lemma3_state,
+    lemma3_states,
 )
-from coupledsk.mixture import mixture_functions
-from coupledsk.parallel import pmap, replica_blocks, replica_seed, stack_replicas
+from coupledsk.mixture import MixtureSpec, mixture_functions
+from coupledsk.parallel import pmap, replica_blocks, replica_row, replica_seed, stack_replicas
 
 N_REP = 6
 
@@ -63,51 +68,123 @@ class TestReplicaBlocks:
             assert np.array_equal(block.values[r], table.values)
 
 
-class _RecordingContext:
-    """A stand-in multiprocessing context that records the pool size it is
-    asked for and maps in this process."""
+def _order_p_spec(p: int) -> MixtureSpec:
+    """A convex mixture with every order up to p, unequal in the two copies."""
+    return MixtureSpec(a1=(0.3, 0.7, 0.2, 0.15)[:p], a2=(0.2, 0.6, 0.15, 0.1)[:p])
+
+
+class TestBlockDraws:
+    """A block draw is the per-seed draws stacked, bit for bit."""
+
+    SEEDS = [replica_seed(5, r) for r in range(7)]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind, sizes", [("tensor", (4, 6, 8, 10)), ("process", (6, 8, 10))])
+    def test_block_draw_is_the_stacked_draws(self, kind, sizes, p):
+        spec = _order_p_spec(p)
+        for n in sizes:
+            sampler = get_sampler(spec, n, kind)
+            block = sampler.sample_block(self.SEEDS)
+            alone = np.stack([sampler.sample(seed).values for seed in self.SEEDS])
+            assert block.n == n and np.array_equal(block.values, alone), (kind, n, p)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_contraction_cut_into_sub_blocks(self, p, monkeypatch):
+        # a cap of three order-p products at n = 6 cuts the contraction of
+        # seven tensors into sub-blocks of 3, 3 and 1
+        n = 6
+        sampler = TensorSampler(_order_p_spec(p), n)
+        whole = sampler.sample_block(self.SEEDS)
+        monkeypatch.setattr(parallel, "BLOCK_DOUBLES", 3 * 2**n * n ** (p - 1))
+        assert [len(b) for b in replica_blocks(7, 2**n * n ** (p - 1))] == [3, 3, 1]
+        cut = sampler.sample_block(self.SEEDS)
+        assert np.array_equal(cut.values, whole.values)
+        assert np.array_equal(cut.values[6], sampler.sample(self.SEEDS[6]).values)
+
+    def test_row_of_a_block_is_the_draw_alone(self, pure_p2):
+        block = get_sampler(pure_p2, 4, "tensor").sample_block(self.SEEDS[:3])
+        row = replica_row(block, 1)
+        assert row.n == 4 and row.values.shape == (2, 16)
+        assert np.array_equal(row.values,
+                              get_sampler(pure_p2, 4, "tensor").sample(self.SEEDS[1]).values)
+
+
+class _RecordingExecutor:
+    """A stand-in ThreadPoolExecutor that records the pool size it is asked
+    for and maps in the calling thread, starting no thread."""
 
     def __init__(self):
         self.sizes = []
 
-    def Pool(self, processes):
-        self.sizes.append(processes)
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
 
-        class Pool:
-            def __enter__(self):
-                return self
+    def __enter__(self):
+        return self
 
-            def __exit__(self, *exc):
-                return False
+    def __exit__(self, *exc):
+        return False
 
-            def map(self, fn, items, chunksize=1):
-                return [fn(x) for x in items]
+    def map(self, fn, items):
+        return map(fn, items)
 
-        return Pool()
+
+@pytest.fixture
+def executor(monkeypatch):
+    stand_in = _RecordingExecutor()
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", stand_in)
+    return stand_in
 
 
 class TestPmap:
-    def test_forks_at_most_one_worker_per_item(self, monkeypatch):
-        ctx = _RecordingContext()
-        monkeypatch.setattr(parallel.mp, "get_context", lambda *args: ctx)
+    def test_at_most_one_worker_per_item(self, executor, monkeypatch):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
         assert pmap(abs, [-1, -2], threads=4) == [1, 2]
         assert pmap(abs, [-1, -2, -3], threads=2) == [1, 2, 3]
-        assert pmap(abs, [-1], threads=4) == [1]  # one item runs in this process
-        assert ctx.sizes == [2, 2]
+        assert pmap(abs, [-1], threads=4) == [1]  # one item runs in the calling thread
+        assert executor.sizes == [2, 2]
 
-    def test_forks_at_most_one_worker_per_usable_cpu(self, monkeypatch):
-        # a huge --threads on many blocks asks the stand-in context, which
-        # starts no process, for one worker per usable CPU
-        ctx = _RecordingContext()
-        monkeypatch.setattr(parallel.mp, "get_context", lambda *args: ctx)
+    def test_at_most_one_worker_per_usable_cpu(self, executor, monkeypatch):
+        # a huge --threads on many blocks asks the stand-in executor, which
+        # starts no thread, for one worker per usable CPU
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
         items = list(range(-50, 0))
         assert pmap(abs, items, threads=10**6) == [abs(x) for x in items]
-        assert ctx.sizes == [3]
+        assert executor.sizes == [3]
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         assert pmap(abs, items, threads=10**6) == [abs(x) for x in items]
-        assert ctx.sizes == [3]  # one usable CPU: no pool at all
+        assert executor.sizes == [3]  # one usable CPU: no pool at all
+
+    def test_pool_runs_in_this_process(self, monkeypatch):
+        # a real pool of two threads: items are neither pickled nor sent to
+        # another process, so a closure maps and sees this process's id
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        pid = os.getpid()
+        assert pmap(lambda x: (x, os.getpid()), [1, 2, 3], threads=2) == [
+            (1, pid), (2, pid), (3, pid)]
+
+    def test_many_threads_on_cold_caches_match_one_thread(self, pure_p2, monkeypatch):
+        # more threads than cores, switching every microsecond, every worker
+        # filling the shared sampler and pair caches at once: the same bits
+        # as one thread
+        monkeypatch.setattr(parallel, "BLOCK_DOUBLES", 64)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+        u_m, u_prime = nearest_admissible(3, 1 / 3), nearest_admissible(4, 0.0)
+
+        def run(threads):
+            for cache in (_cached_explicit_sampler, free_energy._constrained_pairs, spin_matrix):
+                cache.cache_clear()
+            return estimate_G_MN(pure_p2, 3, 4, u_m, u_prime, 24, seed=5, threads=threads)
+
+        serial = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
 
     def test_usable_cpus_is_the_affinity_set(self):
         cpus = parallel.usable_cpus()
@@ -122,6 +199,11 @@ class TestPmap:
         serial = overlap_logz_replicas(pure_p2, 6, 8, seed=3, threads=1)
         pooled = overlap_logz_replicas(pure_p2, 6, 8, seed=3, threads=4)
         assert np.array_equal(serial, pooled)
+
+
+def _state_field(state, name: str) -> np.ndarray:
+    value = getattr(state, name)
+    return value.values if name == "table" else value
 
 
 def _splits(n: int):
@@ -179,7 +261,13 @@ def test_block_kernels_are_blind_to_block_boundaries(seed, bounds, n, m, t):
                                                 _stack_split_tables(split[lo:hi])), split, bounds)
     _rows_match(lambda lo, hi: lemma2_derivative_block(
         spec, u_m, u_n, t, _stack_split_tables(split[lo:hi]), b_hats), split, bounds)
+    for system in range(3):
+        _rows_match(lambda lo, hi: _split_block(spec, big_m, 2, seed, range(lo, hi))[system].values,
+                    split, bounds)
     states = [lemma3_state(rost, fields, spec, n, seed, r) for r in reps]
+    for name in ("w", "z", "y", "table"):
+        _rows_match(lambda lo, hi: _state_field(
+            lemma3_states(rost, fields, spec, n, seed, range(lo, hi)), name), states, bounds)
     terms = _lemma3_terms(rost, spec, n, c)
     _rows_match(lambda lo, hi: lemma3_phi_block(stack_replicas(states[lo:hi]), spec, n, c, t),
                 states, bounds)

@@ -9,13 +9,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coupledsk import cli, free_energy, interpolation, parallel
 from coupledsk.cli import main
+from coupledsk.configurations import nearest_admissible
 from coupledsk.disorder import get_sampler
-from coupledsk.free_energy import NumericalError
-from coupledsk.mixture import ConvexityWarning
+from coupledsk.free_energy import NumericalError, build_explicit_rost
+from coupledsk.mixture import ConvexityWarning, MixtureSpec
 
 
 def run_cli(*args) -> int:
@@ -44,12 +46,13 @@ class WorkerReached(Exception):
     """Raised by a patched replica worker: the run got past its preconditions."""
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy serves only the tests' oracles; a CLI process must not pay for it
+def test_cli_import_leaves_scipy_and_pools_out():
+    # scipy serves only the tests' oracles, and only a run on more than one
+    # thread needs an executor; a CLI process must not pay for them on import
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = ("import sys, coupledsk.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, coupledsk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('scipy', 'multiprocessing', 'concurrent')))")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert res.stdout.strip() == "[]"
@@ -379,7 +382,7 @@ class TestDeterminism:
     def test_threads_change_no_report(self, command, small_config, tmp_path, monkeypatch):
         # --threads changes wall time, never results.  The two-thread run
         # also cuts replica blocks small, so every Monte Carlo pass spans
-        # several blocks and the pool forks two workers
+        # several blocks and the pool runs two threads
         outs = {}
         for threads, block_doubles in ((1, parallel.BLOCK_DOUBLES), (2, 64)):
             monkeypatch.setattr(parallel, "BLOCK_DOUBLES", block_doubles)
@@ -453,6 +456,18 @@ class TestStructureCommands:
         res = json.loads((out / "manifest.json").read_text())["results"]
         assert res["diag_exact"] and res["psd_ok"]
         assert res["dual_path_gap"] < 1e-10
+        # the reported size, tolerance and diagonal are the structure's
+        u_m = nearest_admissible(3, 0.0)
+        rost = build_explicit_rost(MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.5)), 3, u_m, 4, 0.0)
+        assert (res["elements"], res["delta"]) == (rost.m, rost.delta)
+        assert res["diag_exact"] == bool(np.all(np.diag(rost.q12) == u_m.u))
+
+    def test_explicit_rost_pair_cap_exits_2(self, small_config, tmp_path, capsys):
+        # M = 8 at u = 0 has C(8, 4) * 2**8 = 17,920 pairs, beyond the cap
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**json.loads(small_config.read_text()), "m": 8}))
+        assert run_cli("explicit-rost", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "pair set has 17920 elements" in capsys.readouterr().err
 
 
 class TestSingleSizeCommands:

@@ -395,24 +395,26 @@ class TestOneStatePerReplica:
 
     @pytest.fixture
     def states(self, monkeypatch):
-        calls = []
+        """The replicas whose states are built, one entry per replica."""
+        replicas = []
+        lemma3_states = interpolation.lemma3_states
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return lemma3_state(*args, **kwargs)
+        def counted(rost, field_sampler, spec, n, root, block, sampler="tensor"):
+            replicas.extend(block)
+            return lemma3_states(rost, field_sampler, spec, n, root, block, sampler)
 
-        monkeypatch.setattr(interpolation, "lemma3_state", counted)
-        return calls
+        monkeypatch.setattr(interpolation, "lemma3_states", counted)
+        return replicas
 
     def test_split_curve_draws_three_tables_per_replica(self, pure_p2, monkeypatch):
         draws = []
-        sample = TensorSampler.sample
+        sample_block = TensorSampler.sample_block
 
-        def counted(self, seed):
-            draws.append(seed)
-            return sample(self, seed)
+        def counted(self, seeds):
+            draws.extend(seeds)
+            return sample_block(self, seeds)
 
-        monkeypatch.setattr(TensorSampler, "sample", counted)
+        monkeypatch.setattr(TensorSampler, "sample_block", counted)
         run_lemma2_curve(pure_p2, 3, 3, 0.0, self.T_GRID, self.N_REP, seed=1)
         assert len(draws) == 3 * self.N_REP
 
@@ -420,7 +422,7 @@ class TestOneStatePerReplica:
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))
         run_lemma3_curve(rost, pure_p2, 4, OverlapConstraint(4, 0), self.T_GRID, self.N_REP,
                          seed=2)
-        assert len(states) == self.N_REP
+        assert sorted(states) == list(range(self.N_REP))
 
     def test_structure_bound_builds_one_state_per_replica(self, pure_p2, states):
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(11))
@@ -428,7 +430,7 @@ class TestOneStatePerReplica:
         g = Estimate(mean=1.0, stderr=0.04, n_rep=10, seed=0)
         structure_bound_check(rost, pure_p2, c, g, GEstimate(g, g, g), self.T_GRID,
                               self.N_REP, seed=3)
-        assert len(states) == self.N_REP
+        assert sorted(states) == list(range(self.N_REP))
 
 
 class TestOneEvaluationPerReplicaAndT:
