@@ -48,41 +48,31 @@ def magnetizations(n: int) -> np.ndarray:
 def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last, power-of-two axis.
 
-    Self-inverse up to a factor of the axis length.  The butterflies run in
-    place on private copies of the input, which is never written; their
-    order is fixed, so results are bit-for-bit reproducible, and each
-    element's arithmetic is the same whatever the leading axes hold.  With
-    2**k the least power of two whose square reaches rows * length, the
-    levels below 2**k run on a copy laid out (low k index bits, row, high
-    bits) and the rest in place, so every level's inner loop spans at least
-    min(2**k, rows * length / 2**k) elements.
+    Self-inverse up to a factor of the axis length.  Constant-geometry
+    levels: the input is copied once into a row-major (rows, length) buffer,
+    and each of the log2(length) levels reads the pairs (x[2j], x[2j+1]) of
+    the previous level's output and writes their sum to y[j] and their
+    difference to y[length/2 + j] of a second buffer.  Level k thus pairs the
+    indices that differ in bit k, bit 0 first, with the same lo + hi and
+    lo - hi as the in-place butterfly, and after the last level every index
+    is back in place, so results are bit-for-bit those of the butterfly.  The
+    input is never written, and each row's arithmetic is the same whatever
+    the other rows hold.
     """
     a = np.asarray(a, dtype=np.float64)
     m = a.shape[-1]
-    if m & (m - 1):
+    if m < 1 or m & (m - 1):
         raise ValueError(f"axis length must be a power of two, got {m}")
-    rows = a.size // max(m, 1)
-    low = 1
-    while low < m and low * low < rows * m:
-        low *= 2
-    t = np.array(a.reshape(rows, m // low, low).transpose(2, 0, 1), order="C")
-    _butterflies(t.reshape(-1), 1, low, rows * (m // low))
-    out = np.array(t.transpose(1, 2, 0), order="C").reshape(a.shape)
-    _butterflies(out, low, m, 1)
-    return out
-
-
-def _butterflies(a: np.ndarray, h: int, stop: int, inner: int) -> None:
-    """The levels h, 2h, ... below stop of the transform along a C-contiguous
-    array's last axis, whose index is (level index) * inner + (inner index)."""
-    lead, size = a.shape[:-1], a.shape[-1]
-    while h < stop:
-        v = a.reshape(lead + (size // (2 * h * inner), 2, h * inner))
-        lo, hi = v[..., 0, :], v[..., 1, :]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        h *= 2
+    x = np.array(a, order="C").reshape(a.size // m, m)
+    y = np.empty_like(x)
+    h = m // 2
+    for _ in range(m.bit_length() - 1):
+        pairs = x.reshape(-1, h, 2)
+        lo, hi = pairs[..., 0], pairs[..., 1]
+        np.add(lo, hi, out=y[:, :h])
+        np.subtract(lo, hi, out=y[:, h:])
+        x, y = y, x
+    return x.reshape(a.shape)
 
 
 def xor_correlation(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

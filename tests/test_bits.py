@@ -25,6 +25,7 @@ def stacked_fwht(a: np.ndarray) -> np.ndarray:
 # the shapes the interpolation paths, the WHT engine and the process route use
 ENGINE_SHAPES = [(2**n,) for n in range(1, 13)] + [
     (1, 4096), (2, 256), (2, 4096), (3, 256), (3, 1024), (6, 256), (6, 6, 256), (32, 1024),
+    (8, 4096), (42, 6, 256), (32, 2, 1024), (2, 2**16),
 ]
 
 
@@ -41,6 +42,12 @@ def test_equals_hadamard_matrix_on_integers(n):
 def test_equals_stacked_butterfly(shape):
     x = np.random.default_rng(len(shape) * 100 + shape[-1]).standard_normal(shape)
     assert np.array_equal(fwht(x), stacked_fwht(x))
+
+
+def test_strided_view_equals_its_contiguous_copy():
+    x = np.random.default_rng(3).standard_normal((6, 512))
+    view = x[:, ::2]
+    assert np.array_equal(fwht(view), stacked_fwht(np.ascontiguousarray(view)))
 
 
 def test_read_only_input_is_left_unchanged():
@@ -66,5 +73,6 @@ def test_self_inverse_up_to_length():
 
 
 def test_rejects_non_power_of_two():
-    with pytest.raises(ValueError, match="power of two"):
-        fwht(np.ones(12))
+    for shape in [(12,), (0,), (3, 0)]:
+        with pytest.raises(ValueError, match="power of two"):
+            fwht(np.ones(shape))

@@ -58,6 +58,16 @@ def test_cli_import_leaves_scipy_and_pools_out():
     assert res.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_submodule():
+    # every import names a submodule, so `import coupledsk.bits` loads bits alone
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import coupledsk, sys; print(sorted(m for m in sys.modules if m.startswith('coupledsk.')))"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("validate", "--config", str(tmp_path / "nope.json")) == 2
