@@ -22,7 +22,6 @@ import numpy as np
 from .bits import CONFIG_CAP, magnetizations
 from .configurations import OverlapConstraint, admissible_sequence, construct_u_prime, nearest_admissible
 from .disorder import (
-    CovarianceProbe,
     DirichletWeights,
     ResourceError,
     RostInvalidError,
@@ -64,7 +63,7 @@ from .mixture import (
     check_positivity,
     mixture_functions,
 )
-from .parallel import replica_seed, stack_replicas
+from .parallel import replica_row, replica_seed, rng_for
 from .reference import brute_cavity_logz, brute_explicit_terms, brute_overlap_logz
 
 
@@ -230,12 +229,11 @@ class ExperimentConfig:
         if self.rost_file is not None:
             return _structure_file(self.rost_file)
         gen = self.rost_gen or {"m": 4, "delta": 0.05}
-        rng = np.random.Generator(np.random.PCG64(replica_seed(self.seed, 0, stream=9)))
         return random_gram_rost(
             m=int(gen.get("m", 4)),
             u=self.u,
             delta=float(gen.get("delta", 0.05)),
-            rng=rng,
+            rng=rng_for(self.seed, 0, stream=9),
             weights=DirichletWeights(float(gen.get("gamma", 1.0))),
         )
 
@@ -405,12 +403,12 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
     g_lim, g_fin = estimate_G_MN(cfg.mixture, cfg.m, n, u_m, derived.constraint,
                                  cfg.n_rep, cfg.seed, cfg.threads)
     worst_dual = 0.0
-    sampler = _cached_explicit_sampler(cfg.mixture, cfg.m, n)
-    draws = [sampler.sample(replica_seed(cfg.seed, rep)) for rep in range(min(cfg.n_rep, 5))]
-    terms = explicit_terms_block(stack_replicas(draws), cfg.mixture, u_m, derived.constraint,
-                                 "limit")
-    for draw, (term1, term2, log_norm) in zip(draws, terms):
-        bt1, bt2 = brute_explicit_terms(draw, r1, r2, cfg.mixture, derived.constraint, "limit")
+    draws = _cached_explicit_sampler(cfg.mixture, cfg.m, n).sample_block(
+        [replica_seed(cfg.seed, rep) for rep in range(min(cfg.n_rep, 5))])
+    terms = explicit_terms_block(draws, cfg.mixture, u_m, derived.constraint, "limit")
+    for rep, (term1, term2, log_norm) in enumerate(terms):
+        bt1, bt2 = brute_explicit_terms(replica_row(draws, rep), r1, r2, cfg.mixture,
+                                        derived.constraint, "limit")
         worst_dual = max(worst_dual, abs(term1 + log_norm - bt1), abs(term2 + log_norm - bt2))
     ok = bool(diag_exact and psd_ok and worst_dual < 1e-10)
     rows = [
@@ -467,27 +465,25 @@ def cmd_validate(cfg: ExperimentConfig) -> Reports:
     }
     ok = True
     if conv.convex:
-        pos = check_positivity(spec, grid_size=201)
+        pos = check_positivity(spec)
         results["positivity"] = {"min": min(pos.minima.values()), "pass": pos.passed}
         ok = ok and pos.passed
 
-    rng = np.random.Generator(np.random.PCG64(replica_seed(cfg.seed, 0, stream=5)))
+    rng = rng_for(cfg.seed, 0, stream=5)
     probes = []
     for _ in range(6):
         m1, m2 = int(rng.integers(1 << n)), int(rng.integers(1 << n))
-        probes.append(CovarianceProbe(m1, m2, 1, 1))
-        probes.append(CovarianceProbe(m1, m2, 1, 2))
+        probes += [(m1, m2, 1, 1), (m1, m2, 1, 2)]
     cov = empirical_covariance(spec, n, max(cfg.n_rep, 2000), probes, cfg.seed, cfg.sampler)
     results["covariance"] = {"max_sigmas": cov.max_sigmas, "pass": cov.max_sigmas <= 4.0}
     ok = ok and cov.max_sigmas <= 4.0
 
     worst = 0.0
-    for rep in range(3):
-        table = get_sampler(spec, n, cfg.sampler).sample(replica_seed(cfg.seed, rep, stream=6))
-        log_z = partition_by_overlap(table, spec.h1, spec.h2)
-        mag = magnetizations(n)
-        brute = brute_overlap_logz(table.values[0] + spec.h1 * mag,
-                                   table.values[1] + spec.h2 * mag)
+    mag = magnetizations(n)
+    tables = get_sampler(spec, n, cfg.sampler).sample_block(
+        [replica_seed(cfg.seed, rep, stream=6) for rep in range(3)])
+    for log_z, h in zip(partition_by_overlap(tables, spec.h1, spec.h2), tables.values):
+        brute = brute_overlap_logz(h[0] + spec.h1 * mag, h[1] + spec.h2 * mag)
         worst = max(worst, float(np.max(np.abs(np.expm1(log_z - brute)))))
     results["engine_oracle"] = {"max_rel_gap": worst, "pass": worst <= 1e-10}
     ok = ok and worst <= 1e-10
@@ -495,7 +491,7 @@ def cmd_validate(cfg: ExperimentConfig) -> Reports:
     worst_dp = 0.0
     n_small = min(n, 5)
     for rep in range(3):
-        rng = np.random.Generator(np.random.PCG64(replica_seed(cfg.seed, rep, stream=7)))
+        rng = rng_for(cfg.seed, rep, stream=7)
         a = rng.standard_normal(n_small)
         b = rng.standard_normal(n_small)
         ladder = cavity_logz_by_count(a, b)
@@ -538,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
             _write_csv(cfg.out / name, header, rows)
         _write_manifest(cfg.out, args.command, cfg, results, ok)
         return 0 if ok else 1
-    except (ConfigError, ResourceError, RostInvalidError, FileNotFoundError,
+    except (ConfigError, ResourceError, MemoryError, RostInvalidError, FileNotFoundError,
             NonConvexMixtureError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,16 +49,6 @@ class RostInvalidError(ValueError):
     """A random overlap structure violates one of its invariants."""
 
 
-def _as_seed(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_as_seed(seed)))
-
-
 def psd_factor(mat: np.ndarray) -> np.ndarray:
     """Factor F with F @ F.T = mat for a symmetric PSD matrix.
 
@@ -164,7 +154,7 @@ class TensorSampler:
 
         Each seed's generator draws its tensors in order of p, as when it is
         drawn alone, and each order is contracted once for the whole block."""
-        rngs = [_rng(seed) for seed in seeds]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
         n, spec = self.n, self.spec
         h = np.zeros((len(rngs), 2, 2**n))
         for p in range(1, spec.p_max + 1):
@@ -209,12 +199,16 @@ class ProcessSampler:
     def sample_block(self, seeds) -> HamiltonianTable:
         """The tables drawn from each seed, stacked: shape (len(seeds), 2, 2**n)."""
         c = 2**self.n
-        noise = np.stack([_rng(seed).standard_normal(2 * c).reshape(2, c) for seed in seeds])
+        noise = np.stack([np.random.default_rng(seed).standard_normal(2 * c).reshape(2, c)
+                          for seed in seeds])
         return HamiltonianTable(n=self.n, values=self.transform(noise))
 
     def transform(self, noise: np.ndarray) -> np.ndarray:
-        """The tables for white noise of shape (..., 2, 2**n)."""
-        scaled = np.einsum("ijw,...jw->...iw", self.factor, noise)
+        """The tables for white noise of shape (..., 2, 2**n).  Each frequency's
+        2x2 factor is applied as scaled sums, far faster than einsum on a block."""
+        f = self.factor
+        scaled = np.stack([f[i, 0] * noise[..., 0, :] + f[i, 1] * noise[..., 1, :]
+                           for i in (0, 1)], axis=-2)
         return fwht(scaled) / np.sqrt(2**self.n)
 
 
@@ -430,7 +424,8 @@ def random_gram_rost(
 @dataclass(eq=False)
 class ExplicitDraw:
     """One disorder draw of the explicit split system, tabulated over all
-    2**M base configurations.
+    2**M base configurations.  A replica block stacks its draws' arrays on a
+    leading axis.
 
     trunc[l-1, rho]   : base-only part of the big Hamiltonian (index tuples
                         confined to the first M coordinates);
@@ -469,58 +464,57 @@ class ExplicitSystemSampler:
         self.s_base = spin_matrix(m)
 
     def _aggregate_new_coordinate(self, g: np.ndarray, p: int) -> np.ndarray:
-        """Sum of the p tensor slices with one index fixed at a new coordinate.
-
-        Returns shape (n,) + (M,)*(p-1), summing over the insertion position.
-        """
+        """Sum of the p tensor slices with one index fixed at a new coordinate,
+        for each tensor of a block g, (b,) + (M+n,)*p; returns shape
+        (b, n) + (M,)*(p-1), summing over the insertion position."""
         m, n = self.m, self.n
         base = (slice(0, m),) * (p - 1)
-        out = np.zeros((n,) + (m,) * (p - 1))
+        out = np.zeros((g.shape[0], n) + (m,) * (p - 1))
         for pos in range(p):
-            idx = base[:pos] + (slice(m, m + n),) + base[pos:]
-            sub = np.asarray(g[idx])
-            out += np.moveaxis(sub, pos, 0)
+            idx = (slice(None),) + base[:pos] + (slice(m, m + n),) + base[pos:]
+            out += np.moveaxis(g[idx], pos + 1, 1)
         return out
 
     def sample(self, seed) -> ExplicitDraw:
-        rng = _rng(seed)
-        spec, m, n = self.spec, self.m, self.n
-        big = m + n
-        c_base = 2**m
-        trunc = np.zeros((2, c_base))
-        z = np.zeros((n, 2, c_base))
-        z_fin = np.zeros((n, 2, c_base))
-        y = np.zeros((2, c_base))
-        y_fin = np.zeros((2, c_base))
-        a = {1: spec.a1, 2: spec.a2}
-        for p in range(1, spec.p_max + 1):
-            g = rng.standard_normal((big,) * p)
-            g_new = rng.standard_normal((m,) * p)  # fresh tensors, compensators only
-            if a[1][p - 1] == 0.0 and a[2][p - 1] == 0.0:
-                continue
-            base_contr = _contract_all_configs(g[(None,) + (slice(0, m),) * p], self.s_base)[0]
-            agg = self._aggregate_new_coordinate(g, p)
-            if p == 1:
-                site_contr = np.repeat(agg[:, None], c_base, axis=1)
-            else:  # one contraction per site: the sites form the block
-                site_contr = _contract_all_configs(agg, self.s_base)
-            comp_contr = _contract_all_configs(g_new[None], self.s_base)[0]
+        """The draw from seed: sample_block of that seed alone."""
+        return parallel.replica_row(self.sample_block([seed]), 0)
 
-            scale_big = big ** (0.5 - 0.5 * p)
-            scale_base = m ** (0.5 - 0.5 * p)
+    def sample_block(self, seeds) -> ExplicitDraw:
+        """The draws from each seed, stacked on a leading axis.
+
+        Each seed's generator draws, per order p, its (M+n)^p tensor and then
+        its M^p compensator tensor, as when it is drawn alone; each
+        contraction runs once for the whole block."""
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        spec, m, n = self.spec, self.m, self.n
+        b, big, c_base = len(rngs), m + n, 2**m
+        trunc, y, y_fin = (np.zeros((b, 2, c_base)) for _ in range(3))
+        z, z_fin = (np.zeros((b, n, 2, c_base)) for _ in range(2))
+        for p in range(1, spec.p_max + 1):
+            # fresh tensors g_new, compensators only
+            g, g_new = (np.stack(t) for t in zip(*[
+                (rng.standard_normal((big,) * p), rng.standard_normal((m,) * p)) for rng in rngs]))
+            coef = np.array([[spec.a1[p - 1]], [spec.a2[p - 1]]])  # (copy, 1)
+            if not coef.any():
+                continue
+            base_contr = _contract_all_configs(g[(slice(None),) + (slice(0, m),) * p], self.s_base)
+            agg = self._aggregate_new_coordinate(g, p)
+            if p == 1:  # the same for every base configuration
+                site_contr = agg[:, :, None, None]
+            else:  # one contraction per (replica, site)
+                site_contr = _contract_all_configs(agg.reshape((b * n,) + agg.shape[2:]),
+                                                   self.s_base).reshape(b, n, 1, c_base)
+            comp_contr = _contract_all_configs(g_new, self.s_base)[:, None]
+
+            scale_big, scale_base = big ** (0.5 - 0.5 * p), m ** (0.5 - 0.5 * p)
             y_coef = np.sqrt(max(p - 1.0, 0.0)) * m ** (-0.5 * p)
-            y_fin_coef = np.sqrt(
-                max(m ** (1.0 - p) - big ** (1.0 - p), 0.0) / n
-            )
-            for ell in (1, 2):
-                ap = a[ell][p - 1]
-                if ap == 0.0:
-                    continue
-                trunc[ell - 1] += ap * scale_big * base_contr
-                z[:, ell - 1, :] += ap * scale_base * site_contr
-                z_fin[:, ell - 1, :] += ap * scale_big * site_contr
-                y[ell - 1] += ap * y_coef * comp_contr
-                y_fin[ell - 1] += ap * y_fin_coef * comp_contr
+            y_fin_coef = np.sqrt(max(m ** (1.0 - p) - big ** (1.0 - p), 0.0) / n)
+            # a copy whose coefficient is 0 adds zeros, which leave every sum as it is
+            trunc += coef * scale_big * base_contr[:, None]
+            z += coef * scale_base * site_contr
+            z_fin += coef * scale_big * site_contr
+            y += coef * y_coef * comp_contr
+            y_fin += coef * y_fin_coef * comp_contr
         return ExplicitDraw(m=m, n=n, trunc=trunc, z=z, z_finite=z_fin, y=y, y_finite=y_fin)
 
 
@@ -529,17 +523,8 @@ class ExplicitSystemSampler:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CovarianceProbe:
-    mask1: int
-    mask2: int
-    ell: int
-    ellp: int
-
-
 @dataclass(eq=False)
 class CovarianceReport:
-    probes: list
     targets: np.ndarray
     estimates: np.ndarray
     stderrs: np.ndarray
@@ -557,29 +542,25 @@ def empirical_covariance(
     spec: MixtureSpec,
     n: int,
     n_rep: int,
-    probes: list[CovarianceProbe],
+    probes: list[tuple[int, int, int, int]],
     seed: int,
     sampler: str = "tensor",
 ) -> CovarianceReport:
-    """Estimate E[H^l(s) H^l'(s')] / n at probe pairs against xi_{l,l'}(overlap)."""
+    """Estimate E[H^l(s) H^l'(s')] / n at probes (s, s', l, l') against
+    xi_{l,l'}(overlap), from the tables of SeedSequence(seed, spawn_key=(rep,))."""
     eng = get_sampler(spec, n, sampler)
+    mask1, mask2, ell, ellp = (np.array(col) for col in zip(*probes))
+
+    def products(block: range) -> np.ndarray:
+        h = eng.sample_block([np.random.SeedSequence(seed, spawn_key=(rep,))
+                              for rep in block]).values
+        return h[:, ell - 1, mask1] * h[:, ellp - 1, mask2] / n
+
+    # a block's largest stacked array is its tables, 2 * 2**n doubles a replica;
+    # the mean and stderr sum replicas in C order, as a per-replica fill does
+    vals = np.ascontiguousarray(parallel.map_blocks(products, (), n_rep, 2 << n))
     funcs = mixture_functions(spec)
-    vals = np.empty((n_rep, len(probes)))
-    for rep in range(n_rep):
-        table = eng.sample(np.random.SeedSequence(seed, spawn_key=(rep,)))
-        for j, pr in enumerate(probes):
-            vals[rep, j] = (
-                table.values[pr.ell - 1, pr.mask1] * table.values[pr.ellp - 1, pr.mask2] / n
-            )
-    targets = np.array(
-        [
-            funcs.xi(pr.ell, pr.ellp, 1.0 - 2.0 * popcounts(n)[pr.mask1 ^ pr.mask2] / n)
-            for pr in probes
-        ]
-    )
-    return CovarianceReport(
-        probes=list(probes),
-        targets=targets,
-        estimates=vals.mean(axis=0),
-        stderrs=vals.std(axis=0, ddof=1) / np.sqrt(n_rep),
-    )
+    overlaps = 1.0 - 2.0 * popcounts(n)[mask1 ^ mask2] / n
+    targets = [funcs.xi(*pr[2:], r) for pr, r in zip(probes, overlaps)]
+    return CovarianceReport(targets=np.array(targets), estimates=vals.mean(axis=0),
+                            stderrs=vals.std(axis=0, ddof=1) / np.sqrt(n_rep))

@@ -19,6 +19,7 @@ import numpy as np
 from .bits import bucket_by_popcount, magnetizations, popcounts, xor_correlation
 from .configurations import OverlapConstraint
 from .disorder import (
+    CavityFieldSample,
     ExplicitDraw,
     ExplicitSystemSampler,
     FactorizationError,
@@ -283,6 +284,18 @@ class GEstimate:
     term2: Estimate
 
 
+def structure_draws(
+    rost: RostSpec, field_sampler: RostFieldSampler, n: int, root: int, block: range
+) -> tuple[np.ndarray, CavityFieldSample]:
+    """The weights, (len(block), m), and the stacked fields of each replica
+    of a block.  Weights use stream 0 and fields stream 1 of each replica's
+    seed, so swapping the weight law never changes the field draws."""
+    w = np.stack([rost.weights.sample(rng_for(root, rep, stream=0), rost.m) for rep in block])
+    fields = stack_replicas([field_sampler.sample(rng_for(root, rep, stream=1), n)
+                             for rep in block])
+    return w, fields
+
+
 def g_terms_block(
     rost: RostSpec,
     field_sampler: RostFieldSampler,
@@ -293,15 +306,10 @@ def g_terms_block(
     block: range,
 ) -> np.ndarray:
     """Both structure-functional terms of each replica of a block, shape
-    (len(block), 2).
-
-    Weights use stream 0 and fields stream 1 of each replica's seed, so
-    swapping the weight law never changes the field draws.  One ladder call
-    covers every (replica, element).
+    (len(block), 2), from structure_draws; one ladder call covers every
+    (replica, element).
     """
-    w = np.stack([rost.weights.sample(rng_for(root, rep, stream=0), rost.m) for rep in block])
-    fields = stack_replicas([field_sampler.sample(rng_for(root, rep, stream=1), n)
-                             for rep in block])
+    w, fields = structure_draws(rost, field_sampler, n, root, block)
     a = fields.z[:, :, 0, :].swapaxes(-1, -2) + spec.h1  # (replica, element, site)
     b = fields.z[:, :, 1, :].swapaxes(-1, -2) + spec.h2
     log_b = _ladder_class(a, b, c.d)
@@ -374,17 +382,15 @@ def explicit_pairs(m: int, u_m: OverlapConstraint) -> tuple[np.ndarray, np.ndarr
     disagreement count, ResourceError beyond EXPLICIT_PAIR_CAP of them."""
     if u_m.n != m:
         raise ValueError("constraint size must equal the base size")
-    r1, r2 = _constrained_pairs(m, u_m.d)
-    if r1.size > EXPLICIT_PAIR_CAP:
+    size = math.comb(m, u_m.d) << m  # checked before any pair is built
+    if size > EXPLICIT_PAIR_CAP:
         raise ResourceError(
-            f"pair set has {r1.size} elements > cap {EXPLICIT_PAIR_CAP}; reduce the base size"
+            f"pair set has {size} elements > cap {EXPLICIT_PAIR_CAP}; reduce the base size"
         )
-    return r1, r2
+    return _constrained_pairs(m, u_m.d)
 
 
-def build_explicit_rost(
-    spec: MixtureSpec, m: int, u_m: OverlapConstraint, n: int, u: float
-) -> RostSpec:
+def build_explicit_rost(m: int, u_m: OverlapConstraint, u: float) -> RostSpec:
     """The structure whose elements are constrained base pairs.
 
     q-matrices are pairwise overlaps of the base configurations and
@@ -414,7 +420,7 @@ def build_explicit_rost(
 
 def explicit_fields_psd(funcs: MixtureFunctions, m: int, u_m: OverlapConstraint) -> bool:
     """Whether RostFieldSampler accepts the explicit structure
-    build_explicit_rost(spec, m, u_m, ...) with funcs = mixture_functions(spec),
+    build_explicit_rost(m, u_m, ...) with funcs = mixture_functions(spec),
     from 2 (M+1) Walsh blocks instead of two factorisations of side 2 |pairs|.
 
     An element's copy-l row of xi'(q) and theta(q) depends only on its base
@@ -497,14 +503,14 @@ def explicit_terms_replica(
 ) -> ExplicitTerms:
     """Both terms of the explicit-structure functional for the draw from
     seed: explicit_terms_block of the block holding that draw alone."""
-    draws = stack_replicas([_cached_explicit_sampler(spec, m, n).sample(seed)])
+    draws = _cached_explicit_sampler(spec, m, n).sample_block([seed])
     return ExplicitTerms(*map(float, explicit_terms_block(draws, spec, u_m, u_prime, variant)[0]))
 
 
 def _gmn_worker(spec: MixtureSpec, m: int, n: int, u_m: OverlapConstraint,
                 u_prime: OverlapConstraint, root: int, block: range) -> np.ndarray:
-    sampler = _cached_explicit_sampler(spec, m, n)
-    draws = stack_replicas([sampler.sample(replica_seed(root, rep)) for rep in block])
+    draws = _cached_explicit_sampler(spec, m, n).sample_block(
+        [replica_seed(root, rep) for rep in block])
     return np.stack([explicit_terms_block(draws, spec, u_m, u_prime, v)[:, :2]
                      for v in EXPLICIT_VARIANTS], axis=1)
 
@@ -522,8 +528,8 @@ def estimate_G_MN(
     """Monte Carlo averages of the explicit-structure functional, the 'limit'
     and the 'finite' variant, both from one draw per replica."""
     # a block's largest stacked array is its ladders, (pairs, n+1) a replica,
-    # or its fields z, (n, 2, 2**m)
-    row = max(_constrained_pairs(m, u_m.d)[0].size * (n + 1), 2 * n << m)
+    # its fields z, (n, 2, 2**m), or its top-order coupling tensors
+    row = max((math.comb(m, u_m.d) << m) * (n + 1), 2 * n << m, (m + n) ** spec.p_max)
     out = map_blocks(_gmn_worker, (spec, m, n, u_m, u_prime, seed), n_rep, row,
                      threads)  # (n_rep, variant, term)
     return tuple(

@@ -47,6 +47,7 @@ from .free_energy import (
     overlap_logz_replicas,
     positive_sums,
     require_finite_fields,
+    structure_draws,
     window_values,
 )
 from .mixture import (
@@ -57,7 +58,7 @@ from .mixture import (
     check_convexity,
     mixture_functions,
 )
-from .parallel import map_blocks, replica_row, replica_seed, rng_for, stack_replicas
+from .parallel import map_blocks, replica_row, replica_seed, stack_replicas
 
 
 # step of the common-random-number finite difference of phi
@@ -399,12 +400,10 @@ def lemma3_states(
     block: range,
     sampler: str = "tensor",
 ) -> _Lemma3State:
-    """The stacked states of the replicas of block: weights on stream 0,
-    fields on stream 1, disorder tables on stream 2 (one block draw),
-    matching the stream layout of the plain structure-functional estimator."""
-    w = np.stack([rost.weights.sample(rng_for(root, rep, stream=0), rost.m) for rep in block])
-    fields = stack_replicas([field_sampler.sample(rng_for(root, rep, stream=1), n)
-                             for rep in block])
+    """The stacked states of the replicas of block: weights and fields from
+    structure_draws, as the plain structure-functional estimator draws them,
+    and disorder tables on stream 2 (one block draw)."""
+    w, fields = structure_draws(rost, field_sampler, n, root, block)
     tables = get_sampler(spec, n, sampler).sample_block(
         [replica_seed(root, rep, 2) for rep in block])
     return _Lemma3State(w=w, z=fields.z, y=fields.y, table=tables)
@@ -682,7 +681,7 @@ def run_lemma2_curve(
     u_n = nearest_admissible(n, u)
     t_grid, phi_ts = _phi_points(t_grid)
     phi, gibbs = _lemma2_pass(spec, u_m, u_n, phi_ts, t_grid, n_rep, seed, sampler, threads)
-    nonpositive = all(g.convexity_term.mean <= 3.0 * g.convexity_term.stderr for g in gibbs)
+    nonpositive = all(sigmas_above_zero(g.convexity_term) <= ABOVE_ZERO_SIGMAS for g in gibbs)
     return _curve_run(phi, phi_ts, gibbs, seed, f"phi_split(m={m},n={n},t={{:g}})",
                       "dphi_split_fd(t={:g})", {"convexity_term_nonpositive": nonpositive})
 
@@ -700,7 +699,7 @@ def run_lemma3_curve(
 ) -> InterpolationRun:
     t_grid, phi_ts = _phi_points(t_grid)
     phi, gibbs = _lemma3_pass(rost, spec, n, c, phi_ts, t_grid, n_rep, seed, sampler, threads)
-    nonpositive = all(g.second_line.mean <= 3.0 * g.second_line.stderr for g in gibbs)
+    nonpositive = all(sigmas_above_zero(g.second_line) <= ABOVE_ZERO_SIGMAS for g in gibbs)
     bound = gibbs[0].first_sum_bound if gibbs else 0.0
     return _curve_run(phi, phi_ts, gibbs, seed, f"phi_rost(n={n},t={{:g}})",
                       "dphi_rost_fd(t={:g})",
@@ -727,6 +726,18 @@ def _fd_gibbs_agreement(fd: list[Estimate], gibbs: list[Estimate]) -> float:
 # F <= G + computable bound is asserted up to this many combined standard
 # errors of F and G
 STRUCTURE_MARGIN_SIGMAS = 4.0
+# a derivative term that must be nonpositive may lie at most this many
+# standard errors above zero
+ABOVE_ZERO_SIGMAS = 3.0
+
+
+def sigmas_above_zero(est: Estimate) -> float:
+    """How many standard errors est's mean lies above zero, the one measure
+    every nonpositivity verdict compares with ABOVE_ZERO_SIGMAS.  A zero
+    stderr gives +-inf for a nonzero mean and 0 for a zero one."""
+    if est.stderr > 0:
+        return est.mean / est.stderr
+    return float(np.copysign(np.inf, est.mean)) if est.mean else 0.0
 
 
 def _zero_based(eps_grid) -> tuple[float, ...]:
@@ -889,17 +900,16 @@ def structure_bound_check(
     threads: int = 1,
 ) -> dict:
     """F <= G + first_sum_bound within STRUCTURE_MARGIN_SIGMAS, and the
-    second line of the structure-comparison derivative at most 3 sigma above
-    zero at every t.  f_est and g_est are the F and G estimates at c."""
+    second line of the structure-comparison derivative at most
+    ABOVE_ZERO_SIGMAS above zero at every t.  f_est and g_est are the F and
+    G estimates at c."""
     t_grid = tuple(t_grid)
     if not t_grid:
         raise ValueError("the structure bound needs at least one t in [0, 1]")
     bound = first_sum_bound(rost, mixture_functions(spec), c.u)
     margin = STRUCTURE_MARGIN_SIGMAS * float(np.hypot(f_est.stderr, g_est.diff.stderr))
     _, gibbs = _lemma3_pass(rost, spec, c.n, c, (), t_grid, n_rep, seed, sampler, threads)
-    worst = -np.inf
-    for line in (g.second_line for g in gibbs):
-        worst = max(worst, line.mean / line.stderr if line.stderr > 0 else 0.0)
+    worst = max(sigmas_above_zero(g.second_line) for g in gibbs)
     return {
         "check": "structure-upper-bound",
         "sizes": [c.n, rost.m],
@@ -909,5 +919,6 @@ def structure_bound_check(
         "margin": margin,
         "margin_sigmas": STRUCTURE_MARGIN_SIGMAS,
         "second_line_worst_sigmas": float(worst),
-        "pass": bool(f_est.mean <= g_est.diff.mean + bound + margin and worst <= 3.0),
+        "pass": bool(f_est.mean <= g_est.diff.mean + bound + margin
+                     and worst <= ABOVE_ZERO_SIGMAS),
     }

@@ -25,6 +25,7 @@ import numpy as np
 
 CONVEXITY_TOL = 1e-10
 CONVEXITY_GRID = 1001
+POSITIVITY_GRID = 201
 POSITIVITY_TOL = 1e-10
 
 COPY_PAIRS = ((1, 1), (1, 2), (2, 2))
@@ -201,9 +202,7 @@ class PositivityReport:
     passed: bool
 
 
-def check_positivity(
-    spec: MixtureSpec, grid_size: int = 201, tol: float = POSITIVITY_TOL
-) -> PositivityReport:
+def check_positivity(spec: MixtureSpec) -> PositivityReport:
     """Grid minimum of xi(x) - x*xi'(y) + theta(y) per copy pair.
 
     The quantity is nonnegative for convex mixtures; a non-convex spec is a
@@ -217,7 +216,7 @@ def check_positivity(
             f"second difference {conv.worst_second_difference:.3e} near x = {conv.worst_x:.4f}"
         )
     funcs = MixtureFunctions(spec)
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = np.linspace(-1.0, 1.0, POSITIVITY_GRID)
     minima = {}
     argmin = {}
     for pair in COPY_PAIRS:
@@ -226,9 +225,10 @@ def check_positivity(
         th_y = funcs.theta(*pair, grid)[None, :]
         vals = xi_x - grid[:, None] * xip_y + th_y
         flat = int(np.argmin(vals))
-        i, j = divmod(flat, grid_size)
+        i, j = divmod(flat, POSITIVITY_GRID)
         minima[pair] = float(vals[i, j])
         argmin[pair] = (float(grid[i]), float(grid[j]))
     return PositivityReport(
-        minima=minima, argmin=argmin, passed=all(v >= -tol for v in minima.values())
+        minima=minima, argmin=argmin,
+        passed=all(v >= -POSITIVITY_TOL for v in minima.values()),
     )

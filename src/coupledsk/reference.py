@@ -18,7 +18,7 @@ import numpy as np
 
 from .bits import magnetizations, popcounts, spin_matrix
 from .configurations import OverlapConstraint
-from .disorder import ExplicitDraw, _contract_all_configs, _rng
+from .disorder import ExplicitDraw, _contract_all_configs
 from .free_energy import logsumexp
 from .mixture import MixtureSpec, mixture_functions
 from .parallel import BLOCK_DOUBLES
@@ -115,7 +115,7 @@ def explicit_full_table(spec: MixtureSpec, m: int, n: int, seed) -> np.ndarray:
 
     The draw order is replayed: per order p, the (M+n)^p tensor, then the
     M^p compensator tensor, which the whole Hamiltonian does not use."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     big = m + n
     s_full = spin_matrix(big)
     full = np.zeros((2, 2**big))

@@ -16,7 +16,6 @@ from coupledsk.bits import magnetizations
 from coupledsk.cli import main as cli_main
 from coupledsk.configurations import OverlapConstraint, nearest_admissible
 from coupledsk.disorder import (
-    CovarianceProbe,
     RostFieldSampler,
     empirical_covariance,
     get_sampler,
@@ -116,7 +115,7 @@ def test_criterion_04_covariance_identity():
         spec = MixtureSpec(a1=(0.3, 0.5, 0.4), a2=(0.2, 0.4, 0.3))
     masks = [(0, 0), (0, 255), (0, 15), (0, 3)]
     probes = [
-        CovarianceProbe(m1, m2, ell, ellp)
+        (m1, m2, ell, ellp)
         for (m1, m2) in masks
         for (ell, ellp) in ((1, 1), (1, 2), (2, 2))
     ]
@@ -143,7 +142,7 @@ def test_criterion_06_positivity_grid():
         MixtureSpec(a1=(0.0, 0.5, 0.0, 0.2, 0.0, 0.1), a2=(0.0, 0.4, 0.0, 0.3, 0.0, 0.2)),
     ]
     for spec in specs:
-        rep = check_positivity(spec, grid_size=201, tol=1e-10)
+        rep = check_positivity(spec)
         assert rep.passed
         assert min(rep.minima.values()) >= -1e-10
     report(6, "positivity grid", time.perf_counter() - start, 1.0)
@@ -200,7 +199,7 @@ def test_criterion_09_structure_upper_bound():
 def test_criterion_10_explicit_structure():
     start = time.perf_counter()
     u_m6 = nearest_admissible(6, 0.0)
-    rost = build_explicit_rost(PURE_P2, 6, u_m6, 4, 0.0)
+    rost = build_explicit_rost(6, u_m6, 0.0)
     assert np.all(np.diag(rost.q12) == u_m6.u)
     assert np.all(np.diag(rost.q11) == 1.0) and np.all(np.diag(rost.q22) == 1.0)
     RostFieldSampler(rost, mixture_functions(PURE_P2))  # PSD blocks or raises

@@ -16,7 +16,13 @@ from conftest import random_even_spec
 from coupledsk import free_energy, parallel
 from coupledsk.bits import bucket_by_popcount, fwht, spin_matrix
 from coupledsk.configurations import nearest_admissible
-from coupledsk.disorder import RostFieldSampler, TensorSampler, get_sampler, random_gram_rost
+from coupledsk.disorder import (
+    ExplicitSystemSampler,
+    RostFieldSampler,
+    TensorSampler,
+    get_sampler,
+    random_gram_rost,
+)
 from coupledsk.free_energy import (
     _cached_explicit_sampler,
     cavity_logz_by_count,
@@ -100,6 +106,18 @@ class TestBlockDraws:
         cut = sampler.sample_block(self.SEEDS)
         assert np.array_equal(cut.values, whole.values)
         assert np.array_equal(cut.values[6], sampler.sample(self.SEEDS[6]).values)
+
+    @pytest.mark.parametrize("spec", [_order_p_spec(p) for p in (1, 2, 3, 4)] + [
+        # orders 1 and 3 draw their tensors but contribute nothing
+        MixtureSpec(a1=(0.0, 0.6, 0.0, 0.2), a2=(0.0, 0.4, 0.0, 0.3), h1=0.2, h2=-0.1)])
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (4, 3), (5, 6)])
+    def test_explicit_block_draw_is_the_stacked_draws(self, m, n, spec):
+        sampler = ExplicitSystemSampler(spec, m, n)
+        block = sampler.sample_block(self.SEEDS)
+        for r, seed in enumerate(self.SEEDS):
+            alone = sampler.sample(seed)
+            for name in ("trunc", "z", "z_finite", "y", "y_finite"):
+                assert np.array_equal(getattr(block, name)[r], getattr(alone, name)), name
 
     def test_row_of_a_block_is_the_draw_alone(self, pure_p2):
         block = get_sampler(pure_p2, 4, "tensor").sample_block(self.SEEDS[:3])

@@ -17,7 +17,7 @@ from coupledsk.cli import main
 from coupledsk.configurations import nearest_admissible
 from coupledsk.disorder import get_sampler
 from coupledsk.free_energy import NumericalError, build_explicit_rost
-from coupledsk.mixture import ConvexityWarning, MixtureSpec
+from coupledsk.mixture import ConvexityWarning
 
 
 def run_cli(*args) -> int:
@@ -275,6 +275,17 @@ class TestPreconditions:
         path.write_text(json.dumps({"n": 4, "n_rep": 10}))
         assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
 
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def too_big(cfg):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setitem(cli.COMMANDS, "rost-eval", too_big)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "n_rep": 10}))
+        assert run_cli("rost-eval", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert lines == ["error: Unable to allocate 74.5 GiB for an array"]
+
     def test_lost_cavity_class_exits_2(self, tmp_path, capsys):
         # fields too large for a double overflow the cavity ladder, which
         # would otherwise be reported as a nan G
@@ -468,7 +479,7 @@ class TestStructureCommands:
         assert res["dual_path_gap"] < 1e-10
         # the reported size, tolerance and diagonal are the structure's
         u_m = nearest_admissible(3, 0.0)
-        rost = build_explicit_rost(MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.5)), 3, u_m, 4, 0.0)
+        rost = build_explicit_rost(3, u_m, 0.0)
         assert (res["elements"], res["delta"]) == (rost.m, rost.delta)
         assert res["diag_exact"] == bool(np.all(np.diag(rost.q12) == u_m.u))
 
@@ -478,6 +489,18 @@ class TestStructureCommands:
         path.write_text(json.dumps({**json.loads(small_config.read_text()), "m": 8}))
         assert run_cli("explicit-rost", "--config", str(path), "--out", str(tmp_path / "o")) == 2
         assert "pair set has 17920 elements" in capsys.readouterr().err
+
+    def test_pair_cap_is_checked_before_any_pair_is_built(self, small_config, tmp_path,
+                                                          capsys, monkeypatch):
+        # M = 20 at u = 0 would have C(20, 10) * 2**20, about 1.9e11, pairs
+        def built(m, d):
+            raise AssertionError(f"pairs built for m={m}, d={d}")
+
+        monkeypatch.setattr(free_energy, "_constrained_pairs", built)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**json.loads(small_config.read_text()), "m": 20}))
+        assert run_cli("explicit-rost", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert f"pair set has {math.comb(20, 10) << 20} elements > cap" in capsys.readouterr().err
 
 
 class TestSingleSizeCommands:

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from coupledsk import disorder
-from coupledsk.bits import spin_matrix
+from coupledsk.bits import fwht, spin_matrix
 from coupledsk.disorder import (
-    CovarianceProbe,
     DirichletWeights,
     ExplicitSystemSampler,
     FactorizationError,
@@ -136,11 +135,18 @@ class TestProcessSampler:
         with pytest.raises(FactorizationError, match="indefinite"):
             ProcessSampler(pure_p2, 4)
 
+    def test_transform_of_a_block_is_the_per_row_einsum(self, mixed_even):
+        for n, b in ((4, 3), (8, 128), (10, 32), (12, 8)):
+            sampler = ProcessSampler(mixed_even, n)
+            noise = np.random.default_rng(n).standard_normal((b, 2, 2**n))
+            per_row = np.stack([fwht(np.einsum("ijw,jw->iw", sampler.factor, x)) / np.sqrt(2**n)
+                                for x in noise])
+            assert np.array_equal(sampler.transform(noise), per_row), n
+
     def test_covariance_probe(self, mixed_even):
         rep = empirical_covariance(
             mixed_even, 5, 4000,
-            [CovarianceProbe(0, 0, 1, 1), CovarianceProbe(0, 31, 1, 2),
-             CovarianceProbe(3, 12, 2, 2)],
+            [(0, 0, 1, 1), (0, 31, 1, 2), (3, 12, 2, 2)],
             seed=8, sampler="process",
         )
         assert rep.max_sigmas <= 4.0
@@ -148,8 +154,7 @@ class TestProcessSampler:
     def test_covariance_probe_at_engine_cap(self, mixed_even):
         rep = empirical_covariance(
             mixed_even, 12, 2000,
-            [CovarianceProbe(0, 0, 1, 1), CovarianceProbe(0, 4095, 1, 2),
-             CovarianceProbe(5, 1234, 2, 2), CovarianceProbe(77, 77, 1, 2)],
+            [(0, 0, 1, 1), (0, 4095, 1, 2), (5, 1234, 2, 2), (77, 77, 1, 2)],
             seed=8, sampler="process",
         )
         assert rep.max_sigmas <= 4.0
@@ -160,7 +165,7 @@ class TestEmpiricalCovariance:
         funcs = mixture_functions(pure_p2)
         rep = empirical_covariance(
             pure_p2, 4, 100,
-            [CovarianceProbe(0, 0, 1, 1), CovarianceProbe(0, 15, 1, 1)],
+            [(0, 0, 1, 1), (0, 15, 1, 1)],
             seed=3,
         )
         assert rep.targets[0] == pytest.approx(float(funcs.xi(1, 1, 1.0)))
@@ -168,7 +173,7 @@ class TestEmpiricalCovariance:
 
     def test_zero_mixture_reports_exact(self, zero_mixture):
         rep = empirical_covariance(
-            zero_mixture, 3, 50, [CovarianceProbe(0, 0, 1, 1)], seed=0
+            zero_mixture, 3, 50, [(0, 0, 1, 1)], seed=0
         )
         assert rep.max_sigmas == 0.0
 
@@ -239,8 +244,8 @@ class TestRostSpec:
         if kind == "gram":
             rosts = [random_gram_rost(m, 0.1, 0.05, rng) for m in (1, 3, 17, 40)]
         elif kind == "explicit":
-            rosts = [build_explicit_rost(spec, 5, nearest_admissible(5, 0.2), 6, 0.2),
-                     build_explicit_rost(spec, 4, nearest_admissible(4, 0.0), 6, 0.0)]
+            rosts = [build_explicit_rost(5, nearest_admissible(5, 0.2), 0.2),
+                     build_explicit_rost(4, nearest_admissible(4, 0.0), 0.0)]
         else:
             rosts = []
             for m in (2, 9, 30):

@@ -413,7 +413,7 @@ def _per_pair_explicit_terms(draw, r1, r2, spec, u_prime, variant):
 class TestExplicitStructure:
     def test_diagonals_and_delta(self, pure_p2):
         u_m = nearest_admissible(4, 0.3)
-        rost = build_explicit_rost(pure_p2, 4, u_m, 4, 0.3)
+        rost = build_explicit_rost(4, u_m, 0.3)
         np.testing.assert_array_equal(np.diag(rost.q12), u_m.u)
         np.testing.assert_array_equal(np.diag(rost.q11), 1.0)
         np.testing.assert_array_equal(np.diag(rost.q22), 1.0)
@@ -421,7 +421,7 @@ class TestExplicitStructure:
 
     def test_blocks_admit_fields(self, pure_p2):
         u_m = nearest_admissible(4, 0.0)
-        rost = build_explicit_rost(pure_p2, 4, u_m, 4, 0.0)
+        rost = build_explicit_rost(4, u_m, 0.0)
         RostFieldSampler(rost, mixture_functions(pure_p2))  # PSD or it raises
 
     @pytest.mark.parametrize("spec, m, u", [
@@ -436,7 +436,7 @@ class TestExplicitStructure:
         u_m = nearest_admissible(m, u)
         funcs = mixture_functions(spec)
         try:
-            RostFieldSampler(build_explicit_rost(spec, m, u_m, 4, u), funcs)
+            RostFieldSampler(build_explicit_rost(m, u_m, u), funcs)
             dense = True
         except RostInvalidError:
             dense = False
@@ -464,12 +464,12 @@ class TestExplicitStructure:
         funcs = CrossHeavy(mixture_functions(pure_p2))
         u_m = nearest_admissible(4, 0.0)
         with pytest.raises(RostInvalidError, match="not positive semidefinite"):
-            RostFieldSampler(build_explicit_rost(pure_p2, 4, u_m, 4, 0.0), funcs)
+            RostFieldSampler(build_explicit_rost(4, u_m, 0.0), funcs)
         assert not explicit_fields_psd(funcs, 4, u_m)
 
     def test_estimate_G_refuses_weightless_structure(self, pure_p2):
         u_m = nearest_admissible(4, 0.0)
-        rost = build_explicit_rost(pure_p2, 4, u_m, 4, 0.0)
+        rost = build_explicit_rost(4, u_m, 0.0)
         assert rost.weights is None
         with pytest.raises(RostInvalidError, match="weight law"):
             estimate_G(rost, pure_p2, 4, OverlapConstraint(4, 0), 2, seed=0)

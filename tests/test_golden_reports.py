@@ -1,8 +1,8 @@
 """Golden reports: every subcommand on a small fixed config against stored output.
 
 Each subcommand runs on the same config as ``test_cli.small_config``, and
-``free-energy``, ``interp`` and ``lemma3`` run once more on it with the
-process-route sampler.  Every
+``free-energy``, ``interp``, ``lemma3`` and ``validate`` run once more on it
+with the process-route sampler.  Every
 CSV cell and every manifest ``results`` value is compared with the fixtures
 under ``tests/data/golden/<command>/``: integers and strings exactly, other
 numbers to a relative 1e-12.  The manifests of ``lemma1``, ``lemma3`` and
@@ -38,7 +38,7 @@ CONFIG = {
 }
 # fixture directory -> (subcommand, config)
 CASES = {command: (command, CONFIG) for command in COMMANDS}
-for command in ("free-energy", "interp", "lemma3"):
+for command in ("free-energy", "interp", "lemma3", "validate"):
     CASES[f"{command}.process"] = (command, {**CONFIG, "sampler": "process"})
 CHECK_SHAPED = {"lemma1", "lemma3", "superadd"}
 REL = 1e-12

@@ -27,6 +27,7 @@ from coupledsk.free_energy import (
     partition_by_overlap,
 )
 from coupledsk.interpolation import (
+    ABOVE_ZERO_SIGMAS,
     FD_STEP,
     STRUCTURE_MARGIN_SIGMAS,
     first_sum_bound,
@@ -37,6 +38,7 @@ from coupledsk.interpolation import (
     lemma3_state,
     run_lemma2_curve,
     run_lemma3_curve,
+    sigmas_above_zero,
     structure_bound_check,
     superadditivity_check,
     window_constant_check,
@@ -375,6 +377,16 @@ class TestCurveRunners:
                                    for x in inputs])
                 assert (run.phi[j].mean, run.phi[j].stderr) == summarize(values)
                 assert (run.dphi_fd[j].mean, run.dphi_fd[j].stderr) == summarize(slopes)
+
+    @pytest.mark.parametrize("mean, stderr, sigmas, nonpositive", [
+        (1.5, 0.5, 3.0, True), (2.0, 0.5, 4.0, False), (-1.0, 0.5, -2.0, True),
+        # a zero stderr: a positive mean is above zero, whatever its size
+        (1e-9, 0.0, math.inf, False), (0.0, 0.0, 0.0, True), (-1.0, 0.0, -math.inf, True),
+    ])
+    def test_one_rule_for_sigmas_above_zero(self, mean, stderr, sigmas, nonpositive):
+        est = Estimate(mean=mean, stderr=stderr, n_rep=10, seed=0)
+        assert sigmas_above_zero(est) == sigmas
+        assert (sigmas_above_zero(est) <= ABOVE_ZERO_SIGMAS) is nonpositive
 
     def test_rejects_t_outside_unit_interval(self, pure_p2):
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))

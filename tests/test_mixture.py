@@ -112,7 +112,7 @@ class TestPositivity:
 
     def test_mixed_even_grid(self):
         spec = MixtureSpec(a1=(0.0, 1.0, 0.0, 0.3), a2=(0.0, 1.0, 0.0, 0.3))
-        rep = check_positivity(spec, grid_size=101)
+        rep = check_positivity(spec)
         assert min(rep.minima.values()) >= -1e-12
         assert rep.passed
 
@@ -127,7 +127,7 @@ class TestPositivity:
         for trial in range(10):
             spec = random_even_spec(rng)
             if check_convexity(spec).convex:
-                assert check_positivity(spec, grid_size=101).passed
+                assert check_positivity(spec).passed
 
 
 class TestCauchySchwarz:
