@@ -104,9 +104,3 @@ def split_popcounts(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     hi.flags.writeable = False
     return lo, hi
 
-
-def bucket_by_split_popcount(values: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Sum a length-2**(m+n) vector into an (m+1, n+1) popcount-pair table."""
-    lo, hi = split_popcounts(m, n)
-    flat = np.bincount(lo * (n + 1) + hi, weights=values, minlength=(m + 1) * (n + 1))
-    return flat.reshape(m + 1, n + 1)

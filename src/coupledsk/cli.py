@@ -24,6 +24,7 @@ from .configurations import OverlapConstraint, admissible_sequence, construct_u_
 from .disorder import (
     DirichletWeights,
     ResourceError,
+    RostFieldSampler,
     RostInvalidError,
     RostSpec,
     empirical_covariance,
@@ -209,6 +210,8 @@ class ExperimentConfig:
                 _number(value, f"rost {key}", integral=key == "m")
             if self.rost_gen.get("m", 1) < 1:
                 raise ConfigError(f"rost m must be at least 1, got {self.rost_gen['m']}")
+            if self.rost_gen.get("gamma", 1.0) <= 0:
+                raise ConfigError(f"rost gamma must be positive, got {self.rost_gen['gamma']}")
 
     def resolved(self) -> dict:
         return {
@@ -226,16 +229,17 @@ class ExperimentConfig:
         }
 
     def load_rost(self) -> RostSpec:
+        """The structure of the config, checked to admit Gaussian fields for
+        its mixture (RostInvalidError if not) before any Monte Carlo."""
         if self.rost_file is not None:
-            return _structure_file(self.rost_file)
-        gen = self.rost_gen or {"m": 4, "delta": 0.05}
-        return random_gram_rost(
-            m=int(gen.get("m", 4)),
-            u=self.u,
-            delta=float(gen.get("delta", 0.05)),
-            rng=rng_for(self.seed, 0, stream=9),
-            weights=DirichletWeights(float(gen.get("gamma", 1.0))),
-        )
+            rost = _structure_file(self.rost_file)
+        else:
+            gen = self.rost_gen or {"m": 4, "delta": 0.05}
+            rost = random_gram_rost(int(gen.get("m", 4)), self.u, float(gen.get("delta", 0.05)),
+                                    rng_for(self.seed, 0, stream=9),
+                                    DirichletWeights(float(gen.get("gamma", 1.0))))
+        RostFieldSampler(rost, mixture_functions(self.mixture))
+        return rost
 
 
 def _structure_file(path: str) -> RostSpec:

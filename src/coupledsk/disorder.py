@@ -248,6 +248,10 @@ class DirichletWeights:
 
     gamma: float = 1.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise RostInvalidError(f"Dirichlet gamma must be finite and positive, got {self.gamma}")
+
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.dirichlet(np.full(m, self.gamma))
 
@@ -340,7 +344,8 @@ class RostSpec:
 
 @dataclass(eq=False)
 class CavityFieldSample:
-    """Sampled fields indexed by structure element: z is (n, 2, m), y is (2, m)."""
+    """Sampled fields indexed by structure element: z is (n, 2, m), y is
+    (2, m), each with a leading replica axis in a block draw."""
 
     z: np.ndarray
     y: np.ndarray
@@ -374,10 +379,22 @@ class RostFieldSampler:
         self.factor_y = factors["theta(q)"]
 
     def sample(self, rng: np.random.Generator, n: int) -> CavityFieldSample:
+        """The fields drawn from rng: sample_block of that generator alone."""
+        return parallel.replica_row(self.sample_block([rng], n), 0)
+
+    def sample_block(self, rngs, n: int) -> CavityFieldSample:
+        """The fields drawn from each generator, stacked: z (len(rngs), n, 2, m)
+        and y (len(rngs), 2, m).  Each generator draws its z normals, then its
+        y normals, as when drawn alone; each factor is one batched product, on
+        (2m, 1) y columns, which keeps each row's bits (normals @ factor.T
+        would not)."""
         m = self.m
-        z = (self.factor_z @ rng.standard_normal((2 * m, n))).T.reshape(n, 2, m)
-        y = (self.factor_y @ rng.standard_normal(2 * m)).reshape(2, m)
-        return CavityFieldSample(z=z, y=y)
+        normals = [(rng.standard_normal((2 * m, n)), rng.standard_normal((2 * m, 1)))
+                   for rng in rngs]
+        z = self.factor_z @ np.stack([zs for zs, _ in normals])
+        y = self.factor_y @ np.stack([ys for _, ys in normals])
+        return CavityFieldSample(z=z.swapaxes(-1, -2).reshape(len(rngs), n, 2, m),
+                                 y=y.reshape(len(rngs), 2, m))
 
 
 def random_gram_rost(

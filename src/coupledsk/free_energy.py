@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import bucket_by_popcount, magnetizations, popcounts, xor_correlation
+from .bits import bucket_by_popcount, magnetizations, xor_correlation
 from .configurations import OverlapConstraint
 from .disorder import (
     CavityFieldSample,
@@ -33,7 +33,7 @@ from .disorder import (
     walsh_blocks,
 )
 from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
-from .parallel import map_blocks, replica_seed, rng_for, stack_replicas, summarize
+from .parallel import map_blocks, replica_seed, rng_for, summarize
 
 WHT_CAP = 12
 EXPLICIT_PAIR_CAP = 2048
@@ -291,9 +291,7 @@ def structure_draws(
     of a block.  Weights use stream 0 and fields stream 1 of each replica's
     seed, so swapping the weight law never changes the field draws."""
     w = np.stack([rost.weights.sample(rng_for(root, rep, stream=0), rost.m) for rep in block])
-    fields = stack_replicas([field_sampler.sample(rng_for(root, rep, stream=1), n)
-                             for rep in block])
-    return w, fields
+    return w, field_sampler.sample_block([rng_for(root, rep, stream=1) for rep in block], n)
 
 
 def g_terms_block(
@@ -316,20 +314,6 @@ def g_terms_block(
     term1 = logsumexp(log_b, axis=-1, b=w) / n
     term2 = logsumexp(np.sqrt(n) * (fields.y[:, 0] + fields.y[:, 1]), axis=-1, b=w) / n
     return np.stack([term1, term2], axis=-1)
-
-
-def g_terms_replica(
-    rost: RostSpec,
-    field_sampler: RostFieldSampler,
-    spec: MixtureSpec,
-    n: int,
-    c: OverlapConstraint,
-    root: int,
-    rep: int,
-) -> tuple[float, float]:
-    """g_terms_block of the block holding replica rep alone."""
-    term1, term2 = g_terms_block(rost, field_sampler, spec, n, c, root, range(rep, rep + 1))[0]
-    return float(term1), float(term2)
 
 
 def estimate_G(
@@ -390,38 +374,10 @@ def explicit_pairs(m: int, u_m: OverlapConstraint) -> tuple[np.ndarray, np.ndarr
     return _constrained_pairs(m, u_m.d)
 
 
-def build_explicit_rost(m: int, u_m: OverlapConstraint, u: float) -> RostSpec:
-    """The structure whose elements are constrained base pairs.
-
-    q-matrices are pairwise overlaps of the base configurations and
-    delta = |u_m - u| exactly.  The q-matrices are Gram-type by construction,
-    so the field covariances are PSD for any admissible mixture.  There is no
-    weight law: an element's weight is the truncated big Hamiltonian of the
-    same draw as its fields, so the functional is evaluated by estimate_G_MN
-    and estimate_G refuses the structure.
-    """
-    r1, r2 = explicit_pairs(m, u_m)
-    pop = popcounts(m)
-
-    def q_of(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        # (m - 2d)/m rather than 1 - 2d/m: bitwise-identical to k/m, so the
-        # diagonal matches the constraint target exactly
-        return (m - 2.0 * pop[left[:, None] ^ right[None, :]]) / m
-
-    return RostSpec(
-        q11=q_of(r1, r1),
-        q12=q_of(r1, r2),
-        q22=q_of(r2, r2),
-        weights=None,
-        delta=abs(u_m.u - u),
-        u=u,
-    )
-
-
 def explicit_fields_psd(funcs: MixtureFunctions, m: int, u_m: OverlapConstraint) -> bool:
-    """Whether RostFieldSampler accepts the explicit structure
-    build_explicit_rost(m, u_m, ...) with funcs = mixture_functions(spec),
-    from 2 (M+1) Walsh blocks instead of two factorisations of side 2 |pairs|.
+    """Whether RostFieldSampler accepts reference.build_explicit_rost(m, u_m,
+    ...) with funcs = mixture_functions(spec), from 2 (M+1) Walsh blocks
+    instead of two factorisations of side 2 |pairs|.
 
     An element's copy-l row of xi'(q) and theta(q) depends only on its base
     mask r_l, and each mask occurs C(M, d) times per copy, so each field

@@ -58,7 +58,7 @@ from .mixture import (
     check_convexity,
     mixture_functions,
 )
-from .parallel import map_blocks, replica_row, replica_seed, stack_replicas
+from .parallel import map_blocks, replica_row, replica_seed
 
 
 # step of the common-random-number finite difference of phi
@@ -163,18 +163,6 @@ def _split_block(spec: MixtureSpec, m: int, n: int, root: int, block: range,
         for stream, size in enumerate((m, n, m + n)))
 
 
-def _split_tables(spec: MixtureSpec, m: int, n: int, root: int, rep: int,
-                  sampler: str = "tensor"):
-    """The three tables of replica rep alone: its row of _split_block."""
-    return tuple(replica_row(system, 0)
-                 for system in _split_block(spec, m, n, root, range(rep, rep + 1), sampler))
-
-
-def _stack_split_tables(replicas) -> tuple[HamiltonianTable, ...]:
-    """The block of per-replica _split_tables: one stacked table per system."""
-    return tuple(stack_replicas(system) for system in zip(*replicas))
-
-
 def _split_energies(
     spec: MixtureSpec,
     tables: tuple[HamiltonianTable, HamiltonianTable, HamiltonianTable],
@@ -215,18 +203,6 @@ def lemma2_phi_block(
     spectrum = _split_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
     s1, s2, w1, _, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
     return _split_phi(s1, s2, w1, conv2, u_m.n + u_n.n)
-
-
-def lemma2_phi_replica(
-    spec: MixtureSpec,
-    u_m: OverlapConstraint,
-    u_n: OverlapConstraint,
-    t: float,
-    tables,
-) -> float:
-    """Path value for one disorder replica: lemma2_phi_block of the block
-    holding its tables alone."""
-    return float(lemma2_phi_block(spec, u_m, u_n, t, _stack_split_tables([tables]))[0])
 
 
 def _split_phi(s1, s2, w1: np.ndarray, conv2: np.ndarray, big: int) -> np.ndarray:
@@ -291,20 +267,6 @@ def lemma2_derivative_block(
     for (ell, ellp), mult, b_hat in zip(COPY_PAIRS, (1.0, 2.0, 1.0), b_hats):
         total = total + mult * _row_dot(spectra[ell] * spectra[ellp], b_hat)
     return np.stack([_split_phi(s1, s2, w1, conv2, big), 0.5 * total / 2**big], axis=-1)
-
-
-def lemma2_derivative_replica(
-    spec: MixtureSpec,
-    u_m: OverlapConstraint,
-    u_n: OverlapConstraint,
-    t: float,
-    tables,
-) -> tuple[float, float]:
-    """(path value, convexity term) for one replica: lemma2_derivative_block
-    of the block holding its tables alone."""
-    b_hats = _bracket_spectra(spec, u_m.n, u_n.n)
-    row = lemma2_derivative_block(spec, u_m, u_n, t, _stack_split_tables([tables]), b_hats)[0]
-    return float(row[0]), float(row[1])
 
 
 def _split_constrained_term(
@@ -383,7 +345,7 @@ def _lemma2_pass(
 @dataclass(eq=False)
 class _Lemma3State:
     """One replica's random inputs: weights, structure fields, and table.  A
-    replica block stacks its replicas' states on a leading axis."""
+    block draw holds its replicas' states on a leading axis."""
 
     w: np.ndarray  # (m,)
     z: np.ndarray  # (n, 2, m)
@@ -426,14 +388,15 @@ def lemma3_state(
 def _lemma3_element_tables(
     states: _Lemma3State, spec: MixtureSpec, n: int, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element log-weight tables over configurations of a block of
-    states, shape (replica, m, 2**n)."""
+    """Per-element log-weight tables over configurations of one replica's
+    state, shape (m, 2**n), or of each replica of a block of them, shape
+    (replica, m, 2**n)."""
     require_finite_fields(n, spec.h1, spec.h2)
     s = spin_matrix(n)
     rt, rs = np.sqrt(t), np.sqrt(1.0 - t)
     g1, g2 = (
-        rt * states.table.values[:, ell, None, :]
-        + (s @ (rs * states.z[:, :, ell, :] + h)).swapaxes(-1, -2)
+        rt * states.table.values[..., ell, None, :]
+        + (s @ (rs * states.z[..., ell, :] + h)).swapaxes(-1, -2)
         for ell, h in ((0, spec.h1), (1, spec.h2))
     )
     return g1, g2
@@ -442,7 +405,8 @@ def _lemma3_element_tables(
 def lemma3_phi_block(
     states: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
 ) -> np.ndarray:
-    """Path value of each replica of a block of states."""
+    """Path value of one replica's state, or of each replica of a block of
+    states."""
     spectrum = _count_spectrum(n, c.d)
     s1, s2, w1, _, conv2 = _class_weights(*_lemma3_element_tables(states, spec, n, t), spectrum)
     return _lemma3_phi(states, n, t, s1, s2, w1, conv2)
@@ -451,16 +415,15 @@ def lemma3_phi_block(
 def lemma3_phi_replica(
     state: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
 ) -> float:
-    """Path value of one replica: lemma3_phi_block of the block holding its
-    state alone."""
-    return float(lemma3_phi_block(stack_replicas([state]), spec, n, c, t)[0])
+    """Path value of one replica's state, as a float."""
+    return float(lemma3_phi_block(state, spec, n, c, t))
 
 
 def _lemma3_phi(states: _Lemma3State, n: int, t: float, s1, s2, w1, conv2) -> np.ndarray:
     """(1/n) log of the weighted element sum of each element's constrained
-    pair sum times its compensator factor, per replica."""
+    pair sum times its compensator factor, of one state or per replica."""
     log_pairs = np.log(positive_sums(np.einsum("...c,...c->...", w1, conv2))) + s1 + s2
-    y_part = np.sqrt(t * n) * (states.y[:, 0] + states.y[:, 1])
+    y_part = np.sqrt(t * n) * (states.y[..., 0, :] + states.y[..., 1, :])
     return logsumexp(log_pairs + y_part, axis=-1, b=states.w) / n
 
 
@@ -548,21 +511,6 @@ def lemma3_derivative_block(
         vals = e_xi - e_r * xi_prime_q + theta_q
         total_b = total_b + mult * (p_row @ vals @ p_col)[:, 0, 0]
     return np.stack([phi, first, -0.5 * total_b], axis=-1)
-
-
-def lemma3_derivative_replica(
-    state: _Lemma3State,
-    rost: RostSpec,
-    spec: MixtureSpec,
-    n: int,
-    c: OverlapConstraint,
-    t: float,
-) -> tuple[float, float, float]:
-    """(path value, first sum, second line) for one replica:
-    lemma3_derivative_block of the block holding its state alone."""
-    row = lemma3_derivative_block(stack_replicas([state]), _lemma3_terms(rost, spec, n, c),
-                                  spec, n, c, t)[0]
-    return tuple(float(v) for v in row)
 
 
 def _lemma3_worker(rost, field_sampler, spec, n, c, phi_ts, deriv_ts, terms, sampler, root,

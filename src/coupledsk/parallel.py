@@ -6,11 +6,11 @@ any replica can be recomputed in isolation and results do not depend on
 worker scheduling.
 
 The unit of Monte Carlo work is a replica block: a contiguous range of
-replicas whose draws are made one replica at a time, from that replica's
-own seeds, and then stacked on a leading axis, so each kernel runs once per
-block.  Block lengths follow from BLOCK_DOUBLES and the size of a replica's
-row alone, never from the worker count, and every kernel reduces along its
-last axis only, so a row's bits never depend on the block it sits in.
+replicas held on a leading axis.  Each replica's normals come from its own
+seeds, and each contraction or transform runs once per block.  Block
+lengths follow from BLOCK_DOUBLES and the size of a replica's row alone,
+never from the worker count, and every kernel reduces along its last axis
+only, so a row's bits never depend on the block it sits in.
 """
 
 from __future__ import annotations
@@ -42,25 +42,10 @@ def replica_blocks(n_rep: int, row_doubles: int) -> list[range]:
     return [range(lo, min(lo + size, n_rep)) for lo in range(0, n_rep, size)]
 
 
-def stack_replicas(items: Sequence):
-    """One block from per-replica draws of one dataclass: every array field
-    stacked on a new leading replica axis, dataclass fields stacked the same
-    way, and any other field (a size) taken from the first draw."""
-    first = items[0]
-
-    def stacked(values):
-        if isinstance(values[0], np.ndarray):
-            return np.stack(values)
-        if dataclasses.is_dataclass(values[0]):
-            return stack_replicas(values)
-        return values[0]
-
-    return type(first)(**{f.name: stacked([getattr(x, f.name) for x in items])
-                          for f in dataclasses.fields(first)})
-
-
 def replica_row(block, r: int):
-    """Replica r of a block made by stack_replicas, as it was drawn alone."""
+    """Replica r of a block draw, as it was drawn alone: every array field's
+    row r, dataclass fields taken the same way, any other field (a size) as
+    it is."""
 
     def row(value):
         if isinstance(value, np.ndarray):

@@ -4,10 +4,12 @@ The brute_* sums deliberately avoid the fast transforms and DP ladders of
 the production engines: each one is a direct sum over the full pair space,
 so the two routes share nothing but the inputs.  dense_process_covariance
 builds the process route's covariance entry by entry, without the Walsh
-basis the sampler factors it in.  explicit_full_table replays an
-explicit-split draw's tensors into the whole (M+n)-spin Hamiltonian that the
-split decomposes.  The closed forms at the end are the exact values that
-sampled fields and zero-disorder estimates must reproduce.
+basis the sampler factors it in, and build_explicit_rost builds the explicit
+structure's q-matrices element by element, where explicit_fields_psd reads
+only their Walsh blocks.  explicit_full_table replays an explicit-split
+draw's tensors into the whole (M+n)-spin Hamiltonian that the split
+decomposes.  The closed forms at the end are the exact values that sampled
+fields and zero-disorder estimates must reproduce.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from .bits import magnetizations, popcounts, spin_matrix
 from .configurations import OverlapConstraint
-from .disorder import ExplicitDraw, _contract_all_configs
-from .free_energy import logsumexp
+from .disorder import ExplicitDraw, RostSpec, _contract_all_configs
+from .free_energy import explicit_pairs, logsumexp
 from .mixture import MixtureSpec, mixture_functions
 from .parallel import BLOCK_DOUBLES
 
@@ -107,6 +109,35 @@ def dense_process_covariance(spec: MixtureSpec, n: int) -> np.ndarray:
     cov[c:, :c] = cov[:c, c:].T
     cov[c:, c:] = n * funcs.xi(2, 2, r)
     return cov
+
+
+def build_explicit_rost(m: int, u_m: OverlapConstraint, u: float) -> RostSpec:
+    """The structure whose elements are constrained base pairs, as dense
+    q-matrices: the oracle behind free_energy.explicit_fields_psd.
+
+    q-matrices are pairwise overlaps of the base configurations and
+    delta = |u_m - u| exactly.  The q-matrices are Gram-type by construction,
+    so the field covariances are PSD for any admissible mixture.  There is no
+    weight law: an element's weight is the truncated big Hamiltonian of the
+    same draw as its fields, so the functional is evaluated by estimate_G_MN
+    and estimate_G refuses the structure.
+    """
+    r1, r2 = explicit_pairs(m, u_m)
+    pop = popcounts(m)
+
+    def q_of(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        # (m - 2d)/m rather than 1 - 2d/m: bitwise-identical to k/m, so the
+        # diagonal matches the constraint target exactly
+        return (m - 2.0 * pop[left[:, None] ^ right[None, :]]) / m
+
+    return RostSpec(
+        q11=q_of(r1, r1),
+        q12=q_of(r1, r2),
+        q22=q_of(r2, r2),
+        weights=None,
+        delta=abs(u_m.u - u),
+        u=u,
+    )
 
 
 def explicit_full_table(spec: MixtureSpec, m: int, n: int, seed) -> np.ndarray:

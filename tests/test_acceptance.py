@@ -16,7 +16,6 @@ from coupledsk.bits import magnetizations
 from coupledsk.cli import main as cli_main
 from coupledsk.configurations import OverlapConstraint, nearest_admissible
 from coupledsk.disorder import (
-    RostFieldSampler,
     empirical_covariance,
     get_sampler,
     random_gram_rost,
@@ -24,8 +23,8 @@ from coupledsk.disorder import (
 from coupledsk.free_energy import (
     estimate_F,
     estimate_G,
+    explicit_fields_psd,
     explicit_terms_replica,
-    build_explicit_rost,
     partition_by_overlap,
     _cached_explicit_sampler,
     _constrained_pairs,
@@ -39,7 +38,12 @@ from coupledsk.interpolation import (
 )
 from coupledsk.mixture import MixtureSpec, check_positivity, mixture_functions
 from coupledsk.parallel import replica_seed
-from coupledsk.reference import brute_cavity_logz, brute_explicit_terms, brute_overlap_logz
+from coupledsk.reference import (
+    brute_cavity_logz,
+    brute_explicit_terms,
+    brute_overlap_logz,
+    build_explicit_rost,
+)
 from coupledsk.free_energy import cavity_logz_by_count
 
 PURE_P2 = MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.5))
@@ -202,7 +206,9 @@ def test_criterion_10_explicit_structure():
     rost = build_explicit_rost(6, u_m6, 0.0)
     assert np.all(np.diag(rost.q12) == u_m6.u)
     assert np.all(np.diag(rost.q11) == 1.0) and np.all(np.diag(rost.q22) == 1.0)
-    RostFieldSampler(rost, mixture_functions(PURE_P2))  # PSD blocks or raises
+    # explicit-rost's psd_ok; the field-sampler verdict test factors the
+    # dense blocks of this same (mixture, M = 6, u = 0) input
+    assert explicit_fields_psd(mixture_functions(PURE_P2), 6, u_m6)
 
     m = n = 4
     u_m = nearest_admissible(m, 0.0)

@@ -36,17 +36,14 @@ from coupledsk.interpolation import (
     _bracket_spectra,
     _lemma3_terms,
     _split_block,
-    _split_tables,
-    _stack_split_tables,
     lemma2_derivative_block,
     lemma2_phi_block,
     lemma3_derivative_block,
     lemma3_phi_block,
-    lemma3_state,
     lemma3_states,
 )
 from coupledsk.mixture import MixtureSpec, mixture_functions
-from coupledsk.parallel import pmap, replica_blocks, replica_row, replica_seed, stack_replicas
+from coupledsk.parallel import pmap, replica_blocks, replica_row, replica_seed, rng_for
 
 N_REP = 6
 
@@ -65,13 +62,6 @@ class TestReplicaBlocks:
     def test_block_length_is_set_by_the_cap(self, monkeypatch):
         monkeypatch.setattr(parallel, "BLOCK_DOUBLES", 100)
         assert [len(b) for b in replica_blocks(7, 30)] == [3, 3, 1]
-
-    def test_stack_replicas_stacks_arrays_and_keeps_sizes(self, pure_p2):
-        tables = [get_sampler(pure_p2, 3, "tensor").sample(replica_seed(1, r)) for r in range(4)]
-        block = stack_replicas(tables)
-        assert block.n == 3 and block.values.shape == (4, 2, 8)
-        for r, table in enumerate(tables):
-            assert np.array_equal(block.values[r], table.values)
 
 
 def _order_p_spec(p: int) -> MixtureSpec:
@@ -118,6 +108,23 @@ class TestBlockDraws:
             alone = sampler.sample(seed)
             for name in ("trunc", "z", "z_finite", "y", "y_finite"):
                 assert np.array_equal(getattr(block, name)[r], getattr(alone, name)), name
+
+    @pytest.mark.parametrize("spec", [_order_p_spec(2), _order_p_spec(4)])
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (3, 4), (8, 10), (32, 3)])
+    def test_field_block_draw_is_the_per_generator_draws(self, m, n, spec):
+        # each generator draws its z normals, then its y normals, and the
+        # factors apply to them as in a draw made alone
+        sampler = RostFieldSampler(random_gram_rost(m, 0.2, 0.05, np.random.default_rng(m)),
+                                   mixture_functions(spec))
+        block = sampler.sample_block([rng_for(5, r, 1) for r in range(7)], n)
+        assert block.z.shape == (7, n, 2, m) and block.y.shape == (7, 2, m)
+        for r in range(7):
+            alone = sampler.sample(rng_for(5, r, 1), n)
+            assert np.array_equal(block.z[r], alone.z) and np.array_equal(block.y[r], alone.y)
+            rng = rng_for(5, r, 1)
+            z = (sampler.factor_z @ rng.standard_normal((2 * m, n))).T.reshape(n, 2, m)
+            y = (sampler.factor_y @ rng.standard_normal(2 * m)).reshape(2, m)
+            assert np.array_equal(block.z[r], z) and np.array_equal(block.y[r], y)
 
     def test_row_of_a_block_is_the_draw_alone(self, pure_p2):
         block = get_sampler(pure_p2, 4, "tensor").sample_block(self.SEEDS[:3])
@@ -251,9 +258,10 @@ def test_block_kernels_are_blind_to_block_boundaries(seed, bounds, n, m, t):
     x = rng.standard_normal((N_REP, 3, 1 << n))
     _rows_match(lambda lo, hi: fwht(x[lo:hi]), x, bounds)
     _rows_match(lambda lo, hi: bucket_by_popcount(x[lo:hi], n), x, bounds)
-    tables = [get_sampler(spec, n, "tensor").sample(replica_seed(seed, r)) for r in reps]
-    _rows_match(lambda lo, hi: partition_by_overlap(stack_replicas(tables[lo:hi]),
-                                                    spec.h1, spec.h2), tables, bounds)
+    seeds = [replica_seed(seed, r) for r in reps]
+    tensor = get_sampler(spec, n, "tensor")
+    _rows_match(lambda lo, hi: partition_by_overlap(tensor.sample_block(seeds[lo:hi]),
+                                                    spec.h1, spec.h2), seeds, bounds)
     a, b = rng.standard_normal((2, N_REP, 3, n))
     _rows_match(lambda lo, hi: cavity_logz_by_count(a[lo:hi], b[lo:hi]), a, bounds)
 
@@ -262,32 +270,31 @@ def test_block_kernels_are_blind_to_block_boundaries(seed, bounds, n, m, t):
     fields = RostFieldSampler(rost, mixture_functions(spec))
     c = nearest_admissible(n, 0.0)
     _rows_match(lambda lo, hi: g_terms_block(rost, fields, spec, n, c, seed, range(lo, hi)),
-                tables, bounds)
+                seeds, bounds)
     big_m = 3
     u_m = nearest_admissible(big_m, 1 / 3)
-    draws = [_cached_explicit_sampler(spec, big_m, n).sample(replica_seed(seed, r))
-             for r in reps]
+    explicit = _cached_explicit_sampler(spec, big_m, n)
     for variant in ("limit", "finite"):
-        _rows_match(lambda lo, hi: explicit_terms_block(stack_replicas(draws[lo:hi]), spec,
-                                                        u_m, c, variant), draws, bounds)
+        _rows_match(lambda lo, hi: explicit_terms_block(explicit.sample_block(seeds[lo:hi]), spec,
+                                                        u_m, c, variant), seeds, bounds)
 
     # both interpolation paths
     u_n = nearest_admissible(2, 0.0)
-    split = [_split_tables(spec, big_m, 2, seed, r) for r in reps]
     b_hats = _bracket_spectra(spec, big_m, 2)
-    _rows_match(lambda lo, hi: lemma2_phi_block(spec, u_m, u_n, t,
-                                                _stack_split_tables(split[lo:hi])), split, bounds)
+    _rows_match(lambda lo, hi: lemma2_phi_block(
+        spec, u_m, u_n, t, _split_block(spec, big_m, 2, seed, range(lo, hi))), seeds, bounds)
     _rows_match(lambda lo, hi: lemma2_derivative_block(
-        spec, u_m, u_n, t, _stack_split_tables(split[lo:hi]), b_hats), split, bounds)
+        spec, u_m, u_n, t, _split_block(spec, big_m, 2, seed, range(lo, hi)), b_hats),
+        seeds, bounds)
     for system in range(3):
         _rows_match(lambda lo, hi: _split_block(spec, big_m, 2, seed, range(lo, hi))[system].values,
-                    split, bounds)
-    states = [lemma3_state(rost, fields, spec, n, seed, r) for r in reps]
+                    seeds, bounds)
     for name in ("w", "z", "y", "table"):
         _rows_match(lambda lo, hi: _state_field(
-            lemma3_states(rost, fields, spec, n, seed, range(lo, hi)), name), states, bounds)
+            lemma3_states(rost, fields, spec, n, seed, range(lo, hi)), name), seeds, bounds)
     terms = _lemma3_terms(rost, spec, n, c)
-    _rows_match(lambda lo, hi: lemma3_phi_block(stack_replicas(states[lo:hi]), spec, n, c, t),
-                states, bounds)
-    _rows_match(lambda lo, hi: lemma3_derivative_block(stack_replicas(states[lo:hi]), terms,
-                                                       spec, n, c, t), states, bounds)
+    _rows_match(lambda lo, hi: lemma3_phi_block(
+        lemma3_states(rost, fields, spec, n, seed, range(lo, hi)), spec, n, c, t), seeds, bounds)
+    _rows_match(lambda lo, hi: lemma3_derivative_block(
+        lemma3_states(rost, fields, spec, n, seed, range(lo, hi)), terms, spec, n, c, t),
+        seeds, bounds)

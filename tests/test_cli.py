@@ -16,8 +16,9 @@ from coupledsk import cli, free_energy, interpolation, parallel
 from coupledsk.cli import main
 from coupledsk.configurations import nearest_admissible
 from coupledsk.disorder import get_sampler
-from coupledsk.free_energy import NumericalError, build_explicit_rost
+from coupledsk.free_energy import NumericalError
 from coupledsk.mixture import ConvexityWarning
+from coupledsk.reference import build_explicit_rost
 
 
 def run_cli(*args) -> int:
@@ -184,7 +185,7 @@ class TestPreconditions:
         {"eps_grid": [0, -0.5]}, {"eps_grid": 0.5},
         {"mixture": {"a1": [0, "x"], "a2": [0, 0.5]}}, {"mixture": {"a2": [0, 0.5]}},
         {"rost": {"m": "four", "delta": 0.05}}, {"rost": {"m": 0, "delta": 0.05}},
-        {"rost_file": 5},
+        {"rost": {"m": 3, "delta": 0.05, "gamma": 0}}, {"rost_file": 5},
     ], ids=lambda bad: json.dumps(bad).replace(" ", ""))
     def test_malformed_value_exits_2_before_monte_carlo(self, bad, small_config, tmp_path,
                                                         no_monte_carlo):
@@ -237,8 +238,10 @@ class TestPreconditions:
                     "weights": {"kind": "fixed"}}),
         json.dumps({"q11": [[1.0]], "q12": [[0.0]], "q22": [[1.0]], "delta": 0.1, "u": 0.0,
                     "weights": {"kind": "fixed", "w": [0.5, 0.5]}}),
+        json.dumps({"q11": [[1.0]], "q12": [[0.0]], "q22": [[1.0]], "delta": 0.1, "u": 0.0,
+                    "weights": {"kind": "dirichlet", "gamma": -1.0}}),
     ], ids=["not-json", "no-weights", "no-q-matrices", "not-an-object", "unknown-kind",
-            "no-kind", "fixed-without-w", "fixed-wrong-length"])
+            "no-kind", "fixed-without-w", "fixed-wrong-length", "negative-gamma"])
     def test_malformed_structure_file_exits_2_before_monte_carlo(
             self, command, structure, small_config, tmp_path, no_monte_carlo, capsys):
         rost_path = tmp_path / "rost.json"
@@ -248,6 +251,23 @@ class TestPreconditions:
         path.write_text(json.dumps({**data, "rost_file": str(rost_path)}))
         assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
         assert "structure file" in capsys.readouterr().err
+        assert no_monte_carlo == []
+
+    @pytest.mark.parametrize("command", ["rost-eval", "lemma3", "interp"])
+    def test_structure_without_fields_exits_2_before_monte_carlo(
+            self, command, small_config, tmp_path, no_monte_carlo, capsys):
+        # a valid structure file whose q11 has the eigenvalue -0.8, so its
+        # xi'(q) block admits no Gaussian fields for the pure p = 2 mixture
+        q11 = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+        rost_path = tmp_path / "rost.json"
+        rost_path.write_text(json.dumps({
+            "q11": q11, "q12": np.zeros((3, 3)).tolist(), "q22": np.eye(3).tolist(),
+            "delta": 0.1, "u": 0.0, "weights": {"kind": "dirichlet"}}))
+        data = json.loads(small_config.read_text())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**data, "rost_file": str(rost_path)}))
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert "admits no Gaussian fields" in capsys.readouterr().err
         assert no_monte_carlo == []
 
     @pytest.mark.parametrize("eps_grid", [[0.0], []])

@@ -217,6 +217,11 @@ class TestRostSpec:
             RostSpec.from_dict({"q11": q, "q12": q, "q22": q, "weights": {"kind": "uniform"},
                                 "delta": 0.0, "u": 1.0})
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_dirichlet_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(RostInvalidError, match="gamma"):
+            DirichletWeights(gamma)
+
     @pytest.mark.parametrize("m", [0, -1])
     def test_gram_structure_needs_an_element(self, m):
         with pytest.raises(RostInvalidError, match="at least one element"):
@@ -237,7 +242,7 @@ class TestRostSpec:
     @pytest.mark.parametrize("kind", ["gram", "explicit", "random"])
     def test_block_matrix_matches_dense_evaluation(self, kind, mixed_even):
         from coupledsk.configurations import nearest_admissible
-        from coupledsk.free_energy import build_explicit_rost
+        from coupledsk.reference import build_explicit_rost
 
         rng = np.random.default_rng(4)
         spec = MixtureSpec(a1=(0.3, 0.6, 0.1, 0.2), a2=(0.2, 0.4, 0.25, 0.3), h1=0.1)

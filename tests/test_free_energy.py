@@ -24,14 +24,13 @@ from coupledsk.free_energy import logsumexp as own_logsumexp
 from coupledsk.free_energy import (
     Estimate,
     NumericalError,
-    build_explicit_rost,
     cavity_logz_by_count,
     estimate_F,
     estimate_G,
     estimate_G_MN,
     explicit_fields_psd,
     explicit_terms_replica,
-    g_terms_replica,
+    g_terms_block,
     overlap_logz_replicas,
     partition_by_overlap,
     window_estimate,
@@ -45,6 +44,7 @@ from coupledsk.reference import (
     brute_cavity_logz,
     brute_explicit_terms,
     brute_overlap_logz,
+    build_explicit_rost,
     explicit_full_table,
     zero_disorder_log_pair_count,
 )
@@ -194,7 +194,7 @@ class TestCavityLadder:
 
     def test_batched_transposed_view_is_bit_equal(self):
         # the (m, n) field rows of a structure are a transposed, non-contiguous
-        # view of the (n, 2, m) draw, as in g_terms_replica
+        # view of the (n, 2, m) draw, as in g_terms_block
         z = np.random.default_rng(2).standard_normal((10, 2, 32)) * 3.0
         a, b = z[:, 0, :].T, z[:, 1, :].T
         assert not a.flags.c_contiguous
@@ -338,7 +338,7 @@ class TestEstimateG:
             weights=FixedWeights((1.0,)), delta=0.0, u=u,
         )
         sampler = RostFieldSampler(rost, mixture_functions(pure_p2))
-        t1, t2 = g_terms_replica(rost, sampler, pure_p2, 4, c, 5, 0)
+        t1, t2 = g_terms_block(rost, sampler, pure_p2, 4, c, 5, range(1))[0]
         fields = sampler.sample(rng_for(5, 0, stream=1), 4)
         direct1 = cavity_logz_by_count(
             fields.z[:, 0, 0] + pure_p2.h1, fields.z[:, 1, 0] + pure_p2.h2
@@ -426,6 +426,7 @@ class TestExplicitStructure:
 
     @pytest.mark.parametrize("spec, m, u", [
         (MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.5)), 3, 0.0),
+        # criterion 10's input, whose dense blocks only this case factors
         (MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.5)), 6, 0.0),
         (MixtureSpec(a1=(0.0, 0.6, 0.0, 0.2), a2=(0.0, 0.4, 0.0, 0.3), h1=0.2), 5, 0.2),
         (MixtureSpec(a1=(0.3, 0.5, 0.2), a2=(0.1, 0.4, 0.1)), 4, 0.5),

@@ -22,7 +22,7 @@ from coupledsk.free_energy import (
     GEstimate,
     estimate_F,
     estimate_G,
-    g_terms_replica,
+    g_terms_block,
     overlap_logz_replicas,
     partition_by_overlap,
 )
@@ -31,11 +31,11 @@ from coupledsk.interpolation import (
     FD_STEP,
     STRUCTURE_MARGIN_SIGMAS,
     first_sum_bound,
-    lemma2_derivative_replica,
-    lemma2_phi_replica,
-    lemma3_derivative_replica,
-    lemma3_phi_replica,
-    lemma3_state,
+    lemma2_derivative_block,
+    lemma2_phi_block,
+    lemma3_derivative_block,
+    lemma3_phi_block,
+    lemma3_states,
     run_lemma2_curve,
     run_lemma3_curve,
     sigmas_above_zero,
@@ -44,15 +44,16 @@ from coupledsk.interpolation import (
     window_constant_check,
     window_gap_profile,
     window_gaps,
+    _bracket_spectra,
     _lemma2_pass,
     _lemma3_pass,
+    _lemma3_terms,
+    _split_block,
     _split_constrained_term,
     _split_energies,
-    _split_tables,
-    _stack_split_tables,
 )
 from coupledsk.mixture import MixtureSpec, NonConvexMixtureError, mixture_functions
-from coupledsk.parallel import summarize
+from coupledsk.parallel import replica_row, summarize
 
 
 def _combined_sigmas(a, b):
@@ -78,10 +79,10 @@ class TestSplitPath:
         u_m = nearest_admissible(m, 0.0)
         u_n = nearest_admissible(n, 0.0)
         for rep in range(3):
-            tables = _split_tables(mixed_even, m, n, seed, rep)
-            phi0 = lemma2_phi_replica(mixed_even, u_m, u_n, 0.0, tables)
-            pm = partition_by_overlap(tables[0], mixed_even.h1, mixed_even.h2)
-            pn = partition_by_overlap(tables[1], mixed_even.h1, mixed_even.h2)
+            tables = _split_block(mixed_even, m, n, seed, range(rep, rep + 1))
+            phi0 = lemma2_phi_block(mixed_even, u_m, u_n, 0.0, tables)[0]
+            pm = partition_by_overlap(tables[0], mixed_even.h1, mixed_even.h2)[0]
+            pn = partition_by_overlap(tables[1], mixed_even.h1, mixed_even.h2)[0]
             expected = (pm[u_m.d] + pn[u_n.d]) / (m + n)
             assert phi0 == pytest.approx(expected, rel=1e-12)
 
@@ -89,9 +90,9 @@ class TestSplitPath:
         m, n, seed = 3, 2, 41
         u_m = nearest_admissible(m, 0.0)
         u_n = nearest_admissible(n, 0.0)
-        tables = _split_tables(mixed_even, m, n, seed, 0)
-        phi1 = lemma2_phi_replica(mixed_even, u_m, u_n, 1.0, tables)
-        big = tables[2]
+        tables = _split_block(mixed_even, m, n, seed, range(1))
+        phi1 = lemma2_phi_block(mixed_even, u_m, u_n, 1.0, tables)[0]
+        big = replica_row(tables[2], 0)
         mag = magnetizations(m + n)
         vals = []
         for s1 in range(1 << (m + n)):
@@ -113,8 +114,8 @@ class TestSplitPath:
         masks = np.arange(1 << (m + n))
         rho, tau = masks & ((1 << m) - 1), masks >> m
         mag = magnetizations(m + n)
-        replicas = [_split_tables(mixed_even, m, n, 5, rep) for rep in range(3)]
-        for tables in (replicas[0], _stack_split_tables(replicas)):
+        block = _split_block(mixed_even, m, n, 5, range(3))
+        for tables in (tuple(replica_row(system, 0) for system in block), block):
             sm, sn, sbig = tables
             for ell, (f, h) in enumerate(zip(_split_energies(mixed_even, tables, t),
                                              (mixed_even.h1, mixed_even.h2))):
@@ -127,11 +128,12 @@ class TestSplitPath:
         u_m = nearest_admissible(m, 1 / 3)
         u_n = nearest_admissible(n, 0.0)
         funcs = mixture_functions(pure_p2)
-        tables = _split_tables(pure_p2, m, n, seed, 0)
-        _, convexity = lemma2_derivative_replica(pure_p2, u_m, u_n, t, tables)
+        tables = _split_block(pure_p2, m, n, seed, range(1))
+        _, convexity = lemma2_derivative_block(pure_p2, u_m, u_n, t, tables,
+                                               _bracket_spectra(pure_p2, m, n))[0]
         constrained = _split_constrained_term(funcs, u_m, u_n)
 
-        f1, f2 = _split_energies(pure_p2, tables, t)
+        f1, f2 = (f[0] for f in _split_energies(pure_p2, tables, t))
         states = []
         for s1 in range(1 << (m + n)):
             for s2 in range(1 << (m + n)):
@@ -215,17 +217,18 @@ class TestStructurePath:
         c = OverlapConstraint(4, 0)
         fs = RostFieldSampler(rost, mixture_functions(pure_p2))
         for rep in range(3):
-            state = lemma3_state(rost, fs, pure_p2, 4, 50, rep)
-            phi0 = lemma3_phi_replica(state, pure_p2, 4, c, 0.0)
-            t1, _ = g_terms_replica(rost, fs, pure_p2, 4, c, 50, rep)
+            states = lemma3_states(rost, fs, pure_p2, 4, 50, range(rep, rep + 1))
+            phi0 = lemma3_phi_block(states, pure_p2, 4, c, 0.0)[0]
+            t1, _ = g_terms_block(rost, fs, pure_p2, 4, c, 50, range(rep, rep + 1))[0]
             assert phi0 == pytest.approx(t1, rel=1e-10)
 
     def test_right_endpoint_decouples(self, pure_p2):
         rost = random_gram_rost(4, 0.0, 0.05, np.random.default_rng(3))
         c = OverlapConstraint(4, 0)
         fs = RostFieldSampler(rost, mixture_functions(pure_p2))
-        state = lemma3_state(rost, fs, pure_p2, 4, 51, 0)
-        phi1 = lemma3_phi_replica(state, pure_p2, 4, c, 1.0)
+        states = lemma3_states(rost, fs, pure_p2, 4, 51, range(1))
+        phi1 = lemma3_phi_block(states, pure_p2, 4, c, 1.0)[0]
+        state = replica_row(states, 0)
         log_z = partition_by_overlap(state.table, pure_p2.h1, pure_p2.h2)
         y_term = logsumexp(np.sqrt(4) * (state.y[0] + state.y[1]), b=state.w)
         assert phi1 == pytest.approx((log_z[c.d] + float(y_term)) / 4, rel=1e-12)
@@ -238,9 +241,10 @@ class TestStructurePath:
         )
         c = nearest_admissible(5, u)
         fs = RostFieldSampler(rost, mixture_functions(pure_p2))
-        state = lemma3_state(rost, fs, pure_p2, 5, 52, 0)
+        states = lemma3_states(rost, fs, pure_p2, 5, 52, range(1))
         t = 0.6
-        phi = lemma3_phi_replica(state, pure_p2, 5, c, t)
+        phi = lemma3_phi_block(states, pure_p2, 5, c, t)[0]
+        state = replica_row(states, 0)
         # direct computation without the element layer
         s = spin_matrix(5)
         rt, rs = math.sqrt(t), math.sqrt(1 - t)
@@ -265,8 +269,10 @@ class TestStructurePath:
         c = nearest_admissible(n, 0.5)
         funcs = mixture_functions(mixed_even)
         fs = RostFieldSampler(rost, funcs)
-        state = lemma3_state(rost, fs, mixed_even, n, seed, 0)
-        _, first, second = lemma3_derivative_replica(state, rost, mixed_even, n, c, t)
+        states = lemma3_states(rost, fs, mixed_even, n, seed, range(1))
+        _, first, second = lemma3_derivative_block(states, _lemma3_terms(rost, mixed_even, n, c),
+                                                   mixed_even, n, c, t)[0]
+        state = replica_row(states, 0)
 
         # every (element, sigma1, sigma2) with the pair's overlap pinned, and
         # its Gibbs weight, straight from the interpolated Hamiltonian
@@ -362,11 +368,11 @@ class TestCurveRunners:
         fs = RostFieldSampler(rost, mixture_functions(pure_p2))
         paths = {
             "split": (run_lemma2_curve(pure_p2, 3, 2, 0.0, t_grid, n_rep, seed),
-                      lambda rep: _split_tables(pure_p2, 3, 2, seed, rep),
-                      lambda tables, t: lemma2_phi_replica(pure_p2, u_m, u_n, t, tables)),
+                      lambda rep: _split_block(pure_p2, 3, 2, seed, range(rep, rep + 1)),
+                      lambda tables, t: lemma2_phi_block(pure_p2, u_m, u_n, t, tables)[0]),
             "rost": (run_lemma3_curve(rost, pure_p2, 4, c, t_grid, n_rep, seed),
-                     lambda rep: lemma3_state(rost, fs, pure_p2, 4, seed, rep),
-                     lambda state, t: lemma3_phi_replica(state, pure_p2, 4, c, t)),
+                     lambda rep: lemma3_states(rost, fs, pure_p2, 4, seed, range(rep, rep + 1)),
+                     lambda states, t: lemma3_phi_block(states, pure_p2, 4, c, t)[0]),
         }
         for run, draw, phi in paths.values():
             inputs = [draw(rep) for rep in range(n_rep)]
@@ -501,17 +507,19 @@ class TestOneEvaluationPerReplicaAndT:
         u_m, u_n = nearest_admissible(3, 1 / 3), nearest_admissible(2, 0.0)
         for spec in (pure_p2, mixed_even):
             for rep in range(2):
-                tables = _split_tables(spec, 3, 2, 13, rep)
-                value, _ = lemma2_derivative_replica(spec, u_m, u_n, t, tables)
-                assert value == lemma2_phi_replica(spec, u_m, u_n, t, tables)
+                tables = _split_block(spec, 3, 2, 13, range(rep, rep + 1))
+                value, _ = lemma2_derivative_block(spec, u_m, u_n, t, tables,
+                                                   _bracket_spectra(spec, 3, 2))[0]
+                assert value == lemma2_phi_block(spec, u_m, u_n, t, tables)[0]
         rost = random_gram_rost(3, 0.2, 0.05, np.random.default_rng(13))
         c = nearest_admissible(4, 0.2)
         for spec in (pure_p2, mixed_even):
             fs = RostFieldSampler(rost, mixture_functions(spec))
             for rep in range(2):
-                state = lemma3_state(rost, fs, spec, 4, 13, rep)
-                value, _, _ = lemma3_derivative_replica(state, rost, spec, 4, c, t)
-                assert value == lemma3_phi_replica(state, spec, 4, c, t)
+                states = lemma3_states(rost, fs, spec, 4, 13, range(rep, rep + 1))
+                value, _, _ = lemma3_derivative_block(states, _lemma3_terms(rost, spec, 4, c),
+                                                      spec, 4, c, t)[0]
+                assert value == lemma3_phi_block(states, spec, 4, c, t)[0]
 
 
 class TestOneTransformPerArray:
@@ -540,18 +548,20 @@ class TestOneTransformPerArray:
 
     def test_calls_per_replica_function(self, mixed_even, fwht_calls):
         u3 = nearest_admissible(3, 1 / 3)
-        tables = _split_tables(mixed_even, 3, 3, 1, 0)
+        tables = _split_block(mixed_even, 3, 3, 1, range(1))
+        b_hats = _bracket_spectra(mixed_even, 3, 3)
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(3))
         fs = RostFieldSampler(rost, mixture_functions(mixed_even))
-        state = lemma3_state(rost, fs, mixed_even, 4, 1, 0)
+        states = lemma3_states(rost, fs, mixed_even, 4, 1, range(1))
         c = OverlapConstraint(4, 0)
+        terms = _lemma3_terms(rost, mixed_even, 4, c)
         evaluations = {
-            "lemma2_phi_replica": lambda: lemma2_phi_replica(mixed_even, u3, u3, 0.5, tables),
-            "lemma2_derivative_replica":
-                lambda: lemma2_derivative_replica(mixed_even, u3, u3, 0.5, tables),
-            "lemma3_phi_replica": lambda: lemma3_phi_replica(state, mixed_even, 4, c, 0.5),
-            "lemma3_derivative_replica":
-                lambda: lemma3_derivative_replica(state, rost, mixed_even, 4, c, 0.5),
+            "lemma2_phi_block": lambda: lemma2_phi_block(mixed_even, u3, u3, 0.5, tables),
+            "lemma2_derivative_block":
+                lambda: lemma2_derivative_block(mixed_even, u3, u3, 0.5, tables, b_hats),
+            "lemma3_phi_block": lambda: lemma3_phi_block(states, mixed_even, 4, c, 0.5),
+            "lemma3_derivative_block":
+                lambda: lemma3_derivative_block(states, terms, mixed_even, 4, c, 0.5),
         }
         counts = {}
         for name, evaluate in evaluations.items():
@@ -561,8 +571,8 @@ class TestOneTransformPerArray:
             counts[name] = len(fwht_calls) - before
         # phi: copy 2's weights there and back; the derivative also copy 1's
         # and each conditional law once, paired in the Walsh domain
-        assert counts == {"lemma2_phi_replica": 2, "lemma2_derivative_replica": 6,
-                          "lemma3_phi_replica": 2, "lemma3_derivative_replica": 6}
+        assert counts == {"lemma2_phi_block": 2, "lemma2_derivative_block": 6,
+                          "lemma3_phi_block": 2, "lemma3_derivative_block": 6}
         # a replica's rows are its structure elements (one on the split path);
         # an element-pair axis would give rost.m ** 2 rows
         assert max(math.prod(shape[:-1]) for shape in fwht_calls) <= rost.m
