@@ -24,10 +24,12 @@ from .configurations import OverlapConstraint, admissible_sequence, construct_u_
 from .disorder import (
     DirichletWeights,
     ResourceError,
-    RostFieldSampler,
     RostInvalidError,
     RostSpec,
     empirical_covariance,
+    explicit_fields_psd,
+    get_explicit_sampler,
+    get_field_sampler,
     get_sampler,
     random_gram_rost,
 )
@@ -39,17 +41,14 @@ from .free_energy import (
     estimate_F,
     estimate_G,
     estimate_G_MN,
-    explicit_fields_psd,
     explicit_pairs,
     explicit_terms_block,
     overlap_logz_replicas,
     partition_by_overlap,
     require_finite_fields,
     window_estimate,
-    _cached_explicit_sampler,
 )
 from .interpolation import (
-    require_convex,
     run_lemma2_curve,
     run_lemma3_curve,
     structure_bound_check,
@@ -63,6 +62,7 @@ from .mixture import (
     check_convexity,
     check_positivity,
     mixture_functions,
+    require_convex,
 )
 from .parallel import replica_row, replica_seed, rng_for
 from .reference import brute_cavity_logz, brute_explicit_terms, brute_overlap_logz
@@ -107,12 +107,12 @@ def _mixture(mix) -> MixtureSpec:
     if not isinstance(mix, dict) or not {"a1", "a2"} <= mix.keys():
         raise ConfigError(f"mixture must be an object with lists a1 and a2, got {mix!r}")
     _known_keys(mix, MIXTURE_KEYS, "mixture")
-    return MixtureSpec(
-        a1=_numbers(mix["a1"], "mixture a1"),
-        a2=_numbers(mix["a2"], "mixture a2"),
-        h1=_number(mix.get("h1", 0.0), "mixture h1"),
-        h2=_number(mix.get("h2", 0.0), "mixture h2"),
-    )
+    a1, a2 = _numbers(mix["a1"], "mixture a1"), _numbers(mix["a2"], "mixture a2")
+    h1, h2 = _number(mix.get("h1", 0.0), "mixture h1"), _number(mix.get("h2", 0.0), "mixture h2")
+    try:
+        return MixtureSpec(a1=a1, a2=a2, h1=h1, h2=h2)
+    except ValueError as exc:  # coefficients too large for a double
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -210,6 +210,8 @@ class ExperimentConfig:
                 _number(value, f"rost {key}", integral=key == "m")
             if self.rost_gen.get("m", 1) < 1:
                 raise ConfigError(f"rost m must be at least 1, got {self.rost_gen['m']}")
+            if self.rost_gen.get("delta", 0.05) < 0:
+                raise ConfigError(f"rost delta must be nonnegative, got {self.rost_gen['delta']}")
             if self.rost_gen.get("gamma", 1.0) <= 0:
                 raise ConfigError(f"rost gamma must be positive, got {self.rost_gen['gamma']}")
 
@@ -238,7 +240,7 @@ class ExperimentConfig:
             rost = random_gram_rost(int(gen.get("m", 4)), self.u, float(gen.get("delta", 0.05)),
                                     rng_for(self.seed, 0, stream=9),
                                     DirichletWeights(float(gen.get("gamma", 1.0))))
-        RostFieldSampler(rost, mixture_functions(self.mixture))
+        get_field_sampler(rost, self.mixture)  # the run's one factorisation
         return rost
 
 
@@ -407,7 +409,7 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
     g_lim, g_fin = estimate_G_MN(cfg.mixture, cfg.m, n, u_m, derived.constraint,
                                  cfg.n_rep, cfg.seed, cfg.threads)
     worst_dual = 0.0
-    draws = _cached_explicit_sampler(cfg.mixture, cfg.m, n).sample_block(
+    draws = get_explicit_sampler(cfg.mixture, cfg.m, n).sample_block(
         [replica_seed(cfg.seed, rep) for rep in range(min(cfg.n_rep, 5))])
     terms = explicit_terms_block(draws, cfg.mixture, u_m, derived.constraint, "limit")
     for rep, (term1, term2, log_norm) in enumerate(terms):

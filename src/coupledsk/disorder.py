@@ -22,6 +22,7 @@ user-specified random overlap structures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import parallel
 from .bits import fwht, popcounts, spin_matrix
+from .configurations import OverlapConstraint
 from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
 
 TENSOR_BUDGET_BYTES = 1 << 28
@@ -362,21 +364,16 @@ class RostFieldSampler:
     def __init__(self, rost: RostSpec, funcs: MixtureFunctions):
         self.rost = rost
         self.m = rost.m
-        blocks = {
-            "xi_prime(q)": lambda l, lp, q: funcs.xi_prime(l, lp, q),
-            "theta(q)": lambda l, lp, q: funcs.theta(l, lp, q),
-        }
-        factors = {}
-        for name, entry in blocks.items():
+        factors = []
+        for name, entry in (("xi_prime(q)", funcs.xi_prime), ("theta(q)", funcs.theta)):
             try:
-                factors[name] = psd_factor(rost.block_matrix(entry))
+                factors.append(psd_factor(rost.block_matrix(entry)))
             except FactorizationError as exc:
                 raise RostInvalidError(
                     f"structure admits no Gaussian fields for this mixture: "
                     f"the {name} block is not positive semidefinite ({exc})"
                 ) from exc
-        self.factor_z = factors["xi_prime(q)"]
-        self.factor_y = factors["theta(q)"]
+        self.factor_z, self.factor_y = factors
 
     def sample(self, rng: np.random.Generator, n: int) -> CavityFieldSample:
         """The fields drawn from rng: sample_block of that generator alone."""
@@ -397,6 +394,13 @@ class RostFieldSampler:
                                  y=y.reshape(len(rngs), 2, m))
 
 
+@lru_cache(maxsize=8)
+def get_field_sampler(rost: RostSpec, spec: MixtureSpec) -> RostFieldSampler:
+    """rost's field sampler under spec's mixture, factored once per (structure,
+    mixture); RostSpec compares by identity, so the key is the object itself."""
+    return RostFieldSampler(rost, mixture_functions(spec))
+
+
 def random_gram_rost(
     m: int,
     u: float,
@@ -412,6 +416,8 @@ def random_gram_rost(
     """
     if m < 1:
         raise RostInvalidError(f"a structure needs at least one element, got m={m}")
+    if delta < 0:
+        raise RostInvalidError(f"structure tolerance delta must be nonnegative, got {delta}")
     if abs(u) + delta > 1:
         raise RostInvalidError("need |u| + delta <= 1 for unit-vector construction")
     v1 = rng.standard_normal((m, GRAM_DIM))
@@ -533,6 +539,36 @@ class ExplicitSystemSampler:
             y += coef * y_coef * comp_contr
             y_fin += coef * y_fin_coef * comp_contr
         return ExplicitDraw(m=m, n=n, trunc=trunc, z=z, z_finite=z_fin, y=y, y_finite=y_fin)
+
+
+@lru_cache(maxsize=8)
+def get_explicit_sampler(spec: MixtureSpec, m: int, n: int) -> ExplicitSystemSampler:
+    return ExplicitSystemSampler(spec, m, n)
+
+
+def explicit_fields_psd(funcs: MixtureFunctions, m: int, u_m: OverlapConstraint) -> bool:
+    """Whether RostFieldSampler accepts reference.build_explicit_rost(m, u_m,
+    ...) with funcs = mixture_functions(spec), from 2 (M+1) Walsh blocks
+    instead of two factorisations of side 2 |pairs|.
+
+    An element's copy-l row of xi'(q) and theta(q) depends only on its base
+    mask r_l, and each mask occurs C(M, d) times per copy, so each field
+    covariance is P B P^T with P^T P = C(M, d) I, where B is the
+    2**(M+1)-square matrix over base masks.  Its nonzero eigenvalues are
+    C(M, d) times those of B's Walsh blocks, the rest are 0, and each is held
+    to the floor psd_factor holds the whole matrix's eigenvalues to.
+    """
+    mult = math.comb(m, u_m.d)
+    pairs = mult << m
+    q = (m - 2.0 * np.arange(m + 1)) / m  # as build_explicit_rost's q-matrices
+    for entry in (funcs.xi_prime, funcs.theta):
+        f = np.stack([entry(1, 1, q), entry(1, 2, q), entry(2, 2, q)])
+        w, _ = walsh_blocks(f)
+        try:
+            _clipped_sqrt(mult * w, pairs * (f[0, 0] + f[2, 0]), 2 * pairs)
+        except FactorizationError:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

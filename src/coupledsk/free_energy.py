@@ -21,18 +21,15 @@ from .configurations import OverlapConstraint
 from .disorder import (
     CavityFieldSample,
     ExplicitDraw,
-    ExplicitSystemSampler,
-    FactorizationError,
     HamiltonianTable,
     ResourceError,
-    RostFieldSampler,
     RostInvalidError,
     RostSpec,
-    _clipped_sqrt,
+    get_explicit_sampler,
+    get_field_sampler,
     get_sampler,
-    walsh_blocks,
 )
-from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
+from .mixture import MixtureSpec
 from .parallel import map_blocks, replica_seed, rng_for, summarize
 
 WHT_CAP = 12
@@ -285,18 +282,19 @@ class GEstimate:
 
 
 def structure_draws(
-    rost: RostSpec, field_sampler: RostFieldSampler, n: int, root: int, block: range
+    rost: RostSpec, spec: MixtureSpec, n: int, root: int, block: range
 ) -> tuple[np.ndarray, CavityFieldSample]:
-    """The weights, (len(block), m), and the stacked fields of each replica
-    of a block.  Weights use stream 0 and fields stream 1 of each replica's
-    seed, so swapping the weight law never changes the field draws."""
+    """The weights, (len(block), m), and the fields of each replica of a block,
+    from get_field_sampler.  Weights use stream 0 and fields stream 1 of each
+    replica's seed, so swapping the weight law never changes the field draws."""
     w = np.stack([rost.weights.sample(rng_for(root, rep, stream=0), rost.m) for rep in block])
-    return w, field_sampler.sample_block([rng_for(root, rep, stream=1) for rep in block], n)
+    fields = get_field_sampler(rost, spec).sample_block(
+        [rng_for(root, rep, stream=1) for rep in block], n)
+    return w, fields
 
 
 def g_terms_block(
     rost: RostSpec,
-    field_sampler: RostFieldSampler,
     spec: MixtureSpec,
     n: int,
     c: OverlapConstraint,
@@ -307,7 +305,7 @@ def g_terms_block(
     (len(block), 2), from structure_draws; one ladder call covers every
     (replica, element).
     """
-    w, fields = structure_draws(rost, field_sampler, n, root, block)
+    w, fields = structure_draws(rost, spec, n, root, block)
     a = fields.z[:, :, 0, :].swapaxes(-1, -2) + spec.h1  # (replica, element, site)
     b = fields.z[:, :, 1, :].swapaxes(-1, -2) + spec.h2
     log_b = _ladder_class(a, b, c.d)
@@ -332,10 +330,10 @@ def estimate_G(
         raise RostInvalidError(
             "structure has no weight law; evaluate explicit structures with estimate_G_MN"
         )
-    field_sampler = RostFieldSampler(rost, mixture_functions(spec))
+    get_field_sampler(rost, spec)  # built before map_blocks: the workers share it
     # a block's largest stacked array is its fields z, (n, 2, m) a replica
-    t1, t2 = map_blocks(g_terms_block, (rost, field_sampler, spec, n, c, seed), n_rep,
-                        2 * rost.m * n, threads).T
+    t1, t2 = map_blocks(g_terms_block, (rost, spec, n, c, seed), n_rep, 2 * rost.m * n,
+                        threads).T
     return GEstimate(
         diff=_estimate(t1 - t2, seed, f"G(n={n},k={c.k})"),
         term1=_estimate(t1, seed, "G_term1"),
@@ -374,31 +372,6 @@ def explicit_pairs(m: int, u_m: OverlapConstraint) -> tuple[np.ndarray, np.ndarr
     return _constrained_pairs(m, u_m.d)
 
 
-def explicit_fields_psd(funcs: MixtureFunctions, m: int, u_m: OverlapConstraint) -> bool:
-    """Whether RostFieldSampler accepts reference.build_explicit_rost(m, u_m,
-    ...) with funcs = mixture_functions(spec), from 2 (M+1) Walsh blocks
-    instead of two factorisations of side 2 |pairs|.
-
-    An element's copy-l row of xi'(q) and theta(q) depends only on its base
-    mask r_l, and each mask occurs C(M, d) times per copy, so each field
-    covariance is P B P^T with P^T P = C(M, d) I, where B is the
-    2**(M+1)-square matrix over base masks.  Its nonzero eigenvalues are
-    C(M, d) times those of B's Walsh blocks, the rest are 0, and each is held
-    to the floor psd_factor holds the whole matrix's eigenvalues to.
-    """
-    mult = math.comb(m, u_m.d)
-    pairs = mult << m
-    q = (m - 2.0 * np.arange(m + 1)) / m  # as build_explicit_rost's q-matrices
-    for entry in (funcs.xi_prime, funcs.theta):
-        f = np.stack([entry(1, 1, q), entry(1, 2, q), entry(2, 2, q)])
-        w, _ = walsh_blocks(f)
-        try:
-            _clipped_sqrt(mult * w, pairs * (f[0, 0] + f[2, 0]), 2 * pairs)
-        except FactorizationError:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ExplicitTerms:
     """Per-replica pieces of the explicit-structure functional."""
@@ -406,11 +379,6 @@ class ExplicitTerms:
     term1: float
     term2: float
     log_norm: float  # (1/n) log of the weight normalizer
-
-
-@lru_cache(maxsize=8)
-def _cached_explicit_sampler(spec: MixtureSpec, m: int, n: int) -> ExplicitSystemSampler:
-    return ExplicitSystemSampler(spec, m, n)
 
 
 def explicit_terms_block(
@@ -459,13 +427,13 @@ def explicit_terms_replica(
 ) -> ExplicitTerms:
     """Both terms of the explicit-structure functional for the draw from
     seed: explicit_terms_block of the block holding that draw alone."""
-    draws = _cached_explicit_sampler(spec, m, n).sample_block([seed])
+    draws = get_explicit_sampler(spec, m, n).sample_block([seed])
     return ExplicitTerms(*map(float, explicit_terms_block(draws, spec, u_m, u_prime, variant)[0]))
 
 
 def _gmn_worker(spec: MixtureSpec, m: int, n: int, u_m: OverlapConstraint,
                 u_prime: OverlapConstraint, root: int, block: range) -> np.ndarray:
-    draws = _cached_explicit_sampler(spec, m, n).sample_block(
+    draws = get_explicit_sampler(spec, m, n).sample_block(
         [replica_seed(root, rep) for rep in block])
     return np.stack([explicit_terms_block(draws, spec, u_m, u_prime, v)[:, :2]
                      for v in EXPLICIT_VARIANTS], axis=1)

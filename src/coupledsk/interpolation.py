@@ -36,7 +36,7 @@ import numpy as np
 
 from .bits import fwht, magnetizations, popcounts, spin_matrix, split_popcounts
 from .configurations import OverlapConstraint, nearest_admissible
-from .disorder import HamiltonianTable, RostFieldSampler, RostSpec, get_sampler
+from .disorder import HamiltonianTable, RostSpec, get_field_sampler, get_sampler
 from .free_energy import (
     WHT_CAP,
     Estimate,
@@ -50,14 +50,7 @@ from .free_energy import (
     structure_draws,
     window_values,
 )
-from .mixture import (
-    COPY_PAIRS,
-    MixtureFunctions,
-    MixtureSpec,
-    NonConvexMixtureError,
-    check_convexity,
-    mixture_functions,
-)
+from .mixture import COPY_PAIRS, MixtureFunctions, MixtureSpec, mixture_functions, require_convex
 from .parallel import map_blocks, replica_row, replica_seed
 
 
@@ -70,15 +63,6 @@ def _unit_points(ts) -> tuple[float, ...]:
     if not all(0.0 <= t <= 1.0 for t in ts):
         raise ValueError(f"interpolation points must lie in [0, 1], got {ts}")
     return ts
-
-
-def require_convex(spec: MixtureSpec, what: str) -> None:
-    rep = check_convexity(spec)
-    if not rep.convex:
-        raise NonConvexMixtureError(
-            f"{what} is only a theorem for convex mixtures; pair {rep.worst_pair} "
-            f"fails near x = {rep.worst_x:.4f}"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +339,6 @@ class _Lemma3State:
 
 def lemma3_states(
     rost: RostSpec,
-    field_sampler: RostFieldSampler,
     spec: MixtureSpec,
     n: int,
     root: int,
@@ -365,7 +348,7 @@ def lemma3_states(
     """The stacked states of the replicas of block: weights and fields from
     structure_draws, as the plain structure-functional estimator draws them,
     and disorder tables on stream 2 (one block draw)."""
-    w, fields = structure_draws(rost, field_sampler, n, root, block)
+    w, fields = structure_draws(rost, spec, n, root, block)
     tables = get_sampler(spec, n, sampler).sample_block(
         [replica_seed(root, rep, 2) for rep in block])
     return _Lemma3State(w=w, z=fields.z, y=fields.y, table=tables)
@@ -373,16 +356,16 @@ def lemma3_states(
 
 def lemma3_state(
     rost: RostSpec,
-    field_sampler: RostFieldSampler,
+    field_sampler,
     spec: MixtureSpec,
     n: int,
     root: int,
     rep: int,
     sampler: str = "tensor",
 ) -> _Lemma3State:
-    """The state of replica rep alone: its row of lemma3_states."""
-    return replica_row(lemma3_states(rost, field_sampler, spec, n, root, range(rep, rep + 1),
-                                     sampler), 0)
+    """The state of replica rep alone: its row of lemma3_states.  field_sampler
+    is unused: get_field_sampler(rost, spec) draws the fields."""
+    return replica_row(lemma3_states(rost, spec, n, root, range(rep, rep + 1), sampler), 0)
 
 
 def _lemma3_element_tables(
@@ -513,11 +496,10 @@ def lemma3_derivative_block(
     return np.stack([phi, first, -0.5 * total_b], axis=-1)
 
 
-def _lemma3_worker(rost, field_sampler, spec, n, c, phi_ts, deriv_ts, terms, sampler, root,
-                   block) -> np.ndarray:
+def _lemma3_worker(rost, spec, n, c, phi_ts, deriv_ts, terms, sampler, root, block) -> np.ndarray:
     """The columns phi(phi_ts), then the first sum and the second line at
     each of deriv_ts, of one replica block."""
-    states = lemma3_states(rost, field_sampler, spec, n, root, block, sampler)
+    states = lemma3_states(rost, spec, n, root, block, sampler)
     der = {t: lemma3_derivative_block(states, terms, spec, n, c, t) for t in deriv_ts}
     phi = [der[t][:, :1] if t in der else lemma3_phi_block(states, spec, n, c, t)[:, None]
            for t in phi_ts]
@@ -543,17 +525,16 @@ def _lemma3_pass(
     phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
     if deriv_ts:
         require_convex(spec, "the structure-comparison derivative decomposition")
-    get_sampler(spec, n, sampler)  # before pmap, as in _lemma2_pass
-    funcs = mixture_functions(spec)
-    field_sampler = RostFieldSampler(rost, funcs)
+    # before pmap, as in _lemma2_pass
+    get_sampler(spec, n, sampler)
+    get_field_sampler(rost, spec)
     # a block's largest stacked arrays are its element tables, (m, 2**n) a
     # replica, or its disorder tables, (2, 2**n)
-    args = (rost, field_sampler, spec, n, c, phi_ts, deriv_ts, _lemma3_terms(rost, spec, n, c),
-            sampler, seed)
+    args = (rost, spec, n, c, phi_ts, deriv_ts, _lemma3_terms(rost, spec, n, c), sampler, seed)
     out = map_blocks(_lemma3_worker, args, n_rep, max(rost.m, 2) << n, threads)
     phi = out[:, :len(phi_ts)]
     der = out[:, len(phi_ts):].reshape(n_rep, len(deriv_ts), 2)
-    bound = first_sum_bound(rost, funcs, c.u)
+    bound = first_sum_bound(rost, mixture_functions(spec), c.u)
     if np.any(np.abs(der[..., 0]) > bound + 1e-9):
         raise RuntimeError("element average escaped its computable bound")
     derivs = [
@@ -854,9 +835,9 @@ def structure_bound_check(
     t_grid = tuple(t_grid)
     if not t_grid:
         raise ValueError("the structure bound needs at least one t in [0, 1]")
-    bound = first_sum_bound(rost, mixture_functions(spec), c.u)
     margin = STRUCTURE_MARGIN_SIGMAS * float(np.hypot(f_est.stderr, g_est.diff.stderr))
     _, gibbs = _lemma3_pass(rost, spec, c.n, c, (), t_grid, n_rep, seed, sampler, threads)
+    bound = gibbs[0].first_sum_bound
     worst = max(sigmas_above_zero(g.second_line) for g in gibbs)
     return {
         "check": "structure-upper-bound",

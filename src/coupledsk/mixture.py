@@ -48,7 +48,10 @@ class MixtureSpec:
     """Two coefficient sequences plus external fields.
 
     Sequences are padded to a common length; p_max is that length.  Entries
-    must be finite.  Hashable, immutable, safe to share across workers.
+    must be finite, and so must every copy product a_p^l a_p^l' and every xi
+    value and second difference of the convexity scan: beyond a double,
+    numpy would turn them into inf and nan.  Hashable, immutable, safe to
+    share across workers.
     """
 
     a1: tuple[float, ...]
@@ -68,6 +71,8 @@ class MixtureSpec:
         object.__setattr__(self, "h2", float(self.h2))
         if not all(math.isfinite(v) for v in a1 + a2 + (self.h1, self.h2)):
             raise ValueError("mixture entries must all be finite")
+        if not all(math.isfinite(x * y) for x, y in zip(a1 + a1 + a2, a1 + a2 + a2)):
+            raise ValueError("mixture coefficient products a_p^l a_p^l' overflow a double")
         report = check_convexity(self)
         if not report.convex:
             warnings.warn(
@@ -160,7 +165,9 @@ def check_convexity(spec: MixtureSpec) -> ConvexityReport:
     """Scan discrete second differences of all three xi functions on a grid.
 
     Also reports whether the structural sufficient condition holds: all odd-p
-    coefficients zero and, for each even p, a_p^1 * a_p^2 >= 0.
+    coefficients zero and, for each even p, a_p^1 * a_p^2 >= 0.  A scanned
+    value or second difference beyond a double raises ValueError, which is
+    how MixtureSpec refuses such a mixture.
     """
     a1 = np.array(spec.a1)
     a2 = np.array(spec.a2)
@@ -175,12 +182,16 @@ def check_convexity(spec: MixtureSpec) -> ConvexityReport:
 
     x = np.linspace(-1.0, 1.0, CONVEXITY_GRID)
     funcs = MixtureFunctions(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = [funcs.xi(*pair, x) for pair in COPY_PAIRS]
+        d2s = [y[:-2] - 2.0 * y[1:-1] + y[2:] for y in ys]
+    if not all(np.all(np.isfinite(v)) for v in ys + d2s):
+        raise ValueError("mixture coefficients overflow a double: a scanned xi value or "
+                         "second difference on [-1, 1] is not finite")
     worst = np.inf
     worst_pair = COPY_PAIRS[0]
     worst_x = 0.0
-    for pair in COPY_PAIRS:
-        y = funcs.xi(*pair, x)
-        d2 = y[:-2] - 2.0 * y[1:-1] + y[2:]
+    for pair, d2 in zip(COPY_PAIRS, d2s):
         i = int(np.argmin(d2))
         if d2[i] < worst:
             worst = float(d2[i])
@@ -202,19 +213,24 @@ class PositivityReport:
     passed: bool
 
 
+def require_convex(spec: MixtureSpec, what: str) -> None:
+    """NonConvexMixtureError naming what needs convexity, the worst pair and
+    grid point, unless spec's mixture is convex."""
+    rep = check_convexity(spec)
+    if not rep.convex:
+        raise NonConvexMixtureError(
+            f"{what} is only a theorem for convex mixtures; pair {rep.worst_pair} "
+            f"fails near x = {rep.worst_x:.4f}"
+        )
+
+
 def check_positivity(spec: MixtureSpec) -> PositivityReport:
     """Grid minimum of xi(x) - x*xi'(y) + theta(y) per copy pair.
 
     The quantity is nonnegative for convex mixtures; a non-convex spec is a
-    precondition failure and raises NonConvexMixtureError naming the offending
-    pair and grid point.
+    precondition failure (require_convex).
     """
-    conv = check_convexity(spec)
-    if not conv.convex:
-        raise NonConvexMixtureError(
-            f"positivity check requires convexity; pair {conv.worst_pair} has "
-            f"second difference {conv.worst_second_difference:.3e} near x = {conv.worst_x:.4f}"
-        )
+    require_convex(spec, "the positivity of xi(x) - x xi'(y) + theta(y)")
     funcs = MixtureFunctions(spec)
     grid = np.linspace(-1.0, 1.0, POSITIVITY_GRID)
     minima = {}

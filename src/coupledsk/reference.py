@@ -113,7 +113,7 @@ def dense_process_covariance(spec: MixtureSpec, n: int) -> np.ndarray:
 
 def build_explicit_rost(m: int, u_m: OverlapConstraint, u: float) -> RostSpec:
     """The structure whose elements are constrained base pairs, as dense
-    q-matrices: the oracle behind free_energy.explicit_fields_psd.
+    q-matrices: the oracle behind disorder.explicit_fields_psd.
 
     q-matrices are pairwise overlaps of the base configurations and
     delta = |u_m - u| exactly.  The q-matrices are Gram-type by construction,

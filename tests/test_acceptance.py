@@ -17,16 +17,16 @@ from coupledsk.cli import main as cli_main
 from coupledsk.configurations import OverlapConstraint, nearest_admissible
 from coupledsk.disorder import (
     empirical_covariance,
+    explicit_fields_psd,
+    get_explicit_sampler,
     get_sampler,
     random_gram_rost,
 )
 from coupledsk.free_energy import (
     estimate_F,
     estimate_G,
-    explicit_fields_psd,
     explicit_terms_replica,
     partition_by_overlap,
-    _cached_explicit_sampler,
     _constrained_pairs,
 )
 from coupledsk.interpolation import (
@@ -213,7 +213,7 @@ def test_criterion_10_explicit_structure():
     m = n = 4
     u_m = nearest_admissible(m, 0.0)
     u_p = OverlapConstraint(n, 0)
-    sampler = _cached_explicit_sampler(PURE_P2, m, n)
+    sampler = get_explicit_sampler(PURE_P2, m, n)
     r1, r2 = _constrained_pairs(m, u_m.d)
     for rep in range(5):
         seed = replica_seed(1000, rep)

@@ -20,11 +20,11 @@ from coupledsk.disorder import (
     ExplicitSystemSampler,
     RostFieldSampler,
     TensorSampler,
+    get_explicit_sampler,
     get_sampler,
     random_gram_rost,
 )
 from coupledsk.free_energy import (
-    _cached_explicit_sampler,
     cavity_logz_by_count,
     estimate_G_MN,
     explicit_terms_block,
@@ -198,7 +198,7 @@ class TestPmap:
         u_m, u_prime = nearest_admissible(3, 1 / 3), nearest_admissible(4, 0.0)
 
         def run(threads):
-            for cache in (_cached_explicit_sampler, free_energy._constrained_pairs, spin_matrix):
+            for cache in (get_explicit_sampler, free_energy._constrained_pairs, spin_matrix):
                 cache.cache_clear()
             return estimate_G_MN(pure_p2, 3, 4, u_m, u_prime, 24, seed=5, threads=threads)
 
@@ -267,13 +267,12 @@ def test_block_kernels_are_blind_to_block_boundaries(seed, bounds, n, m, t):
 
     # the structure functional and the explicit structure
     rost = random_gram_rost(m, 0.0, 0.05, rng)
-    fields = RostFieldSampler(rost, mixture_functions(spec))
     c = nearest_admissible(n, 0.0)
-    _rows_match(lambda lo, hi: g_terms_block(rost, fields, spec, n, c, seed, range(lo, hi)),
+    _rows_match(lambda lo, hi: g_terms_block(rost, spec, n, c, seed, range(lo, hi)),
                 seeds, bounds)
     big_m = 3
     u_m = nearest_admissible(big_m, 1 / 3)
-    explicit = _cached_explicit_sampler(spec, big_m, n)
+    explicit = get_explicit_sampler(spec, big_m, n)
     for variant in ("limit", "finite"):
         _rows_match(lambda lo, hi: explicit_terms_block(explicit.sample_block(seeds[lo:hi]), spec,
                                                         u_m, c, variant), seeds, bounds)
@@ -291,10 +290,10 @@ def test_block_kernels_are_blind_to_block_boundaries(seed, bounds, n, m, t):
                     seeds, bounds)
     for name in ("w", "z", "y", "table"):
         _rows_match(lambda lo, hi: _state_field(
-            lemma3_states(rost, fields, spec, n, seed, range(lo, hi)), name), seeds, bounds)
+            lemma3_states(rost, spec, n, seed, range(lo, hi)), name), seeds, bounds)
     terms = _lemma3_terms(rost, spec, n, c)
     _rows_match(lambda lo, hi: lemma3_phi_block(
-        lemma3_states(rost, fields, spec, n, seed, range(lo, hi)), spec, n, c, t), seeds, bounds)
+        lemma3_states(rost, spec, n, seed, range(lo, hi)), spec, n, c, t), seeds, bounds)
     _rows_match(lambda lo, hi: lemma3_derivative_block(
-        lemma3_states(rost, fields, spec, n, seed, range(lo, hi)), terms, spec, n, c, t),
+        lemma3_states(rost, spec, n, seed, range(lo, hi)), terms, spec, n, c, t),
         seeds, bounds)

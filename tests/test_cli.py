@@ -15,7 +15,7 @@ import pytest
 from coupledsk import cli, free_energy, interpolation, parallel
 from coupledsk.cli import main
 from coupledsk.configurations import nearest_admissible
-from coupledsk.disorder import get_sampler
+from coupledsk.disorder import RostFieldSampler, get_sampler
 from coupledsk.free_energy import NumericalError
 from coupledsk.mixture import ConvexityWarning
 from coupledsk.reference import build_explicit_rost
@@ -185,7 +185,12 @@ class TestPreconditions:
         {"eps_grid": [0, -0.5]}, {"eps_grid": 0.5},
         {"mixture": {"a1": [0, "x"], "a2": [0, 0.5]}}, {"mixture": {"a2": [0, 0.5]}},
         {"rost": {"m": "four", "delta": 0.05}}, {"rost": {"m": 0, "delta": 0.05}},
-        {"rost": {"m": 3, "delta": 0.05, "gamma": 0}}, {"rost_file": 5},
+        {"rost": {"m": 3, "delta": 0.05, "gamma": 0}}, {"rost": {"m": 3, "delta": -0.1}},
+        {"rost_file": 5},
+        # coefficients whose copy products, or whose xi values' second
+        # differences, overflow a double
+        {"mixture": {"a1": [0, 1e200], "a2": [0, 0.5]}},
+        {"mixture": {"a1": [0, 1e154], "a2": [0, 0.5]}},
     ], ids=lambda bad: json.dumps(bad).replace(" ", ""))
     def test_malformed_value_exits_2_before_monte_carlo(self, bad, small_config, tmp_path,
                                                         no_monte_carlo):
@@ -278,6 +283,17 @@ class TestPreconditions:
         path.write_text(json.dumps({**data, "eps_grid": eps_grid}))
         assert run_cli("lemma1", "--config", str(path), "--out", str(tmp_path / "out")) == 2
         assert no_monte_carlo == []
+
+    def test_largest_coefficients_a_double_holds_run_clean(self, small_config, tmp_path):
+        data = json.loads(small_config.read_text())
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**data, "mixture": {"a1": [0, 1e153], "a2": [0, 0.5]}}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("free-energy", "--config", str(path), "--out", str(out)) == 0
+        rows = (out / "free_energy.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(r.split(",")[-1])) for r in rows)
 
     @pytest.mark.parametrize("eps_grid", [[0.0], []])
     def test_free_energy_needs_no_positive_eps(self, eps_grid, small_config, tmp_path):
@@ -484,6 +500,22 @@ class TestStructureCommands:
         # interp draws M = 3, N = 4 and M + N = 7 spins, lemma3 N = 4
         assert {n for n, _ in drawn} == {3, 4, 7}
         assert {kind for _, kind in drawn} == {sampler}
+
+    @pytest.mark.parametrize("command", ["rost-eval", "lemma3", "interp"])
+    def test_a_run_factors_its_structure_once(self, command, small_config, tmp_path,
+                                              monkeypatch):
+        # the pre-Monte-Carlo check, the structure functional and the
+        # structure-comparison path all read one field sampler
+        builds = []
+        init = RostFieldSampler.__init__
+
+        def counted(self, *args):
+            builds.append(command)
+            init(self, *args)
+
+        monkeypatch.setattr(RostFieldSampler, "__init__", counted)
+        assert run_cli(command, "--config", str(small_config), "--out", str(tmp_path / "out")) == 0
+        assert len(builds) == 1
 
     def test_lemma3_pass(self, small_config, tmp_path):
         out = tmp_path / "out"

@@ -20,6 +20,7 @@ from coupledsk.disorder import (
     RostSpec,
     TensorSampler,
     empirical_covariance,
+    get_field_sampler,
     get_sampler,
     random_gram_rost,
 )
@@ -319,6 +320,18 @@ class TestRostFields:
         se = prods.std(ddof=1) / np.sqrt(reps)
         assert abs(prods.mean() - target) <= 3 * se
 
+    def test_field_sampler_is_built_once_per_structure_and_mixture(self, pure_p2, mixed_even):
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(4))
+        twin = RostSpec(q11=rost.q11, q12=rost.q12, q22=rost.q22, weights=rost.weights,
+                        delta=rost.delta, u=rost.u)
+        sampler = get_field_sampler(rost, pure_p2)
+        assert sampler.rost is rost
+        assert get_field_sampler(rost, MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.5))) is sampler
+        assert get_field_sampler(rost, mixed_even) is not sampler
+        # structures compare by identity: an equal copy is factored anew
+        assert get_field_sampler(twin, pure_p2) is not sampler
+        assert np.array_equal(get_field_sampler(twin, pure_p2).factor_z, sampler.factor_z)
+
     def test_fields_independent_of_weight_law(self, pure_p2):
         base = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(3))
         other = RostSpec(q11=base.q11, q12=base.q12, q22=base.q22,
@@ -438,3 +451,7 @@ class TestRandomGramRost:
     def test_requires_feasible_target(self):
         with pytest.raises(RostInvalidError, match="<= 1"):
             random_gram_rost(3, 0.99, 0.05, np.random.default_rng(0))
+
+    def test_requires_nonnegative_delta(self):
+        with pytest.raises(RostInvalidError, match="nonnegative"):
+            random_gram_rost(3, 0.0, -0.1, np.random.default_rng(0))

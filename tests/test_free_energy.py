@@ -17,6 +17,7 @@ from coupledsk.disorder import (
     RostFieldSampler,
     RostInvalidError,
     RostSpec,
+    explicit_fields_psd,
     get_sampler,
     random_gram_rost,
 )
@@ -28,7 +29,6 @@ from coupledsk.free_energy import (
     estimate_F,
     estimate_G,
     estimate_G_MN,
-    explicit_fields_psd,
     explicit_terms_replica,
     g_terms_block,
     overlap_logz_replicas,
@@ -338,7 +338,7 @@ class TestEstimateG:
             weights=FixedWeights((1.0,)), delta=0.0, u=u,
         )
         sampler = RostFieldSampler(rost, mixture_functions(pure_p2))
-        t1, t2 = g_terms_block(rost, sampler, pure_p2, 4, c, 5, range(1))[0]
+        t1, t2 = g_terms_block(rost, pure_p2, 4, c, 5, range(1))[0]
         fields = sampler.sample(rng_for(5, 0, stream=1), 4)
         direct1 = cavity_logz_by_count(
             fields.z[:, 0, 0] + pure_p2.h1, fields.z[:, 1, 0] + pure_p2.h2

@@ -12,7 +12,6 @@ from coupledsk import bits, interpolation, parallel
 from coupledsk.disorder import (
     DirichletWeights,
     FixedWeights,
-    RostFieldSampler,
     RostSpec,
     TensorSampler,
     random_gram_rost,
@@ -215,18 +214,16 @@ class TestStructurePath:
     def test_left_endpoint_is_structure_term(self, pure_p2):
         rost = random_gram_rost(4, 0.0, 0.05, np.random.default_rng(2))
         c = OverlapConstraint(4, 0)
-        fs = RostFieldSampler(rost, mixture_functions(pure_p2))
         for rep in range(3):
-            states = lemma3_states(rost, fs, pure_p2, 4, 50, range(rep, rep + 1))
+            states = lemma3_states(rost, pure_p2, 4, 50, range(rep, rep + 1))
             phi0 = lemma3_phi_block(states, pure_p2, 4, c, 0.0)[0]
-            t1, _ = g_terms_block(rost, fs, pure_p2, 4, c, 50, range(rep, rep + 1))[0]
+            t1, _ = g_terms_block(rost, pure_p2, 4, c, 50, range(rep, rep + 1))[0]
             assert phi0 == pytest.approx(t1, rel=1e-10)
 
     def test_right_endpoint_decouples(self, pure_p2):
         rost = random_gram_rost(4, 0.0, 0.05, np.random.default_rng(3))
         c = OverlapConstraint(4, 0)
-        fs = RostFieldSampler(rost, mixture_functions(pure_p2))
-        states = lemma3_states(rost, fs, pure_p2, 4, 51, range(1))
+        states = lemma3_states(rost, pure_p2, 4, 51, range(1))
         phi1 = lemma3_phi_block(states, pure_p2, 4, c, 1.0)[0]
         state = replica_row(states, 0)
         log_z = partition_by_overlap(state.table, pure_p2.h1, pure_p2.h2)
@@ -240,8 +237,7 @@ class TestStructurePath:
             weights=FixedWeights((1.0,)), delta=0.0, u=u,
         )
         c = nearest_admissible(5, u)
-        fs = RostFieldSampler(rost, mixture_functions(pure_p2))
-        states = lemma3_states(rost, fs, pure_p2, 5, 52, range(1))
+        states = lemma3_states(rost, pure_p2, 5, 52, range(1))
         t = 0.6
         phi = lemma3_phi_block(states, pure_p2, 5, c, t)[0]
         state = replica_row(states, 0)
@@ -268,8 +264,7 @@ class TestStructurePath:
         rost = random_gram_rost(3, 0.5, 0.1, np.random.default_rng(43))
         c = nearest_admissible(n, 0.5)
         funcs = mixture_functions(mixed_even)
-        fs = RostFieldSampler(rost, funcs)
-        states = lemma3_states(rost, fs, mixed_even, n, seed, range(1))
+        states = lemma3_states(rost, mixed_even, n, seed, range(1))
         _, first, second = lemma3_derivative_block(states, _lemma3_terms(rost, mixed_even, n, c),
                                                    mixed_even, n, c, t)[0]
         state = replica_row(states, 0)
@@ -365,13 +360,12 @@ class TestCurveRunners:
         u_m, u_n = nearest_admissible(3, 0.0), nearest_admissible(2, 0.0)
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(12))
         c = OverlapConstraint(4, 0)
-        fs = RostFieldSampler(rost, mixture_functions(pure_p2))
         paths = {
             "split": (run_lemma2_curve(pure_p2, 3, 2, 0.0, t_grid, n_rep, seed),
                       lambda rep: _split_block(pure_p2, 3, 2, seed, range(rep, rep + 1)),
                       lambda tables, t: lemma2_phi_block(pure_p2, u_m, u_n, t, tables)[0]),
             "rost": (run_lemma3_curve(rost, pure_p2, 4, c, t_grid, n_rep, seed),
-                     lambda rep: lemma3_states(rost, fs, pure_p2, 4, seed, range(rep, rep + 1)),
+                     lambda rep: lemma3_states(rost, pure_p2, 4, seed, range(rep, rep + 1)),
                      lambda states, t: lemma3_phi_block(states, pure_p2, 4, c, t)[0]),
         }
         for run, draw, phi in paths.values():
@@ -417,9 +411,9 @@ class TestOneStatePerReplica:
         replicas = []
         lemma3_states = interpolation.lemma3_states
 
-        def counted(rost, field_sampler, spec, n, root, block, sampler="tensor"):
+        def counted(rost, spec, n, root, block, sampler="tensor"):
             replicas.extend(block)
-            return lemma3_states(rost, field_sampler, spec, n, root, block, sampler)
+            return lemma3_states(rost, spec, n, root, block, sampler)
 
         monkeypatch.setattr(interpolation, "lemma3_states", counted)
         return replicas
@@ -514,9 +508,8 @@ class TestOneEvaluationPerReplicaAndT:
         rost = random_gram_rost(3, 0.2, 0.05, np.random.default_rng(13))
         c = nearest_admissible(4, 0.2)
         for spec in (pure_p2, mixed_even):
-            fs = RostFieldSampler(rost, mixture_functions(spec))
             for rep in range(2):
-                states = lemma3_states(rost, fs, spec, 4, 13, range(rep, rep + 1))
+                states = lemma3_states(rost, spec, 4, 13, range(rep, rep + 1))
                 value, _, _ = lemma3_derivative_block(states, _lemma3_terms(rost, spec, 4, c),
                                                       spec, 4, c, t)[0]
                 assert value == lemma3_phi_block(states, spec, 4, c, t)[0]
@@ -551,8 +544,7 @@ class TestOneTransformPerArray:
         tables = _split_block(mixed_even, 3, 3, 1, range(1))
         b_hats = _bracket_spectra(mixed_even, 3, 3)
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(3))
-        fs = RostFieldSampler(rost, mixture_functions(mixed_even))
-        states = lemma3_states(rost, fs, mixed_even, 4, 1, range(1))
+        states = lemma3_states(rost, mixed_even, 4, 1, range(1))
         c = OverlapConstraint(4, 0)
         terms = _lemma3_terms(rost, mixed_even, 4, c)
         evaluations = {

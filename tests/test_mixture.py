@@ -1,5 +1,7 @@
 """Covariance-function evaluators and their structural checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,17 @@ class TestSpecValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             MixtureSpec(a1=(float("nan"),), a2=(0.0,))
+
+    @pytest.mark.parametrize("a, where", [
+        (1e200, "products"),  # a_2^1 a_2^1 = 1e400
+        (1e154, "second difference"),  # xi_11 = 1e308 x^2, its second differences overflow
+        (-1e200, "products"),
+    ])
+    def test_rejects_coefficients_beyond_a_double(self, a, where):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy warns
+            with pytest.raises(ValueError, match=where):
+                MixtureSpec(a1=(0.0, a), a2=(0.0, 0.5))
 
     def test_json_round_trip(self):
         spec = MixtureSpec(a1=(0.0, 0.5), a2=(0.0, 0.25), h1=0.3, h2=-0.2)
