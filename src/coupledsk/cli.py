@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from .bits import CONFIG_CAP, magnetizations
 from .configurations import OverlapConstraint, admissible_sequence, construct_u_prime, nearest_admissible
 from .disorder import (
     DirichletWeights,
+    NumericalError,
     ResourceError,
     RostInvalidError,
     RostSpec,
@@ -36,7 +37,6 @@ from .disorder import (
 from .free_energy import (
     WHT_CAP,
     Estimate,
-    NumericalError,
     cavity_logz_by_count,
     estimate_F,
     estimate_G,
@@ -72,41 +72,54 @@ class ConfigError(ValueError):
     pass
 
 
-CONFIG_KEYS = frozenset({"mixture", "n_list", "n", "m", "u", "eps_grid", "t_grid", "n_rep",
-                         "seed", "sampler", "out", "rost_file", "rost"})
-MIXTURE_KEYS = frozenset({"a1", "a2", "h1", "h2"})
-ROST_GEN_KEYS = frozenset({"m", "delta", "gamma"})
+# the rost generator's keys, each with the bounds _number checks it against
+ROST_GEN = {"m": {"integral": True, "lo": 1}, "delta": {"lo": 0},
+            "gamma": {"lo": 0, "lo_open": True}}
 
 
-def _known_keys(obj: dict, known: frozenset, where: str) -> None:
+def _known_keys(obj: dict, known, where: str) -> None:
     """ConfigError naming every key of obj outside known: a misspelt key
     would otherwise fall back to its default without a word."""
-    unknown = sorted(set(obj) - known)
+    unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
                           f"expected some of {', '.join(sorted(known))}")
 
 
-def _number(value, name: str, integral: bool = False):
-    """value unchanged if it is a finite JSON number (integral if asked)."""
+def _number(value, name: str, integral: bool = False, lo: float = -math.inf,
+            hi: float = math.inf, lo_open: bool = False):
+    """value unchanged if it is a JSON number that a double holds finitely
+    (integral if asked), in [lo, hi], or in (lo, hi] if lo_open."""
     ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and math.isfinite(value) and (not integral or float(value).is_integer()))
+          and abs(value) <= sys.float_info.max and (not integral or float(value).is_integer())
+          and (lo < value if lo_open else lo <= value) and value <= hi)
     if not ok:
         kind = "an integer" if integral else "a finite number"
+        if lo > -math.inf or hi < math.inf:
+            kind += f" in {'(' if lo_open else '['}{lo:g}, {hi:g}{']' if hi < math.inf else ')'}"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
     return value
 
 
-def _numbers(values, name: str, integral: bool = False) -> tuple:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {values!r}")
-    return tuple(_number(v, f"{name} entry", integral) for v in values)
+def _numbers(values, name: str, nonempty: bool = False, **bounds) -> tuple:
+    """values as a tuple if they are a list (nonempty if asked) of numbers
+    _number accepts within bounds."""
+    if not isinstance(values, (list, tuple)) or (nonempty and not values):
+        kind = "a nonempty list" if nonempty else "a list"
+        raise ConfigError(f"{name} must be {kind}, got {values!r}")
+    return tuple(_number(v, f"{name} entry", **bounds) for v in values)
+
+
+def _path(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return value
 
 
 def _mixture(mix) -> MixtureSpec:
     if not isinstance(mix, dict) or not {"a1", "a2"} <= mix.keys():
         raise ConfigError(f"mixture must be an object with lists a1 and a2, got {mix!r}")
-    _known_keys(mix, MIXTURE_KEYS, "mixture")
+    _known_keys(mix, [f.name for f in fields(MixtureSpec)], "mixture")
     a1, a2 = _numbers(mix["a1"], "mixture a1"), _numbers(mix["a2"], "mixture a2")
     h1, h2 = _number(mix.get("h1", 0.0), "mixture h1"), _number(mix.get("h2", 0.0), "mixture h2")
     try:
@@ -115,9 +128,24 @@ def _mixture(mix) -> MixtureSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _generator(gen) -> dict | None:
+    """The rost generator as given, each entry within its ROST_GEN bounds."""
+    if gen is not None:
+        if not isinstance(gen, dict):
+            raise ConfigError(f"rost must be an object, got {gen!r}")
+        _known_keys(gen, ROST_GEN, "rost")
+        for key, value in gen.items():
+            _number(value, f"rost {key}", **ROST_GEN[key])
+    return gen
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment parameters; all randomness stems from seed."""
+    """Resolved experiment parameters; all randomness stems from seed.
+
+    The fields are the config file's keys, except that threads comes from
+    the --threads flag alone and a key n stands for the one-size n_list
+    [n].  The manifest records every field but out and threads."""
 
     mixture: MixtureSpec
     n_list: tuple[int, ...]
@@ -128,13 +156,16 @@ class ExperimentConfig:
     n_rep: int
     seed: int
     sampler: str
-    threads: int
-    out: Path
     rost_file: str | None
-    rost_gen: dict | None
+    rost: dict | None
+    out: Path
+    threads: int
 
     @classmethod
     def load(cls, path: str | None, overrides: argparse.Namespace) -> "ExperimentConfig":
+        """The config in the JSON file at path (every default if None) with
+        the --seed, --out and --threads flags applied.  Each value's type and
+        range are checked as it is read: a bad one is a ConfigError."""
         data: dict = {}
         if path is not None:
             p = Path(path)
@@ -146,89 +177,46 @@ class ExperimentConfig:
                 raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
             if not isinstance(data, dict):
                 raise ConfigError(f"config file {path} must hold a JSON object")
-            _known_keys(data, CONFIG_KEYS, "config")
-        mix = data.get("mixture", {"a1": [0.0, 0.5], "a2": [0.0, 0.5], "h1": 0.0, "h2": 0.0})
-        n_list = data.get("n_list")
-        if n_list is None:
-            n_list = [data.get("n", 6)]
-        seed = overrides.seed if overrides.seed is not None else data.get("seed", 0)
-        out = Path(overrides.out if overrides.out is not None else data.get("out", "reports"))
-        m = data.get("m")
-        cfg = cls(
-            mixture=_mixture(mix),
-            n_list=tuple(int(v) for v in _numbers(n_list, "n_list", integral=True)),
-            m=None if m is None else int(_number(m, "m", integral=True)),
-            u=float(_number(data.get("u", 0.0), "u")),
-            eps_grid=_numbers(data.get("eps_grid", [0.0, 0.25, 0.5, 1.0]), "eps_grid"),
-            t_grid=_numbers(data.get("t_grid", [0.25, 0.5, 0.75]), "t_grid"),
-            n_rep=int(_number(data.get("n_rep", 200), "n_rep", integral=True)),
-            seed=int(_number(seed, "seed", integral=True)),
-            sampler=data.get("sampler", "tensor"),
-            threads=overrides.threads,
-            out=out,
-            rost_file=data.get("rost_file"),
-            rost_gen=data.get("rost"),
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.n_rep < 2:
-            raise ConfigError("n_rep must be >= 2 (standard errors need variance)")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {self.threads}")
-        if not -1.0 <= self.u <= 1.0:
-            raise ConfigError(f"u={self.u} outside [-1, 1]")
-        if not self.n_list:
-            raise ConfigError("n_list must name at least one size")
-        for n in self.n_list:
-            if not 1 <= n <= WHT_CAP:
-                raise ConfigError(f"n={n} outside [1, {WHT_CAP}]")
-        if self.m is not None and not 1 <= self.m <= CONFIG_CAP:
-            raise ConfigError(f"m={self.m} outside [1, {CONFIG_CAP}]")
-        if self.sampler not in ("tensor", "process"):
-            raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if self.eps_grid and self.eps_grid[0] != 0.0:
+            _known_keys(data, {f.name for f in fields(cls)} - {"threads"} | {"n"}, "config")
+        eps_grid = _numbers(data.get("eps_grid", [0.0, 0.25, 0.5, 1.0]), "eps_grid", lo=0)
+        if eps_grid and eps_grid[0] != 0.0:
             raise ConfigError("eps_grid must start at 0")
-        if any(e < 0 for e in self.eps_grid):
-            raise ConfigError(f"eps_grid entries must be nonnegative, got {list(self.eps_grid)}")
-        if not self.t_grid or not all(0.0 <= t <= 1.0 for t in self.t_grid):
-            raise ConfigError(f"t_grid must be a nonempty list of t in [0, 1], "
-                              f"got {list(self.t_grid)}")
-        if self.rost_file is not None:
-            if not isinstance(self.rost_file, str):
-                raise ConfigError(f"rost_file must be a path string, got {self.rost_file!r}")
-            if not Path(self.rost_file).exists():
-                raise ConfigError(f"structure file {self.rost_file} does not exist")
-        if self.rost_gen is not None:
-            if not isinstance(self.rost_gen, dict):
-                raise ConfigError(f"rost must be an object, got {self.rost_gen!r}")
-            _known_keys(self.rost_gen, ROST_GEN_KEYS, "rost")
-            for key, value in self.rost_gen.items():
-                _number(value, f"rost {key}", integral=key == "m")
-            if self.rost_gen.get("m", 1) < 1:
-                raise ConfigError(f"rost m must be at least 1, got {self.rost_gen['m']}")
-            if self.rost_gen.get("delta", 0.05) < 0:
-                raise ConfigError(f"rost delta must be nonnegative, got {self.rost_gen['delta']}")
-            if self.rost_gen.get("gamma", 1.0) <= 0:
-                raise ConfigError(f"rost gamma must be positive, got {self.rost_gen['gamma']}")
+        sampler = data.get("sampler", "tensor")
+        if sampler not in ("tensor", "process"):
+            raise ConfigError(f"unknown sampler {sampler!r}")
+        rost_file = data.get("rost_file")
+        if rost_file is not None and not Path(_path(rost_file, "rost_file")).exists():
+            raise ConfigError(f"structure file {rost_file} does not exist")
+        sizes = data.get("n_list")
+        if sizes is None:
+            sizes = [data.get("n", 6)]
+        sizes = _numbers(sizes, "n_list", nonempty=True, integral=True, lo=1, hi=WHT_CAP)
+        m = data.get("m")
+        seed = overrides.seed if overrides.seed is not None else data.get("seed", 0)
+        out = overrides.out if overrides.out is not None else data.get("out", "reports")
+        return cls(
+            mixture=_mixture(data.get("mixture", {"a1": [0.0, 0.5], "a2": [0.0, 0.5]})),
+            n_list=tuple(int(n) for n in sizes),
+            m=None if m is None else int(_number(m, "m", integral=True, lo=1, hi=CONFIG_CAP)),
+            u=float(_number(data.get("u", 0.0), "u", lo=-1, hi=1)),
+            eps_grid=eps_grid,
+            t_grid=_numbers(data.get("t_grid", [0.25, 0.5, 0.75]), "t_grid", nonempty=True,
+                            lo=0, hi=1),
+            n_rep=int(_number(data.get("n_rep", 200), "n_rep", integral=True, lo=2)),
+            seed=int(_number(seed, "seed", integral=True, lo=0)),
+            sampler=sampler,
+            rost_file=rost_file,
+            rost=_generator(data.get("rost")),
+            out=Path(_path(out, "out")),
+            threads=_number(overrides.threads, "--threads", integral=True, lo=1),
+        )
 
     def resolved(self) -> dict:
-        return {
-            "mixture": json.loads(self.mixture.to_json()),
-            "n_list": list(self.n_list),
-            "m": self.m,
-            "u": self.u,
-            "eps_grid": list(self.eps_grid),
-            "t_grid": list(self.t_grid),
-            "n_rep": self.n_rep,
-            "seed": self.seed,
-            "sampler": self.sampler,
-            "rost_file": self.rost_file,
-            "rost": self.rost_gen,
-        }
+        """The manifest's copy of the config: n as n_list, the mixture as
+        MixtureSpec holds it, no out or threads."""
+        config = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("out", "threads")}
+        return {**config, "mixture": json.loads(self.mixture.to_json())}
 
     def load_rost(self) -> RostSpec:
         """The structure of the config, checked to admit Gaussian fields for
@@ -236,7 +224,7 @@ class ExperimentConfig:
         if self.rost_file is not None:
             rost = _structure_file(self.rost_file)
         else:
-            gen = self.rost_gen or {"m": 4, "delta": 0.05}
+            gen = self.rost or {}
             rost = random_gram_rost(int(gen.get("m", 4)), self.u, float(gen.get("delta", 0.05)),
                                     rng_for(self.seed, 0, stream=9),
                                     DirichletWeights(float(gen.get("gamma", 1.0))))
@@ -436,25 +424,21 @@ def cmd_interp(cfg: ExperimentConfig) -> Reports:
     if cfg.m is not None and cfg.m + n > WHT_CAP:
         raise ConfigError(f"size splitting needs m + n <= {WHT_CAP}, got {cfg.m} + {n}")
     rost = cfg.load_rost()
-    results = {}
-    ok = True
-    rows = []
+    runs = {}
     if cfg.m is not None:
-        run = run_lemma2_curve(cfg.mixture, cfg.m, n, cfg.u, cfg.t_grid,
-                               cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
-        results["size_splitting"] = run.verdicts
-        ok = ok and run.verdicts["fd_gibbs_pass"] and run.verdicts["convexity_term_nonpositive"]
-        for t, p, dfd, dgb in zip(run.t_grid, run.phi, run.dphi_fd, run.dphi_gibbs):
-            rows.append(["size-splitting", f"{t:.17g}", f"{p.mean:.17g}", f"{p.stderr:.17g}",
-                         f"{dfd.mean:.17g}", f"{dgb.mean:.17g}"])
+        runs["size-splitting"] = run_lemma2_curve(cfg.mixture, cfg.m, n, cfg.u, cfg.t_grid,
+                                                  cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
     c = nearest_admissible(n, cfg.u)
-    run3 = run_lemma3_curve(rost, cfg.mixture, n, c, cfg.t_grid, cfg.n_rep,
-                            cfg.seed, cfg.sampler, cfg.threads)
-    results["structure_comparison"] = run3.verdicts
-    ok = ok and run3.verdicts["fd_gibbs_pass"] and run3.verdicts["second_line_nonpositive"]
-    for t, p, dfd, dgb in zip(run3.t_grid, run3.phi, run3.dphi_fd, run3.dphi_gibbs):
-        rows.append(["structure-comparison", f"{t:.17g}", f"{p.mean:.17g}",
-                     f"{p.stderr:.17g}", f"{dfd.mean:.17g}", f"{dgb.mean:.17g}"])
+    runs["structure-comparison"] = run_lemma3_curve(rost, cfg.mixture, n, c, cfg.t_grid,
+                                                    cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
+    rows = [[kind, f"{t:.17g}", f"{p.mean:.17g}", f"{p.stderr:.17g}", f"{dfd.mean:.17g}",
+             f"{dgb.mean:.17g}"]
+            for kind, run in runs.items()
+            for t, p, dfd, dgb in zip(run.t_grid, run.phi, run.dphi_fd, run.dphi_gibbs)]
+    results = {kind.replace("-", "_"): run.verdicts for kind, run in runs.items()}
+    # every yes/no verdict of a curve is asserted
+    ok = all(v for verdicts in results.values() for v in verdicts.values()
+             if isinstance(v, (bool, np.bool_)))
     return {"interp.csv": (["kind", "t", "mean", "stderr", "d_fd", "d_gibbs"], rows)}, results, ok
 
 
@@ -469,11 +453,9 @@ def cmd_validate(cfg: ExperimentConfig) -> Reports:
         "structural": conv.structural,
         "worst_second_difference": conv.worst_second_difference,
     }
-    ok = True
     if conv.convex:
         pos = check_positivity(spec)
         results["positivity"] = {"min": min(pos.minima.values()), "pass": pos.passed}
-        ok = ok and pos.passed
 
     rng = rng_for(cfg.seed, 0, stream=5)
     probes = []
@@ -482,7 +464,6 @@ def cmd_validate(cfg: ExperimentConfig) -> Reports:
         probes += [(m1, m2, 1, 1), (m1, m2, 1, 2)]
     cov = empirical_covariance(spec, n, max(cfg.n_rep, 2000), probes, cfg.seed, cfg.sampler)
     results["covariance"] = {"max_sigmas": cov.max_sigmas, "pass": cov.max_sigmas <= 4.0}
-    ok = ok and cov.max_sigmas <= 4.0
 
     worst = 0.0
     mag = magnetizations(n)
@@ -492,7 +473,6 @@ def cmd_validate(cfg: ExperimentConfig) -> Reports:
         brute = brute_overlap_logz(h[0] + spec.h1 * mag, h[1] + spec.h2 * mag)
         worst = max(worst, float(np.max(np.abs(np.expm1(log_z - brute)))))
     results["engine_oracle"] = {"max_rel_gap": worst, "pass": worst <= 1e-10}
-    ok = ok and worst <= 1e-10
 
     worst_dp = 0.0
     n_small = min(n, 5)
@@ -504,10 +484,9 @@ def cmd_validate(cfg: ExperimentConfig) -> Reports:
         for d in range(n_small + 1):
             worst_dp = max(worst_dp, abs(ladder[d] - brute_cavity_logz(a, b, d)))
     results["cavity_oracle"] = {"max_gap": worst_dp, "pass": worst_dp <= 1e-10}
-    ok = ok and worst_dp <= 1e-10
 
     rows = [[k, json.dumps(_jsonable(v)), bool(v.get("pass", True))] for k, v in results.items()]
-    return {"validate.csv": (["check", "value", "pass"], rows)}, results, ok
+    return {"validate.csv": (["check", "value", "pass"], rows)}, results, all(r[2] for r in rows)
 
 
 COMMANDS = {

@@ -51,6 +51,11 @@ class RostInvalidError(ValueError):
     """A random overlap structure violates one of its invariants."""
 
 
+class NumericalError(RuntimeError):
+    """A quantity the numerics must keep was lost to rounding or overflow: a
+    positive-by-construction sum, or an estimate's mean or standard error."""
+
+
 def psd_factor(mat: np.ndarray) -> np.ndarray:
     """Factor F with F @ F.T = mat for a symmetric PSD matrix.
 
@@ -607,13 +612,17 @@ def empirical_covariance(
     def products(block: range) -> np.ndarray:
         h = eng.sample_block([np.random.SeedSequence(seed, spawn_key=(rep,))
                               for rep in block]).values
-        return h[:, ell - 1, mask1] * h[:, ellp - 1, mask2] / n
+        with np.errstate(over="ignore"):
+            return h[:, ell - 1, mask1] * h[:, ellp - 1, mask2] / n
 
     # a block's largest stacked array is its tables, 2 * 2**n doubles a replica;
     # the mean and stderr sum replicas in C order, as a per-replica fill does
     vals = np.ascontiguousarray(parallel.map_blocks(products, (), n_rep, 2 << n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates, stderrs = vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(n_rep)
+    if not (np.isfinite(estimates).all() and np.isfinite(stderrs).all()):
+        raise NumericalError("a covariance probe's mean or standard error overflows a double")
     funcs = mixture_functions(spec)
     overlaps = 1.0 - 2.0 * popcounts(n)[mask1 ^ mask2] / n
     targets = [funcs.xi(*pr[2:], r) for pr, r in zip(probes, overlaps)]
-    return CovarianceReport(targets=np.array(targets), estimates=vals.mean(axis=0),
-                            stderrs=vals.std(axis=0, ddof=1) / np.sqrt(n_rep))
+    return CovarianceReport(targets=np.array(targets), estimates=estimates, stderrs=stderrs)

@@ -22,6 +22,7 @@ from .disorder import (
     CavityFieldSample,
     ExplicitDraw,
     HamiltonianTable,
+    NumericalError,
     ResourceError,
     RostInvalidError,
     RostSpec,
@@ -35,10 +36,6 @@ from .parallel import map_blocks, replica_seed, rng_for, summarize
 WHT_CAP = 12
 EXPLICIT_PAIR_CAP = 2048
 EXPLICIT_VARIANTS = ("limit", "finite")
-
-
-class NumericalError(RuntimeError):
-    """A positive-by-construction quantity was lost to rounding."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,13 @@ class Estimate:
 
 
 def _estimate(values, seed: int, label: str) -> Estimate:
-    mean, stderr = summarize(values)
+    """The Estimate of per-replica values; NumericalError if its mean or
+    standard error is not finite (the squares of values near 1e154 overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stderr = summarize(values)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise NumericalError(f"{label} has mean {mean:.6g} and standard error {stderr:.6g}: "
+                             "its replica values overflow a double")
     return Estimate(mean=mean, stderr=stderr, n_rep=len(values), seed=seed, label=label)
 
 

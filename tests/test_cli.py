@@ -393,6 +393,47 @@ class TestPreconditions:
         assert repr(key) in capsys.readouterr().err
         assert no_monte_carlo == []
 
+    @pytest.mark.parametrize("out", [5, None, ["reports"]])
+    def test_out_that_is_not_a_path_exits_2_before_monte_carlo(self, out, small_config,
+                                                               tmp_path, no_monte_carlo, capsys):
+        path = tmp_path / "bad_out.json"
+        path.write_text(json.dumps({**json.loads(small_config.read_text()), "out": out}))
+        assert run_cli("free-energy", "--config", str(path)) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error: out must be a path string")
+        assert no_monte_carlo == []
+
+    @pytest.mark.parametrize("key", ["n_rep", "seed", "u"])
+    def test_integer_beyond_a_double_exits_2_before_monte_carlo(self, key, small_config,
+                                                                tmp_path, no_monte_carlo, capsys):
+        # json reads 10**400 as a Python int, which no double holds
+        data = json.loads(small_config.read_text())
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**data, key: 10**400}))
+        assert run_cli("free-energy", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be")
+        assert no_monte_carlo == []
+
+    @pytest.mark.parametrize("command", ["lemma3", "interp", "validate"])
+    def test_estimate_that_overflows_exits_2(self, command, tmp_path, capsys):
+        # a1 = 1e153 fits a double, but the derivative statistics and the
+        # covariance products near 1e306 overflow their squares, so a standard
+        # error would be inf (lemma3 passed its verdict on one)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mixture": {"a1": [0, 1e153], "a2": [0, 0.5]}, "n": 4, "n_rep": 6, "m": 2,
+            "rost": {"m": 3, "delta": 0.05},
+        }))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "overflow" in lines[0]
+        assert not out.exists()
+
 
 class TestFreeEnergyCommand:
     def test_closed_form_row(self, tmp_path):
@@ -418,6 +459,28 @@ class TestFreeEnergyCommand:
         assert manifest["config"]["seed"] == 7
         assert manifest["config"]["mixture"]["a1"] == [0.0, 0.5]
         assert "timestamp" in manifest
+
+    @pytest.mark.parametrize("sizes", [{"n": 5}, {"n_list": [5, 4]}], ids=["n", "n_list"])
+    def test_manifest_config_is_the_input(self, sizes, tmp_path):
+        # every key off its default: the manifest records each as given, the
+        # one size n as n_list, and neither out nor --threads
+        rost_path = tmp_path / "rost.json"
+        rost_path.write_text(json.dumps({
+            "q11": [[1.0]], "q12": [[0.25]], "q22": [[1.0]], "delta": 0.1, "u": 0.25,
+            "weights": {"kind": "dirichlet"}}))
+        out = tmp_path / "reports_of_the_config"
+        cfg = {
+            "mixture": {"a1": [0.1, 0.5, 0.25], "a2": [0.2, 0.5, 0.25], "h1": 0.1, "h2": -0.2},
+            **sizes, "m": 2, "u": 0.25, "eps_grid": [0.0, 0.75], "t_grid": [0.4], "n_rep": 3,
+            "seed": 11, "sampler": "process", "rost_file": str(rost_path),
+            "rost": {"m": 2, "delta": 0.1, "gamma": 2.5}, "out": str(out),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("free-energy", "--config", str(path), "--threads", "2") == 0
+        expected = {key: value for key, value in cfg.items() if key not in ("n", "out")}
+        expected["n_list"] = cfg.get("n_list", [cfg.get("n")])
+        assert json.loads((out / "manifest.json").read_text())["config"] == expected
 
 
 class TestDeterminism:

@@ -178,6 +178,15 @@ class TestEmpiricalCovariance:
         )
         assert rep.max_sigmas == 0.0
 
+    @pytest.mark.parametrize("sampler", ["tensor", "process"])
+    def test_overflowing_stderr_raises(self, sampler):
+        # fields near 1e153 give products near 1e306, whose squares overflow
+        spec = MixtureSpec(a1=(0.0, 1e153), a2=(0.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(disorder.NumericalError, match="overflows a double"):
+                empirical_covariance(spec, 4, 20, [(0, 0, 1, 1), (3, 5, 1, 2)], 1, sampler)
+
 
 class TestRostSpec:
     def test_bad_diagonal_rejected(self):

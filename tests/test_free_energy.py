@@ -634,3 +634,15 @@ class TestParallelism:
         pooled = run_lemma3_curve(rost, pure_p2, 4, c, (0.25, 0.75), 12, seed=9, threads=2)
         assert self._curve_numbers(serial) == self._curve_numbers(pooled)
         assert serial.verdicts == pooled.verdicts
+
+
+@pytest.mark.parametrize("values", [[1e200, -1e200, 0.0], [np.inf, 0.0], [np.nan, 1.0]],
+                         ids=["overflowing-square", "infinite", "nan"])
+def test_estimate_that_is_not_finite_raises(values):
+    from coupledsk.free_energy import _estimate
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning above the error
+        with pytest.raises(NumericalError, match="overflow a double"):
+            _estimate(np.array(values), 0, "x")
+
