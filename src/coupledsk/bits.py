@@ -94,13 +94,10 @@ def bucket_by_popcount(values: np.ndarray, n: int) -> np.ndarray:
     return flat.reshape(values.shape[:-1] + (n + 1,))
 
 
-@lru_cache(maxsize=None)
 def split_popcounts(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-mask popcounts of the low m bits and the high n bits of m+n-bit masks."""
     masks = np.arange(2 ** (m + n), dtype=np.int64)
     lo = popcounts(m)[masks & ((1 << m) - 1)]
     hi = popcounts(n)[masks >> m]
-    lo.flags.writeable = False
-    hi.flags.writeable = False
     return lo, hi
 

@@ -316,19 +316,10 @@ class RostSpec:
         return self.q12.T
 
     def block_matrix(self, entry_fn) -> np.ndarray:
-        """Assemble the 2m x 2m matrix entry_fn(l, l', q) blockwise, copy-major.
-
-        entry_fn acts entrywise, so it is evaluated once per distinct overlap
-        of each block and spread by the inverse index."""
-        m = self.m
-        out = np.empty((2 * m, 2 * m))
-        for ell in (1, 2):
-            for ellp in (1, 2):
-                values, inverse = np.unique(self.q(ell, ellp), return_inverse=True)
-                out[(ell - 1) * m:ell * m, (ellp - 1) * m:ellp * m] = entry_fn(
-                    ell, ellp, values
-                )[inverse.reshape(m, m)]
-        return out
+        """The 2m x 2m matrix entry_fn(l, l', q) of the copy blocks, copy-major;
+        entry_fn acts entrywise on each q-matrix."""
+        return np.block([[entry_fn(ell, ellp, self.q(ell, ellp)) for ellp in (1, 2)]
+                         for ell in (1, 2)])
 
     @classmethod
     def from_dict(cls, data: dict) -> "RostSpec":
@@ -486,6 +477,10 @@ class ExplicitSystemSampler:
     def __init__(self, spec: MixtureSpec, m: int, n: int):
         if m + n > EXPLICIT_CAP:
             raise ResourceError(f"explicit route capped at M + n = {EXPLICIT_CAP}, got {m + n}")
+        need = sum(8 * ((m + n) ** p + m**p) for p in range(1, spec.p_max + 1))
+        if need > TENSOR_BUDGET_BYTES:
+            raise ResourceError(f"explicit coupling tensors need {need} bytes a replica > budget "
+                                f"{TENSOR_BUDGET_BYTES}; reduce M + n or the mixture's order")
         self.spec = spec
         self.m = m
         self.n = n

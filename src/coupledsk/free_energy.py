@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -349,7 +348,6 @@ def estimate_G(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _constrained_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """All base-mask pairs at disagreement d, deterministic order."""
     masks_d = np.array(
@@ -357,8 +355,6 @@ def _constrained_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     )
     r1 = np.repeat(np.arange(1 << m, dtype=np.int64), masks_d.size)
     r2 = (r1.reshape(-1, masks_d.size) ^ masks_d).reshape(-1)
-    r1.flags.writeable = False
-    r2.flags.writeable = False
     return r1, r2
 
 
@@ -454,6 +450,7 @@ def estimate_G_MN(
 ) -> tuple[GEstimate, GEstimate]:
     """Monte Carlo averages of the explicit-structure functional, the 'limit'
     and the 'finite' variant, both from one draw per replica."""
+    get_explicit_sampler(spec, m, n)  # built before map_blocks: the workers share it
     # a block's largest stacked array is its ladders, (pairs, n+1) a replica,
     # its fields z, (n, 2, 2**m), or its top-order coupling tensors
     row = max((math.comb(m, u_m.d) << m) * (n + 1), 2 * n << m, (m + n) ** spec.p_max)

@@ -19,7 +19,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -147,7 +146,6 @@ class MixtureFunctions:
         return x * self.xi_prime(ell, ellp, x) - self.xi(ell, ellp, x)
 
 
-@lru_cache(maxsize=64)
 def mixture_functions(spec: MixtureSpec) -> MixtureFunctions:
     return MixtureFunctions(spec)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_even_spec
-from coupledsk import free_energy, parallel
+from coupledsk import parallel
 from coupledsk.bits import bucket_by_popcount, fwht, spin_matrix
 from coupledsk.configurations import nearest_admissible
 from coupledsk.disorder import (
@@ -190,15 +190,14 @@ class TestPmap:
             (1, pid), (2, pid), (3, pid)]
 
     def test_many_threads_on_cold_caches_match_one_thread(self, pure_p2, monkeypatch):
-        # more threads than cores, switching every microsecond, every worker
-        # filling the shared sampler and pair caches at once: the same bits
-        # as one thread
+        # more threads than cores, switching every microsecond, from cold
+        # sampler and spin caches: the same bits as one thread
         monkeypatch.setattr(parallel, "BLOCK_DOUBLES", 64)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
         u_m, u_prime = nearest_admissible(3, 1 / 3), nearest_admissible(4, 0.0)
 
         def run(threads):
-            for cache in (get_explicit_sampler, free_energy._constrained_pairs, spin_matrix):
+            for cache in (get_explicit_sampler, spin_matrix):
                 cache.cache_clear()
             return estimate_G_MN(pure_p2, 3, 4, u_m, u_prime, 24, seed=5, threads=threads)
 

@@ -15,7 +15,7 @@ import pytest
 from coupledsk import cli, free_energy, interpolation, parallel
 from coupledsk.cli import main
 from coupledsk.configurations import nearest_admissible
-from coupledsk.disorder import RostFieldSampler, get_sampler
+from coupledsk.disorder import ExplicitSystemSampler, RostFieldSampler, get_sampler
 from coupledsk.free_energy import NumericalError
 from coupledsk.mixture import ConvexityWarning
 from coupledsk.reference import build_explicit_rost
@@ -162,6 +162,25 @@ class TestPreconditions:
         err = capsys.readouterr().err
         assert "312713952 bytes > budget 268435456; use the process sampler" in err
 
+    def test_explicit_tensor_budget_exits_2_before_monte_carlo(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # order 7 at M + n = 14 would draw a 14**7-double (843 MB) tensor a replica
+        def reached(self, seeds):
+            raise WorkerReached("ExplicitSystemSampler.sample_block")
+
+        monkeypatch.setattr(ExplicitSystemSampler, "sample_block", reached)
+        path = tmp_path / "p7_explicit.json"
+        path.write_text(json.dumps({
+            "mixture": {"a1": [0, 0.5, 0, 0, 0, 0, 0.1], "a2": [0, 0.5]}, "n": 12, "m": 2,
+            "n_rep": 4,
+        }))
+        out = tmp_path / "out"
+        assert run_cli("explicit-rost", "--config", str(path), "--out", str(out)) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "908179904 bytes a replica > budget 268435456" in lines[0]
+        assert not out.exists()
+
     def test_process_route_takes_the_tensor_budget_sizes(self, p7_run):
         run, workers = p7_run
         with pytest.raises(WorkerReached):
@@ -252,6 +271,7 @@ class TestPreconditions:
         rost_path = tmp_path / "rost.json"
         rost_path.write_text(structure)
         data = json.loads(small_config.read_text())
+        del data["rost"]  # the file is the run's structure
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**data, "rost_file": str(rost_path)}))
         assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
@@ -269,6 +289,7 @@ class TestPreconditions:
             "q11": q11, "q12": np.zeros((3, 3)).tolist(), "q22": np.eye(3).tolist(),
             "delta": 0.1, "u": 0.0, "weights": {"kind": "dirichlet"}}))
         data = json.loads(small_config.read_text())
+        del data["rost"]  # the file is the run's structure
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**data, "rost_file": str(rost_path)}))
         assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
@@ -393,6 +414,28 @@ class TestPreconditions:
         assert repr(key) in capsys.readouterr().err
         assert no_monte_carlo == []
 
+    @pytest.mark.parametrize("command, key, pair", [("free-energy", "n", "n and n_list"),
+                                                    ("rost-eval", "rost_file", "rost and rost_file")],
+                             ids=["n", "rost"])
+    def test_two_keys_for_one_input_exit_2_before_monte_carlo(self, command, key, pair,
+                                                               small_config, tmp_path,
+                                                               no_monte_carlo, capsys):
+        # small_config's n_list [4] beside n 5, or its rost generator beside a
+        # 6-element structure file: neither may be dropped without a word
+        rost_path = tmp_path / "rost.json"
+        rost_path.write_text(json.dumps({
+            "q11": np.eye(6).tolist(), "q12": np.zeros((6, 6)).tolist(),
+            "q22": np.eye(6).tolist(), "delta": 0.05, "u": 0.0,
+            "weights": {"kind": "dirichlet"}}))
+        value = {"n": 5, "rost_file": str(rost_path)}[key]
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({**json.loads(small_config.read_text()), key: value}))
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"both {pair}" in lines[0]
+        assert no_monte_carlo == []
+
     @pytest.mark.parametrize("out", [5, None, ["reports"]])
     def test_out_that_is_not_a_path_exits_2_before_monte_carlo(self, out, small_config,
                                                                tmp_path, no_monte_carlo, capsys):
@@ -460,10 +503,12 @@ class TestFreeEnergyCommand:
         assert manifest["config"]["mixture"]["a1"] == [0.0, 0.5]
         assert "timestamp" in manifest
 
+    @pytest.mark.parametrize("structure", ["rost_file", "rost"])
     @pytest.mark.parametrize("sizes", [{"n": 5}, {"n_list": [5, 4]}], ids=["n", "n_list"])
-    def test_manifest_config_is_the_input(self, sizes, tmp_path):
-        # every key off its default: the manifest records each as given, the
-        # one size n as n_list, and neither out nor --threads
+    def test_manifest_config_is_the_input(self, sizes, structure, tmp_path):
+        # every key off its default, of the two structure keys the one given:
+        # the manifest records each as given, the one size n as n_list, the
+        # structure key not given as null, and neither out nor --threads
         rost_path = tmp_path / "rost.json"
         rost_path.write_text(json.dumps({
             "q11": [[1.0]], "q12": [[0.25]], "q22": [[1.0]], "delta": 0.1, "u": 0.25,
@@ -472,14 +517,16 @@ class TestFreeEnergyCommand:
         cfg = {
             "mixture": {"a1": [0.1, 0.5, 0.25], "a2": [0.2, 0.5, 0.25], "h1": 0.1, "h2": -0.2},
             **sizes, "m": 2, "u": 0.25, "eps_grid": [0.0, 0.75], "t_grid": [0.4], "n_rep": 3,
-            "seed": 11, "sampler": "process", "rost_file": str(rost_path),
-            "rost": {"m": 2, "delta": 0.1, "gamma": 2.5}, "out": str(out),
+            "seed": 11, "sampler": "process", "out": str(out),
         }
+        structures = {"rost_file": str(rost_path), "rost": {"m": 2, "delta": 0.1, "gamma": 2.5}}
+        cfg[structure] = structures[structure]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run_cli("free-energy", "--config", str(path), "--threads", "2") == 0
         expected = {key: value for key, value in cfg.items() if key not in ("n", "out")}
         expected["n_list"] = cfg.get("n_list", [cfg.get("n")])
+        expected.update({key: None for key in structures if key != structure})
         assert json.loads((out / "manifest.json").read_text())["config"] == expected
 
 
@@ -543,6 +590,18 @@ class TestStructureCommands:
         assert run_cli("rost-eval", "--config", str(cfg), "--out", str(out)) == 0
         lines = (out / "rost_eval.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + difference + both terms
+
+    def test_explicit_rost_dual_path_verdict_is_relative(self, tmp_path):
+        # terms near 8.6e152 whose ladder and brute-force sums agree to about
+        # 4e-16 relative, an absolute gap near 4e137, which is reported
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mixture": {"a1": [0, 1e153], "a2": [0, 0.5]}, "n": 4, "n_rep": 6, "m": 2,
+        }))
+        out = tmp_path / "out"
+        assert run_cli("explicit-rost", "--config", str(path), "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pass"] and manifest["results"]["dual_path_gap"] > 1e-10
 
     @pytest.mark.parametrize("sampler", ["tensor", "process"])
     def test_interpolation_commands_draw_on_the_configured_route(self, sampler, small_config,
