@@ -251,17 +251,11 @@ def _structure_file(path: str) -> RostSpec:
 ESTIMATE_FIELDS = ["label", "n", "k", "eps", "n_rep", "seed", "mean", "stderr"]
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars and arrays to plain Python types."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
+def _json_default(obj):
+    """json.dumps' hook for what it cannot write: numpy arrays and scalars."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -284,10 +278,11 @@ def _write_manifest(out: Path, command: str, cfg: ExperimentConfig, results: dic
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": cfg.resolved(),
-        "results": _jsonable(results),
+        "results": results,
         "pass": bool(ok),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_default)
+    (out / "manifest.json").write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +345,9 @@ def cmd_superadd(cfg: ExperimentConfig) -> Reports:
     sup = superadditivity_check(cfg.mixture, cfg.u, cfg.n_list, cfg.n_rep, cfg.seed,
                                 cfg.sampler, cfg.threads)
     rows = [
-        ["normalized_deficit", str(sz), "", "", cfg.n_rep, cfg.seed, f"{v:.17g}", ""]
-        for sz, v in zip(sup["sizes"], sup["normalized_deficits"])
+        ["normalized_deficit", str(sz), "", "", cfg.n_rep, cfg.seed, f"{v:.17g}", f"{se:.17g}"]
+        for sz, v, se in zip(sup["sizes"], sup["normalized_deficits"],
+                             sup["normalized_deficit_stderrs"])
     ]
     return {"superadd.csv": (ESTIMATE_FIELDS, rows)}, sup, sup["pass"]
 
@@ -491,7 +487,8 @@ def cmd_validate(cfg: ExperimentConfig) -> Reports:
             worst_dp = max(worst_dp, abs(ladder[d] - brute_cavity_logz(a, b, d)))
     results["cavity_oracle"] = {"max_gap": worst_dp, "pass": worst_dp <= 1e-10}
 
-    rows = [[k, json.dumps(_jsonable(v)), bool(v.get("pass", True))] for k, v in results.items()]
+    rows = [[k, json.dumps(v, default=_json_default), bool(v.get("pass", True))]
+            for k, v in results.items()]
     return {"validate.csv": (["check", "value", "pass"], rows)}, results, all(r[2] for r in rows)
 
 
@@ -521,6 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig.load(args.config, args)
         reports, results, ok = COMMANDS[args.command](cfg)
+        if results.get("trend_assessed") is False:  # lemma1 or superadd with too few sizes
+            print(f"note: {args.command} tested no size trend: that needs 3 or more sizes",
+                  file=sys.stderr)
         for name, (header, rows) in reports.items():
             _write_csv(cfg.out / name, header, rows)
         _write_manifest(cfg.out, args.command, cfg, results, ok)

@@ -30,7 +30,7 @@ of popcounts has its spectrum from the Krawtchouk table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -58,11 +58,26 @@ from .parallel import map_blocks, replica_row, replica_seed
 FD_STEP = 0.05
 
 
-def _unit_points(ts) -> tuple[float, ...]:
-    ts = tuple(ts)
-    if not all(0.0 <= t <= 1.0 for t in ts):
-        raise ValueError(f"interpolation points must lie in [0, 1], got {ts}")
-    return ts
+def _pass_points(spec: MixtureSpec, phi_ts, deriv_ts, decomposition: str):
+    """Both grids as tuples of points in [0, 1], and the mixture checked
+    convex when derivatives are asked: a pass's checks before its samplers."""
+    grids = tuple(tuple(ts) for ts in (phi_ts, deriv_ts))
+    for ts in grids:
+        if not all(0.0 <= t <= 1.0 for t in ts):
+            raise ValueError(f"interpolation points must lie in [0, 1], got {ts}")
+    if grids[1]:
+        require_convex(spec, decomposition)
+    return grids
+
+
+def _curve_worker(state_of, phi_at, deriv_at, phi_ts, deriv_ts, block) -> np.ndarray:
+    """One replica block's columns: phi at phi_ts, then each derivative's
+    columns after its first at deriv_ts.  The block's state is built once; a
+    phi point that is also a derivative point takes the derivative's column 0."""
+    state = state_of(block)
+    der = {t: deriv_at(state, t) for t in deriv_ts}
+    phi = [der[t][:, :1] if t in der else phi_at(state, t)[:, None] for t in phi_ts]
+    return np.concatenate(phi + [der[t][:, 1:] for t in deriv_ts], axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -268,16 +283,6 @@ def _split_constrained_term(
     return float(constrained)
 
 
-def _lemma2_worker(spec, u_m, u_n, phi_ts, deriv_ts, b_hats, sampler, root, block) -> np.ndarray:
-    """The columns phi(phi_ts), then the convexity term at deriv_ts, of one
-    replica block."""
-    tables = _split_block(spec, u_m.n, u_n.n, root, block, sampler)
-    der = {t: lemma2_derivative_block(spec, u_m, u_n, t, tables, b_hats) for t in deriv_ts}
-    phi = [der[t][:, 0] if t in der else lemma2_phi_block(spec, u_m, u_n, t, tables)
-           for t in phi_ts]
-    return np.stack(phi + [der[t][:, 1] for t in deriv_ts], axis=-1)
-
-
 def _lemma2_pass(
     spec: MixtureSpec,
     u_m: OverlapConstraint,
@@ -294,20 +299,23 @@ def _lemma2_pass(
     that is also a derivative point takes the derivative's path value.
     Returns the path values, shape (n_rep, len(phi_ts)), and the exact-Gibbs
     derivative at each of deriv_ts."""
-    if u_m.n + u_n.n > WHT_CAP:
+    big = u_m.n + u_n.n
+    if big > WHT_CAP:
         raise ValueError(f"pinned-block route capped at M + N = {WHT_CAP}")
-    phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
-    if deriv_ts:
-        require_convex(spec, "the size-splitting derivative decomposition")
+    phi_ts, deriv_ts = _pass_points(spec, phi_ts, deriv_ts,
+                                    "the size-splitting derivative decomposition")
     # built here, before pmap: a size check fails before any replica, and
     # the workers share one sampler per size
-    for size in (u_m.n, u_n.n, u_m.n + u_n.n):
+    for size in (u_m.n, u_n.n, big):
         get_sampler(spec, size, sampler)
-    big = u_m.n + u_n.n
+    b_hats = _bracket_spectra(spec, u_m.n, u_n.n)
+    args = (partial(_split_block, spec, u_m.n, u_n.n, seed, sampler=sampler),
+            lambda tables, t: lemma2_phi_block(spec, u_m, u_n, t, tables),
+            lambda tables, t: lemma2_derivative_block(spec, u_m, u_n, t, tables, b_hats),
+            phi_ts, deriv_ts)
     # a block's largest stacked arrays are its (M+N)-spin tables, 2 * 2**(M+N)
     # doubles a replica
-    args = (spec, u_m, u_n, phi_ts, deriv_ts, _bracket_spectra(spec, u_m.n, u_n.n), sampler, seed)
-    out = map_blocks(_lemma2_worker, args, n_rep, 2 << big, threads)
+    out = map_blocks(_curve_worker, args, n_rep, 2 << big, threads)
     phi, conv = out[:, :len(phi_ts)], out[:, len(phi_ts):]
     constrained = _split_constrained_term(mixture_functions(spec), u_m, u_n)
     derivs = [
@@ -496,16 +504,6 @@ def lemma3_derivative_block(
     return np.stack([phi, first, -0.5 * total_b], axis=-1)
 
 
-def _lemma3_worker(rost, spec, n, c, phi_ts, deriv_ts, terms, sampler, root, block) -> np.ndarray:
-    """The columns phi(phi_ts), then the first sum and the second line at
-    each of deriv_ts, of one replica block."""
-    states = lemma3_states(rost, spec, n, root, block, sampler)
-    der = {t: lemma3_derivative_block(states, terms, spec, n, c, t) for t in deriv_ts}
-    phi = [der[t][:, :1] if t in der else lemma3_phi_block(states, spec, n, c, t)[:, None]
-           for t in phi_ts]
-    return np.concatenate(phi + [der[t][:, 1:] for t in deriv_ts], axis=-1)
-
-
 def _lemma3_pass(
     rost: RostSpec,
     spec: MixtureSpec,
@@ -522,16 +520,19 @@ def _lemma3_pass(
     replica's state is built once and evaluated at every t, once per t, as in
     _lemma2_pass.  Returns the path values, shape (n_rep, len(phi_ts)), and
     the exact-Gibbs derivative at each of deriv_ts."""
-    phi_ts, deriv_ts = _unit_points(phi_ts), _unit_points(deriv_ts)
-    if deriv_ts:
-        require_convex(spec, "the structure-comparison derivative decomposition")
+    phi_ts, deriv_ts = _pass_points(spec, phi_ts, deriv_ts,
+                                    "the structure-comparison derivative decomposition")
     # before pmap, as in _lemma2_pass
     get_sampler(spec, n, sampler)
     get_field_sampler(rost, spec)
+    terms = _lemma3_terms(rost, spec, n, c)
+    args = (partial(lemma3_states, rost, spec, n, seed, sampler=sampler),
+            lambda states, t: lemma3_phi_block(states, spec, n, c, t),
+            lambda states, t: lemma3_derivative_block(states, terms, spec, n, c, t),
+            phi_ts, deriv_ts)
     # a block's largest stacked arrays are its element tables, (m, 2**n) a
     # replica, or its disorder tables, (2, 2**n)
-    args = (rost, spec, n, c, phi_ts, deriv_ts, _lemma3_terms(rost, spec, n, c), sampler, seed)
-    out = map_blocks(_lemma3_worker, args, n_rep, max(rost.m, 2) << n, threads)
+    out = map_blocks(_curve_worker, args, n_rep, max(rost.m, 2) << n, threads)
     phi = out[:, :len(phi_ts)]
     der = out[:, len(phi_ts):].reshape(n_rep, len(deriv_ts), 2)
     bound = first_sum_bound(rost, mixture_functions(spec), c.u)
@@ -769,22 +770,16 @@ def superadditivity_check(
     threads: int = 1,
 ) -> dict:
     """Restricted-range superadditivity: the normalized deficit
-    -((m+n) F_{m+n} - m F_m - n F_n) / sqrt(m+n) does not grow with m+n."""
-    f_cache: dict[int, Estimate] = {}
+    -((m+n) F_{m+n} - m F_m - n F_n) / sqrt(m+n) does not grow with m+n,
+    fitted once per unordered pair m <= n (a mirror pair repeats its deficit)."""
 
+    @lru_cache(maxsize=None)
     def f_of(n: int) -> Estimate:
-        if n not in f_cache:
-            f_cache[n] = estimate_F(
-                spec, n, nearest_admissible(n, u), n_rep, seed + 104729 * n, sampler, threads
-            )
-        return f_cache[n]
+        return estimate_F(spec, n, nearest_admissible(n, u), n_rep, seed + 104729 * n, sampler,
+                          threads)
 
-    pairs = [
-        (m, n)
-        for m in n_list
-        for n in n_list
-        if n / 2 <= m <= 2 * n and m + n <= WHT_CAP
-    ]
+    distinct = list(dict.fromkeys(n_list))
+    pairs = [(m, n) for m in distinct for n in distinct if n / 2 <= m <= n and m + n <= WHT_CAP]
     normalized = []
     norm_se = []
     sizes = []
@@ -800,7 +795,9 @@ def superadditivity_check(
     normalized = np.array(normalized)
     norm_se = np.array(norm_se)
     fitted = float(np.clip(normalized, 0.0, None).max()) if pairs else 0.0
-    tstat = _trend_tstat(sizes, normalized, norm_se) if len(set(sizes)) >= 3 else 0.0
+    # as in window_constant_check, a trend is tested only over 3 or more sums
+    assessed = len(set(sizes)) >= 3
+    tstat = _trend_tstat(sizes, normalized, norm_se) if assessed else 0.0
     # shift constant large enough to absorb the fitted defect on the
     # restricted range; reported, never asserted
     gap_coeff = np.sqrt(1.0 / 3.0) + np.sqrt(2.0 / 3.0) - 1.0
@@ -811,7 +808,9 @@ def superadditivity_check(
         "margin_sigmas": 3.0,
         "pass": bool(tstat < 2.0),
         "slope_tstat": float(tstat),
+        "trend_assessed": assessed,
         "normalized_deficits": normalized.tolist(),
+        "normalized_deficit_stderrs": norm_se.tolist(),
         "implied_shift_threshold": float(fitted / gap_coeff),
     }
 

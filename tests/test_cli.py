@@ -1,5 +1,6 @@
 """CLI behavior: configs, reports, exit codes, reproducibility."""
 
+import csv
 import functools
 import json
 import math
@@ -141,8 +142,7 @@ class TestPreconditions:
             workers.append(_name)
             raise WorkerReached(_name)
 
-        for module, name in ((free_energy, "_logz_worker"), (interpolation, "_lemma2_worker"),
-                             (interpolation, "_lemma3_worker")):
+        for module, name in ((free_energy, "_logz_worker"), (interpolation, "_curve_worker")):
             monkeypatch.setattr(module, name, functools.partial(reached, _name=name))
 
         def run(sampler):
@@ -734,3 +734,30 @@ class TestSuperaddCommand:
         assert res["check"] == "superadditivity"
         assert "implied_shift_threshold" in res
         assert (out / "superadd.csv").exists()
+
+    def test_superadd_reports_each_deficits_stderr(self, small_config, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("superadd", "--config", str(small_config), "--out", str(out)) == 0
+        res = json.loads((out / "manifest.json").read_text())["results"]
+        with open(out / "superadd.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["stderr"]) for r in rows] == res["normalized_deficit_stderrs"]
+        assert len(rows) == len(res["sizes"]) and all(float(r["stderr"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("command", ["superadd", "lemma1"])
+    @pytest.mark.parametrize("n_list, assessed", [([4], False), ([3, 4, 5], True)])
+    def test_an_untested_trend_gets_a_note(self, command, n_list, assessed, small_config,
+                                           tmp_path, capsys):
+        # n_list [4] leaves lemma1 one size and superadd the one pair (4, 4),
+        # whose sum is one size: no trend is fitted, and the run says so but
+        # still exits 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**json.loads(small_config.read_text()), "n_list": n_list,
+                                    "n_rep": 10}))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 0
+        res = json.loads((out / "manifest.json").read_text())["results"]
+        assert res["trend_assessed"] is assessed
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        note = f"note: {command} tested no size trend: that needs 3 or more sizes"
+        assert lines == ([] if assessed else [note])

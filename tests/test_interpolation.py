@@ -618,6 +618,15 @@ class TestVerdictSuite:
         checks = _size_checks(pure_p2, 0.0, (4, 6), 150, 3)
         assert all(ch["pass"] for ch in checks), checks
 
+    def test_superadd_fits_each_unordered_pair_once(self, pure_p2):
+        # a mirror pair (n, m) repeats (m, n)'s deficit from the same F's; the
+        # trend fit must not weigh that one point twice
+        res = superadditivity_check(pure_p2, 0.0, (3, 4, 5, 6, 4), 4, seed=0)
+        pairs = [tuple(p) for p in res["sizes"]]
+        assert pairs == [(m, n) for m in range(3, 7) for n in range(m, min(2 * m, 6) + 1)]
+        assert len(res["normalized_deficit_stderrs"]) == len(pairs)
+        assert res["trend_assessed"]
+
     def test_structure_margin_is_four_sigma(self, pure_p2):
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(11))
         c = OverlapConstraint(4, 0)

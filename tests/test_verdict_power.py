@@ -1,0 +1,60 @@
+"""What the statistical verdicts catch: each is run with the fault it exists
+to detect injected into the estimator its subcommand calls, at a stated
+size, and must exit 1 there and 0 without the fault.
+
+lemma3 asserts F <= G + first-sum bound + 4 sigma.  On the README config at
+n_rep 200 its random Gram structure leaves G + bound - F = 0.209 with a
+margin of 0.086, so a bias added to F's mean is caught between +0.2 and
++0.3.  superadd fits the trend of the normalized deficit
+-((m+n) F_{m+n} - m F_m - n F_n) / sqrt(m+n) over m + n; lowering each F_n
+by gamma n adds 2 gamma m n to that, which grows with the size.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from coupledsk import cli, interpolation
+from coupledsk.cli import main
+
+README = {
+    "mixture": {"a1": [0.0, 0.5], "a2": [0.0, 0.5], "h1": 0.0, "h2": 0.0},
+    "n_list": [6, 8],
+    "m": 4,
+    "u": 0.0,
+    "eps_grid": [0.0, 0.25, 0.5, 1.0],
+    "t_grid": [0.25, 0.5, 0.75],
+    "n_rep": 500,
+    "seed": 1,
+    "rost": {"m": 4, "delta": 0.05, "gamma": 1.0},
+}
+
+
+def _exit_code(tmp_path, command: str, config: dict) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def _shifted(estimate_F, shift):
+    """estimate_F with shift(n) added to each estimate's mean."""
+
+    def shifted(spec, n, *args):
+        est = estimate_F(spec, n, *args)
+        return dataclasses.replace(est, mean=est.mean + shift(n))
+
+    return shifted
+
+
+@pytest.mark.parametrize("bias, code", [(0.0, 0), (0.2, 0), (0.3, 1)])
+def test_lemma3_catches_f_too_large(bias, code, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "estimate_F", _shifted(cli.estimate_F, lambda n: bias))
+    assert _exit_code(tmp_path, "lemma3", {**README, "n_rep": 200}) == code
+
+
+@pytest.mark.parametrize("gamma, code", [(0.0, 0), (0.05, 1)])
+def test_superadd_catches_a_growing_deficit(gamma, code, tmp_path, monkeypatch):
+    monkeypatch.setattr(interpolation, "estimate_F",
+                        _shifted(interpolation.estimate_F, lambda n: -gamma * n))
+    assert _exit_code(tmp_path, "superadd", {**README, "n_list": [3, 4, 5, 6], "n_rep": 20}) == code
