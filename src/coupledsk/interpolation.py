@@ -29,7 +29,7 @@ of popcounts has its spectrum from the Krawtchouk table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -557,11 +557,14 @@ def _lemma3_pass(
 
 @dataclass(eq=False)
 class InterpolationRun:
+    """A curve, its verdicts, and whether the asserted ones hold (passed)."""
+
     t_grid: tuple[float, ...]
     phi: list[Estimate]
     dphi_fd: list[Estimate]
     gibbs: list  # the Lemma2Derivative or Lemma3Derivative at each t
-    verdicts: dict = field(default_factory=dict)
+    verdicts: dict
+    passed: bool
 
     @property
     def dphi_gibbs(self) -> list[Estimate]:
@@ -579,11 +582,12 @@ def _phi_points(t_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def _curve_run(
     phi: np.ndarray, phi_ts: tuple[float, ...], gibbs: list, seed: int, phi_label: str,
-    fd_label: str, verdicts: dict,
+    fd_label: str, sign_key: str, nonpositive: bool, **extra,
 ) -> InterpolationRun:
     """The curve with path values and common-random-number finite
     differences at each grid t, from per-replica phi columns laid out by
-    _phi_points; verdicts gains the finite-difference/Gibbs agreement."""
+    _phi_points.  It passes if they agree with the Gibbs derivatives and the
+    term that must be nonpositive is (verdict sign_key); extra is reported."""
     k = len(phi_ts) // 3
     values, slopes = [], []
     for j, t in enumerate(phi_ts[:k]):
@@ -592,8 +596,10 @@ def _curve_run(
         slope = (phi[:, hi] - phi[:, lo]) / (phi_ts[hi] - phi_ts[lo])
         slopes.append(_estimate(slope, seed, fd_label.format(t)))
     agree = _fd_gibbs_agreement(slopes, [g.phi_prime for g in gibbs])
-    verdicts = {"fd_gibbs_max_sigmas": agree, "fd_gibbs_pass": agree <= 3.0, **verdicts}
-    return InterpolationRun(phi_ts[:k], values, slopes, gibbs, verdicts)
+    verdicts = {"fd_gibbs_max_sigmas": agree, "fd_gibbs_pass": agree <= 3.0,
+                sign_key: nonpositive, **extra}
+    return InterpolationRun(phi_ts[:k], values, slopes, gibbs, verdicts,
+                            bool(agree <= 3.0 and nonpositive))
 
 
 def run_lemma2_curve(
@@ -613,7 +619,7 @@ def run_lemma2_curve(
     phi, gibbs = _lemma2_pass(spec, u_m, u_n, phi_ts, t_grid, n_rep, seed, sampler, threads)
     nonpositive = all(sigmas_above_zero(g.convexity_term) <= ABOVE_ZERO_SIGMAS for g in gibbs)
     return _curve_run(phi, phi_ts, gibbs, seed, f"phi_split(m={m},n={n},t={{:g}})",
-                      "dphi_split_fd(t={:g})", {"convexity_term_nonpositive": nonpositive})
+                      "dphi_split_fd(t={:g})", "convexity_term_nonpositive", nonpositive)
 
 
 def run_lemma3_curve(
@@ -632,8 +638,8 @@ def run_lemma3_curve(
     nonpositive = all(sigmas_above_zero(g.second_line) <= ABOVE_ZERO_SIGMAS for g in gibbs)
     bound = gibbs[0].first_sum_bound if gibbs else 0.0
     return _curve_run(phi, phi_ts, gibbs, seed, f"phi_rost(n={n},t={{:g}})",
-                      "dphi_rost_fd(t={:g})",
-                      {"second_line_nonpositive": nonpositive, "first_sum_bound": bound})
+                      "dphi_rost_fd(t={:g})", "second_line_nonpositive", nonpositive,
+                      first_sum_bound=bound)
 
 
 def _fd_gibbs_agreement(fd: list[Estimate], gibbs: list[Estimate]) -> float:
@@ -719,24 +725,24 @@ def window_gap_profile(
     return window_gaps(overlap_logz_replicas(spec, n, n_rep, seed, sampler, threads), k, eps_grid)
 
 
-def _weighted_slope(x: np.ndarray, y: np.ndarray, se: np.ndarray) -> tuple[float, float]:
-    """Weighted least-squares slope and its standard error."""
+def size_trend(sizes, y: np.ndarray, se: np.ndarray) -> tuple[float, bool]:
+    """(t, assessed): the one-sided t statistic of the weighted least-squares
+    slope of y against sizes, whose standard errors are se, and whether a
+    trend was assessed at all.  A slope through fewer than 3 distinct sizes
+    has no residual freedom, so it is not assessed and t is 0."""
+    if len(set(sizes)) < 3:
+        return 0.0, False
+    x = np.array(sizes, dtype=np.float64)
     w = 1.0 / np.maximum(se, 1e-15) ** 2
     xbar = (w * x).sum() / w.sum()
     sxx = (w * (x - xbar) ** 2).sum()
-    slope = (w * (x - xbar) * y).sum() / sxx
-    return float(slope), float(np.sqrt(1.0 / sxx))
-
-
-def _trend_tstat(x, y: np.ndarray, se: np.ndarray) -> float:
-    """One-sided t statistic of the weighted slope of y against x."""
-    slope, slope_se = _weighted_slope(np.array(x, dtype=np.float64), y, se)
-    return slope / slope_se if slope_se > 0 else 0.0
+    slope, slope_se = float((w * (x - xbar) * y).sum() / sxx), float(np.sqrt(1.0 / sxx))
+    return (slope / slope_se if slope_se > 0 else 0.0), True
 
 
 # Unknown proof constants are never asserted numerically: every check below
 # either uses a computable bound or fits a constant and monitors its trend
-# across sizes (one-sided t statistic of the weighted slope < 2).
+# across sizes with size_trend (t < 2).
 
 
 def window_constant_check(n_list, profiles: dict[int, dict]) -> dict:
@@ -744,10 +750,7 @@ def window_constant_check(n_list, profiles: dict[int, dict]) -> dict:
     does not grow with n.  profiles maps each n to its window_gaps result."""
     lhat = np.array([profiles[n]["fitted_constant"] for n in n_list])
     lse = np.array([profiles[n]["fitted_constant_stderr"] for n in n_list])
-    # a two-point weighted slope has no residual freedom; only test the
-    # growth trend when three or more sizes are available
-    assessed = len(n_list) >= 3
-    tstat = _trend_tstat(n_list, lhat, lse) if assessed else 0.0
+    tstat, assessed = size_trend(n_list, lhat, lse)
     min_gap = min(profiles[n]["min_gap"] for n in n_list)
     return {
         "check": "window-constant",
@@ -780,24 +783,17 @@ def superadditivity_check(
 
     distinct = list(dict.fromkeys(n_list))
     pairs = [(m, n) for m in distinct for n in distinct if n / 2 <= m <= n and m + n <= WHT_CAP]
-    normalized = []
-    norm_se = []
-    sizes = []
+    sizes = [m + n for m, n in pairs]
+    normalized, norm_se = [], []
     for m, n in pairs:
         fm, fn, fb = f_of(m), f_of(n), f_of(m + n)
         deficit = (m + n) * fb.mean - m * fm.mean - n * fn.mean
-        se = np.sqrt(
-            ((m + n) * fb.stderr) ** 2 + (m * fm.stderr) ** 2 + (n * fn.stderr) ** 2
-        )
+        se = np.sqrt(((m + n) * fb.stderr) ** 2 + (m * fm.stderr) ** 2 + (n * fn.stderr) ** 2)
         normalized.append(-deficit / np.sqrt(m + n))
         norm_se.append(se / np.sqrt(m + n))
-        sizes.append(m + n)
-    normalized = np.array(normalized)
-    norm_se = np.array(norm_se)
+    normalized, norm_se = np.array(normalized), np.array(norm_se)
     fitted = float(np.clip(normalized, 0.0, None).max()) if pairs else 0.0
-    # as in window_constant_check, a trend is tested only over 3 or more sums
-    assessed = len(set(sizes)) >= 3
-    tstat = _trend_tstat(sizes, normalized, norm_se) if assessed else 0.0
+    tstat, assessed = size_trend(sizes, normalized, norm_se)
     # shift constant large enough to absorb the fitted defect on the
     # restricted range; reported, never asserted
     gap_coeff = np.sqrt(1.0 / 3.0) + np.sqrt(2.0 / 3.0) - 1.0

@@ -8,8 +8,10 @@ basis the sampler factors it in, and build_explicit_rost builds the explicit
 structure's q-matrices element by element, where explicit_fields_psd reads
 only their Walsh blocks.  explicit_full_table replays an explicit-split
 draw's tensors into the whole (M+n)-spin Hamiltonian that the split
-decomposes.  The closed forms at the end are the exact values that sampled
+decomposes.  The closed forms that follow are the exact values that sampled
 fields and zero-disorder estimates must reproduce.
+
+The check functions at the end hold validate's and explicit-rost's verdicts.
 """
 
 from __future__ import annotations
@@ -20,10 +22,25 @@ import numpy as np
 
 from .bits import magnetizations, popcounts, spin_matrix
 from .configurations import OverlapConstraint
-from .disorder import ExplicitDraw, RostSpec, _contract_all_configs
-from .free_energy import explicit_pairs, logsumexp
-from .mixture import MixtureSpec, mixture_functions
-from .parallel import BLOCK_DOUBLES
+from .disorder import (
+    ExplicitDraw,
+    RostSpec,
+    _contract_all_configs,
+    empirical_covariance,
+    explicit_fields_psd,
+    get_explicit_sampler,
+    get_sampler,
+)
+from .free_energy import (
+    cavity_logz_by_count,
+    explicit_pairs,
+    explicit_terms_block,
+    logsumexp,
+    partition_by_overlap,
+    require_finite_fields,
+)
+from .mixture import MixtureSpec, check_convexity, check_positivity, mixture_functions
+from .parallel import BLOCK_DOUBLES, replica_row, replica_seed, rng_for
 
 
 def brute_overlap_logz(logw1: np.ndarray, logw2: np.ndarray) -> np.ndarray:
@@ -123,21 +140,15 @@ def build_explicit_rost(m: int, u_m: OverlapConstraint, u: float) -> RostSpec:
     and estimate_G refuses the structure.
     """
     r1, r2 = explicit_pairs(m, u_m)
-    pop = popcounts(m)
+    q11, q12, q22 = (_base_overlaps(m, left[:, None], right[None, :])
+                     for left, right in ((r1, r1), (r1, r2), (r2, r2)))
+    return RostSpec(q11=q11, q12=q12, q22=q22, weights=None, delta=abs(u_m.u - u), u=u)
 
-    def q_of(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        # (m - 2d)/m rather than 1 - 2d/m: bitwise-identical to k/m, so the
-        # diagonal matches the constraint target exactly
-        return (m - 2.0 * pop[left[:, None] ^ right[None, :]]) / m
 
-    return RostSpec(
-        q11=q_of(r1, r1),
-        q12=q_of(r1, r2),
-        q22=q_of(r2, r2),
-        weights=None,
-        delta=abs(u_m.u - u),
-        u=u,
-    )
+def _base_overlaps(m: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The overlaps of base masks as (m - 2d)/m, not 1 - 2d/m: bitwise k/m,
+    so a pair at u_m's disagreement count has overlap exactly u_m.u."""
+    return (m - 2.0 * popcounts(m)[left ^ right]) / m
 
 
 def explicit_full_table(spec: MixtureSpec, m: int, n: int, seed) -> np.ndarray:
@@ -191,3 +202,69 @@ def zero_disorder_log_pair_count(n: int, d: int) -> float:
     """Closed form (1/n) log(2**n C(n, d)) the estimators must hit exactly
     when every coefficient and field vanishes."""
     return (n * math.log(2.0) + math.log(math.comb(n, d))) / n
+
+
+def validate_check(spec: MixtureSpec, n: int, n_rep: int, seed: int,
+                   sampler: str = "tensor") -> tuple[dict, bool]:
+    """(results, pass) of validate's checks at size n: the mixture's
+    convexity (reported only) and positivity, the sampled covariance against
+    xi within 4 sigma, and the WHT engine and the cavity ladder against their
+    brute-force sums within 1e-10.  pass is whether every entry's own pass
+    holds."""
+    require_finite_fields(n, spec.h1, spec.h2)
+    conv = check_convexity(spec)
+    results = {"convexity": {"convex": conv.convex, "structural": conv.structural,
+                             "worst_second_difference": conv.worst_second_difference}}
+    if conv.convex:
+        pos = check_positivity(spec)
+        results["positivity"] = {"min": min(pos.minima.values()), "pass": pos.passed}
+
+    rng = rng_for(seed, 0, stream=5)
+    masks = [(int(rng.integers(1 << n)), int(rng.integers(1 << n))) for _ in range(6)]
+    probes = [(m1, m2, 1, ellp) for m1, m2 in masks for ellp in (1, 2)]
+    cov = empirical_covariance(spec, n, max(n_rep, 2000), probes, seed, sampler)
+    results["covariance"] = {"max_sigmas": cov.max_sigmas, "pass": cov.max_sigmas <= 4.0}
+
+    worst = 0.0
+    mag = magnetizations(n)
+    tables = get_sampler(spec, n, sampler).sample_block(
+        [replica_seed(seed, rep, stream=6) for rep in range(3)])
+    for log_z, h in zip(partition_by_overlap(tables, spec.h1, spec.h2), tables.values):
+        brute = brute_overlap_logz(h[0] + spec.h1 * mag, h[1] + spec.h2 * mag)
+        worst = max(worst, float(np.max(np.abs(np.expm1(log_z - brute)))))
+    results["engine_oracle"] = {"max_rel_gap": worst, "pass": worst <= 1e-10}
+
+    worst_dp = 0.0
+    n_small = min(n, 5)
+    for rep in range(3):
+        rng = rng_for(seed, rep, stream=7)
+        a, b = rng.standard_normal(n_small), rng.standard_normal(n_small)
+        ladder = cavity_logz_by_count(a, b)
+        for d in range(n_small + 1):
+            worst_dp = max(worst_dp, abs(ladder[d] - brute_cavity_logz(a, b, d)))
+    results["cavity_oracle"] = {"max_gap": worst_dp, "pass": worst_dp <= 1e-10}
+    return results, all(bool(v.get("pass", True)) for v in results.values())
+
+
+def explicit_rost_check(spec: MixtureSpec, m: int, u_m: OverlapConstraint, u: float,
+                        u_prime: OverlapConstraint, n_rep: int, seed: int) -> tuple[dict, bool]:
+    """(results, pass) of build_explicit_rost(m, u_m, u) for increments at
+    u_prime: its size and tolerance, and three checks.  Each base pair's
+    overlap is exactly u_m.u (diag_exact), its fields exist (psd_ok), and the
+    terms of replicas 0..4 match their brute-force sums to 1e-10 relative,
+    absolute below 1 (dual_path_gap is the worst absolute gap).  The pair
+    cap is checked before any draw."""
+    r1, r2 = explicit_pairs(m, u_m)
+    diag_exact = bool(np.all(_base_overlaps(m, r1, r2) == u_m.u))
+    psd_ok = explicit_fields_psd(mixture_functions(spec), m, u_m)
+    draws = get_explicit_sampler(spec, m, u_prime.n).sample_block(
+        [replica_seed(seed, rep) for rep in range(min(n_rep, 5))])
+    terms = explicit_terms_block(draws, spec, u_m, u_prime, "limit")
+    brute = np.array([brute_explicit_terms(replica_row(draws, rep), r1, r2, spec, u_prime)
+                      for rep in range(len(terms))])
+    # explicit_terms_block normalizes the weights, so its terms plus its
+    # log_norm column are the brute-force sums of unnormalized weights
+    gaps = np.abs(terms[:, :2] + terms[:, 2:] - brute)
+    ok = diag_exact and psd_ok and np.all(gaps <= 1e-10 * np.maximum(1.0, np.abs(brute)))
+    return {"elements": r1.size, "delta": abs(u_m.u - u), "diag_exact": diag_exact,
+            "psd_ok": psd_ok, "dual_path_gap": float(gaps.max())}, bool(ok)

@@ -34,7 +34,7 @@ from coupledsk.interpolation import (
     run_lemma2_curve,
     window_gap_profile,
     _lemma3_pass,
-    _weighted_slope,
+    size_trend,
 )
 from coupledsk.mixture import MixtureSpec, check_positivity, mixture_functions
 from coupledsk.parallel import replica_seed
@@ -157,12 +157,10 @@ def test_criterion_07_window_constant(window_fits):
     for n in (6, 8, 10):
         prof = window_fits[n]
         assert prof["min_gap"] >= -1e-12  # window value >= point value per replica
-    ns = np.array([6.0, 8.0, 10.0])
     lhat = np.array([window_fits[n]["fitted_constant"] for n in (6, 8, 10)])
     lse = np.array([window_fits[n]["fitted_constant_stderr"] for n in (6, 8, 10)])
-    slope, slope_se = _weighted_slope(ns, lhat, lse)
-    tstat = slope / slope_se
-    assert tstat < 2.0, (lhat.tolist(), tstat)
+    tstat, assessed = size_trend((6, 8, 10), lhat, lse)
+    assert assessed and tstat < 2.0, (lhat.tolist(), tstat)
     report(7, "window constant fit", time.perf_counter() - start, 600.0)
 
 

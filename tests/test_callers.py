@@ -1,0 +1,50 @@
+"""Every public top-level function and class in coupledsk has a caller in
+the package, apart from the names allowlisted below with their reasons.
+Code that only the tests or the benchmark reach gets a real caller or is
+deleted with its tests."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "coupledsk"
+
+# one-replica wrappers that perfbench/oracle.py pins against its own sums
+BENCHMARK_PINNED = {
+    "interpolation.lemma3_state",
+    "interpolation.lemma3_phi_replica",
+    "free_energy.explicit_terms_replica",
+}
+# oracles and closed forms in reference.py that only the tests compare with
+TEST_ORACLES = {
+    "reference.finite_z_covariance",
+    "reference.finite_y_covariance",
+    "reference.zero_disorder_log_pair_count",
+    "reference.dense_process_covariance",
+    "reference.build_explicit_rost",
+    "reference.explicit_full_table",
+}
+
+
+def _uncalled() -> set[str]:
+    """module.name of each public top-level def that no code in the package
+    refers to outside its own body."""
+    trees = [(p.stem, ast.parse(p.read_text(), filename=str(p))) for p in sorted(SRC.glob("*.py"))]
+    refs = [(n.id if isinstance(n, ast.Name) else n.attr, n)
+            for _, tree in trees for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+    uncalled = set()
+    for module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = {id(n) for n in ast.walk(node)}
+                if not any(name == node.name and id(ref) not in own for name, ref in refs):
+                    uncalled.add(f"{module}.{node.name}")
+    return uncalled
+
+
+def test_every_public_name_has_a_caller():
+    assert _uncalled() - BENCHMARK_PINNED - TEST_ORACLES == set()
+
+
+def test_allowlist_names_only_uncalled_code():
+    assert BENCHMARK_PINNED | TEST_ORACLES <= _uncalled()

@@ -96,7 +96,8 @@ class TestConfigErrors:
 
 
 MONTE_CARLO = ("overlap_logz_replicas", "estimate_F", "estimate_G", "structure_bound_check",
-               "run_lemma2_curve", "run_lemma3_curve", "window_gap_profile")
+               "run_lemma2_curve", "run_lemma3_curve", "window_gap_profile",
+               "superadditivity_check")
 
 
 @pytest.fixture
@@ -228,6 +229,20 @@ class TestPreconditions:
         assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
         lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
         assert len(lines) == 1 and lines[0].startswith("error: ") and "n_list" in lines[0]
+        assert not out.exists()
+        assert no_monte_carlo == []
+
+    @pytest.mark.parametrize("command", ["free-energy", "lemma1", "superadd"])
+    def test_repeated_size_exits_2_before_monte_carlo(self, command, tmp_path, no_monte_carlo,
+                                                      capsys):
+        # a repeated size would be run, and its rows written, twice, and lemma1
+        # would fit a size trend through two distinct sizes
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps({"n_list": [4, 4, 6], "n_rep": 10, "seed": 1}))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert lines == ["error: n_list must hold distinct sizes, got [4, 4, 6]"]
         assert not out.exists()
         assert no_monte_carlo == []
 

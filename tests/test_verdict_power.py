@@ -8,6 +8,16 @@ margin of 0.086, so a bias added to F's mean is caught between +0.2 and
 +0.3.  superadd fits the trend of the normalized deficit
 -((m+n) F_{m+n} - m F_m - n F_n) / sqrt(m+n) over m + n; lowering each F_n
 by gamma n adds 2 gamma m n to that, which grows with the size.
+
+lemma1 fits the trend of the window constant over n.  On the README
+mixture at n 6, 8 and 10 and n_rep 20 it falls by about 0.01 a spin, with
+standard errors near 0.001-0.008, so a constant that grows by 0.02 a spin
+passes and one that grows by 0.05 a spin is caught.  interp asserts that
+the structure-comparison second line is nonpositive and that the Gibbs
+derivative agrees with the finite differences.  On the README config at
+n = 6 and n_rep 20 the second line sits 0.16-0.22 below zero with standard
+errors under 0.01, and the finite differences carry about 0.05, so a
+second line shifted by +0.1 passes and one shifted by +0.2 fails both.
 """
 
 import dataclasses
@@ -58,3 +68,30 @@ def test_superadd_catches_a_growing_deficit(gamma, code, tmp_path, monkeypatch):
     monkeypatch.setattr(interpolation, "estimate_F",
                         _shifted(interpolation.estimate_F, lambda n: -gamma * n))
     assert _exit_code(tmp_path, "superadd", {**README, "n_list": [3, 4, 5, 6], "n_rep": 20}) == code
+
+
+@pytest.mark.parametrize("gamma, code", [(0.0, 0), (0.02, 0), (0.05, 1)])
+def test_lemma1_catches_a_growing_window_constant(gamma, code, tmp_path, monkeypatch):
+    profile = cli.window_gap_profile
+
+    def grown(spec, n, *args):
+        prof = profile(spec, n, *args)
+        return {**prof, "fitted_constant": prof["fitted_constant"] + gamma * n}
+
+    monkeypatch.setattr(cli, "window_gap_profile", grown)
+    assert _exit_code(tmp_path, "lemma1", {**README, "n_list": [6, 8, 10], "n_rep": 20}) == code
+
+
+@pytest.mark.parametrize("shift, code", [(0.0, 0), (0.1, 0), (0.2, 1)])
+def test_interp_catches_a_positive_second_line(shift, code, tmp_path, monkeypatch):
+    # the first-sum column is held to first_sum_bound, past which the pass
+    # raises instead of failing a verdict, so only the second line moves
+    derivative = interpolation.lemma3_derivative_block
+
+    def shifted(*args):
+        out = derivative(*args)
+        out[:, 2] += shift
+        return out
+
+    monkeypatch.setattr(interpolation, "lemma3_derivative_block", shifted)
+    assert _exit_code(tmp_path, "interp", {**README, "n_list": [6], "n_rep": 20}) == code
