@@ -45,19 +45,33 @@ def magnetizations(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _hadamard(r: int) -> np.ndarray:
+    """The r-point Sylvester Hadamard matrix, H[j, k] = (-1)^popcount(j & k)."""
+    h = np.ones((1, 1))
+    while h.shape[0] < r:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
 def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last, power-of-two axis.
 
     Self-inverse up to a factor of the axis length.  Constant-geometry
-    levels: the input is copied once into a row-major (rows, length) buffer,
-    and each of the log2(length) levels reads the pairs (x[2j], x[2j+1]) of
-    the previous level's output and writes their sum to y[j] and their
-    difference to y[length/2 + j] of a second buffer.  Level k thus pairs the
-    indices that differ in bit k, bit 0 first, with the same lo + hi and
-    lo - hi as the in-place butterfly, and after the last level every index
-    is back in place, so results are bit-for-bit those of the butterfly.  The
-    input is never written, and each row's arithmetic is the same whatever
-    the other rows hold.
+    levels of radix 8 (Pease 1968): the input is copied once into a
+    row-major (rows, length) buffer, and each level reads every row as a
+    (length/r, r) matrix, multiplies it by the r-point Hadamard matrix, and
+    writes the product to a second buffer's (rows, r, length/r) view, so
+    that group j's k-th output lands at index k * length/r + j.  A level
+    thus transforms the low log2(r) index bits and rotates them to the top;
+    after ceil(log2(length) / 3) levels (the last of radix 2 or 4 when 3
+    does not divide log2(length)) every bit has been transformed once and
+    every index is back in place.  An output sums at most r terms per level,
+    so its rounding error is at most sum over levels of (r - 1) units of
+    roundoff times the row's 1-norm.  The input is never written, and each
+    row is its own matrix product of a fixed shape, so its bits are the same
+    whatever the other rows hold.
     """
     a = np.asarray(a, dtype=np.float64)
     m = a.shape[-1]
@@ -65,13 +79,14 @@ def fwht(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"axis length must be a power of two, got {m}")
     x = np.array(a, order="C").reshape(a.size // m, m)
     y = np.empty_like(x)
-    h = m // 2
-    for _ in range(m.bit_length() - 1):
-        pairs = x.reshape(-1, h, 2)
-        lo, hi = pairs[..., 0], pairs[..., 1]
-        np.add(lo, hi, out=y[:, :h])
-        np.subtract(lo, hi, out=y[:, h:])
+    bits = m.bit_length() - 1
+    while bits:
+        step = min(bits, 3)
+        r = 1 << step
+        np.matmul(x.reshape(-1, m // r, r), _hadamard(r),
+                  out=y.reshape(-1, r, m // r).transpose(0, 2, 1))
         x, y = y, x
+        bits -= step
     return x.reshape(a.shape)
 
 

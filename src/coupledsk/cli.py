@@ -35,7 +35,6 @@ from .free_energy import (
     Estimate,
     estimate_F,
     estimate_G,
-    estimate_G_MN,
     overlap_logz_replicas,
     window_estimate,
 )
@@ -371,10 +370,9 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
     n = _one_size(cfg, "explicit-rost")
     u_m = nearest_admissible(cfg.m, cfg.u)
     derived = construct_u_prime(n, admissible_sequence(cfg.u), m_max=max(40, 4 * n), u=cfg.u)
-    check, ok = explicit_rost_check(cfg.mixture, cfg.m, u_m, cfg.u, derived.constraint,
-                                    cfg.n_rep, cfg.seed)
-    g_lim, g_fin = estimate_G_MN(cfg.mixture, cfg.m, n, u_m, derived.constraint,
-                                 cfg.n_rep, cfg.seed, cfg.threads)
+    check, ok, (g_lim, g_fin) = explicit_rost_check(cfg.mixture, cfg.m, u_m, cfg.u,
+                                                    derived.constraint, cfg.n_rep, cfg.seed,
+                                                    cfg.threads)
     rows = [
         _estimate_row(g_lim.diff, n, derived.constraint.k, 0.0),
         _estimate_row(g_fin.diff, n, derived.constraint.k, 0.0),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -431,11 +432,14 @@ def explicit_terms_replica(
 
 
 def _gmn_worker(spec: MixtureSpec, m: int, n: int, u_m: OverlapConstraint,
-                u_prime: OverlapConstraint, root: int, block: range) -> np.ndarray:
+                u_prime: OverlapConstraint, root: int, probe: Callable | None,
+                block: range) -> np.ndarray:
     draws = get_explicit_sampler(spec, m, n).sample_block(
         [replica_seed(root, rep) for rep in block])
-    return np.stack([explicit_terms_block(draws, spec, u_m, u_prime, v)[:, :2]
-                     for v in EXPLICIT_VARIANTS], axis=1)
+    terms = [explicit_terms_block(draws, spec, u_m, u_prime, v) for v in EXPLICIT_VARIANTS]
+    if probe is not None:
+        probe(block, draws, terms[0])
+    return np.stack([t[:, :2] for t in terms], axis=1)
 
 
 def estimate_G_MN(
@@ -447,14 +451,18 @@ def estimate_G_MN(
     n_rep: int,
     seed: int,
     threads: int = 1,
+    probe: Callable | None = None,
 ) -> tuple[GEstimate, GEstimate]:
     """Monte Carlo averages of the explicit-structure functional, the 'limit'
-    and the 'finite' variant, both from one draw per replica."""
+    and the 'finite' variant, both from one draw per replica.  probe, if
+    given, is called with each replica block's range, its draws and their
+    'limit' explicit_terms_block rows, so a check reads the draws of this
+    pass instead of drawing them again."""
     get_explicit_sampler(spec, m, n)  # built before map_blocks: the workers share it
     # a block's largest stacked array is its ladders, (pairs, n+1) a replica,
     # its fields z, (n, 2, 2**m), or its top-order coupling tensors
     row = max((math.comb(m, u_m.d) << m) * (n + 1), 2 * n << m, (m + n) ** spec.p_max)
-    out = map_blocks(_gmn_worker, (spec, m, n, u_m, u_prime, seed), n_rep, row,
+    out = map_blocks(_gmn_worker, (spec, m, n, u_m, u_prime, seed, probe), n_rep, row,
                      threads)  # (n_rep, variant, term)
     return tuple(
         GEstimate(

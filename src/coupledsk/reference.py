@@ -28,11 +28,11 @@ from .disorder import (
     _contract_all_configs,
     empirical_covariance,
     explicit_fields_psd,
-    get_explicit_sampler,
     get_sampler,
 )
 from .free_energy import (
     cavity_logz_by_count,
+    estimate_G_MN,
     explicit_pairs,
     explicit_terms_block,
     logsumexp,
@@ -247,24 +247,33 @@ def validate_check(spec: MixtureSpec, n: int, n_rep: int, seed: int,
 
 
 def explicit_rost_check(spec: MixtureSpec, m: int, u_m: OverlapConstraint, u: float,
-                        u_prime: OverlapConstraint, n_rep: int, seed: int) -> tuple[dict, bool]:
-    """(results, pass) of build_explicit_rost(m, u_m, u) for increments at
-    u_prime: its size and tolerance, and three checks.  Each base pair's
-    overlap is exactly u_m.u (diag_exact), its fields exist (psd_ok), and the
-    terms of replicas 0..4 match their brute-force sums to 1e-10 relative,
-    absolute below 1 (dual_path_gap is the worst absolute gap).  The pair
-    cap is checked before any draw."""
+                        u_prime: OverlapConstraint, n_rep: int, seed: int,
+                        threads: int = 1) -> tuple[dict, bool, tuple]:
+    """(results, pass, estimate_G_MN's two estimates) of build_explicit_rost(m,
+    u_m, u) for increments at u_prime: its size and tolerance, and three
+    checks.  Each base pair's overlap is exactly u_m.u (diag_exact), its
+    fields exist (psd_ok), and the terms of replicas 0..4 match their
+    brute-force sums to 1e-10 relative, absolute below 1 (dual_path_gap is
+    the worst absolute gap).  Those replicas are read from the estimate's
+    own draws; the pair cap and the tensor budget are checked before any
+    draw."""
     r1, r2 = explicit_pairs(m, u_m)
     diag_exact = bool(np.all(_base_overlaps(m, r1, r2) == u_m.u))
     psd_ok = explicit_fields_psd(mixture_functions(spec), m, u_m)
-    draws = get_explicit_sampler(spec, m, u_prime.n).sample_block(
-        [replica_seed(seed, rep) for rep in range(min(n_rep, 5))])
-    terms = explicit_terms_block(draws, spec, u_m, u_prime, "limit")
-    brute = np.array([brute_explicit_terms(replica_row(draws, rep), r1, r2, spec, u_prime)
-                      for rep in range(len(terms))])
+    checked = min(n_rep, 5)
+    terms, brute = np.empty((checked, 3)), np.empty((checked, 2))
+
+    def dual_path(block: range, draws: ExplicitDraw, limit: np.ndarray) -> None:
+        for rep in range(block.start, min(block.stop, checked)):
+            i = rep - block.start
+            terms[rep] = limit[i]
+            brute[rep] = brute_explicit_terms(replica_row(draws, i), r1, r2, spec, u_prime)
+
+    estimates = estimate_G_MN(spec, m, u_prime.n, u_m, u_prime, n_rep, seed, threads,
+                              probe=dual_path)
     # explicit_terms_block normalizes the weights, so its terms plus its
     # log_norm column are the brute-force sums of unnormalized weights
     gaps = np.abs(terms[:, :2] + terms[:, 2:] - brute)
     ok = diag_exact and psd_ok and np.all(gaps <= 1e-10 * np.maximum(1.0, np.abs(brute)))
     return {"elements": r1.size, "delta": abs(u_m.u - u), "diag_exact": diag_exact,
-            "psd_ok": psd_ok, "dual_path_gap": float(gaps.max())}, bool(ok)
+            "psd_ok": psd_ok, "dual_path_gap": float(gaps.max())}, bool(ok), estimates

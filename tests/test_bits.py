@@ -1,4 +1,4 @@
-"""The Walsh-Hadamard kernel against the Hadamard matrix and the stacked butterfly."""
+"""The Walsh-Hadamard kernel against the Hadamard matrix and a long-double butterfly."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,13 @@ from scipy.linalg import hadamard
 
 from coupledsk.bits import fwht
 
+U = np.finfo(np.float64).eps / 2  # unit roundoff
 
-def stacked_fwht(a: np.ndarray) -> np.ndarray:
-    """The butterfly that builds each stage's output with np.stack: the same
-    additions in the same order as fwht, in a new array per stage."""
-    a = np.array(a, dtype=np.float64, copy=True)
+
+def longdouble_fwht(a: np.ndarray) -> np.ndarray:
+    """The in-place butterfly in np.longdouble, a reference whose own rounding
+    is far below a double's."""
+    a = np.array(a, dtype=np.longdouble, copy=True)
     m = a.shape[-1]
     h = 1
     while h < m:
@@ -20,6 +22,22 @@ def stacked_fwht(a: np.ndarray) -> np.ndarray:
         a = np.stack((lo, hi), axis=-2).reshape(a.shape)
         h *= 2
     return a
+
+
+def hadamard_product(x: np.ndarray) -> np.ndarray:
+    """x @ hadamard(L), with H(L) taken as the Kronecker product of H(L / lo)
+    and H(lo), lo = min(L, 256), so that no L-square matrix is built."""
+    m = x.shape[-1]
+    lo = min(m, 256)
+    blocks = x.reshape(x.shape[:-1] + (m // lo, lo))
+    return (hadamard(m // lo).T @ blocks @ hadamard(lo)).reshape(x.shape)
+
+
+def level_constant(m: int) -> int:
+    """Sum over fwht's levels of (radix - 1): radix 8 for each three bits of
+    log2(m), then radix 2 or 4 for the one or two bits left."""
+    bits = m.bit_length() - 1
+    return 7 * (bits // 3) + (1 << bits % 3) - 1
 
 
 # the shapes the interpolation paths, the WHT engine and the process route use
@@ -39,15 +57,26 @@ def test_equals_hadamard_matrix_on_integers(n):
 
 
 @pytest.mark.parametrize("shape", ENGINE_SHAPES)
-def test_equals_stacked_butterfly(shape):
-    x = np.random.default_rng(len(shape) * 100 + shape[-1]).standard_normal(shape)
-    assert np.array_equal(fwht(x), stacked_fwht(x))
+def test_integers_equal_the_hadamard_product(shape):
+    # integer sums below 2**53 are exact in any order of additions
+    x = np.random.default_rng(len(shape) * 100 + shape[-1]).integers(-50, 51, size=shape)
+    assert np.array_equal(fwht(x.astype(np.float64)), hadamard_product(x).astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", ENGINE_SHAPES)
+def test_floats_within_the_level_bound(shape):
+    # each level adds at most radix - 1 roundings to an output's path
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    x = rng.standard_normal(shape) * np.exp(4 * rng.standard_normal(shape))
+    err = np.abs(fwht(x) - longdouble_fwht(x))
+    bound = level_constant(shape[-1]) * U * np.abs(x).sum(axis=-1, keepdims=True)
+    assert np.all(err <= bound)
 
 
 def test_strided_view_equals_its_contiguous_copy():
     x = np.random.default_rng(3).standard_normal((6, 512))
     view = x[:, ::2]
-    assert np.array_equal(fwht(view), stacked_fwht(np.ascontiguousarray(view)))
+    assert np.array_equal(fwht(view), fwht(np.ascontiguousarray(view)))
 
 
 def test_read_only_input_is_left_unchanged():
@@ -57,7 +86,7 @@ def test_read_only_input_is_left_unchanged():
     out = fwht(x)
     assert np.array_equal(x, kept)
     assert out.flags.writeable
-    assert np.array_equal(out, stacked_fwht(kept))
+    assert np.array_equal(out, fwht(kept))
 
 
 def test_writable_input_is_not_written():

@@ -672,6 +672,25 @@ class TestStructureCommands:
         assert (res["elements"], res["delta"]) == (rost.m, rost.delta)
         assert res["diag_exact"] == bool(np.all(np.diag(rost.q12) == u_m.u))
 
+    def test_explicit_rost_draws_each_replica_once(self, tmp_path, monkeypatch):
+        # the dual-path check reads replicas 0..4 from the estimate's own draws;
+        # the config is the structure benchmark's shape (M = 5, n = 6, 120 replicas)
+        drawn = []
+        draw = ExplicitSystemSampler.sample_block
+
+        def counted(self, seeds):
+            drawn.extend(seed.spawn_key for seed in seeds)
+            return draw(self, seeds)
+
+        monkeypatch.setattr(ExplicitSystemSampler, "sample_block", counted)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mixture": {"a1": [0, 0.5, 0, 0.2], "a2": [0, 0.4, 0, 0.3], "h1": 0.1, "h2": -0.2},
+            "n_list": [6], "m": 5, "u": 0.2, "n_rep": 120, "seed": 1,
+        }))
+        assert run_cli("explicit-rost", "--config", str(path), "--out", str(tmp_path / "o")) == 0
+        assert sorted(drawn) == [(rep, 0) for rep in range(120)]
+
     def test_explicit_rost_pair_cap_exits_2(self, small_config, tmp_path, capsys):
         # M = 8 at u = 0 has C(8, 4) * 2**8 = 17,920 pairs, beyond the cap
         path = tmp_path / "cfg.json"
