@@ -37,6 +37,16 @@ def popcounts(n: int) -> np.ndarray:
     return out
 
 
+def tuple_masks(n: int, p: int) -> np.ndarray:
+    """The XOR of 1 << i over each ordered tuple in range(n)**p, C order: the
+    indices that occur an odd number of times, whose Walsh function is the
+    tuple's product of spins."""
+    out = np.zeros(1, dtype=np.intp)
+    for _ in range(p):
+        out = (out[:, None] ^ (1 << np.arange(n))).ravel()
+    return out
+
+
 @lru_cache(maxsize=None)
 def magnetizations(n: int) -> np.ndarray:
     """Sum of spins per mask: n - 2*popcount."""

@@ -4,9 +4,11 @@ Two independent routes produce whole-Hamiltonian tables over all 2**n
 configurations and must agree statistically:
 
   * the tensor route draws one set of i.i.d. coupling tensors per
-    interaction order and contracts them with every configuration; both
-    copies share the tensors and differ only through their coefficients,
-    which is what produces the cross covariance;
+    interaction order; a tuple's product of spins is the Walsh function of
+    the set of indices it holds an odd number of times, so each tensor is
+    summed into its Walsh coefficients as it is drawn and one Walsh-Hadamard
+    transform gives its table.  Both copies share the tensors and differ
+    only through their coefficients, which produces the cross covariance;
   * the process route treats the pair of tables as one joint Gaussian
     vector whose covariance is n * xi_{l,l'}(overlap).  The overlap depends
     only on popcount(s ^ s'), so the covariance is a convolution on the
@@ -29,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import parallel
-from .bits import fwht, popcounts, spin_matrix
+from .bits import fwht, popcounts, tuple_masks
 from .configurations import OverlapConstraint
 from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
 
@@ -60,8 +62,8 @@ def psd_factor(mat: np.ndarray) -> np.ndarray:
     """Factor F with F @ F.T = mat for a symmetric PSD matrix.
 
     Tries Cholesky first; on failure falls back to an eigendecomposition with
-    small negative eigenvalues (within PSD_TOL_SCALE * trace / dim) clipped to
-    zero, which keeps exact linear relations of rank-deficient covariances.
+    eigenvalues within PSD_TOL_SCALE * trace / dim of zero, of either sign, set
+    to zero, which keeps exact linear relations of rank-deficient covariances.
     """
     try:
         return np.linalg.cholesky(mat)
@@ -72,17 +74,18 @@ def psd_factor(mat: np.ndarray) -> np.ndarray:
 
 
 def _clipped_sqrt(w: np.ndarray, trace: float, dim: int) -> np.ndarray:
-    """Square roots of a covariance's eigenvalues w, clipped at zero.
+    """Square roots of a covariance's eigenvalues w, zero within the floor.
 
     Eigenvalues below -PSD_TOL_SCALE * max(trace, 1) / dim raise
-    FactorizationError; those between that floor and zero count as rounding.
+    FactorizationError; those within that floor of zero, of either sign,
+    count as rounding of an exact zero and get root 0.
     """
     floor = -PSD_TOL_SCALE * max(trace, 1.0) / dim
     if w.min() < floor:
         raise FactorizationError(
             f"covariance is indefinite: min eigenvalue {w.min():.3e} below {floor:.3e}"
         )
-    return np.sqrt(np.clip(w, 0.0, None))
+    return np.sqrt(np.where(w > -floor, w, 0.0))
 
 
 def walsh_blocks(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,35 +125,26 @@ class HamiltonianTable:
             raise ValueError("Hamiltonian table contains non-finite entries")
 
 
-def _contract_all_configs(tensors: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum over ordered index tuples of tensor * prod of spins, per config,
-    for each tensor of a block of shape (b, n, ..., n); returns (b, 2**n).
-
-    Row b is the contraction of tensors[b] alone, bit for bit.  The first
-    product, (sub-block, 2**n, n**(p-1)), is the largest array, so the block
-    is cut into sub-blocks of at most parallel.BLOCK_DOUBLES of it."""
-    b, n, p = tensors.shape[0], s.shape[1], tensors.ndim - 1
-    out = np.empty((b, s.shape[0]))
-    for sub in parallel.replica_blocks(b, s.shape[0] * n ** (p - 1)):
-        flat = tensors[sub.start:sub.stop].reshape(len(sub), n, -1)
-        v = np.matmul(s, flat).reshape((len(sub), s.shape[0]) + (n,) * (p - 1))
-        for _ in range(p - 1):
-            v = np.einsum("bci...,ci->bc...", v, s)
-        out[sub.start:sub.stop] = v
-    return out
+def _walsh_coefficients(rngs, size: int, keys: np.ndarray, bins: int) -> np.ndarray:
+    """Each generator's next size normals summed into bins by keys, stacked;
+    each draw is folded as soon as it is made, so no block stacks tensors."""
+    return np.stack([np.bincount(keys, weights=rng.standard_normal(size), minlength=bins)
+                     for rng in rngs])
 
 
 class TensorSampler:
-    """Tensor-route sampler; one instance caches the config matrix for n."""
+    """Tensor-route sampler.  A tuple's product of spins is the Walsh function
+    of its mask (bits.tuple_masks), so each order's tables are the fwht of
+    its tensors summed into 2**n Walsh coefficients by mask."""
 
     def __init__(self, spec: MixtureSpec, n: int):
         self.spec = spec
         self.n = n
-        self.s = spin_matrix(n)
         need = sum(8 * n**p for p in range(1, spec.p_max + 1))
         if need > TENSOR_BUDGET_BYTES:
             raise ResourceError(f"coupling tensors need {need} bytes > budget "
                                 f"{TENSOR_BUDGET_BYTES}; use the process sampler at this size")
+        self.masks = [tuple_masks(n, p) for p in range(1, spec.p_max + 1)]
 
     def sample(self, seed) -> HamiltonianTable:
         """The table drawn from seed: sample_block of that seed alone."""
@@ -160,19 +154,15 @@ class TensorSampler:
         """The tables drawn from each seed, stacked: shape (len(seeds), 2, 2**n).
 
         Each seed's generator draws its tensors in order of p, as when it is
-        drawn alone, and each order is contracted once for the whole block."""
+        drawn alone, and each order is transformed once for the whole block."""
         rngs = [np.random.default_rng(seed) for seed in seeds]
         n, spec = self.n, self.spec
         h = np.zeros((len(rngs), 2, 2**n))
-        for p in range(1, spec.p_max + 1):
-            a1, a2 = spec.a1[p - 1], spec.a2[p - 1]
-            g = np.stack([rng.standard_normal((n,) * p) for rng in rngs])
-            if a1 == 0.0 and a2 == 0.0:
-                continue
-            m = _contract_all_configs(g, self.s)
-            scale = n ** (0.5 - 0.5 * p)
-            h[:, 0] += a1 * scale * m
-            h[:, 1] += a2 * scale * m
+        for p, masks in enumerate(self.masks, start=1):
+            walsh = _walsh_coefficients(rngs, n**p, masks, 2**n)
+            coef = np.array([[spec.a1[p - 1]], [spec.a2[p - 1]]])  # (copy, 1)
+            if coef.any():
+                h += coef * n ** (0.5 - 0.5 * p) * fwht(walsh)[:, None]
         return HamiltonianTable(n=n, values=h)
 
 
@@ -464,14 +454,27 @@ class ExplicitDraw:
     y_finite: np.ndarray
 
 
+def _split_tuple_keys(m: int, n: int, p: int) -> np.ndarray:
+    """The bin of each ordered tuple in range(m + n)**p, C order, built one
+    index at a time: its mask over the base indices (those below m) plus 2**m
+    times 0 if every index is a base index, 1 + i if exactly one is new
+    site m + i, and n + 2 if two or more are new sites."""
+    site = np.maximum(np.arange(m + n) - m + 1, 0)  # 0 at a base index, 1 + i at site m + i
+    new = np.zeros(1, dtype=np.intp)
+    for _ in range(p):
+        new = np.where(new[:, None] == 0, site,
+                       np.where(site == 0, new[:, None], n + 2)).ravel()
+    return (new << m) | (tuple_masks(m + n, p) & ((1 << m) - 1))
+
+
 class ExplicitSystemSampler:
     """Samples the split (M + n)-spin system and its cavity fields.
 
     Both copies share every tensor; totals differ only via coefficients.
-    Per order p, the big tensor over (M+n)^p is drawn once; the base part
-    uses tuples inside the first M coordinates, the per-site fields aggregate
-    the p tuples containing one new coordinate, and the compensator fields
-    use fresh tensors confined to the base coordinates.
+    Per order p, the big tensor over (M+n)^p and a fresh compensator tensor
+    over M^p are folded into Walsh coefficients over the 2**M base masks:
+    row 0 takes the tuples inside the base, row 1 + i those with one index at
+    new site i, row n + 1 the compensator, and row n + 2 (dropped) the rest.
     """
 
     def __init__(self, spec: MixtureSpec, m: int, n: int):
@@ -484,19 +487,9 @@ class ExplicitSystemSampler:
         self.spec = spec
         self.m = m
         self.n = n
-        self.s_base = spin_matrix(m)
-
-    def _aggregate_new_coordinate(self, g: np.ndarray, p: int) -> np.ndarray:
-        """Sum of the p tensor slices with one index fixed at a new coordinate,
-        for each tensor of a block g, (b,) + (M+n,)*p; returns shape
-        (b, n) + (M,)*(p-1), summing over the insertion position."""
-        m, n = self.m, self.n
-        base = (slice(0, m),) * (p - 1)
-        out = np.zeros((g.shape[0], n) + (m,) * (p - 1))
-        for pos in range(p):
-            idx = (slice(None),) + base[:pos] + (slice(m, m + n),) + base[pos:]
-            out += np.moveaxis(g[idx], pos + 1, 1)
-        return out
+        self.keys = [np.concatenate([_split_tuple_keys(m, n, p),
+                                     tuple_masks(m, p) + ((n + 1) << m)])
+                     for p in range(1, spec.p_max + 1)]
 
     def sample(self, seed) -> ExplicitDraw:
         """The draw from seed: sample_block of that seed alone."""
@@ -506,28 +499,21 @@ class ExplicitSystemSampler:
         """The draws from each seed, stacked on a leading axis.
 
         Each seed's generator draws, per order p, its (M+n)^p tensor and then
-        its M^p compensator tensor, as when it is drawn alone; each
-        contraction runs once for the whole block."""
+        its M^p compensator tensor (one draw of both), as when it is drawn
+        alone; each order is transformed once for the whole block."""
         rngs = [np.random.default_rng(seed) for seed in seeds]
         spec, m, n = self.spec, self.m, self.n
         b, big, c_base = len(rngs), m + n, 2**m
         trunc, y, y_fin = (np.zeros((b, 2, c_base)) for _ in range(3))
         z, z_fin = (np.zeros((b, n, 2, c_base)) for _ in range(2))
-        for p in range(1, spec.p_max + 1):
-            # fresh tensors g_new, compensators only
-            g, g_new = (np.stack(t) for t in zip(*[
-                (rng.standard_normal((big,) * p), rng.standard_normal((m,) * p)) for rng in rngs]))
+        for p, keys in enumerate(self.keys, start=1):
+            walsh = _walsh_coefficients(rngs, big**p + m**p, keys, (n + 3) << m)
             coef = np.array([[spec.a1[p - 1]], [spec.a2[p - 1]]])  # (copy, 1)
             if not coef.any():
                 continue
-            base_contr = _contract_all_configs(g[(slice(None),) + (slice(0, m),) * p], self.s_base)
-            agg = self._aggregate_new_coordinate(g, p)
-            if p == 1:  # the same for every base configuration
-                site_contr = agg[:, :, None, None]
-            else:  # one contraction per (replica, site)
-                site_contr = _contract_all_configs(agg.reshape((b * n,) + agg.shape[2:]),
-                                                   self.s_base).reshape(b, n, 1, c_base)
-            comp_contr = _contract_all_configs(g_new, self.s_base)[:, None]
+            contr = fwht(walsh.reshape(b, n + 3, c_base)[:, :n + 2])
+            base_contr, site_contr, comp_contr = (
+                contr[:, 0], contr[:, 1:n + 1, None], contr[:, n + 1, None])
 
             scale_big, scale_base = big ** (0.5 - 0.5 * p), m ** (0.5 - 0.5 * p)
             y_coef = np.sqrt(max(p - 1.0, 0.0)) * m ** (-0.5 * p)

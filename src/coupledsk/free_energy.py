@@ -460,8 +460,8 @@ def estimate_G_MN(
     pass instead of drawing them again."""
     get_explicit_sampler(spec, m, n)  # built before map_blocks: the workers share it
     # a block's largest stacked array is its ladders, (pairs, n+1) a replica,
-    # its fields z, (n, 2, 2**m), or its top-order coupling tensors
-    row = max((math.comb(m, u_m.d) << m) * (n + 1), 2 * n << m, (m + n) ** spec.p_max)
+    # its fields z, (n, 2, 2**m), or one order's Walsh coefficients, (n+3, 2**m)
+    row = max((math.comb(m, u_m.d) << m) * (n + 1), 2 * n << m, n + 3 << m)
     out = map_blocks(_gmn_worker, (spec, m, n, u_m, u_prime, seed, probe), n_rep, row,
                      threads)  # (n_rep, variant, term)
     return tuple(

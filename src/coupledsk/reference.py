@@ -6,10 +6,12 @@ so the two routes share nothing but the inputs.  dense_process_covariance
 builds the process route's covariance entry by entry, without the Walsh
 basis the sampler factors it in, and build_explicit_rost builds the explicit
 structure's q-matrices element by element, where explicit_fields_psd reads
-only their Walsh blocks.  explicit_full_table replays an explicit-split
-draw's tensors into the whole (M+n)-spin Hamiltonian that the split
-decomposes.  The closed forms that follow are the exact values that sampled
-fields and zero-disorder estimates must reproduce.
+only their Walsh blocks.  spin_contraction contracts a coupling tensor with
+the spin matrix directly, where the samplers sum it into Walsh coefficients,
+and explicit_full_table replays an explicit-split draw's tensors through it
+into the whole (M+n)-spin Hamiltonian that the split decomposes; neither
+shares code with the samplers.  The closed forms that follow are the exact
+values that sampled fields and zero-disorder estimates must reproduce.
 
 The check functions at the end hold validate's and explicit-rost's verdicts.
 """
@@ -25,7 +27,6 @@ from .configurations import OverlapConstraint
 from .disorder import (
     ExplicitDraw,
     RostSpec,
-    _contract_all_configs,
     empirical_covariance,
     explicit_fields_psd,
     get_sampler,
@@ -151,6 +152,15 @@ def _base_overlaps(m: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (m - 2.0 * popcounts(m)[left ^ right]) / m
 
 
+def spin_contraction(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum over ordered index tuples of g[i_1, ..., i_p] s[c, i_1] ... s[c, i_p]
+    for every row c of the spin matrix s, one index contracted at a time."""
+    v = np.einsum("ci,i...->c...", s, g)
+    for _ in range(g.ndim - 1):
+        v = np.einsum("ci...,ci->c...", v, s)
+    return v
+
+
 def explicit_full_table(spec: MixtureSpec, m: int, n: int, seed) -> np.ndarray:
     """Both copies' whole (M+n)-spin Hamiltonians, shape (2, 2**(M+n)), from
     the big coupling tensors of ExplicitSystemSampler(spec, m, n).sample(seed).
@@ -159,19 +169,12 @@ def explicit_full_table(spec: MixtureSpec, m: int, n: int, seed) -> np.ndarray:
     M^p compensator tensor, which the whole Hamiltonian does not use."""
     rng = np.random.default_rng(seed)
     big = m + n
-    s_full = spin_matrix(big)
     full = np.zeros((2, 2**big))
     for p in range(1, spec.p_max + 1):
         g = rng.standard_normal((big,) * p)
         rng.standard_normal((m,) * p)
-        coeffs = (spec.a1[p - 1], spec.a2[p - 1])
-        if coeffs == (0.0, 0.0):
-            continue
-        full_contr = _contract_all_configs(g[None], s_full)[0]
-        scale_big = big ** (0.5 - 0.5 * p)
-        for ell, ap in enumerate(coeffs):
-            if ap != 0.0:
-                full[ell] += ap * scale_big * full_contr
+        coef = np.array([[spec.a1[p - 1]], [spec.a2[p - 1]]])
+        full += coef * big ** (0.5 - 0.5 * p) * spin_contraction(g, spin_matrix(big))
     return full
 
 

@@ -21,6 +21,11 @@ def mixed_even() -> MixtureSpec:
     return MixtureSpec(a1=(0.0, 0.6, 0.0, 0.2), a2=(0.0, 0.4, 0.0, 0.3), h1=0.2, h2=-0.1)
 
 
+def orders_up_to(p: int) -> MixtureSpec:
+    """A convex mixture with every order up to p, unequal in the two copies."""
+    return MixtureSpec(a1=(0.3, 0.7, 0.2, 0.15)[:p], a2=(0.2, 0.6, 0.15, 0.1)[:p])
+
+
 def random_even_spec(rng: np.random.Generator, p_max: int = 4, with_fields: bool = True):
     """A random convex-by-structure mixture for property tests."""
     a1 = np.zeros(p_max)

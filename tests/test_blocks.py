@@ -6,13 +6,14 @@ fall."""
 import concurrent.futures
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_even_spec
+from conftest import orders_up_to, random_even_spec
 from coupledsk import parallel
 from coupledsk.bits import bucket_by_popcount, fwht, spin_matrix
 from coupledsk.configurations import nearest_admissible
@@ -64,11 +65,6 @@ class TestReplicaBlocks:
         assert [len(b) for b in replica_blocks(7, 30)] == [3, 3, 1]
 
 
-def _order_p_spec(p: int) -> MixtureSpec:
-    """A convex mixture with every order up to p, unequal in the two copies."""
-    return MixtureSpec(a1=(0.3, 0.7, 0.2, 0.15)[:p], a2=(0.2, 0.6, 0.15, 0.1)[:p])
-
-
 class TestBlockDraws:
     """A block draw is the per-seed draws stacked, bit for bit."""
 
@@ -77,27 +73,30 @@ class TestBlockDraws:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind, sizes", [("tensor", (4, 6, 8, 10)), ("process", (6, 8, 10))])
     def test_block_draw_is_the_stacked_draws(self, kind, sizes, p):
-        spec = _order_p_spec(p)
+        spec = orders_up_to(p)
         for n in sizes:
             sampler = get_sampler(spec, n, kind)
             block = sampler.sample_block(self.SEEDS)
             alone = np.stack([sampler.sample(seed).values for seed in self.SEEDS])
             assert block.n == n and np.array_equal(block.values, alone), (kind, n, p)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_contraction_cut_into_sub_blocks(self, p, monkeypatch):
-        # a cap of three order-p products at n = 6 cuts the contraction of
-        # seven tensors into sub-blocks of 3, 3 and 1
-        n = 6
-        sampler = TensorSampler(_order_p_spec(p), n)
-        whole = sampler.sample_block(self.SEEDS)
-        monkeypatch.setattr(parallel, "BLOCK_DOUBLES", 3 * 2**n * n ** (p - 1))
-        assert [len(b) for b in replica_blocks(7, 2**n * n ** (p - 1))] == [3, 3, 1]
-        cut = sampler.sample_block(self.SEEDS)
-        assert np.array_equal(cut.values, whole.values)
-        assert np.array_equal(cut.values[6], sampler.sample(self.SEEDS[6]).values)
+    def test_block_never_stacks_its_tensors(self):
+        # 512 order-6 tensors at n = 6 hold 6**6 doubles each, 191 MB stacked;
+        # each is folded into its 64 Walsh coefficients as soon as it is drawn
+        spec = MixtureSpec(a1=(0.3, 0.7, 0.2, 0.15, 0.1, 0.05),
+                           a2=(0.2, 0.6, 0.15, 0.1, 0.05, 0.02))
+        sampler = TensorSampler(spec, 6)
+        seeds = [replica_seed(5, r) for r in range(512)]
+        tracemalloc.start()
+        try:
+            block = sampler.sample_block(seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.values.shape == (512, 2, 64)
+        assert peak < 8 << 20, peak
 
-    @pytest.mark.parametrize("spec", [_order_p_spec(p) for p in (1, 2, 3, 4)] + [
+    @pytest.mark.parametrize("spec", [orders_up_to(p) for p in (1, 2, 3, 4)] + [
         # orders 1 and 3 draw their tensors but contribute nothing
         MixtureSpec(a1=(0.0, 0.6, 0.0, 0.2), a2=(0.0, 0.4, 0.0, 0.3), h1=0.2, h2=-0.1)])
     @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (4, 3), (5, 6)])
@@ -109,7 +108,7 @@ class TestBlockDraws:
             for name in ("trunc", "z", "z_finite", "y", "y_finite"):
                 assert np.array_equal(getattr(block, name)[r], getattr(alone, name)), name
 
-    @pytest.mark.parametrize("spec", [_order_p_spec(2), _order_p_spec(4)])
+    @pytest.mark.parametrize("spec", [orders_up_to(2), orders_up_to(4)])
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (3, 4), (8, 10), (32, 3)])
     def test_field_block_draw_is_the_per_generator_draws(self, m, n, spec):
         # each generator draws its z normals, then its y normals, and the

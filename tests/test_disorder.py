@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import orders_up_to
 from coupledsk import disorder
 from coupledsk.bits import fwht, spin_matrix
 from coupledsk.disorder import (
@@ -25,11 +26,13 @@ from coupledsk.disorder import (
     random_gram_rost,
 )
 from coupledsk.mixture import MixtureSpec, mixture_functions
+from coupledsk.parallel import replica_seed
 from coupledsk.reference import (
     dense_process_covariance,
     explicit_full_table,
     finite_y_covariance,
     finite_z_covariance,
+    spin_contraction,
 )
 
 with warnings.catch_warnings():
@@ -40,6 +43,36 @@ with warnings.catch_warnings():
         "mixed-p4": MixtureSpec(a1=(0.1, 0.6, 0.2, 0.2), a2=(0.2, 0.4, 0.1, 0.3)),
         "odd-p3": MixtureSpec(a1=(0.3, 0.5, 0.4), a2=(0.2, 0.4, -0.3)),
     }
+
+
+def _sliced_explicit_draw(spec: MixtureSpec, m: int, n: int, seed) -> dict:
+    """The explicit draw from seed by slicing each big tensor and contracting
+    the slices with the base spin matrix: the tuples inside the base for
+    trunc, the p slices with one index at a new site for the site fields,
+    and the compensator tensor for y.  Tuples with two or more new indices,
+    such as (new i, new j, new j), fall in no slice."""
+    rng = np.random.default_rng(seed)
+    big, s = m + n, spin_matrix(m)
+    out = {"trunc": np.zeros((2, 2**m)), "z": np.zeros((n, 2, 2**m)),
+           "z_finite": np.zeros((n, 2, 2**m)), "y": np.zeros((2, 2**m)),
+           "y_finite": np.zeros((2, 2**m))}
+    for p in range(1, spec.p_max + 1):
+        g = rng.standard_normal((big,) * p)
+        g_new = rng.standard_normal((m,) * p)
+        coef = np.array([[spec.a1[p - 1]], [spec.a2[p - 1]]])
+        base = (slice(0, m),) * (p - 1)
+        sites = sum(np.moveaxis(g[base[:pos] + (slice(m, big),) + base[pos:]], pos, 0)
+                    for pos in range(p))  # (n,) + (m,) * (p - 1)
+        site_contr = np.stack([np.full(2**m, t) if p == 1 else spin_contraction(t, s)
+                               for t in sites])[:, None]
+        comp_contr = spin_contraction(g_new, s)
+        scale_big, scale_base = big ** (0.5 - 0.5 * p), m ** (0.5 - 0.5 * p)
+        out["trunc"] += coef * scale_big * spin_contraction(g[(slice(0, m),) * p], s)
+        out["z"] += coef * scale_base * site_contr
+        out["z_finite"] += coef * scale_big * site_contr
+        out["y"] += coef * math.sqrt(p - 1.0) * m ** (-0.5 * p) * comp_contr
+        out["y_finite"] += coef * math.sqrt((m ** (1.0 - p) - big ** (1.0 - p)) / n) * comp_contr
+    return out
 
 
 class TestTensorSampler:
@@ -81,6 +114,35 @@ class TestTensorSampler:
         with pytest.raises(ResourceError, match=r"312713952 bytes > budget 268435456; "
                                                 r"use the process sampler at this size"):
             TensorSampler(p7, 12)
+
+
+class TestWalshCoefficientRoute:
+    """Both tensor samplers fold each tensor into Walsh coefficients; these
+    oracles contract the same tensors with the spin matrix instead."""
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_tensor_route_is_the_direct_contraction(self, n, p):
+        spec, seed = orders_up_to(p), replica_seed(3, n)
+        table = TensorSampler(spec, n).sample(seed).values
+        rng = np.random.default_rng(seed)
+        want = np.zeros((2, 2**n))
+        for q in range(1, p + 1):
+            contr = spin_contraction(rng.standard_normal((n,) * q), spin_matrix(n))
+            want += np.array([[spec.a1[q - 1]], [spec.a2[q - 1]]]) * n ** (0.5 - 0.5 * q) * contr
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("m, n", [(3, 2), (4, 3)])
+    def test_explicit_sampler_is_the_sliced_contraction(self, m, n, p):
+        spec = orders_up_to(p)
+        for rep in range(3):
+            seed = replica_seed(4, rep)
+            draw, want = ExplicitSystemSampler(spec, m, n).sample(seed), _sliced_explicit_draw(
+                spec, m, n, seed)
+            for name, value in want.items():
+                np.testing.assert_allclose(getattr(draw, name), value, rtol=0,
+                                           atol=1e-12 * np.abs(value).max(), err_msg=name)
 
 
 class TestProcessSampler:

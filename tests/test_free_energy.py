@@ -293,16 +293,23 @@ class TestOverlapLogzReplicas:
                 d_lo, d_hi = c.window_disagreement_range()
                 assert window_values(rows, c)[rep] == float(logsumexp(log_z[d_lo:d_hi + 1])) / n
 
+    @pytest.mark.parametrize("sampler", ["tensor", "process"])
     @pytest.mark.parametrize("n", [8, 10, 12])
-    def test_p1_identity_up_to_the_cap(self, n):
+    def test_p1_identity_up_to_the_cap(self, n, sampler):
         # at p = 1 copy l's log-weight is sum_i (a_l g_i + h_l) sigma_i on one
         # shared g, so log Z(d) is the per-site ladder's: an oracle where
-        # brute force would cost 4**n pairs a table
+        # brute force would cost 4**n pairs a table.  The tensor route draws
+        # g itself; the process route's g is fitted to copy 1's table, and
+        # copy 2 must be a_2 / a_1 times copy 1 for the identity to hold
         spec = MixtureSpec(a1=(1.0,), a2=(0.7,), h1=0.2, h2=-0.1)
         seed, n_rep = 31, 4
-        rows = overlap_logz_replicas(spec, n, n_rep, seed)
+        rows = overlap_logz_replicas(spec, n, n_rep, seed, sampler)
         for rep in range(n_rep):
-            g = np.random.default_rng(replica_seed(seed, rep)).standard_normal(n)
+            if sampler == "tensor":
+                g = np.random.default_rng(replica_seed(seed, rep)).standard_normal(n)
+            else:
+                table = get_sampler(spec, n, sampler).sample(replica_seed(seed, rep))
+                g = np.linalg.lstsq(spin_matrix(n), table.values[0], rcond=None)[0] / spec.a1[0]
             ladder = cavity_logz_by_count(spec.a1[0] * g + spec.h1, spec.a2[0] * g + spec.h2)
             np.testing.assert_allclose(rows[rep], ladder, rtol=0, atol=1e-9)
 
