@@ -100,13 +100,43 @@ def fwht(a: np.ndarray) -> np.ndarray:
     return x.reshape(a.shape)
 
 
+def class_correlation(w: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """XOR correlation of the rows of w with the function of the given Walsh
+    spectrum: c[m] = sum_x w[x] * f(x ^ m), computed in O(n 2**n) via fwht."""
+    return fwht(fwht(w) * spectrum) / w.shape[-1]
+
+
 def xor_correlation(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """c[m] = sum_x w1[x] * w2[x ^ m], computed in O(n 2**n) via fwht.
+    """c[m] = sum_x w1[x] * w2[x ^ m]: class_correlation with w2's spectrum.
 
     Both inputs must share one power-of-two length along the last axis.
     """
-    m = w1.shape[-1]
-    return fwht(fwht(w1) * fwht(w2)) / m
+    return class_correlation(w1, fwht(w2))
+
+
+@lru_cache(maxsize=None)
+def krawtchouk(n: int) -> np.ndarray:
+    """K[d, j], the Walsh spectrum of the popcount-d class at any mask of
+    popcount j, so f(popcount) has the spectrum (f @ K)[popcounts(n)]: the
+    transforms of the n+1 class indicators, read at each popcount's least mask."""
+    out = fwht(np.eye(n + 1)[:, popcounts(n)])[:, (1 << np.arange(n + 1)) - 1]
+    out.flags.writeable = False
+    return out
+
+
+def class_spectrum(n: int, d: int) -> np.ndarray:
+    """Walsh spectrum of the indicator of the masks with popcount d."""
+    return krawtchouk(n)[d, popcounts(n)]
+
+
+@lru_cache(maxsize=None)
+def split_class_spectrum(m: int, n: int, d_m: int, d_n: int) -> np.ndarray:
+    """Walsh spectrum of the pinned-block class of m+n-bit masks (popcount
+    d_m in the low m bits, d_n in the high n bits); the indicator is a tensor
+    product, so its spectrum is the Kronecker product of the blocks' spectra."""
+    out = np.kron(class_spectrum(n, d_n), class_spectrum(m, d_m))
+    out.flags.writeable = False
+    return out
 
 
 def bucket_by_popcount(values: np.ndarray, n: int) -> np.ndarray:

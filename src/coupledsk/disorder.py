@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import parallel
-from .bits import fwht, popcounts, tuple_masks
+from .bits import fwht, krawtchouk, popcounts, tuple_masks
 from .configurations import OverlapConstraint
 from .mixture import MixtureFunctions, MixtureSpec, mixture_functions
 
@@ -93,14 +93,14 @@ def walsh_blocks(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Z_2^n whose (l, l') block at (s, s') is f_{ll'}(popcount(s ^ s')).
 
     f has shape (3, n+1): f_11, f_12 and f_22 over the disagreement counts.
-    The Walsh transform of f_{ll'} laid out over masks depends only on the
-    popcount k of the frequency, so the matrix splits into n+1 symmetric
-    2x2 blocks Lambda(k); returns their eigenvalues (n+1, 2) and
+    The Walsh transform of f_{ll'} laid out over masks is, at a frequency of
+    popcount k, (f_{ll'} @ krawtchouk(n))[k], so the matrix splits into n+1
+    symmetric 2x2 blocks Lambda(k); returns their eigenvalues (n+1, 2) and
     eigenvectors (n+1, 2, 2).  These are the eigenvalues of the whole
     2**(n+1)-square matrix, frequency class k holding C(n, k) copies.
     """
     n = f.shape[-1] - 1
-    spectrum = fwht(f[:, popcounts(n)])[:, (1 << np.arange(n + 1)) - 1]
+    spectrum = f @ krawtchouk(n)
     blocks = np.stack([spectrum[[0, 1]], spectrum[[1, 2]]]).transpose(2, 0, 1)
     return np.linalg.eigh(blocks)
 

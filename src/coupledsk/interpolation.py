@@ -34,7 +34,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .bits import fwht, magnetizations, popcounts, spin_matrix, split_popcounts
+from .bits import (class_correlation, class_spectrum, fwht, krawtchouk, magnetizations,
+                   popcounts, spin_matrix, split_class_spectrum, split_popcounts)
 from .configurations import OverlapConstraint, nearest_admissible
 from .disorder import HamiltonianTable, RostSpec, get_field_sampler, get_sampler
 from .free_energy import (
@@ -52,6 +53,7 @@ from .free_energy import (
 )
 from .mixture import COPY_PAIRS, MixtureFunctions, MixtureSpec, mixture_functions, require_convex
 from .parallel import map_blocks, replica_row, replica_seed
+from .reference import zero_disorder_log_pair_count
 
 
 # step of the common-random-number finite difference of phi
@@ -80,77 +82,46 @@ def _curve_worker(state_of, phi_at, deriv_at, phi_ts, deriv_ts, block) -> np.nda
     return np.concatenate(phi + [der[t][:, 1:] for t in deriv_ts], axis=-1)
 
 
-@lru_cache(maxsize=None)
-def _count_spectrum(n: int, d: int) -> np.ndarray:
-    """Walsh spectrum of the indicator of the masks with popcount d."""
-    out = fwht((popcounts(n) == d).astype(np.float64))
-    out.flags.writeable = False
-    return out
-
-
-def _class_correlation(w: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """XOR correlation of the rows of w with the class of the given spectrum."""
-    return fwht(fwht(w) * spectrum) / w.shape[-1]
-
-
-def _class_weights(g1: np.ndarray, g2: np.ndarray, spectrum: np.ndarray):
-    """(s1, s2, w1, w2, conv2) for rows of copy-1 and copy-2 log-weights and a
-    class spectrum: the per-row max shifts, the shifted weights exp(g - s),
-    and copy 2's XOR correlation with the class.  A row's pair sum over the
-    class is exp(s1 + s2) times w1 . conv2.  Shifts stay per row: one shared
-    across a block would push more of a row's classes below the doubles."""
-    s1 = g1.max(axis=-1, keepdims=True)
-    s2 = g2.max(axis=-1, keepdims=True)
-    w1 = np.exp(g1 - s1)
-    w2 = np.exp(g2 - s2)
-    return s1[..., 0], s2[..., 0], w1, w2, _class_correlation(w2, spectrum)
-
-
-def _copy_spectra(w1: np.ndarray, w2: np.ndarray, conv2: np.ndarray, spectrum: np.ndarray):
-    """(z, spectra) from _class_weights' output for rows of 2**n weights: each
-    row's pair sum over the class, w1 . conv2, and the Walsh spectra of the
-    two copies' conditional laws on the class, spectra[l] = fwht(nu_l).
-
-    The XOR law of copies l and l', sum_s nu_l[a, s] nu_l'[b, s ^ x], has
-    spectrum spectra[l][a] * spectra[l'][b]; by Parseval its sum against f(x)
-    is (spectra[l][a] * spectra[l'][b]) @ fwht(f) / 2**n, so no law is built."""
-    nu1 = w1 * conv2
-    nu2 = w2 * _class_correlation(w1, spectrum)
-    z = positive_sums(nu1.sum(axis=-1, keepdims=True))
-    nu1 /= z
-    nu2 /= nu2.sum(axis=-1, keepdims=True)
-    return z[..., 0], {1: fwht(nu1), 2: fwht(nu2)}
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products along the last axis: one BLAS dot per row, as for the
     row alone, so a row's bits never depend on its block."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-@lru_cache(maxsize=None)
-def _krawtchouk(n: int) -> np.ndarray:
-    """K[d, j], the Walsh spectrum of the popcount-d class at any mask of
-    popcount j, so f(popcount) has the spectrum (f @ K)[popcounts(n)]."""
-    first = (1 << np.arange(n + 1)) - 1  # the least mask of each popcount
-    out = np.stack([_count_spectrum(n, d)[first] for d in range(n + 1)])
-    out.flags.writeable = False
-    return out
+def _class_weights(g1: np.ndarray, g2: np.ndarray, spectrum: np.ndarray):
+    """(log_z, z, w1, w2, conv2) for rows of copy-1 and copy-2 log-weights g
+    and a class spectrum: the weights w = exp(g - s) under per-row max shifts
+    s, copy 2's class correlation conv2, each row's pair sum z = w1 . conv2
+    over the class (taken and checked once per evaluation) and its log pair
+    sum log z + s1 + s2.  Shifts stay per row: one shared across a block
+    would push more of a row's classes below the doubles."""
+    s1 = g1.max(axis=-1, keepdims=True)
+    s2 = g2.max(axis=-1, keepdims=True)
+    w1 = np.exp(g1 - s1)
+    w2 = np.exp(g2 - s2)
+    conv2 = class_correlation(w2, spectrum)
+    z = positive_sums(_row_dot(w1, conv2))
+    return np.log(z) + s1[..., 0] + s2[..., 0], z, w1, w2, conv2
+
+
+def _copy_spectra(w1: np.ndarray, w2: np.ndarray, conv2: np.ndarray, z: np.ndarray,
+                  spectrum: np.ndarray) -> dict:
+    """The Walsh spectra of the two copies' conditional laws on the class,
+    spectra[l] = fwht(nu_l), from _class_weights' output for rows of 2**n
+    weights; both laws are normalised by the row's pair sum z.
+
+    The XOR law of copies l and l', sum_s nu_l[a, s] nu_l'[b, s ^ x], has
+    spectrum spectra[l][a] * spectra[l'][b]; by Parseval its sum against f(x)
+    is (spectra[l][a] * spectra[l'][b]) @ fwht(f) / 2**n, so no law is built."""
+    nu1, nu2 = w1 * conv2, w2 * class_correlation(w1, spectrum)
+    nu1 /= z[..., None]
+    nu2 /= z[..., None]
+    return {1: fwht(nu1), 2: fwht(nu2)}
 
 
 # ---------------------------------------------------------------------------
 # Size-splitting interpolation
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _split_spectrum(m: int, n: int, d_m: int, d_n: int) -> np.ndarray:
-    """Walsh spectrum of the pinned-block class (popcount d_m in the low m
-    bits, d_n in the high n bits); the indicator is a tensor product, so its
-    spectrum is the Kronecker product of the blocks' spectra."""
-    out = np.kron(_count_spectrum(n, d_n), _count_spectrum(m, d_m))
-    out.flags.writeable = False
-    return out
 
 
 def _split_block(spec: MixtureSpec, m: int, n: int, root: int, block: range,
@@ -199,14 +170,9 @@ def lemma2_phi_block(
 ) -> np.ndarray:
     """Path value of each replica of a block of tables: (1/(M+N)) log of the
     pinned-block pair sum under the interpolated Hamiltonian."""
-    spectrum = _split_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
-    s1, s2, w1, _, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
-    return _split_phi(s1, s2, w1, conv2, u_m.n + u_n.n)
-
-
-def _split_phi(s1, s2, w1: np.ndarray, conv2: np.ndarray, big: int) -> np.ndarray:
-    """The path values from _class_weights of the pinned-block class."""
-    return (np.log(positive_sums(_row_dot(w1, conv2))) + s1 + s2) / big
+    spectrum = split_class_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
+    log_z = _class_weights(*_split_energies(spec, tables, t), spectrum)[0]
+    return log_z / (u_m.n + u_n.n)
 
 
 @dataclass(frozen=True)
@@ -235,7 +201,7 @@ def _bracket_spectra(spec: MixtureSpec, m: int, n: int) -> tuple[np.ndarray, ...
     big = m + n
     r_sig = (m * r_rho[:, None] + n * r_tau[None, :]) / big
     lo, hi = split_popcounts(m, n)
-    k_m, k_n = _krawtchouk(m), _krawtchouk(n)
+    k_m, k_n = krawtchouk(m), krawtchouk(n)
     return tuple(
         (k_m.T @ (big * funcs.xi(ell, ellp, r_sig)
                   - m * funcs.xi(ell, ellp, r_rho)[:, None]
@@ -258,14 +224,14 @@ def lemma2_derivative_block(
     is taken in the Walsh domain.  The path values are lemma2_phi_block's,
     from the same weights."""
     big = u_m.n + u_n.n
-    spectrum = _split_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
-    s1, s2, w1, w2, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
-    _, spectra = _copy_spectra(w1, w2, conv2, spectrum)
+    spectrum = split_class_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
+    log_z, z, w1, w2, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
+    spectra = _copy_spectra(w1, w2, conv2, z, spectrum)
     # the (2, 1) law is the mirror of the (1, 2) one, so that pair counts twice
     total = 0.0
     for (ell, ellp), mult, b_hat in zip(COPY_PAIRS, (1.0, 2.0, 1.0), b_hats):
         total = total + mult * _row_dot(spectra[ell] * spectra[ellp], b_hat)
-    return np.stack([_split_phi(s1, s2, w1, conv2, big), 0.5 * total / 2**big], axis=-1)
+    return np.stack([log_z / big, 0.5 * total / 2**big], axis=-1)
 
 
 def _split_constrained_term(
@@ -397,10 +363,10 @@ def lemma3_phi_block(
     states: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
 ) -> np.ndarray:
     """Path value of one replica's state, or of each replica of a block of
-    states."""
-    spectrum = _count_spectrum(n, c.d)
-    s1, s2, w1, _, conv2 = _class_weights(*_lemma3_element_tables(states, spec, n, t), spectrum)
-    return _lemma3_phi(states, n, t, s1, s2, w1, conv2)
+    states: (1/n) log of the weighted element sum of each element's
+    constrained pair sum times its compensator factor."""
+    log_z = _class_weights(*_lemma3_element_tables(states, spec, n, t), class_spectrum(n, c.d))[0]
+    return logsumexp(_element_logs(states, n, t, log_z), axis=-1) / n
 
 
 def lemma3_phi_replica(
@@ -410,12 +376,12 @@ def lemma3_phi_replica(
     return float(lemma3_phi_block(state, spec, n, c, t))
 
 
-def _lemma3_phi(states: _Lemma3State, n: int, t: float, s1, s2, w1, conv2) -> np.ndarray:
-    """(1/n) log of the weighted element sum of each element's constrained
-    pair sum times its compensator factor, of one state or per replica."""
-    log_pairs = np.log(positive_sums(np.einsum("...c,...c->...", w1, conv2))) + s1 + s2
-    y_part = np.sqrt(t * n) * (states.y[..., 0, :] + states.y[..., 1, :])
-    return logsumexp(log_pairs + y_part, axis=-1, b=states.w) / n
+def _element_logs(states: _Lemma3State, n: int, t: float, log_z: np.ndarray) -> np.ndarray:
+    """Each element's log weight plus its log constrained pair sum and its
+    compensator exponent, of one state or per replica (-inf at weight 0)."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(states.w)
+    return log_w + log_z + np.sqrt(t * n) * (states.y[..., 0, :] + states.y[..., 1, :])
 
 
 @dataclass(frozen=True)
@@ -452,7 +418,7 @@ def _lemma3_terms(rost: RostSpec, spec: MixtureSpec, n: int, c: OverlapConstrain
     spectrum of xi of the overlap with xi'(q) and theta(q)."""
     funcs = mixture_functions(spec)
     r_vals = 1.0 - 2.0 * np.arange(n + 1) / n
-    k, pop = _krawtchouk(n), popcounts(n)
+    k, pop = krawtchouk(n), popcounts(n)
     pairs = tuple(
         ((funcs.xi(ell, ellp, r_vals) @ k)[pop], funcs.xi_prime(ell, ellp, rost.q(ell, ellp)),
          funcs.theta(ell, ellp, rost.q(ell, ellp)))
@@ -478,15 +444,12 @@ def lemma3_derivative_block(
     element pair's two-replica averages of the overlap are Walsh-domain
     pairings of the two copies' conditional-law spectra.
     """
-    spectrum = _count_spectrum(n, c.d)
-    s1, s2, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(states, spec, n, t), spectrum)
-    phi = _lemma3_phi(states, n, t, s1, s2, w1, conv2)
-    z, spectra = _copy_spectra(w1, w2, conv2, spectrum)
-    log_z = np.log(z) + s1 + s2
-    with np.errstate(divide="ignore"):
-        log_p = np.log(states.w)
-    log_p = log_p + log_z + np.sqrt(t * n) * (states.y[:, 0] + states.y[:, 1])
-    p_alpha = np.exp(log_p - logsumexp(log_p, axis=-1)[:, None])
+    spectrum = class_spectrum(n, c.d)
+    log_z, z, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(states, spec, n, t), spectrum)
+    spectra = _copy_spectra(w1, w2, conv2, z, spectrum)
+    log_p = _element_logs(states, n, t, log_z)
+    log_norm = logsumexp(log_p, axis=-1)
+    p_alpha = np.exp(log_p - log_norm[..., None])
     first_terms, r_hat, pairs = terms
     first = _row_dot(p_alpha, first_terms)
 
@@ -501,7 +464,7 @@ def lemma3_derivative_block(
         e_r = (f_l * r_hat) @ f_lp / 2**n
         vals = e_xi - e_r * xi_prime_q + theta_q
         total_b = total_b + mult * (p_row @ vals @ p_col)[:, 0, 0]
-    return np.stack([phi, first, -0.5 * total_b], axis=-1)
+    return np.stack([log_norm / n, first, -0.5 * total_b], axis=-1)
 
 
 def _lemma3_pass(
@@ -687,27 +650,30 @@ def window_gaps(log_z: np.ndarray, k: int, eps_grid) -> dict:
     """Per-eps window gaps relative to the exact constraint, from the log Z(d)
     rows of common tables.
 
-    Returns means, stderrs, the per-replica minimum gap (must be >= 0), and
-    the fitted window constant max over eps > 0 of gap / sqrt(eps).
+    Returns means, stderrs, the per-replica minimum gap (must be >= 0), the
+    fitted window constant max over eps > 0 of gap / sqrt(eps), and the
+    excess constant, the same max of each mean gap less its counting gap:
+    the gap at zero disorder, where log Z(d) = log(2**n C(n, d)).  The
+    counting gap is exact, so it moves no stderr; it carries the lattice of
+    admissible overlaps, which alone makes the raw constant rise and fall
+    with n.
     """
     eps_grid = _zero_based(eps_grid)
     n_rep, n = log_z.shape[0], log_z.shape[1] - 1
-    rows = np.stack(
-        [window_values(log_z, OverlapConstraint(n=n, k=k, eps=e)) for e in eps_grid], axis=1
-    )
-    gaps = rows - rows[:, :1]
+    # row 0 is the zero-disorder one; window_values sums each row apart
+    rows = np.vstack([[n * zero_disorder_log_pair_count(n, d) for d in range(n + 1)], log_z])
+    values = np.stack([window_values(rows, OverlapConstraint(n=n, k=k, eps=e))
+                       for e in eps_grid], axis=1)
+    counting, gaps = np.split(values - values[:, :1], [1])
     means = gaps.mean(axis=0)
     ses = gaps.std(axis=0, ddof=1) / np.sqrt(n_rep)
-    ratios = means[1:] / np.sqrt(eps_grid[1:])
-    j = int(np.argmax(ratios))
-    return {
-        "eps": eps_grid,
-        "gap_mean": means,
-        "gap_stderr": ses,
-        "min_gap": float(gaps.min()),
-        "fitted_constant": float(ratios[j]),
-        "fitted_constant_stderr": float(ses[1 + j] / np.sqrt(eps_grid[1 + j])),
-    }
+    out = {"eps": eps_grid, "gap_mean": means, "gap_stderr": ses, "min_gap": float(gaps.min())}
+    for key, gap in (("fitted_constant", means), ("excess_constant", means - counting[0])):
+        ratios = gap[1:] / np.sqrt(eps_grid[1:])
+        j = int(np.argmax(ratios))
+        out[key] = float(ratios[j])
+        out[f"{key}_stderr"] = float(ses[1 + j] / np.sqrt(eps_grid[1 + j]))
+    return out
 
 
 def window_gap_profile(
@@ -746,16 +712,18 @@ def size_trend(sizes, y: np.ndarray, se: np.ndarray) -> tuple[float, bool]:
 
 
 def window_constant_check(n_list, profiles: dict[int, dict]) -> dict:
-    """Window values dominate point values, and the fitted window constant
-    does not grow with n.  profiles maps each n to its window_gaps result."""
-    lhat = np.array([profiles[n]["fitted_constant"] for n in n_list])
-    lse = np.array([profiles[n]["fitted_constant_stderr"] for n in n_list])
-    tstat, assessed = size_trend(n_list, lhat, lse)
+    """Window values dominate point values, and the window constant in
+    excess of the counting gaps does not grow with n.  profiles maps each n
+    to its window_gaps result."""
+    excess = np.array([profiles[n]["excess_constant"] for n in n_list])
+    excess_se = np.array([profiles[n]["excess_constant_stderr"] for n in n_list])
+    tstat, assessed = size_trend(n_list, excess, excess_se)
     min_gap = min(profiles[n]["min_gap"] for n in n_list)
     return {
         "check": "window-constant",
         "sizes": list(n_list),
-        "fitted_constant": lhat.tolist(),
+        "fitted_constant": [profiles[n]["fitted_constant"] for n in n_list],
+        "excess_constant": excess.tolist(),
         "slope_tstat": float(tstat),
         "trend_assessed": assessed,
         "min_gap": min_gap,
@@ -801,7 +769,6 @@ def superadditivity_check(
         "check": "superadditivity",
         "sizes": [list(p) for p in pairs],
         "fitted_constant": fitted,
-        "margin_sigmas": 3.0,
         "pass": bool(tstat < 2.0),
         "slope_tstat": float(tstat),
         "trend_assessed": assessed,

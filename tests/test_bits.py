@@ -1,10 +1,20 @@
-"""The Walsh-Hadamard kernel against the Hadamard matrix and a long-double butterfly."""
+"""The Walsh-Hadamard kernel against the Hadamard matrix and a long-double
+butterfly, and the overlap classes' spectra and correlations built on it."""
 
 import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from coupledsk.bits import fwht
+from coupledsk.bits import (
+    class_correlation,
+    class_spectrum,
+    fwht,
+    krawtchouk,
+    popcounts,
+    split_class_spectrum,
+    split_popcounts,
+    xor_correlation,
+)
 
 U = np.finfo(np.float64).eps / 2  # unit roundoff
 
@@ -105,3 +115,38 @@ def test_rejects_non_power_of_two():
     for shape in [(12,), (0,), (3, 0)]:
         with pytest.raises(ValueError, match="power of two"):
             fwht(np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 12])
+def test_krawtchouk_table_gives_popcount_spectra(n):
+    f = np.random.default_rng(n).standard_normal(n + 1)
+    pop = popcounts(n)
+    np.testing.assert_allclose((f @ krawtchouk(n))[pop], fwht(f[pop]),
+                               rtol=0, atol=1e-12 * 2**n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_class_spectra_are_the_indicators_transforms(n):
+    # integer sums, so exact
+    for d in range(n + 1):
+        assert np.array_equal(class_spectrum(n, d), fwht((popcounts(n) == d) * 1.0))
+    lo, hi = split_popcounts(2, n)
+    for d_m in range(3):
+        for d_n in range(n + 1):
+            indicator = ((lo == d_m) & (hi == d_n)) * 1.0
+            assert np.array_equal(split_class_spectrum(2, n, d_m, d_n), fwht(indicator))
+
+
+def test_correlations_against_the_direct_sum():
+    rng = np.random.default_rng(5)
+    w1, w2 = rng.random((2, 3, 32))
+    masks = np.arange(32)
+    direct = np.stack([(w1 * w2[:, masks ^ m]).sum(axis=-1) for m in masks], axis=-1)
+    np.testing.assert_allclose(xor_correlation(w1, w2), direct, rtol=1e-13)
+    # one operation in one order: the XOR correlation is the class correlation
+    # with the second table's spectrum, bit for bit
+    assert np.array_equal(xor_correlation(w1, w2), class_correlation(w1, fwht(w2)))
+    in_class = (popcounts(5) == 2) * 1.0
+    np.testing.assert_allclose(class_correlation(w1, class_spectrum(5, 2)),
+                               xor_correlation(w1, np.broadcast_to(in_class, w1.shape)),
+                               rtol=1e-13)

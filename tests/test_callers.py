@@ -18,7 +18,6 @@ BENCHMARK_PINNED = {
 TEST_ORACLES = {
     "reference.finite_z_covariance",
     "reference.finite_y_covariance",
-    "reference.zero_disorder_log_pair_count",
     "reference.dense_process_covariance",
     "reference.build_explicit_rost",
     "reference.explicit_full_table",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import orders_up_to
-from coupledsk import disorder
+from coupledsk import bits, disorder
 from coupledsk.bits import fwht, spin_matrix
 from coupledsk.disorder import (
     DirichletWeights,
@@ -186,6 +186,24 @@ class TestProcessSampler:
             dense = np.linalg.eigvalsh(cov)
             walsh = np.sort(np.repeat(w, copies, axis=0).ravel())
             assert np.max(np.abs(walsh - dense)) <= 1e-12 * np.max(np.abs(dense)), (name, n)
+
+    def test_walsh_blocks_run_no_transform(self, pure_p2, monkeypatch):
+        # the block spectra are f @ krawtchouk(n), a cached table: after the
+        # table's first build, no call transforms anything
+        calls = []
+        transform = disorder.fwht
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return transform(a)
+
+        f = np.stack([8 * mixture_functions(pure_p2).xi(ell, ellp, 1 - np.arange(9) / 4)
+                      for ell, ellp in ((1, 1), (1, 2), (2, 2))])
+        disorder.walsh_blocks(f)
+        for module in (bits, disorder):
+            monkeypatch.setattr(module, "fwht", counted)
+        disorder.walsh_blocks(f)
+        assert calls == []
 
     def test_block_below_floor_raises(self, pure_p2, monkeypatch):
         class CrossHeavy:

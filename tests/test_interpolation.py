@@ -532,13 +532,6 @@ class TestOneTransformPerArray:
             monkeypatch.setattr(module, "fwht", counted)
         return calls
 
-    @pytest.mark.parametrize("n", [1, 4, 8, 12])
-    def test_krawtchouk_table_gives_popcount_spectra(self, n):
-        f = np.random.default_rng(n).standard_normal(n + 1)
-        pop = popcounts(n)
-        np.testing.assert_allclose((f @ interpolation._krawtchouk(n))[pop], bits.fwht(f[pop]),
-                                   rtol=0, atol=1e-12 * 2**n)
-
     def test_calls_per_replica_function(self, mixed_even, fwht_calls):
         u3 = nearest_admissible(3, 1 / 3)
         tables = _split_block(mixed_even, 3, 3, 1, range(1))
@@ -557,7 +550,7 @@ class TestOneTransformPerArray:
         }
         counts = {}
         for name, evaluate in evaluations.items():
-            evaluate()  # the first call caches the class spectrum
+            evaluate()  # the first call caches the class tables
             before = len(fwht_calls)
             evaluate()
             counts[name] = len(fwht_calls) - before
@@ -569,6 +562,30 @@ class TestOneTransformPerArray:
         # an element-pair axis would give rost.m ** 2 rows
         assert max(math.prod(shape[:-1]) for shape in fwht_calls) <= rost.m
 
+    def test_one_pair_sum_per_row(self, mixed_even, monkeypatch):
+        # each derivative evaluation takes and checks each row's class pair
+        # sum once, and both copies' laws and the path value read it
+        checked = []
+        positive_sums = interpolation.positive_sums
+
+        def counted(z):
+            checked.append(np.shape(z))
+            return positive_sums(z)
+
+        monkeypatch.setattr(interpolation, "positive_sums", counted)
+        u3 = nearest_admissible(3, 1 / 3)
+        tables = _split_block(mixed_even, 3, 3, 1, range(2))
+        lemma2_derivative_block(mixed_even, u3, u3, 0.5, tables,
+                                _bracket_spectra(mixed_even, 3, 3))
+        assert checked == [(2,)]
+        checked.clear()
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(3))
+        states = lemma3_states(rost, mixed_even, 4, 1, range(2))
+        c = OverlapConstraint(4, 0)
+        lemma3_derivative_block(states, _lemma3_terms(rost, mixed_even, 4, c), mixed_even, 4,
+                                c, 0.5)
+        assert checked == [(2, rost.m)]
+
 
 class TestWindowProfile:
     def test_zero_disorder_exact_gaps(self, zero_mixture):
@@ -578,6 +595,22 @@ class TestWindowProfile:
         assert prof["gap_mean"][1] == pytest.approx(expected, abs=1e-12)
         assert prof["gap_stderr"][1] == 0.0
         assert prof["min_gap"] >= 0.0
+
+    def test_zero_disorder_has_no_excess(self, zero_mixture):
+        prof = window_gap_profile(zero_mixture, 6, 0, (0.0, 0.25, 0.5, 1.0), 3, seed=0)
+        assert prof["fitted_constant"] > 0.2
+        assert prof["excess_constant"] == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("seed", [4, 6])
+    def test_lattice_steps_fail_no_trend(self, pure_p2, seed):
+        # at n 4, 6 and 8 the raw constant's trend read t = 2.18 and 5.10 on
+        # these seeds; the counting gaps alone step up from 6 to 8
+        n_list = (4, 6, 8)
+        profiles = {n: window_gap_profile(pure_p2, n, 0, (0.0, 0.25, 0.5, 1.0), 200, seed)
+                    for n in n_list}
+        check = window_constant_check(n_list, profiles)
+        assert check["trend_assessed"] and check["pass"]
+        assert check["slope_tstat"] < -5.0
 
     def test_gap_nonnegative_per_replica(self, pure_p2):
         prof = window_gap_profile(pure_p2, 6, 0, (0.0, 0.5, 1.0), 50, seed=1)
