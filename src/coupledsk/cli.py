@@ -311,6 +311,13 @@ def cmd_lemma1(cfg: ExperimentConfig) -> Reports:
     if not any(eps > 0.0 for eps in cfg.eps_grid):
         raise ConfigError("lemma1 fits its window constant over eps > 0, "
                           f"but eps_grid {list(cfg.eps_grid)} has no positive entry")
+    widest = max(cfg.eps_grid)
+    windows = {n: OverlapConstraint(n, nearest_admissible(n, cfg.u).k, widest)
+               .window_disagreement_range() for n in cfg.n_list}
+    exact_only = ", ".join(str(n) for n, (d_lo, d_hi) in windows.items() if d_lo == d_hi)
+    if exact_only:
+        raise ConfigError(f"lemma1 fits its constant over windows wider than the class d, but "
+                          f"eps {widest:g} holds d alone at n_list size(s) {exact_only}")
     rows, profiles = [], {}
     for n in cfg.n_list:
         k = nearest_admissible(n, cfg.u).k

@@ -118,23 +118,15 @@ def construct_u_prime(
             raise ValueError(f"base sequence violates |u_M - u| <= 1/M at M={m}")
         seq[m] = v
 
-    hits: dict[int, list[int]] = {}
-    order: list[int] = []
+    hits: dict[int, list[int]] = {}  # in order of first occurrence
     for m in range(1, m_max + 1):
         num = (m + n) * seq[m + n] - m * seq[m]
         if num.denominator != 1:
             raise ValueError(f"split identity gave a non-integer count at M={m}")
-        k = int(num)
-        if k not in hits:
-            hits[k] = []
-            order.append(k)
-        hits[k].append(m)
+        hits.setdefault(int(num), []).append(m)
 
-    best = None
-    for k in order:
-        if best is None or len(hits[k]) > len(hits[best]):
-            best = k
-    if best is None or len(hits[best]) < 2:
+    best = max(hits, key=lambda k: len(hits[k]))  # the first of equal counts
+    if len(hits[best]) < 2:
         raise SearchExhaustedError(
             f"no recurring derived overlap within M <= {m_max}; widen the scan"
         )

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bits import bucket_by_popcount, magnetizations, xor_correlation
+from .bits import bucket_by_popcount, magnetizations, popcounts, xor_correlation
 from .configurations import OverlapConstraint
 from .disorder import (
     CavityFieldSample,
@@ -284,6 +284,13 @@ class GEstimate:
     term2: Estimate
 
 
+def _g_estimate(terms: np.ndarray, seed: int, label: str, prefix: str) -> GEstimate:
+    """The GEstimate of per-replica (term1, term2) rows, shape (n_rep, 2)."""
+    t1, t2 = terms.T
+    return GEstimate(_estimate(t1 - t2, seed, label), _estimate(t1, seed, f"{prefix}_term1"),
+                     _estimate(t2, seed, f"{prefix}_term2"))
+
+
 def structure_draws(
     rost: RostSpec, spec: MixtureSpec, n: int, root: int, block: range
 ) -> tuple[np.ndarray, CavityFieldSample]:
@@ -335,13 +342,8 @@ def estimate_G(
         )
     get_field_sampler(rost, spec)  # built before map_blocks: the workers share it
     # a block's largest stacked array is its fields z, (n, 2, m) a replica
-    t1, t2 = map_blocks(g_terms_block, (rost, spec, n, c, seed), n_rep, 2 * rost.m * n,
-                        threads).T
-    return GEstimate(
-        diff=_estimate(t1 - t2, seed, f"G(n={n},k={c.k})"),
-        term1=_estimate(t1, seed, "G_term1"),
-        term2=_estimate(t2, seed, "G_term2"),
-    )
+    terms = map_blocks(g_terms_block, (rost, spec, n, c, seed), n_rep, 2 * rost.m * n, threads)
+    return _g_estimate(terms, seed, f"G(n={n},k={c.k})", "G")
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +353,7 @@ def estimate_G(
 
 def _constrained_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """All base-mask pairs at disagreement d, deterministic order."""
-    masks_d = np.array(
-        [x for x in range(1 << m) if x.bit_count() == d], dtype=np.int64
-    )
+    masks_d = np.flatnonzero(popcounts(m) == d)
     r1 = np.repeat(np.arange(1 << m, dtype=np.int64), masks_d.size)
     r2 = (r1.reshape(-1, masks_d.size) ^ masks_d).reshape(-1)
     return r1, r2
@@ -386,34 +386,32 @@ def explicit_terms_block(
     spec: MixtureSpec,
     u_m: OverlapConstraint,
     u_prime: OverlapConstraint,
-    variant: str,
 ) -> np.ndarray:
     """The ExplicitTerms fields (term1, term2, log_norm) of each draw of a
-    block, shape (replicas, 3); one ladder call covers every (replica, pair).
-
-    variant 'limit' uses the exact-covariance cavity fields, 'finite' the
-    big-system-normalized ones from the same tensors.
+    block in each variant, shape (replicas, variant, 3), variants in
+    EXPLICIT_VARIANTS order: 'limit' uses the exact-covariance cavity fields,
+    'finite' the big-system-normalized ones from the same tensors.  The
+    variants share the pairs, their weights and the normalizer, and one
+    ladder call covers every (replica, variant, pair).
     """
     if u_prime.n != draws.n:
         raise ValueError("increment constraint size must equal n")
     n = draws.n
     r1, r2 = _constrained_pairs(draws.m, u_m.d)
-    z = draws.z if variant == "limit" else draws.z_finite
-    y = draws.y if variant == "limit" else draws.y_finite
-    a = z[:, :, 0, r1].swapaxes(-1, -2) + spec.h1  # (replica, pair, site)
-    b = z[:, :, 1, r2].swapaxes(-1, -2) + spec.h2
+    z = np.stack([draws.z, draws.z_finite], axis=1)  # (replica, variant, site, copy, mask)
+    y = np.stack([draws.y, draws.y_finite], axis=1)  # (replica, variant, copy, mask)
+    a = z[..., 0, r1].swapaxes(-1, -2) + spec.h1  # (replica, variant, pair, site)
+    b = z[..., 1, r2].swapaxes(-1, -2) + spec.h2
     log_b = _ladder_class(a, b, u_prime.d)
     require_finite_fields(draws.m, spec.h1, spec.h2)
     mag = magnetizations(draws.m)
-    log_w = (
-        draws.trunc[:, 0, r1] + draws.trunc[:, 1, r2]
-        + spec.h1 * mag[r1] + spec.h2 * mag[r2]
-    )
+    log_w = (draws.trunc[:, 0, r1] + draws.trunc[:, 1, r2]
+             + spec.h1 * mag[r1] + spec.h2 * mag[r2])
     log_norm = logsumexp(log_w, axis=-1)
-    lw = log_w - log_norm[:, None]
+    lw = (log_w - log_norm[:, None])[:, None]  # (replica, 1, pair): both variants' weights
     term1 = logsumexp(lw + log_b, axis=-1) / n
-    term2 = logsumexp(lw + np.sqrt(n) * (y[:, 0, r1] + y[:, 1, r2]), axis=-1) / n
-    return np.stack([term1, term2, log_norm / n], axis=-1)
+    term2 = logsumexp(lw + np.sqrt(n) * (y[..., 0, r1] + y[..., 1, r2]), axis=-1) / n
+    return np.stack(np.broadcast_arrays(term1, term2, (log_norm / n)[:, None]), axis=-1)
 
 
 def explicit_terms_replica(
@@ -426,9 +424,10 @@ def explicit_terms_replica(
     seed,
 ) -> ExplicitTerms:
     """Both terms of the explicit-structure functional for the draw from
-    seed: explicit_terms_block of the block holding that draw alone."""
+    seed: its variant's row of explicit_terms_block on that draw alone."""
     draws = get_explicit_sampler(spec, m, n).sample_block([seed])
-    return ExplicitTerms(*map(float, explicit_terms_block(draws, spec, u_m, u_prime, variant)[0]))
+    row = explicit_terms_block(draws, spec, u_m, u_prime)[0, EXPLICIT_VARIANTS.index(variant)]
+    return ExplicitTerms(*map(float, row))
 
 
 def _gmn_worker(spec: MixtureSpec, m: int, n: int, u_m: OverlapConstraint,
@@ -436,10 +435,10 @@ def _gmn_worker(spec: MixtureSpec, m: int, n: int, u_m: OverlapConstraint,
                 block: range) -> np.ndarray:
     draws = get_explicit_sampler(spec, m, n).sample_block(
         [replica_seed(root, rep) for rep in block])
-    terms = [explicit_terms_block(draws, spec, u_m, u_prime, v) for v in EXPLICIT_VARIANTS]
+    terms = explicit_terms_block(draws, spec, u_m, u_prime)
     if probe is not None:
-        probe(block, draws, terms[0])
-    return np.stack([t[:, :2] for t in terms], axis=1)
+        probe(block, draws, terms[:, 0])
+    return terms[..., :2]
 
 
 def estimate_G_MN(
@@ -459,16 +458,10 @@ def estimate_G_MN(
     'limit' explicit_terms_block rows, so a check reads the draws of this
     pass instead of drawing them again."""
     get_explicit_sampler(spec, m, n)  # built before map_blocks: the workers share it
-    # a block's largest stacked array is its ladders, (pairs, n+1) a replica,
-    # its fields z, (n, 2, 2**m), or one order's Walsh coefficients, (n+3, 2**m)
-    row = max((math.comb(m, u_m.d) << m) * (n + 1), 2 * n << m, n + 3 << m)
+    # a block's largest stacked array is its ladders, (variant, pairs, n+1) a replica,
+    # its fields z, (variant, n, 2, 2**m), or one order's Walsh coefficients, (n+3, 2**m)
+    row = max(2 * (math.comb(m, u_m.d) << m) * (n + 1), 4 * n << m, n + 3 << m)
     out = map_blocks(_gmn_worker, (spec, m, n, u_m, u_prime, seed, probe), n_rep, row,
                      threads)  # (n_rep, variant, term)
-    return tuple(
-        GEstimate(
-            diff=_estimate(t1 - t2, seed, f"G_MN(m={m},n={n},{variant})"),
-            term1=_estimate(t1, seed, "G_MN_term1"),
-            term2=_estimate(t2, seed, "G_MN_term2"),
-        )
-        for variant, (t1, t2) in zip(EXPLICIT_VARIANTS, out.transpose(1, 2, 0))
-    )
+    return tuple(_g_estimate(out[:, i], seed, f"G_MN(m={m},n={n},{variant})", "G_MN")
+                 for i, variant in enumerate(EXPLICIT_VARIANTS))

@@ -30,7 +30,7 @@ of popcounts has its spectrum from the Krawtchouk table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -742,19 +742,17 @@ def superadditivity_check(
 ) -> dict:
     """Restricted-range superadditivity: the normalized deficit
     -((m+n) F_{m+n} - m F_m - n F_n) / sqrt(m+n) does not grow with m+n,
-    fitted once per unordered pair m <= n (a mirror pair repeats its deficit)."""
-
-    @lru_cache(maxsize=None)
-    def f_of(n: int) -> Estimate:
-        return estimate_F(spec, n, nearest_admissible(n, u), n_rep, seed + 104729 * n, sampler,
-                          threads)
-
+    fitted once per unordered pair m <= n (a mirror pair repeats its deficit).
+    F is estimated once per size, from root seed + 104729 n."""
     distinct = list(dict.fromkeys(n_list))
     pairs = [(m, n) for m in distinct for n in distinct if n / 2 <= m <= n and m + n <= WHT_CAP]
     sizes = [m + n for m, n in pairs]
+    f_at = {s: estimate_F(spec, s, nearest_admissible(s, u), n_rep, seed + 104729 * s, sampler,
+                          threads)
+            for s in dict.fromkeys(s for m, n in pairs for s in (m, n, m + n))}
     normalized, norm_se = [], []
     for m, n in pairs:
-        fm, fn, fb = f_of(m), f_of(n), f_of(m + n)
+        fm, fn, fb = f_at[m], f_at[n], f_at[m + n]
         deficit = (m + n) * fb.mean - m * fm.mean - n * fn.mean
         se = np.sqrt(((m + n) * fb.stderr) ** 2 + (m * fm.stderr) ** 2 + (n * fn.stderr) ** 2)
         normalized.append(-deficit / np.sqrt(m + n))

@@ -124,7 +124,6 @@ class MixtureFunctions:
     """
 
     def __init__(self, spec: MixtureSpec):
-        self.spec = spec
         a = {1: np.array(spec.a1), 2: np.array(spec.a2)}
         self._c = {(l, lp): a[l] * a[lp] for l in (1, 2) for lp in (1, 2)}
         self._p = np.arange(1, spec.p_max + 1, dtype=np.float64)
@@ -207,7 +206,6 @@ def check_convexity(spec: MixtureSpec) -> ConvexityReport:
 @dataclass(frozen=True)
 class PositivityReport:
     minima: dict
-    argmin: dict
     passed: bool
 
 
@@ -232,17 +230,12 @@ def check_positivity(spec: MixtureSpec) -> PositivityReport:
     funcs = MixtureFunctions(spec)
     grid = np.linspace(-1.0, 1.0, POSITIVITY_GRID)
     minima = {}
-    argmin = {}
     for pair in COPY_PAIRS:
         xi_x = funcs.xi(*pair, grid)[:, None]
         xip_y = funcs.xi_prime(*pair, grid)[None, :]
         th_y = funcs.theta(*pair, grid)[None, :]
-        vals = xi_x - grid[:, None] * xip_y + th_y
-        flat = int(np.argmin(vals))
-        i, j = divmod(flat, POSITIVITY_GRID)
-        minima[pair] = float(vals[i, j])
-        argmin[pair] = (float(grid[i]), float(grid[j]))
+        minima[pair] = float((xi_x - grid[:, None] * xip_y + th_y).min())
     return PositivityReport(
-        minima=minima, argmin=argmin,
+        minima=minima,
         passed=all(v >= -POSITIVITY_TOL for v in minima.values()),
     )

@@ -35,7 +35,6 @@ from .free_energy import (
     cavity_logz_by_count,
     estimate_G_MN,
     explicit_pairs,
-    explicit_terms_block,
     logsumexp,
     partition_by_overlap,
     require_finite_fields,

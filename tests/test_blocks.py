@@ -271,9 +271,8 @@ def test_block_kernels_are_blind_to_block_boundaries(seed, bounds, n, m, t):
     big_m = 3
     u_m = nearest_admissible(big_m, 1 / 3)
     explicit = get_explicit_sampler(spec, big_m, n)
-    for variant in ("limit", "finite"):
-        _rows_match(lambda lo, hi: explicit_terms_block(explicit.sample_block(seeds[lo:hi]), spec,
-                                                        u_m, c, variant), seeds, bounds)
+    _rows_match(lambda lo, hi: explicit_terms_block(explicit.sample_block(seeds[lo:hi]), spec,
+                                                    u_m, c), seeds, bounds)
 
     # both interpolation paths
     u_n = nearest_admissible(2, 0.0)

@@ -1,7 +1,7 @@
 """Every public top-level function and class in coupledsk has a caller in
 the package, apart from the names allowlisted below with their reasons.
 Code that only the tests or the benchmark reach gets a real caller or is
-deleted with its tests."""
+deleted with its tests.  No module imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -47,3 +47,19 @@ def test_every_public_name_has_a_caller():
 
 def test_allowlist_names_only_uncalled_code():
     assert BENCHMARK_PINNED | TEST_ORACLES <= _uncalled()
+
+
+def test_every_imported_name_is_read():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules under {SRC}"
+    unused = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {f"{path.stem}.{name}" for name in imported - read}
+    assert unused == set()

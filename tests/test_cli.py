@@ -320,6 +320,21 @@ class TestPreconditions:
         assert run_cli("lemma1", "--config", str(path), "--out", str(tmp_path / "out")) == 2
         assert no_monte_carlo == []
 
+    @pytest.mark.parametrize("config, sizes", [
+        ({"n_list": [1, 2, 3], "n_rep": 200}, "1"),
+        ({"n_list": [4, 6, 8, 10], "eps_grid": [0, 0.25], "n_rep": 50}, "4, 6"),
+    ])
+    def test_lemma1_window_of_the_exact_class_alone_exits_2_before_monte_carlo(
+            self, config, sizes, tmp_path, no_monte_carlo, capsys):
+        # such a size's excess constant is exactly 0 with standard error 0,
+        # which pins the trend fit
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("lemma1", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(f"holds d alone at n_list size(s) {sizes}")
+        assert no_monte_carlo == []
+
     def test_largest_coefficients_a_double_holds_run_clean(self, small_config, tmp_path):
         data = json.loads(small_config.read_text())
         path = tmp_path / "big.json"

@@ -71,6 +71,13 @@ class TestConstructUPrime:
         assert res.value == 1
         assert res.constraint.k == 3
 
+    def test_tie_goes_to_the_first_occurrence(self):
+        # M = 1..4 derive 2, 0, 0, 2: two hits each, and 2 occurs first
+        ks = {1: -1, 2: -1, 3: 1, 4: -1, 5: 1, 6: 1}
+        res = construct_u_prime(2, lambda m: Fraction(ks[m], m), m_max=4, u=0.0)
+        assert res.constraint.k == 2
+        assert res.recurrence == (1, 4)
+
     def test_parity_forced(self):
         res = construct_u_prime(5, admissible_sequence(0.2), m_max=40, u=0.2)
         assert (res.constraint.k - 5) % 2 == 0

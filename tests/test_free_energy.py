@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from coupledsk.bits import magnetizations, popcounts, spin_matrix, split_popcounts
+from coupledsk import free_energy
 from coupledsk.configurations import OverlapConstraint, nearest_admissible
 from coupledsk.disorder import (
     ExplicitSystemSampler,
@@ -18,17 +19,20 @@ from coupledsk.disorder import (
     RostInvalidError,
     RostSpec,
     explicit_fields_psd,
+    get_explicit_sampler,
     get_sampler,
     random_gram_rost,
 )
 from coupledsk.free_energy import logsumexp as own_logsumexp
 from coupledsk.free_energy import (
+    EXPLICIT_VARIANTS,
     Estimate,
     NumericalError,
     cavity_logz_by_count,
     estimate_F,
     estimate_G,
     estimate_G_MN,
+    explicit_terms_block,
     explicit_terms_replica,
     g_terms_block,
     overlap_logz_replicas,
@@ -508,6 +512,22 @@ class TestExplicitStructure:
             assert g.term1.mean == np.mean([t.term1 for t in terms])
             assert g.term2.mean == np.mean([t.term2 for t in terms])
             assert g.diff.label == f"G_MN(m={m},n={n},{variant})"
+
+    def test_both_variants_share_one_ladder_call(self, mixed_even, monkeypatch):
+        calls = []
+        ladder_class = free_energy._ladder_class
+
+        def counted(a, b, d):
+            calls.append(a.shape)
+            return ladder_class(a, b, d)
+
+        monkeypatch.setattr(free_energy, "_ladder_class", counted)
+        u_m = nearest_admissible(3, 0.0)
+        draws = get_explicit_sampler(mixed_even, 3, 3).sample_block(
+            [replica_seed(4, rep) for rep in range(3)])
+        terms = explicit_terms_block(draws, mixed_even, u_m, nearest_admissible(3, 0.0))
+        assert terms.shape == (3, len(EXPLICIT_VARIANTS), 3)
+        assert len(calls) == 1
 
     def test_zero_mixture_value(self, zero_mixture):
         u_m = nearest_admissible(4, 0.0)

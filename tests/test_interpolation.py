@@ -660,6 +660,19 @@ class TestVerdictSuite:
         assert len(res["normalized_deficit_stderrs"]) == len(pairs)
         assert res["trend_assessed"]
 
+    def test_superadd_estimates_each_size_once(self, pure_p2, monkeypatch):
+        # each size's F is estimated once, in the order the pairs first read
+        # it as m, n and m + n, each from root seed + 104729 * size
+        calls = []
+
+        def recorded(spec, n, c, n_rep, seed, sampler="tensor", threads=1):
+            calls.append((n, seed))
+            return Estimate(mean=0.1 * n, stderr=0.01, n_rep=n_rep, seed=seed)
+
+        monkeypatch.setattr(interpolation, "estimate_F", recorded)
+        superadditivity_check(pure_p2, 0.0, (3, 4, 5, 6, 4), 4, seed=9)
+        assert calls == [(n, 9 + 104729 * n) for n in (3, 6, 4, 7, 5, 8, 9, 10, 11, 12)]
+
     def test_structure_margin_is_four_sigma(self, pure_p2):
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(11))
         c = OverlapConstraint(4, 0)
