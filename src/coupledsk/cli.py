@@ -13,14 +13,14 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .bits import CONFIG_CAP
-from .configurations import OverlapConstraint, admissible_sequence, construct_u_prime, nearest_admissible
+from .configurations import admissible_sequence, construct_u_prime, nearest_admissible
 from .disorder import (
     DirichletWeights,
     NumericalError,
@@ -298,7 +298,7 @@ def cmd_free_energy(cfg: ExperimentConfig) -> Reports:
         log_z = overlap_logz_replicas(cfg.mixture, n, cfg.n_rep, cfg.seed, cfg.sampler,
                                       cfg.threads)
         for eps in cfg.eps_grid:
-            est = window_estimate(log_z, OverlapConstraint(n=n, k=c.k, eps=eps), cfg.seed)
+            est = window_estimate(log_z, replace(c, eps=eps), cfg.seed)
             rows.append(_estimate_row(est, n, c.k, eps))
         # count-resolved dump for the first replica's table
         resolved_rows.extend([n, d, f"{v:.17g}"] for d, v in enumerate(log_z[0]))
@@ -312,19 +312,19 @@ def cmd_lemma1(cfg: ExperimentConfig) -> Reports:
         raise ConfigError("lemma1 fits its window constant over eps > 0, "
                           f"but eps_grid {list(cfg.eps_grid)} has no positive entry")
     widest = max(cfg.eps_grid)
-    windows = {n: OverlapConstraint(n, nearest_admissible(n, cfg.u).k, widest)
-               .window_disagreement_range() for n in cfg.n_list}
+    constraints = {n: nearest_admissible(n, cfg.u) for n in cfg.n_list}
+    windows = {n: replace(c, eps=widest).window_disagreement_range()
+               for n, c in constraints.items()}
     exact_only = ", ".join(str(n) for n, (d_lo, d_hi) in windows.items() if d_lo == d_hi)
     if exact_only:
         raise ConfigError(f"lemma1 fits its constant over windows wider than the class d, but "
                           f"eps {widest:g} holds d alone at n_list size(s) {exact_only}")
     rows, profiles = [], {}
-    for n in cfg.n_list:
-        k = nearest_admissible(n, cfg.u).k
-        prof = profiles[n] = window_gap_profile(cfg.mixture, n, k, cfg.eps_grid, cfg.n_rep,
+    for n, c in constraints.items():
+        prof = profiles[n] = window_gap_profile(cfg.mixture, c, cfg.eps_grid, cfg.n_rep,
                                                 cfg.seed, cfg.sampler, cfg.threads)
         for eps, gm, gs in zip(prof["eps"], prof["gap_mean"], prof["gap_stderr"]):
-            rows.append(["window_gap", n, k, f"{eps:.17g}", cfg.n_rep, cfg.seed,
+            rows.append(["window_gap", n, c.k, f"{eps:.17g}", cfg.n_rep, cfg.seed,
                          f"{gm:.17g}", f"{gs:.17g}"])
     check = window_constant_check(cfg.n_list, profiles)
     return {"lemma1.csv": (ESTIMATE_FIELDS, rows)}, check, check["pass"]
@@ -345,7 +345,7 @@ def cmd_rost_eval(cfg: ExperimentConfig) -> Reports:
     rost = cfg.load_rost()
     n = _one_size(cfg, "rost-eval")
     c = nearest_admissible(n, cfg.u)
-    g = estimate_G(rost, cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.threads)
+    g = estimate_G(rost, cfg.mixture, c, cfg.n_rep, cfg.seed, cfg.threads)
     rows = [
         _estimate_row(g.diff, n, c.k, 0.0),
         _estimate_row(g.term1, n, c.k, 0.0),
@@ -360,8 +360,8 @@ def cmd_lemma3(cfg: ExperimentConfig) -> Reports:
     rost = cfg.load_rost()
     n = _one_size(cfg, "lemma3")
     c = nearest_admissible(n, cfg.u)
-    f_est = estimate_F(cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
-    g_est = estimate_G(rost, cfg.mixture, n, c, cfg.n_rep, cfg.seed, cfg.threads)
+    f_est = estimate_F(cfg.mixture, c, cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
+    g_est = estimate_G(rost, cfg.mixture, c, cfg.n_rep, cfg.seed, cfg.threads)
     check = structure_bound_check(rost, cfg.mixture, c, f_est, g_est, cfg.t_grid,
                                   cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
     rows = [
@@ -377,9 +377,8 @@ def cmd_explicit_rost(cfg: ExperimentConfig) -> Reports:
     n = _one_size(cfg, "explicit-rost")
     u_m = nearest_admissible(cfg.m, cfg.u)
     derived = construct_u_prime(n, admissible_sequence(cfg.u), m_max=max(40, 4 * n), u=cfg.u)
-    check, ok, (g_lim, g_fin) = explicit_rost_check(cfg.mixture, cfg.m, u_m, cfg.u,
-                                                    derived.constraint, cfg.n_rep, cfg.seed,
-                                                    cfg.threads)
+    check, ok, (g_lim, g_fin) = explicit_rost_check(cfg.mixture, u_m, cfg.u, derived.constraint,
+                                                    cfg.n_rep, cfg.seed, cfg.threads)
     rows = [
         _estimate_row(g_lim.diff, n, derived.constraint.k, 0.0),
         _estimate_row(g_fin.diff, n, derived.constraint.k, 0.0),
@@ -403,7 +402,7 @@ def cmd_interp(cfg: ExperimentConfig) -> Reports:
         runs["size-splitting"] = run_lemma2_curve(cfg.mixture, cfg.m, n, cfg.u, cfg.t_grid,
                                                   cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
     c = nearest_admissible(n, cfg.u)
-    runs["structure-comparison"] = run_lemma3_curve(rost, cfg.mixture, n, c, cfg.t_grid,
+    runs["structure-comparison"] = run_lemma3_curve(rost, cfg.mixture, c, cfg.t_grid,
                                                     cfg.n_rep, cfg.seed, cfg.sampler, cfg.threads)
     rows = [[kind, f"{t:.17g}", f"{p.mean:.17g}", f"{p.stderr:.17g}", f"{dfd.mean:.17g}",
              f"{dgb.mean:.17g}"]

@@ -532,10 +532,10 @@ def get_explicit_sampler(spec: MixtureSpec, m: int, n: int) -> ExplicitSystemSam
     return ExplicitSystemSampler(spec, m, n)
 
 
-def explicit_fields_psd(funcs: MixtureFunctions, m: int, u_m: OverlapConstraint) -> bool:
-    """Whether RostFieldSampler accepts reference.build_explicit_rost(m, u_m,
-    ...) with funcs = mixture_functions(spec), from 2 (M+1) Walsh blocks
-    instead of two factorisations of side 2 |pairs|.
+def explicit_fields_psd(funcs: MixtureFunctions, u_m: OverlapConstraint) -> bool:
+    """Whether RostFieldSampler accepts reference.build_explicit_rost(u_m, ...)
+    with funcs = mixture_functions(spec), from 2 (M+1) Walsh blocks (M =
+    u_m.n) instead of two factorisations of side 2 |pairs|.
 
     An element's copy-l row of xi'(q) and theta(q) depends only on its base
     mask r_l, and each mask occurs C(M, d) times per copy, so each field
@@ -544,6 +544,7 @@ def explicit_fields_psd(funcs: MixtureFunctions, m: int, u_m: OverlapConstraint)
     C(M, d) times those of B's Walsh blocks, the rest are 0, and each is held
     to the floor psd_factor holds the whole matrix's eigenvalues to.
     """
+    m = u_m.n
     mult = math.comb(m, u_m.d)
     pairs = mult << m
     q = (m - 2.0 * np.arange(m + 1)) / m  # as build_explicit_rost's q-matrices

@@ -185,7 +185,9 @@ def overlap_logz_replicas(
 
 
 def window_values(log_z: np.ndarray, c: OverlapConstraint) -> np.ndarray:
-    """(1/n) log of the window-constrained pair sum for each row of log Z(d)."""
+    """(1/n) log of the window-constrained pair sum for each row of c's log Z(d)."""
+    if log_z.shape[-1] != c.n + 1:
+        raise ValueError(f"log Z(d) rows have {log_z.shape[-1]} classes; n = {c.n} has {c.n + 1}")
     d_lo, d_hi = c.window_disagreement_range()
     return logsumexp(log_z[:, d_lo:d_hi + 1], axis=1) / c.n
 
@@ -201,7 +203,6 @@ def window_estimate(log_z: np.ndarray, c: OverlapConstraint, seed: int) -> Estim
 
 def estimate_F(
     spec: MixtureSpec,
-    n: int,
     c: OverlapConstraint,
     n_rep: int,
     seed: int,
@@ -212,7 +213,8 @@ def estimate_F(
     if c.eps != 0.0:
         raise ValueError("estimate_F requires an exact constraint; for a window use "
                          "window_estimate(overlap_logz_replicas(...), c, seed)")
-    return window_estimate(overlap_logz_replicas(spec, n, n_rep, seed, sampler, threads), c, seed)
+    return window_estimate(overlap_logz_replicas(spec, c.n, n_rep, seed, sampler, threads), c,
+                           seed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,28 +308,26 @@ def structure_draws(
 def g_terms_block(
     rost: RostSpec,
     spec: MixtureSpec,
-    n: int,
     c: OverlapConstraint,
     root: int,
     block: range,
 ) -> np.ndarray:
-    """Both structure-functional terms of each replica of a block, shape
+    """Both structure-functional terms of each replica of a block at c, shape
     (len(block), 2), from structure_draws; one ladder call covers every
     (replica, element).
     """
-    w, fields = structure_draws(rost, spec, n, root, block)
+    w, fields = structure_draws(rost, spec, c.n, root, block)
     a = fields.z[:, :, 0, :].swapaxes(-1, -2) + spec.h1  # (replica, element, site)
     b = fields.z[:, :, 1, :].swapaxes(-1, -2) + spec.h2
     log_b = _ladder_class(a, b, c.d)
-    term1 = logsumexp(log_b, axis=-1, b=w) / n
-    term2 = logsumexp(np.sqrt(n) * (fields.y[:, 0] + fields.y[:, 1]), axis=-1, b=w) / n
+    term1 = logsumexp(log_b, axis=-1, b=w) / c.n
+    term2 = logsumexp(np.sqrt(c.n) * (fields.y[:, 0] + fields.y[:, 1]), axis=-1, b=w) / c.n
     return np.stack([term1, term2], axis=-1)
 
 
 def estimate_G(
     rost: RostSpec,
     spec: MixtureSpec,
-    n: int,
     c: OverlapConstraint,
     n_rep: int,
     seed: int,
@@ -342,8 +342,8 @@ def estimate_G(
         )
     get_field_sampler(rost, spec)  # built before map_blocks: the workers share it
     # a block's largest stacked array is its fields z, (n, 2, m) a replica
-    terms = map_blocks(g_terms_block, (rost, spec, n, c, seed), n_rep, 2 * rost.m * n, threads)
-    return _g_estimate(terms, seed, f"G(n={n},k={c.k})", "G")
+    terms = map_blocks(g_terms_block, (rost, spec, c, seed), n_rep, 2 * rost.m * c.n, threads)
+    return _g_estimate(terms, seed, f"G(n={c.n},k={c.k})", "G")
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +359,16 @@ def _constrained_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r1, r2
 
 
-def explicit_pairs(m: int, u_m: OverlapConstraint) -> tuple[np.ndarray, np.ndarray]:
-    """The elements of the explicit structure: the base-mask pairs at u_m's
-    disagreement count, ResourceError beyond EXPLICIT_PAIR_CAP of them."""
-    if u_m.n != m:
-        raise ValueError("constraint size must equal the base size")
-    size = math.comb(m, u_m.d) << m  # checked before any pair is built
+def explicit_pairs(u_m: OverlapConstraint) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of the explicit structure: the pairs of u_m.n-spin base
+    masks at u_m's disagreement count, ResourceError beyond
+    EXPLICIT_PAIR_CAP of them."""
+    size = math.comb(u_m.n, u_m.d) << u_m.n  # checked before any pair is built
     if size > EXPLICIT_PAIR_CAP:
         raise ResourceError(
             f"pair set has {size} elements > cap {EXPLICIT_PAIR_CAP}; reduce the base size"
         )
-    return _constrained_pairs(m, u_m.d)
+    return _constrained_pairs(u_m.n, u_m.d)
 
 
 @dataclass(frozen=True)
@@ -394,8 +393,8 @@ def explicit_terms_block(
     variants share the pairs, their weights and the normalizer, and one
     ladder call covers every (replica, variant, pair).
     """
-    if u_prime.n != draws.n:
-        raise ValueError("increment constraint size must equal n")
+    if (u_m.n, u_prime.n) != (draws.m, draws.n):
+        raise ValueError("constraint sizes must equal the draws' base and increment sizes")
     n = draws.n
     r1, r2 = _constrained_pairs(draws.m, u_m.d)
     z = np.stack([draws.z, draws.z_finite], axis=1)  # (replica, variant, site, copy, mask)
@@ -430,10 +429,9 @@ def explicit_terms_replica(
     return ExplicitTerms(*map(float, row))
 
 
-def _gmn_worker(spec: MixtureSpec, m: int, n: int, u_m: OverlapConstraint,
-                u_prime: OverlapConstraint, root: int, probe: Callable | None,
-                block: range) -> np.ndarray:
-    draws = get_explicit_sampler(spec, m, n).sample_block(
+def _gmn_worker(spec: MixtureSpec, u_m: OverlapConstraint, u_prime: OverlapConstraint,
+                root: int, probe: Callable | None, block: range) -> np.ndarray:
+    draws = get_explicit_sampler(spec, u_m.n, u_prime.n).sample_block(
         [replica_seed(root, rep) for rep in block])
     terms = explicit_terms_block(draws, spec, u_m, u_prime)
     if probe is not None:
@@ -443,8 +441,6 @@ def _gmn_worker(spec: MixtureSpec, m: int, n: int, u_m: OverlapConstraint,
 
 def estimate_G_MN(
     spec: MixtureSpec,
-    m: int,
-    n: int,
     u_m: OverlapConstraint,
     u_prime: OverlapConstraint,
     n_rep: int,
@@ -453,15 +449,16 @@ def estimate_G_MN(
     probe: Callable | None = None,
 ) -> tuple[GEstimate, GEstimate]:
     """Monte Carlo averages of the explicit-structure functional, the 'limit'
-    and the 'finite' variant, both from one draw per replica.  probe, if
-    given, is called with each replica block's range, its draws and their
-    'limit' explicit_terms_block rows, so a check reads the draws of this
-    pass instead of drawing them again."""
+    and the 'finite' variant, both from one draw of u_m.n + u_prime.n spins
+    per replica.  probe, if given, is called with each replica block's range,
+    its draws and their 'limit' explicit_terms_block rows, so a check reads
+    the draws of this pass instead of drawing them again."""
+    m, n = u_m.n, u_prime.n
     get_explicit_sampler(spec, m, n)  # built before map_blocks: the workers share it
     # a block's largest stacked array is its ladders, (variant, pairs, n+1) a replica,
     # its fields z, (variant, n, 2, 2**m), or one order's Walsh coefficients, (n+3, 2**m)
     row = max(2 * (math.comb(m, u_m.d) << m) * (n + 1), 4 * n << m, n + 3 << m)
-    out = map_blocks(_gmn_worker, (spec, m, n, u_m, u_prime, seed, probe), n_rep, row,
+    out = map_blocks(_gmn_worker, (spec, u_m, u_prime, seed, probe), n_rep, row,
                      threads)  # (n_rep, variant, term)
     return tuple(_g_estimate(out[:, i], seed, f"G_MN(m={m},n={n},{variant})", "G_MN")
                  for i, variant in enumerate(EXPLICIT_VARIANTS))

@@ -161,6 +161,16 @@ def _split_energies(
     return f1, f2
 
 
+def _split_weights(spec: MixtureSpec, u_m: OverlapConstraint, u_n: OverlapConstraint,
+                   t: float, tables) -> tuple:
+    """(spectrum, _class_weights' output) at t for the pinned-block class of
+    u_m and u_n, whose sizes the tables' M- and N-spin blocks must have."""
+    if (tables[0].n, tables[1].n) != (u_m.n, u_n.n):
+        raise ValueError("the tables' block sizes differ from the constraints' sizes")
+    spectrum = split_class_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
+    return spectrum, _class_weights(*_split_energies(spec, tables, t), spectrum)
+
+
 def lemma2_phi_block(
     spec: MixtureSpec,
     u_m: OverlapConstraint,
@@ -170,9 +180,7 @@ def lemma2_phi_block(
 ) -> np.ndarray:
     """Path value of each replica of a block of tables: (1/(M+N)) log of the
     pinned-block pair sum under the interpolated Hamiltonian."""
-    spectrum = split_class_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
-    log_z = _class_weights(*_split_energies(spec, tables, t), spectrum)[0]
-    return log_z / (u_m.n + u_n.n)
+    return _split_weights(spec, u_m, u_n, t, tables)[1][0] / (u_m.n + u_n.n)
 
 
 @dataclass(frozen=True)
@@ -224,8 +232,7 @@ def lemma2_derivative_block(
     is taken in the Walsh domain.  The path values are lemma2_phi_block's,
     from the same weights."""
     big = u_m.n + u_n.n
-    spectrum = split_class_spectrum(u_m.n, u_n.n, u_m.d, u_n.d)
-    log_z, z, w1, w2, conv2 = _class_weights(*_split_energies(spec, tables, t), spectrum)
+    spectrum, (log_z, z, w1, w2, conv2) = _split_weights(spec, u_m, u_n, t, tables)
     spectra = _copy_spectra(w1, w2, conv2, z, spectrum)
     # the (2, 1) law is the mirror of the (1, 2) one, so that pair counts twice
     total = 0.0
@@ -337,19 +344,19 @@ def lemma3_state(
     rep: int,
     sampler: str = "tensor",
 ) -> _Lemma3State:
-    """The state of replica rep alone: its row of lemma3_states.  field_sampler
-    is unused: get_field_sampler(rost, spec) draws the fields."""
+    """Replica rep's row of lemma3_states.  field_sampler is unused (the fields
+    come from get_field_sampler); it stays while perfbench/oracle.py passes it."""
     return replica_row(lemma3_states(rost, spec, n, root, range(rep, rep + 1), sampler), 0)
 
 
 def _lemma3_element_tables(
-    states: _Lemma3State, spec: MixtureSpec, n: int, t: float
+    states: _Lemma3State, spec: MixtureSpec, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-element log-weight tables over configurations of one replica's
     state, shape (m, 2**n), or of each replica of a block of them, shape
-    (replica, m, 2**n)."""
-    require_finite_fields(n, spec.h1, spec.h2)
-    s = spin_matrix(n)
+    (replica, m, 2**n), n the size of the states' tables."""
+    require_finite_fields(states.table.n, spec.h1, spec.h2)
+    s = spin_matrix(states.table.n)
     rt, rs = np.sqrt(t), np.sqrt(1.0 - t)
     g1, g2 = (
         rt * states.table.values[..., ell, None, :]
@@ -360,28 +367,30 @@ def _lemma3_element_tables(
 
 
 def lemma3_phi_block(
-    states: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
+    states: _Lemma3State, spec: MixtureSpec, c: OverlapConstraint, t: float
 ) -> np.ndarray:
     """Path value of one replica's state, or of each replica of a block of
-    states: (1/n) log of the weighted element sum of each element's
-    constrained pair sum times its compensator factor."""
-    log_z = _class_weights(*_lemma3_element_tables(states, spec, n, t), class_spectrum(n, c.d))[0]
-    return logsumexp(_element_logs(states, n, t, log_z), axis=-1) / n
+    states drawn at c's size: (1/n) log of the weighted element sum of each
+    element's constrained pair sum times its compensator factor."""
+    log_z = _class_weights(*_lemma3_element_tables(states, spec, t), class_spectrum(c.n, c.d))[0]
+    return logsumexp(_element_logs(states, t, log_z), axis=-1) / c.n
 
 
 def lemma3_phi_replica(
     state: _Lemma3State, spec: MixtureSpec, n: int, c: OverlapConstraint, t: float
 ) -> float:
-    """Path value of one replica's state, as a float."""
-    return float(lemma3_phi_block(state, spec, n, c, t))
+    """Path value of one replica's state, as a float.  n is unused (c holds
+    the size); it stays while perfbench/oracle.py passes it positionally."""
+    return float(lemma3_phi_block(state, spec, c, t))
 
 
-def _element_logs(states: _Lemma3State, n: int, t: float, log_z: np.ndarray) -> np.ndarray:
+def _element_logs(states: _Lemma3State, t: float, log_z: np.ndarray) -> np.ndarray:
     """Each element's log weight plus its log constrained pair sum and its
     compensator exponent, of one state or per replica (-inf at weight 0)."""
     with np.errstate(divide="ignore"):
         log_w = np.log(states.w)
-    return log_w + log_z + np.sqrt(t * n) * (states.y[..., 0, :] + states.y[..., 1, :])
+    return (log_w + log_z
+            + np.sqrt(t * states.table.n) * (states.y[..., 0, :] + states.y[..., 1, :]))
 
 
 @dataclass(frozen=True)
@@ -411,14 +420,14 @@ def first_sum_bound(rost: RostSpec, funcs: MixtureFunctions, u_n: float) -> floa
     return float(np.max(np.abs(_first_sum_terms(rost, funcs, u_n))))
 
 
-def _lemma3_terms(rost: RostSpec, spec: MixtureSpec, n: int, c: OverlapConstraint):
-    """The disorder-free inputs of the structure-comparison derivative, which
-    a pass builds once: the first-sum terms per element, the overlap's
+def _lemma3_terms(rost: RostSpec, spec: MixtureSpec, c: OverlapConstraint):
+    """The disorder-free inputs of the structure-comparison derivative at c,
+    which a pass builds once: the first-sum terms per element, the overlap's
     spectrum over XOR masks, and per copy pair (in COPY_PAIRS order) the
     spectrum of xi of the overlap with xi'(q) and theta(q)."""
     funcs = mixture_functions(spec)
-    r_vals = 1.0 - 2.0 * np.arange(n + 1) / n
-    k, pop = krawtchouk(n), popcounts(n)
+    r_vals = 1.0 - 2.0 * np.arange(c.n + 1) / c.n
+    k, pop = krawtchouk(c.n), popcounts(c.n)
     pairs = tuple(
         ((funcs.xi(ell, ellp, r_vals) @ k)[pop], funcs.xi_prime(ell, ellp, rost.q(ell, ellp)),
          funcs.theta(ell, ellp, rost.q(ell, ellp)))
@@ -431,23 +440,22 @@ def lemma3_derivative_block(
     states: _Lemma3State,
     terms: tuple,
     spec: MixtureSpec,
-    n: int,
     c: OverlapConstraint,
     t: float,
 ) -> np.ndarray:
     """(path value, first sum, second line) of each replica of a block of
-    states by exact enumeration, shape (replica, 3), with terms from
-    _lemma3_terms; the path values are lemma3_phi_block's, from the same
-    weights.
+    states drawn at c's size by exact enumeration, shape (replica, 3), with
+    terms from _lemma3_terms; the path values are lemma3_phi_block's, from
+    the same weights.
 
     Element marginals and the conditional single-copy laws are exact; each
     element pair's two-replica averages of the overlap are Walsh-domain
     pairings of the two copies' conditional-law spectra.
     """
-    spectrum = class_spectrum(n, c.d)
-    log_z, z, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(states, spec, n, t), spectrum)
+    spectrum = class_spectrum(c.n, c.d)
+    log_z, z, w1, w2, conv2 = _class_weights(*_lemma3_element_tables(states, spec, t), spectrum)
     spectra = _copy_spectra(w1, w2, conv2, z, spectrum)
-    log_p = _element_logs(states, n, t, log_z)
+    log_p = _element_logs(states, t, log_z)
     log_norm = logsumexp(log_p, axis=-1)
     p_alpha = np.exp(log_p - log_norm[..., None])
     first_terms, r_hat, pairs = terms
@@ -460,17 +468,16 @@ def lemma3_derivative_block(
     for (ell, ellp), mult, (xi_hat, xi_prime_q, theta_q) in zip(
             COPY_PAIRS, (1.0, 2.0, 1.0), pairs):
         f_l, f_lp = spectra[ell], spectra[ellp].swapaxes(-1, -2)
-        e_xi = (f_l * xi_hat) @ f_lp / 2**n
-        e_r = (f_l * r_hat) @ f_lp / 2**n
+        e_xi = (f_l * xi_hat) @ f_lp / 2**c.n
+        e_r = (f_l * r_hat) @ f_lp / 2**c.n
         vals = e_xi - e_r * xi_prime_q + theta_q
         total_b = total_b + mult * (p_row @ vals @ p_col)[:, 0, 0]
-    return np.stack([log_norm / n, first, -0.5 * total_b], axis=-1)
+    return np.stack([log_norm / c.n, first, -0.5 * total_b], axis=-1)
 
 
 def _lemma3_pass(
     rost: RostSpec,
     spec: MixtureSpec,
-    n: int,
     c: OverlapConstraint,
     phi_ts,
     deriv_ts,
@@ -486,16 +493,16 @@ def _lemma3_pass(
     phi_ts, deriv_ts = _pass_points(spec, phi_ts, deriv_ts,
                                     "the structure-comparison derivative decomposition")
     # before pmap, as in _lemma2_pass
-    get_sampler(spec, n, sampler)
+    get_sampler(spec, c.n, sampler)
     get_field_sampler(rost, spec)
-    terms = _lemma3_terms(rost, spec, n, c)
-    args = (partial(lemma3_states, rost, spec, n, seed, sampler=sampler),
-            lambda states, t: lemma3_phi_block(states, spec, n, c, t),
-            lambda states, t: lemma3_derivative_block(states, terms, spec, n, c, t),
+    terms = _lemma3_terms(rost, spec, c)
+    args = (partial(lemma3_states, rost, spec, c.n, seed, sampler=sampler),
+            lambda states, t: lemma3_phi_block(states, spec, c, t),
+            lambda states, t: lemma3_derivative_block(states, terms, spec, c, t),
             phi_ts, deriv_ts)
     # a block's largest stacked arrays are its element tables, (m, 2**n) a
     # replica, or its disorder tables, (2, 2**n)
-    out = map_blocks(_curve_worker, args, n_rep, max(rost.m, 2) << n, threads)
+    out = map_blocks(_curve_worker, args, n_rep, max(rost.m, 2) << c.n, threads)
     phi = out[:, :len(phi_ts)]
     der = out[:, len(phi_ts):].reshape(n_rep, len(deriv_ts), 2)
     bound = first_sum_bound(rost, mixture_functions(spec), c.u)
@@ -588,7 +595,6 @@ def run_lemma2_curve(
 def run_lemma3_curve(
     rost: RostSpec,
     spec: MixtureSpec,
-    n: int,
     c: OverlapConstraint,
     t_grid,
     n_rep: int,
@@ -597,10 +603,10 @@ def run_lemma3_curve(
     threads: int = 1,
 ) -> InterpolationRun:
     t_grid, phi_ts = _phi_points(t_grid)
-    phi, gibbs = _lemma3_pass(rost, spec, n, c, phi_ts, t_grid, n_rep, seed, sampler, threads)
+    phi, gibbs = _lemma3_pass(rost, spec, c, phi_ts, t_grid, n_rep, seed, sampler, threads)
     nonpositive = all(sigmas_above_zero(g.second_line) <= ABOVE_ZERO_SIGMAS for g in gibbs)
     bound = gibbs[0].first_sum_bound if gibbs else 0.0
-    return _curve_run(phi, phi_ts, gibbs, seed, f"phi_rost(n={n},t={{:g}})",
+    return _curve_run(phi, phi_ts, gibbs, seed, f"phi_rost(n={c.n},t={{:g}})",
                       "dphi_rost_fd(t={:g})", "second_line_nonpositive", nonpositive,
                       first_sum_bound=bound)
 
@@ -678,17 +684,17 @@ def window_gaps(log_z: np.ndarray, k: int, eps_grid) -> dict:
 
 def window_gap_profile(
     spec: MixtureSpec,
-    n: int,
-    k: int,
+    c: OverlapConstraint,
     eps_grid,
     n_rep: int,
     seed: int,
     sampler: str = "tensor",
     threads: int = 1,
 ) -> dict:
-    """window_gaps of n_rep freshly drawn tables at size n."""
+    """window_gaps about c's overlap of n_rep freshly drawn tables at c's size."""
     eps_grid = _zero_based(eps_grid)
-    return window_gaps(overlap_logz_replicas(spec, n, n_rep, seed, sampler, threads), k, eps_grid)
+    return window_gaps(overlap_logz_replicas(spec, c.n, n_rep, seed, sampler, threads), c.k,
+                       eps_grid)
 
 
 def size_trend(sizes, y: np.ndarray, se: np.ndarray) -> tuple[float, bool]:
@@ -747,7 +753,7 @@ def superadditivity_check(
     distinct = list(dict.fromkeys(n_list))
     pairs = [(m, n) for m in distinct for n in distinct if n / 2 <= m <= n and m + n <= WHT_CAP]
     sizes = [m + n for m, n in pairs]
-    f_at = {s: estimate_F(spec, s, nearest_admissible(s, u), n_rep, seed + 104729 * s, sampler,
+    f_at = {s: estimate_F(spec, nearest_admissible(s, u), n_rep, seed + 104729 * s, sampler,
                           threads)
             for s in dict.fromkeys(s for m, n in pairs for s in (m, n, m + n))}
     normalized, norm_se = [], []
@@ -796,7 +802,7 @@ def structure_bound_check(
     if not t_grid:
         raise ValueError("the structure bound needs at least one t in [0, 1]")
     margin = STRUCTURE_MARGIN_SIGMAS * float(np.hypot(f_est.stderr, g_est.diff.stderr))
-    _, gibbs = _lemma3_pass(rost, spec, c.n, c, (), t_grid, n_rep, seed, sampler, threads)
+    _, gibbs = _lemma3_pass(rost, spec, c, (), t_grid, n_rep, seed, sampler, threads)
     bound = gibbs[0].first_sum_bound
     worst = max(sigmas_above_zero(g.second_line) for g in gibbs)
     return {

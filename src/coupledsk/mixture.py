@@ -185,20 +185,14 @@ def check_convexity(spec: MixtureSpec) -> ConvexityReport:
     if not all(np.all(np.isfinite(v)) for v in ys + d2s):
         raise ValueError("mixture coefficients overflow a double: a scanned xi value or "
                          "second difference on [-1, 1] is not finite")
-    worst = np.inf
-    worst_pair = COPY_PAIRS[0]
-    worst_x = 0.0
-    for pair, d2 in zip(COPY_PAIRS, d2s):
-        i = int(np.argmin(d2))
-        if d2[i] < worst:
-            worst = float(d2[i])
-            worst_pair = pair
-            worst_x = float(x[i + 1])
+    # ties go to the first pair in COPY_PAIRS order, then the first grid point
+    pair, i = np.unravel_index(np.argmin(d2s), (len(COPY_PAIRS), x.size - 2))
+    worst = float(d2s[pair][i])
     return ConvexityReport(
         convex=worst >= -CONVEXITY_TOL,
         worst_second_difference=worst,
-        worst_pair=worst_pair,
-        worst_x=worst_x,
+        worst_pair=COPY_PAIRS[pair],
+        worst_x=float(x[i + 1]),
         structural=structural,
     )
 

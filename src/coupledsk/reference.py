@@ -128,8 +128,8 @@ def dense_process_covariance(spec: MixtureSpec, n: int) -> np.ndarray:
     return cov
 
 
-def build_explicit_rost(m: int, u_m: OverlapConstraint, u: float) -> RostSpec:
-    """The structure whose elements are constrained base pairs, as dense
+def build_explicit_rost(u_m: OverlapConstraint, u: float) -> RostSpec:
+    """The structure whose elements are u_m's base pairs, as dense
     q-matrices: the oracle behind disorder.explicit_fields_psd.
 
     q-matrices are pairwise overlaps of the base configurations and
@@ -139,8 +139,8 @@ def build_explicit_rost(m: int, u_m: OverlapConstraint, u: float) -> RostSpec:
     same draw as its fields, so the functional is evaluated by estimate_G_MN
     and estimate_G refuses the structure.
     """
-    r1, r2 = explicit_pairs(m, u_m)
-    q11, q12, q22 = (_base_overlaps(m, left[:, None], right[None, :])
+    r1, r2 = explicit_pairs(u_m)
+    q11, q12, q22 = (_base_overlaps(u_m.n, left[:, None], right[None, :])
                      for left, right in ((r1, r1), (r1, r2), (r2, r2)))
     return RostSpec(q11=q11, q12=q12, q22=q22, weights=None, delta=abs(u_m.u - u), u=u)
 
@@ -248,10 +248,10 @@ def validate_check(spec: MixtureSpec, n: int, n_rep: int, seed: int,
     return results, all(bool(v.get("pass", True)) for v in results.values())
 
 
-def explicit_rost_check(spec: MixtureSpec, m: int, u_m: OverlapConstraint, u: float,
+def explicit_rost_check(spec: MixtureSpec, u_m: OverlapConstraint, u: float,
                         u_prime: OverlapConstraint, n_rep: int, seed: int,
                         threads: int = 1) -> tuple[dict, bool, tuple]:
-    """(results, pass, estimate_G_MN's two estimates) of build_explicit_rost(m,
+    """(results, pass, estimate_G_MN's two estimates) of build_explicit_rost(
     u_m, u) for increments at u_prime: its size and tolerance, and three
     checks.  Each base pair's overlap is exactly u_m.u (diag_exact), its
     fields exist (psd_ok), and the terms of replicas 0..4 match their
@@ -259,9 +259,9 @@ def explicit_rost_check(spec: MixtureSpec, m: int, u_m: OverlapConstraint, u: fl
     the worst absolute gap).  Those replicas are read from the estimate's
     own draws; the pair cap and the tensor budget are checked before any
     draw."""
-    r1, r2 = explicit_pairs(m, u_m)
-    diag_exact = bool(np.all(_base_overlaps(m, r1, r2) == u_m.u))
-    psd_ok = explicit_fields_psd(mixture_functions(spec), m, u_m)
+    r1, r2 = explicit_pairs(u_m)
+    diag_exact = bool(np.all(_base_overlaps(u_m.n, r1, r2) == u_m.u))
+    psd_ok = explicit_fields_psd(mixture_functions(spec), u_m)
     checked = min(n_rep, 5)
     terms, brute = np.empty((checked, 3)), np.empty((checked, 2))
 
@@ -271,8 +271,7 @@ def explicit_rost_check(spec: MixtureSpec, m: int, u_m: OverlapConstraint, u: fl
             terms[rep] = limit[i]
             brute[rep] = brute_explicit_terms(replica_row(draws, i), r1, r2, spec, u_prime)
 
-    estimates = estimate_G_MN(spec, m, u_prime.n, u_m, u_prime, n_rep, seed, threads,
-                              probe=dual_path)
+    estimates = estimate_G_MN(spec, u_m, u_prime, n_rep, seed, threads, probe=dual_path)
     # explicit_terms_block normalizes the weights, so its terms plus its
     # log_norm column are the brute-force sums of unnormalized weights
     gaps = np.abs(terms[:, :2] + terms[:, 2:] - brute)

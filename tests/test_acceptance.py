@@ -62,7 +62,7 @@ def window_fits():
     fits = {}
     for n in (6, 8, 10):
         fits[n] = window_gap_profile(
-            PURE_P2, n, 0, (0.0, 0.25, 0.5, 1.0), n_rep=2000, seed=700 + n
+            PURE_P2, OverlapConstraint(n, 0), (0.0, 0.25, 0.5, 1.0), n_rep=2000, seed=700 + n
         )
     fits["elapsed"] = time.perf_counter() - t0
     return fits
@@ -74,7 +74,7 @@ def test_criterion_01_exact_combinatorics():
         for k in range(-n, n + 1, 2):
             c = OverlapConstraint(n, k)
             zero = MixtureSpec(a1=(0.0,), a2=(0.0,))
-            est = estimate_F(zero, n, c, n_rep=2, seed=0)
+            est = estimate_F(zero, c, n_rep=2, seed=0)
             expected = (n * math.log(2.0) + math.log(math.comb(n, c.d))) / n
             assert est.mean == pytest.approx(expected, abs=1e-12)
             assert est.stderr == 0.0
@@ -131,8 +131,8 @@ def test_criterion_04_covariance_identity():
 def test_criterion_05_dual_sampler_agreement():
     start = time.perf_counter()
     c = OverlapConstraint(6, 0)
-    a = estimate_F(PURE_P2, 6, c, 20_000, seed=101, sampler="tensor")
-    b = estimate_F(PURE_P2, 6, c, 20_000, seed=202, sampler="process")
+    a = estimate_F(PURE_P2, c, 20_000, seed=101, sampler="tensor")
+    b = estimate_F(PURE_P2, c, 20_000, seed=202, sampler="process")
     sigma = math.hypot(a.stderr, b.stderr)
     assert abs(a.mean - b.mean) <= 3.0 * sigma, (a.mean, b.mean, sigma)
     report(5, "dual-sampler agreement", time.perf_counter() - start, 120.0)
@@ -184,14 +184,14 @@ def test_criterion_09_structure_upper_bound():
     for trial in range(10):
         m = int(rng.integers(2, 7))
         rost = random_gram_rost(m, 0.0, 0.05, rng)
-        f_est = estimate_F(PURE_P2, n, c, 2000, seed=900 + trial)
-        g_est = estimate_G(rost, PURE_P2, n, c, 2000, seed=950 + trial)
+        f_est = estimate_F(PURE_P2, c, 2000, seed=900 + trial)
+        g_est = estimate_G(rost, PURE_P2, c, 2000, seed=950 + trial)
         bound = first_sum_bound(rost, funcs, c.u)
         margin = 4.0 * math.hypot(f_est.stderr, g_est.diff.stderr)
         assert f_est.mean <= g_est.diff.mean + bound + margin, (
             trial, f_est.mean, g_est.diff.mean, bound, margin
         )
-        _, derivs = _lemma3_pass(rost, PURE_P2, n, c, (), (0.25, 0.5, 0.75), 500,
+        _, derivs = _lemma3_pass(rost, PURE_P2, c, (), (0.25, 0.5, 0.75), 500,
                                  seed=990 + trial)
         for der in derivs:
             assert der.second_line.mean <= 3.0 * der.second_line.stderr
@@ -201,12 +201,12 @@ def test_criterion_09_structure_upper_bound():
 def test_criterion_10_explicit_structure():
     start = time.perf_counter()
     u_m6 = nearest_admissible(6, 0.0)
-    rost = build_explicit_rost(6, u_m6, 0.0)
+    rost = build_explicit_rost(u_m6, 0.0)
     assert np.all(np.diag(rost.q12) == u_m6.u)
     assert np.all(np.diag(rost.q11) == 1.0) and np.all(np.diag(rost.q22) == 1.0)
     # explicit-rost's psd_ok; the field-sampler verdict test factors the
     # dense blocks of this same (mixture, M = 6, u = 0) input
-    assert explicit_fields_psd(mixture_functions(PURE_P2), 6, u_m6)
+    assert explicit_fields_psd(mixture_functions(PURE_P2), u_m6)
 
     m = n = 4
     u_m = nearest_admissible(m, 0.0)

@@ -198,7 +198,7 @@ class TestPmap:
         def run(threads):
             for cache in (get_explicit_sampler, spin_matrix):
                 cache.cache_clear()
-            return estimate_G_MN(pure_p2, 3, 4, u_m, u_prime, 24, seed=5, threads=threads)
+            return estimate_G_MN(pure_p2, u_m, u_prime, 24, seed=5, threads=threads)
 
         serial = run(1)
         interval = sys.getswitchinterval()
@@ -266,7 +266,7 @@ def test_block_kernels_are_blind_to_block_boundaries(seed, bounds, n, m, t):
     # the structure functional and the explicit structure
     rost = random_gram_rost(m, 0.0, 0.05, rng)
     c = nearest_admissible(n, 0.0)
-    _rows_match(lambda lo, hi: g_terms_block(rost, spec, n, c, seed, range(lo, hi)),
+    _rows_match(lambda lo, hi: g_terms_block(rost, spec, c, seed, range(lo, hi)),
                 seeds, bounds)
     big_m = 3
     u_m = nearest_admissible(big_m, 1 / 3)
@@ -288,9 +288,9 @@ def test_block_kernels_are_blind_to_block_boundaries(seed, bounds, n, m, t):
     for name in ("w", "z", "y", "table"):
         _rows_match(lambda lo, hi: _state_field(
             lemma3_states(rost, spec, n, seed, range(lo, hi)), name), seeds, bounds)
-    terms = _lemma3_terms(rost, spec, n, c)
+    terms = _lemma3_terms(rost, spec, c)
     _rows_match(lambda lo, hi: lemma3_phi_block(
-        lemma3_states(rost, spec, n, seed, range(lo, hi)), spec, n, c, t), seeds, bounds)
+        lemma3_states(rost, spec, n, seed, range(lo, hi)), spec, c, t), seeds, bounds)
     _rows_match(lambda lo, hi: lemma3_derivative_block(
-        lemma3_states(rost, spec, n, seed, range(lo, hi)), terms, spec, n, c, t),
+        lemma3_states(rost, spec, n, seed, range(lo, hi)), terms, spec, c, t),
         seeds, bounds)

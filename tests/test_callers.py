@@ -1,7 +1,8 @@
 """Every public top-level function and class in coupledsk has a caller in
 the package, apart from the names allowlisted below with their reasons.
 Code that only the tests or the benchmark reach gets a real caller or is
-deleted with its tests.  No module imports a name it never reads."""
+deleted with its tests.  No module imports a name it never reads, and no
+function takes a size beside the OverlapConstraint that already holds it."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "coupledsk"
 # one-replica wrappers that perfbench/oracle.py pins against its own sums
 BENCHMARK_PINNED = {
     "interpolation.lemma3_state",
+    "interpolation.lemma3_phi_replica",
+    "free_energy.explicit_terms_replica",
+}
+# one-replica wrappers whose n or m duplicates a constraint's size: they keep
+# it because perfbench/oracle.py calls them positionally
+SIZE_BESIDE_CONSTRAINT = {
     "interpolation.lemma3_phi_replica",
     "free_energy.explicit_terms_replica",
 }
@@ -63,3 +70,23 @@ def test_every_imported_name_is_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {f"{path.stem}.{name}" for name in imported - read}
     assert unused == set()
+
+
+def _size_beside_a_constraint() -> set[str]:
+    """module.name of each function with a parameter annotated
+    OverlapConstraint and an int parameter named n or m."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            kinds = {(a.arg, ast.unparse(a.annotation)) for a in params if a.annotation}
+            if any(kind == "OverlapConstraint" for _, kind in kinds) and (
+                    {("n", "int"), ("m", "int")} & kinds):
+                found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_size_beside_a_constraint():
+    assert _size_beside_a_constraint() == SIZE_BESIDE_CONSTRAINT

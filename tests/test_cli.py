@@ -683,7 +683,7 @@ class TestStructureCommands:
         assert res["dual_path_gap"] < 1e-10
         # the reported size, tolerance and diagonal are the structure's
         u_m = nearest_admissible(3, 0.0)
-        rost = build_explicit_rost(3, u_m, 0.0)
+        rost = build_explicit_rost(u_m, 0.0)
         assert (res["elements"], res["delta"]) == (rost.m, rost.delta)
         assert res["diag_exact"] == bool(np.all(np.diag(rost.q12) == u_m.u))
 

@@ -243,7 +243,7 @@ class TestCavityLadder:
 
 class TestEstimateF:
     def test_zero_disorder_closed_form(self, zero_mixture):
-        est = estimate_F(zero_mixture, 4, OverlapConstraint(4, 2), 3, seed=0)
+        est = estimate_F(zero_mixture, OverlapConstraint(4, 2), 3, seed=0)
         assert est.mean == pytest.approx(math.log(64) / 4, abs=1e-13)
         assert est.stderr == 0.0
 
@@ -251,7 +251,7 @@ class TestEstimateF:
         spec = MixtureSpec(a1=(0.0,), a2=(0.0,), h1=0.4, h2=-0.3)
         n = 5
         c = nearest_admissible(n, 0.2)
-        est = estimate_F(spec, n, c, 2, seed=1)
+        est = estimate_F(spec, c, 2, seed=1)
         expected = cavity_logz_by_count(np.full(n, spec.h1), np.full(n, spec.h2))[c.d] / n
         assert est.mean == pytest.approx(expected, rel=1e-12)
         assert est.stderr == 0.0
@@ -269,11 +269,11 @@ class TestEstimateF:
 
     def test_rejects_window_constraint(self, pure_p2):
         with pytest.raises(ValueError, match="exact"):
-            estimate_F(pure_p2, 4, OverlapConstraint(4, 0, eps=0.5), 2, seed=0)
+            estimate_F(pure_p2, OverlapConstraint(4, 0, eps=0.5), 2, seed=0)
 
     def test_single_replica_rejected(self, pure_p2):
         with pytest.raises(ValueError, match="replicas"):
-            estimate_F(pure_p2, 4, OverlapConstraint(4, 0), 1, seed=0)
+            estimate_F(pure_p2, OverlapConstraint(4, 0), 1, seed=0)
 
 
 class TestOverlapLogzReplicas:
@@ -322,7 +322,7 @@ class TestEstimateFWindow:
     def test_zero_width_equals_exact(self, pure_p2):
         c0 = OverlapConstraint(6, 0)
         cw = OverlapConstraint(6, 0, eps=0.0)
-        a = estimate_F(pure_p2, 6, c0, 5, seed=3)
+        a = estimate_F(pure_p2, c0, 5, seed=3)
         b = window_estimate(overlap_logz_replicas(pure_p2, 6, 5, 3), cw, 3)
         assert a.mean == b.mean and a.stderr == b.stderr
 
@@ -345,11 +345,31 @@ class TestEstimateFWindow:
             prev = val
 
 
+class TestSizeMismatches:
+    """A constraint whose size differs from its rows' or its draws' raises
+    before any arithmetic."""
+
+    @pytest.mark.parametrize("c", [OverlapConstraint(4, 0), OverlapConstraint(8, 0, eps=0.5)])
+    def test_window_rows_of_another_size(self, pure_p2, c):
+        rows = overlap_logz_replicas(pure_p2, 6, 2, 3)
+        with pytest.raises(ValueError, match="classes"):
+            window_values(rows, c)
+        with pytest.raises(ValueError, match="classes"):
+            window_estimate(rows, c, 3)
+
+    @pytest.mark.parametrize("m, n", [(4, 3), (3, 5)])
+    def test_explicit_draws_of_another_size(self, mixed_even, m, n):
+        draws = get_explicit_sampler(mixed_even, 3, 3).sample_block([replica_seed(4, 0)])
+        with pytest.raises(ValueError, match="base and increment sizes"):
+            explicit_terms_block(draws, mixed_even, nearest_admissible(m, 0.0),
+                                 nearest_admissible(n, 0.0))
+
+
 class TestEstimateG:
     def test_zero_mixture_weights_drop_out(self, zero_mixture):
         c = OverlapConstraint(4, 2)
         rost = random_gram_rost(4, 0.5, 0.05, np.random.default_rng(2))
-        g = estimate_G(rost, zero_mixture, 4, c, 3, seed=1)
+        g = estimate_G(rost, zero_mixture, c, 3, seed=1)
         assert g.diff.mean == pytest.approx(math.log(64) / 4, abs=1e-13)
         assert g.diff.stderr == 0.0
         assert g.term2.mean == 0.0
@@ -362,7 +382,7 @@ class TestEstimateG:
             weights=FixedWeights((1.0,)), delta=0.0, u=u,
         )
         sampler = RostFieldSampler(rost, mixture_functions(pure_p2))
-        t1, t2 = g_terms_block(rost, pure_p2, 4, c, 5, range(1))[0]
+        t1, t2 = g_terms_block(rost, pure_p2, c, 5, range(1))[0]
         fields = sampler.sample(rng_for(5, 0, stream=1), 4)
         direct1 = cavity_logz_by_count(
             fields.z[:, 0, 0] + pure_p2.h1, fields.z[:, 1, 0] + pure_p2.h2
@@ -380,8 +400,8 @@ class TestEstimateG:
             q11=rost_a.q11, q12=rost_a.q12, q22=rost_a.q22,
             weights=FixedWeights((0.25, 0.25, 0.5)), delta=rost_a.delta, u=rost_a.u,
         )
-        ga = estimate_G(rost_a, pure_p2, 4, c, 4, seed=9)
-        gb = estimate_G(rost_b, pure_p2, 4, c, 4, seed=9)
+        ga = estimate_G(rost_a, pure_p2, c, 4, seed=9)
+        gb = estimate_G(rost_b, pure_p2, c, 4, seed=9)
         assert ga.diff.mean == gb.diff.mean
 
     def test_element_relabeling_invariance(self, pure_p2):
@@ -437,7 +457,7 @@ def _per_pair_explicit_terms(draw, r1, r2, spec, u_prime, variant):
 class TestExplicitStructure:
     def test_diagonals_and_delta(self, pure_p2):
         u_m = nearest_admissible(4, 0.3)
-        rost = build_explicit_rost(4, u_m, 0.3)
+        rost = build_explicit_rost(u_m, 0.3)
         np.testing.assert_array_equal(np.diag(rost.q12), u_m.u)
         np.testing.assert_array_equal(np.diag(rost.q11), 1.0)
         np.testing.assert_array_equal(np.diag(rost.q22), 1.0)
@@ -445,7 +465,7 @@ class TestExplicitStructure:
 
     def test_blocks_admit_fields(self, pure_p2):
         u_m = nearest_admissible(4, 0.0)
-        rost = build_explicit_rost(4, u_m, 0.0)
+        rost = build_explicit_rost(u_m, 0.0)
         RostFieldSampler(rost, mixture_functions(pure_p2))  # PSD or it raises
 
     @pytest.mark.parametrize("spec, m, u", [
@@ -461,11 +481,11 @@ class TestExplicitStructure:
         u_m = nearest_admissible(m, u)
         funcs = mixture_functions(spec)
         try:
-            RostFieldSampler(build_explicit_rost(m, u_m, u), funcs)
+            RostFieldSampler(build_explicit_rost(u_m, u), funcs)
             dense = True
         except RostInvalidError:
             dense = False
-        assert explicit_fields_psd(funcs, m, u_m) == dense
+        assert explicit_fields_psd(funcs, u_m) == dense
 
     @pytest.mark.parametrize("indefinite", ["xi_prime", "theta"])
     def test_indefinite_entry_function_refused_by_both_routes(self, pure_p2, indefinite):
@@ -489,21 +509,21 @@ class TestExplicitStructure:
         funcs = CrossHeavy(mixture_functions(pure_p2))
         u_m = nearest_admissible(4, 0.0)
         with pytest.raises(RostInvalidError, match="not positive semidefinite"):
-            RostFieldSampler(build_explicit_rost(4, u_m, 0.0), funcs)
-        assert not explicit_fields_psd(funcs, 4, u_m)
+            RostFieldSampler(build_explicit_rost(u_m, 0.0), funcs)
+        assert not explicit_fields_psd(funcs, u_m)
 
     def test_estimate_G_refuses_weightless_structure(self, pure_p2):
         u_m = nearest_admissible(4, 0.0)
-        rost = build_explicit_rost(4, u_m, 0.0)
+        rost = build_explicit_rost(u_m, 0.0)
         assert rost.weights is None
         with pytest.raises(RostInvalidError, match="weight law"):
-            estimate_G(rost, pure_p2, 4, OverlapConstraint(4, 0), 2, seed=0)
+            estimate_G(rost, pure_p2, OverlapConstraint(4, 0), 2, seed=0)
 
     def test_both_variants_from_one_draw(self, mixed_even):
         m = n = 3
         u_m = nearest_admissible(m, 0.0)
         u_p = nearest_admissible(n, 0.0)
-        g_lim, g_fin = estimate_G_MN(mixed_even, m, n, u_m, u_p, 4, seed=8)
+        g_lim, g_fin = estimate_G_MN(mixed_even, u_m, u_p, 4, seed=8)
         for g, variant in ((g_lim, "limit"), (g_fin, "finite")):
             terms = [
                 explicit_terms_replica(mixed_even, m, n, u_m, u_p, variant, replica_seed(8, rep))
@@ -532,7 +552,7 @@ class TestExplicitStructure:
     def test_zero_mixture_value(self, zero_mixture):
         u_m = nearest_admissible(4, 0.0)
         u_p = OverlapConstraint(4, 0)
-        g, _ = estimate_G_MN(zero_mixture, 4, 4, u_m, u_p, 3, seed=2)
+        g, _ = estimate_G_MN(zero_mixture, u_m, u_p, 3, seed=2)
         assert g.diff.mean == pytest.approx(zero_disorder_log_pair_count(4, 2), abs=1e-13)
         assert g.diff.stderr == 0.0
 
@@ -638,23 +658,23 @@ class TestEstimate:
 class TestParallelism:
     def test_threaded_replicas_match_serial(self, pure_p2):
         c = OverlapConstraint(6, 0)
-        serial = estimate_F(pure_p2, 6, c, 30, seed=5, threads=1)
-        pooled = estimate_F(pure_p2, 6, c, 30, seed=5, threads=2)
+        serial = estimate_F(pure_p2, c, 30, seed=5, threads=1)
+        pooled = estimate_F(pure_p2, c, 30, seed=5, threads=2)
         assert serial.mean == pooled.mean
         assert serial.stderr == pooled.stderr
 
     def test_threaded_process_route_matches_serial(self, pure_p2):
         c = OverlapConstraint(6, 0)
-        serial = estimate_F(pure_p2, 6, c, 30, seed=5, sampler="process", threads=1)
-        pooled = estimate_F(pure_p2, 6, c, 30, seed=5, sampler="process", threads=2)
+        serial = estimate_F(pure_p2, c, 30, seed=5, sampler="process", threads=1)
+        pooled = estimate_F(pure_p2, c, 30, seed=5, sampler="process", threads=2)
         assert serial.mean == pooled.mean
         assert serial.stderr == pooled.stderr
 
     def test_threaded_structure_functional(self, pure_p2):
         c = OverlapConstraint(4, 0)
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(7))
-        serial = estimate_G(rost, pure_p2, 4, c, 20, seed=6, threads=1)
-        pooled = estimate_G(rost, pure_p2, 4, c, 20, seed=6, threads=2)
+        serial = estimate_G(rost, pure_p2, c, 20, seed=6, threads=1)
+        pooled = estimate_G(rost, pure_p2, c, 20, seed=6, threads=2)
         assert serial.diff.mean == pooled.diff.mean
 
     @staticmethod
@@ -670,8 +690,8 @@ class TestParallelism:
     def test_threaded_structure_curve(self, pure_p2):
         c = OverlapConstraint(4, 0)
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(9))
-        serial = run_lemma3_curve(rost, pure_p2, 4, c, (0.25, 0.75), 12, seed=9, threads=1)
-        pooled = run_lemma3_curve(rost, pure_p2, 4, c, (0.25, 0.75), 12, seed=9, threads=2)
+        serial = run_lemma3_curve(rost, pure_p2, c, (0.25, 0.75), 12, seed=9, threads=1)
+        pooled = run_lemma3_curve(rost, pure_p2, c, (0.25, 0.75), 12, seed=9, threads=2)
         assert self._curve_numbers(serial) == self._curve_numbers(pooled)
         assert serial.verdicts == pooled.verdicts
 

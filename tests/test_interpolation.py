@@ -202,12 +202,35 @@ class TestSplitPath:
                          2, 0)
 
 
+class TestSizeMismatches:
+    """A kernel given tables or states of other sizes than its constraints'
+    raises instead of evaluating another class."""
+
+    def test_lemma2_kernels_refuse_swapped_constraints(self, pure_p2):
+        u_m, u_n = OverlapConstraint(3, 1), OverlapConstraint(5, 1)
+        tables = _split_block(pure_p2, 3, 5, 0, range(1))
+        with pytest.raises(ValueError, match="block sizes"):
+            lemma2_phi_block(pure_p2, u_n, u_m, 0.5, tables)
+        with pytest.raises(ValueError, match="block sizes"):
+            lemma2_derivative_block(pure_p2, u_n, u_m, 0.5, tables,
+                                    _bracket_spectra(pure_p2, 5, 3))
+
+    @pytest.mark.parametrize("n, c", [(4, OverlapConstraint(5, 1)), (5, OverlapConstraint(4, 0))])
+    def test_lemma3_kernels_refuse_states_of_another_size(self, pure_p2, n, c):
+        rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(1))
+        states = lemma3_states(rost, pure_p2, n, 0, range(1))
+        with pytest.raises(ValueError):
+            lemma3_phi_block(states, pure_p2, c, 0.5)
+        with pytest.raises(ValueError):
+            lemma3_derivative_block(states, _lemma3_terms(rost, pure_p2, c), pure_p2, c, 0.5)
+
+
 class TestStructurePath:
     def test_zero_mixture_constant(self, zero_mixture):
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(1))
         c = OverlapConstraint(4, 0)
         expected = math.log(2**4 * math.comb(4, 2)) / 4
-        phi, _ = _lemma3_pass(rost, zero_mixture, 4, c, (0.0, 0.5, 1.0), (), 3, seed=0)
+        phi, _ = _lemma3_pass(rost, zero_mixture, c, (0.0, 0.5, 1.0), (), 3, seed=0)
         for column in phi.T:
             assert summarize(column)[0] == pytest.approx(expected, abs=1e-12)
 
@@ -216,15 +239,15 @@ class TestStructurePath:
         c = OverlapConstraint(4, 0)
         for rep in range(3):
             states = lemma3_states(rost, pure_p2, 4, 50, range(rep, rep + 1))
-            phi0 = lemma3_phi_block(states, pure_p2, 4, c, 0.0)[0]
-            t1, _ = g_terms_block(rost, pure_p2, 4, c, 50, range(rep, rep + 1))[0]
+            phi0 = lemma3_phi_block(states, pure_p2, c, 0.0)[0]
+            t1, _ = g_terms_block(rost, pure_p2, c, 50, range(rep, rep + 1))[0]
             assert phi0 == pytest.approx(t1, rel=1e-10)
 
     def test_right_endpoint_decouples(self, pure_p2):
         rost = random_gram_rost(4, 0.0, 0.05, np.random.default_rng(3))
         c = OverlapConstraint(4, 0)
         states = lemma3_states(rost, pure_p2, 4, 51, range(1))
-        phi1 = lemma3_phi_block(states, pure_p2, 4, c, 1.0)[0]
+        phi1 = lemma3_phi_block(states, pure_p2, c, 1.0)[0]
         state = replica_row(states, 0)
         log_z = partition_by_overlap(state.table, pure_p2.h1, pure_p2.h2)
         y_term = logsumexp(np.sqrt(4) * (state.y[0] + state.y[1]), b=state.w)
@@ -239,7 +262,7 @@ class TestStructurePath:
         c = nearest_admissible(5, u)
         states = lemma3_states(rost, pure_p2, 5, 52, range(1))
         t = 0.6
-        phi = lemma3_phi_block(states, pure_p2, 5, c, t)[0]
+        phi = lemma3_phi_block(states, pure_p2, c, t)[0]
         state = replica_row(states, 0)
         # direct computation without the element layer
         s = spin_matrix(5)
@@ -265,8 +288,8 @@ class TestStructurePath:
         c = nearest_admissible(n, 0.5)
         funcs = mixture_functions(mixed_even)
         states = lemma3_states(rost, mixed_even, n, seed, range(1))
-        _, first, second = lemma3_derivative_block(states, _lemma3_terms(rost, mixed_even, n, c),
-                                                   mixed_even, n, c, t)[0]
+        _, first, second = lemma3_derivative_block(states, _lemma3_terms(rost, mixed_even, c),
+                                                   mixed_even, c, t)[0]
         state = replica_row(states, 0)
 
         # every (element, sigma1, sigma2) with the pair's overlap pinned, and
@@ -311,7 +334,7 @@ class TestStructurePath:
             weights=DirichletWeights(1.0), delta=0.0, u=0.0,
         )
         c = OverlapConstraint(4, 0)
-        _, (der,) = _lemma3_pass(rost, pure_p2, 4, c, (), (0.5,), 50, seed=4)
+        _, (der,) = _lemma3_pass(rost, pure_p2, c, (), (0.5,), 50, seed=4)
         assert der.first_sum.mean == 0.0
         assert der.first_sum_bound == 0.0
 
@@ -320,19 +343,19 @@ class TestStructurePath:
         c = OverlapConstraint(4, 0)
         for trial in range(5):
             rost = random_gram_rost(int(rng.integers(2, 6)), 0.0, 0.05, rng)
-            _, (der,) = _lemma3_pass(rost, pure_p2, 4, c, (), (0.5,), 200, seed=60 + trial)
+            _, (der,) = _lemma3_pass(rost, pure_p2, c, (), (0.5,), 200, seed=60 + trial)
             assert der.second_line.mean <= 3 * der.second_line.stderr
 
     def test_gibbs_matches_finite_difference(self, pure_p2):
         rost = random_gram_rost(5, 0.0, 0.05, np.random.default_rng(3))
         c = OverlapConstraint(4, 0)
-        run = run_lemma3_curve(rost, pure_p2, 4, c, (0.5,), 600, seed=77)
+        run = run_lemma3_curve(rost, pure_p2, c, (0.5,), 600, seed=77)
         assert _combined_sigmas(run.dphi_gibbs[0], run.dphi_fd[0]) <= 3.0
 
     def test_first_sum_respects_computable_bound(self, mixed_even):
         rost = random_gram_rost(4, 0.2, 0.1, np.random.default_rng(8))
         c = nearest_admissible(4, 0.2)
-        _, (der,) = _lemma3_pass(rost, mixed_even, 4, c, (), (0.3,), 100, seed=9)
+        _, (der,) = _lemma3_pass(rost, mixed_even, c, (), (0.3,), 100, seed=9)
         assert abs(der.first_sum.mean) <= der.first_sum_bound + 1e-12
         assert der.first_sum_bound == first_sum_bound(
             rost, mixture_functions(mixed_even), c.u
@@ -349,7 +372,7 @@ class TestCurveRunners:
     def test_structure_curve_verdicts(self, pure_p2):
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))
         c = OverlapConstraint(4, 0)
-        run = run_lemma3_curve(rost, pure_p2, 4, c, (0.5,), 150, seed=6)
+        run = run_lemma3_curve(rost, pure_p2, c, (0.5,), 150, seed=6)
         assert run.verdicts["fd_gibbs_pass"]
         assert run.verdicts["second_line_nonpositive"]
 
@@ -364,9 +387,9 @@ class TestCurveRunners:
             "split": (run_lemma2_curve(pure_p2, 3, 2, 0.0, t_grid, n_rep, seed),
                       lambda rep: _split_block(pure_p2, 3, 2, seed, range(rep, rep + 1)),
                       lambda tables, t: lemma2_phi_block(pure_p2, u_m, u_n, t, tables)[0]),
-            "rost": (run_lemma3_curve(rost, pure_p2, 4, c, t_grid, n_rep, seed),
+            "rost": (run_lemma3_curve(rost, pure_p2, c, t_grid, n_rep, seed),
                      lambda rep: lemma3_states(rost, pure_p2, 4, seed, range(rep, rep + 1)),
-                     lambda states, t: lemma3_phi_block(states, pure_p2, 4, c, t)[0]),
+                     lambda states, t: lemma3_phi_block(states, pure_p2, c, t)[0]),
         }
         for run, draw, phi in paths.values():
             inputs = [draw(rep) for rep in range(n_rep)]
@@ -394,9 +417,9 @@ class TestCurveRunners:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             run_lemma2_curve(pure_p2, 3, 3, 0.0, (1.5,), 2, seed=0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            run_lemma3_curve(rost, pure_p2, 4, c, (-0.2,), 2, seed=0)
+            run_lemma3_curve(rost, pure_p2, c, (-0.2,), 2, seed=0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            _lemma3_pass(rost, pure_p2, 4, c, (), (float("nan"),), 2, seed=0)
+            _lemma3_pass(rost, pure_p2, c, (), (float("nan"),), 2, seed=0)
 
 
 class TestOneStatePerReplica:
@@ -432,7 +455,7 @@ class TestOneStatePerReplica:
 
     def test_structure_curve_builds_one_state_per_replica(self, pure_p2, states):
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))
-        run_lemma3_curve(rost, pure_p2, 4, OverlapConstraint(4, 0), self.T_GRID, self.N_REP,
+        run_lemma3_curve(rost, pure_p2, OverlapConstraint(4, 0), self.T_GRID, self.N_REP,
                          seed=2)
         assert sorted(states) == list(range(self.N_REP))
 
@@ -477,7 +500,7 @@ class TestOneEvaluationPerReplicaAndT:
         calls = self._count(monkeypatch, lambda args: len(args[0].w),
                             "lemma3_derivative_block", "lemma3_phi_block")
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(10))
-        run_lemma3_curve(rost, spec, 4, OverlapConstraint(4, 0), self.T_GRID, self.N_REP,
+        run_lemma3_curve(rost, spec, OverlapConstraint(4, 0), self.T_GRID, self.N_REP,
                          seed=2)
         return calls
 
@@ -510,9 +533,9 @@ class TestOneEvaluationPerReplicaAndT:
         for spec in (pure_p2, mixed_even):
             for rep in range(2):
                 states = lemma3_states(rost, spec, 4, 13, range(rep, rep + 1))
-                value, _, _ = lemma3_derivative_block(states, _lemma3_terms(rost, spec, 4, c),
-                                                      spec, 4, c, t)[0]
-                assert value == lemma3_phi_block(states, spec, 4, c, t)[0]
+                value, _, _ = lemma3_derivative_block(states, _lemma3_terms(rost, spec, c),
+                                                      spec, c, t)[0]
+                assert value == lemma3_phi_block(states, spec, c, t)[0]
 
 
 class TestOneTransformPerArray:
@@ -539,14 +562,14 @@ class TestOneTransformPerArray:
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(3))
         states = lemma3_states(rost, mixed_even, 4, 1, range(1))
         c = OverlapConstraint(4, 0)
-        terms = _lemma3_terms(rost, mixed_even, 4, c)
+        terms = _lemma3_terms(rost, mixed_even, c)
         evaluations = {
             "lemma2_phi_block": lambda: lemma2_phi_block(mixed_even, u3, u3, 0.5, tables),
             "lemma2_derivative_block":
                 lambda: lemma2_derivative_block(mixed_even, u3, u3, 0.5, tables, b_hats),
-            "lemma3_phi_block": lambda: lemma3_phi_block(states, mixed_even, 4, c, 0.5),
+            "lemma3_phi_block": lambda: lemma3_phi_block(states, mixed_even, c, 0.5),
             "lemma3_derivative_block":
-                lambda: lemma3_derivative_block(states, terms, mixed_even, 4, c, 0.5),
+                lambda: lemma3_derivative_block(states, terms, mixed_even, c, 0.5),
         }
         counts = {}
         for name, evaluate in evaluations.items():
@@ -582,14 +605,15 @@ class TestOneTransformPerArray:
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(3))
         states = lemma3_states(rost, mixed_even, 4, 1, range(2))
         c = OverlapConstraint(4, 0)
-        lemma3_derivative_block(states, _lemma3_terms(rost, mixed_even, 4, c), mixed_even, 4,
+        lemma3_derivative_block(states, _lemma3_terms(rost, mixed_even, c), mixed_even,
                                 c, 0.5)
         assert checked == [(2, rost.m)]
 
 
 class TestWindowProfile:
     def test_zero_disorder_exact_gaps(self, zero_mixture):
-        prof = window_gap_profile(zero_mixture, 6, 0, (0.0, 0.5, 1.0), 3, seed=0)
+        prof = window_gap_profile(zero_mixture, OverlapConstraint(6, 0), (0.0, 0.5, 1.0), 3,
+                                  seed=0)
         total = sum(math.comb(6, d) for d in (2, 3, 4))
         expected = math.log(total / math.comb(6, 3)) / 6
         assert prof["gap_mean"][1] == pytest.approx(expected, abs=1e-12)
@@ -597,7 +621,8 @@ class TestWindowProfile:
         assert prof["min_gap"] >= 0.0
 
     def test_zero_disorder_has_no_excess(self, zero_mixture):
-        prof = window_gap_profile(zero_mixture, 6, 0, (0.0, 0.25, 0.5, 1.0), 3, seed=0)
+        prof = window_gap_profile(zero_mixture, OverlapConstraint(6, 0), (0.0, 0.25, 0.5, 1.0),
+                                  3, seed=0)
         assert prof["fitted_constant"] > 0.2
         assert prof["excess_constant"] == pytest.approx(0.0, abs=1e-13)
 
@@ -606,19 +631,20 @@ class TestWindowProfile:
         # at n 4, 6 and 8 the raw constant's trend read t = 2.18 and 5.10 on
         # these seeds; the counting gaps alone step up from 6 to 8
         n_list = (4, 6, 8)
-        profiles = {n: window_gap_profile(pure_p2, n, 0, (0.0, 0.25, 0.5, 1.0), 200, seed)
+        profiles = {n: window_gap_profile(pure_p2, OverlapConstraint(n, 0),
+                                          (0.0, 0.25, 0.5, 1.0), 200, seed)
                     for n in n_list}
         check = window_constant_check(n_list, profiles)
         assert check["trend_assessed"] and check["pass"]
         assert check["slope_tstat"] < -5.0
 
     def test_gap_nonnegative_per_replica(self, pure_p2):
-        prof = window_gap_profile(pure_p2, 6, 0, (0.0, 0.5, 1.0), 50, seed=1)
+        prof = window_gap_profile(pure_p2, OverlapConstraint(6, 0), (0.0, 0.5, 1.0), 50, seed=1)
         assert prof["min_gap"] >= -1e-12
 
     def test_requires_zero_baseline(self, pure_p2):
         with pytest.raises(ValueError, match="start at 0"):
-            window_gap_profile(pure_p2, 6, 0, (0.5, 1.0), 5, seed=0)
+            window_gap_profile(pure_p2, OverlapConstraint(6, 0), (0.5, 1.0), 5, seed=0)
 
 
 def _size_checks(spec, u, n_list, n_rep, seed, eps_grid=(0.0, 0.25, 0.5, 1.0)):
@@ -638,8 +664,8 @@ class TestVerdictSuite:
     def test_zero_disorder_all_pass(self, zero_mixture):
         rost = random_gram_rost(3, 0.0, 0.05, np.random.default_rng(0))
         c = nearest_admissible(4, 0.0)
-        f_est = estimate_F(zero_mixture, 4, c, 3, 0)
-        g_est = estimate_G(rost, zero_mixture, 4, c, 3, 0)
+        f_est = estimate_F(zero_mixture, c, 3, 0)
+        g_est = estimate_G(rost, zero_mixture, c, 3, 0)
         checks = _size_checks(zero_mixture, 0.0, (4, 6), 3, 0) + [
             structure_bound_check(rost, zero_mixture, c, f_est, g_est, (0.5,), 3, 0)
         ]
@@ -665,9 +691,9 @@ class TestVerdictSuite:
         # it as m, n and m + n, each from root seed + 104729 * size
         calls = []
 
-        def recorded(spec, n, c, n_rep, seed, sampler="tensor", threads=1):
-            calls.append((n, seed))
-            return Estimate(mean=0.1 * n, stderr=0.01, n_rep=n_rep, seed=seed)
+        def recorded(spec, c, n_rep, seed, sampler="tensor", threads=1):
+            calls.append((c.n, seed))
+            return Estimate(mean=0.1 * c.n, stderr=0.01, n_rep=n_rep, seed=seed)
 
         monkeypatch.setattr(interpolation, "estimate_F", recorded)
         superadditivity_check(pure_p2, 0.0, (3, 4, 5, 6, 4), 4, seed=9)

@@ -53,9 +53,9 @@ def _exit_code(tmp_path, command: str, config: dict) -> int:
 def _shifted(estimate_F, shift):
     """estimate_F with shift(n) added to each estimate's mean."""
 
-    def shifted(spec, n, *args):
-        est = estimate_F(spec, n, *args)
-        return dataclasses.replace(est, mean=est.mean + shift(n))
+    def shifted(spec, c, *args):
+        est = estimate_F(spec, c, *args)
+        return dataclasses.replace(est, mean=est.mean + shift(c.n))
 
     return shifted
 
@@ -78,10 +78,10 @@ def test_superadd_catches_a_growing_deficit(gamma, code, tmp_path, monkeypatch):
 def test_lemma1_catches_a_growing_window_constant(gamma, code, tmp_path, monkeypatch):
     profile = cli.window_gap_profile
 
-    def grown(spec, n, *args):
-        prof = profile(spec, n, *args)
-        return {**prof, "fitted_constant": prof["fitted_constant"] + gamma * n,
-                "excess_constant": prof["excess_constant"] + gamma * n}
+    def grown(spec, c, *args):
+        prof = profile(spec, c, *args)
+        return {**prof, "fitted_constant": prof["fitted_constant"] + gamma * c.n,
+                "excess_constant": prof["excess_constant"] + gamma * c.n}
 
     monkeypatch.setattr(cli, "window_gap_profile", grown)
     assert _exit_code(tmp_path, "lemma1", {**README, "n_list": [6, 8, 10], "n_rep": 20}) == code
